@@ -23,14 +23,14 @@ from .costs import (
     edge_time,
     effective_t_req,
     home_nodes,
+    latency_rows,
     le_with_tol,
     lt_strict,
     node_cpu,
     node_mem,
-    total_latency,
+    node_usage,
     total_objective,
     trans_time,
-    wait_time,
     windows_in_horizon,
 )
 from .feasibility import (
@@ -111,15 +111,11 @@ from .simulator import (
 from .solver import (
     ENUMERATION_CAP,
     EnumerationLimitError,
-    SearchState,
     Solution,
     SolverConfig,
     brute_force,
     gamma_grid,
     operator_domain,
-    preflight_bound,
-    preflight_latency,
-    preflight_resource,
     solve,
 )
 

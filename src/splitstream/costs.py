@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 from .model import (
     GAMMA_TOL,
@@ -188,6 +189,27 @@ def data_volume(
     return total
 
 
+def edge_loads(
+    op: OperatorSpec,
+    gamma: float,
+    p: Profile,
+    w: Workload,
+    orientation: str = "corrected",
+) -> Iterator[tuple[NodeId, float, float]]:
+    """Yield (node, CPU cycles, memory bytes) that each wired sensor of the
+    operator puts on its edge node at ratio gamma."""
+    share = gamma if orientation == "literal" else 1.0 - gamma
+    for s in op.sensors:
+        k = w.topology.sensor_node.get(s)
+        if k is None:
+            continue
+        yield (
+            k,
+            p.cpu_edge.get((op.id, s, k), 0.0) * share,
+            p.mem_edge.get((op.id, s, k), 0.0) * share,
+        )
+
+
 def edge_time(
     i: OperatorId,
     a: Assignment,
@@ -196,16 +218,9 @@ def edge_time(
     orientation: str = "corrected",
 ) -> float:
     """Slowest per-node edge compute time for operator i (seconds)."""
-    op = w.operator(i)
-    gamma = a.op_gamma(w, i)
-    share = gamma if orientation == "literal" else 1.0 - gamma
     per_node: dict[NodeId, float] = {}
-    for s in op.sensors:
-        k = w.topology.sensor_node.get(s)
-        if k is None:
-            continue
-        cycles = p.cpu_edge.get((i, s, k), 0.0)
-        per_node[k] = per_node.get(k, 0.0) + cycles * share
+    for k, cycles, _mem in edge_loads(w.operator(i), a.op_gamma(w, i), p, w, orientation):
+        per_node[k] = per_node.get(k, 0.0) + cycles
     if not per_node:
         return 0.0
     return max(t / p.cpu_unit_edge[k] for k, t in per_node.items())
@@ -230,17 +245,6 @@ def trans_time(
     return worst
 
 
-def wait_time(
-    i: OperatorId, w: Workload, memo: dict[OperatorId, float]
-) -> float:
-    """Dependency skew: max minus min of the deps' total latencies."""
-    op = w.operator(i)
-    if not op.deps:
-        return 0.0
-    totals = [memo[d] for d in op.deps]
-    return max(totals) - min(totals)
-
-
 def cloud_time(
     i: OperatorId,
     a: Assignment,
@@ -263,23 +267,28 @@ def cloud_time(
     return (cycles + res) / p.cpu_unit_cloud
 
 
-def total_latency(
-    i: OperatorId,
+def latency_rows(
     a: Assignment,
     p: Profile,
     w: Workload,
-    memo: dict[OperatorId, float],
+    order: Iterable[OperatorId],
     orientation: str = "corrected",
-) -> float:
-    """End-to-end window latency; deps must already be in memo."""
-    t = (
-        edge_time(i, a, p, w, orientation)
-        + trans_time(i, a, p, w)
-        + wait_time(i, w, memo)
-        + cloud_time(i, a, p, w, orientation)
-    )
-    memo[i] = t
-    return t
+) -> Iterator[tuple[OperatorId, float, float, float, float, float]]:
+    """Yield (op, t_edge, t_trans, t_wait, t_cloud, t_total) for each operator
+    of `order`, the window latency and its terms in seconds.
+
+    The wait is the skew between the totals of the operator's deps, so
+    `order` must list every dep ahead of its consumers.
+    """
+    totals: dict[OperatorId, float] = {}
+    for i in order:
+        te = edge_time(i, a, p, w, orientation)
+        tt = trans_time(i, a, p, w)
+        dep_totals = [totals[d] for d in w.operator(i).deps]
+        tw = max(dep_totals) - min(dep_totals) if dep_totals else 0.0
+        tc = cloud_time(i, a, p, w, orientation)
+        totals[i] = te + tt + tw + tc
+        yield i, te, tt, tw, tc, totals[i]
 
 
 @dataclass(frozen=True)
@@ -318,15 +327,8 @@ def node_cpu(
     orientation: str = "corrected",
 ) -> float:
     """Edge CPU cycles operator i occupies on node k."""
-    op = w.operator(i)
-    gamma = a.op_gamma(w, i)
-    share = gamma if orientation == "literal" else 1.0 - gamma
-    total = 0.0
-    for s in op.sensors:
-        if w.topology.sensor_node.get(s) != k:
-            continue
-        total += p.cpu_edge.get((i, s, k), 0.0) * share
-    return total
+    loads = edge_loads(w.operator(i), a.op_gamma(w, i), p, w, orientation)
+    return sum((cpu for node, cpu, _mem in loads if node == k), 0.0)
 
 
 def node_mem(
@@ -338,15 +340,31 @@ def node_mem(
     orientation: str = "corrected",
 ) -> float:
     """Edge memory bytes operator i occupies on node k."""
-    op = w.operator(i)
-    gamma = a.op_gamma(w, i)
-    share = gamma if orientation == "literal" else 1.0 - gamma
-    total = 0.0
-    for s in op.sensors:
-        if w.topology.sensor_node.get(s) != k:
-            continue
-        total += p.mem_edge.get((i, s, k), 0.0) * share
-    return total
+    loads = edge_loads(w.operator(i), a.op_gamma(w, i), p, w, orientation)
+    return sum((mem for node, _cpu, mem in loads if node == k), 0.0)
+
+
+def node_usage(
+    a: Assignment,
+    p: Profile,
+    w: Workload,
+    orientation: str = "corrected",
+) -> dict[NodeId, NodeUsage]:
+    """Per-node edge CPU and memory: each operator's node_cpu and node_mem
+    share, summed over operators in workload order."""
+    nodes = sorted(w.topology.nodes)
+    cpu = dict.fromkeys(nodes, 0.0)
+    mem = dict.fromkeys(nodes, 0.0)
+    for op in w.operators:
+        op_cpu: dict[NodeId, float] = {}
+        op_mem: dict[NodeId, float] = {}
+        for k, c, m in edge_loads(op, a.op_gamma(w, op.id), p, w, orientation):
+            op_cpu[k] = op_cpu.get(k, 0.0) + c
+            op_mem[k] = op_mem.get(k, 0.0) + m
+        for k in op_cpu.keys() & cpu.keys():
+            cpu[k] += op_cpu[k]
+            mem[k] += op_mem[k]
+    return {k: NodeUsage(node=k, cpu_cycles=cpu[k], mem_bytes=mem[k]) for k in nodes}
 
 
 def windows_in_horizon(window_s: float, step_s: float, horizon_s: float) -> int:
@@ -362,6 +380,7 @@ def total_objective(
     w: Workload,
     mode: str = "paper",
     horizon_s: float | None = None,
+    ops: Iterable[OperatorId] | None = None,
 ) -> float:
     """Total uplink bytes under the assignment.
 
@@ -369,16 +388,20 @@ def total_objective(
     streams shared between operators. "dedup" counts each sensor's upload once per
     (sensor, node) and keeps per-operator aggregate/result terms. Without a
     horizon the figure is per window close; with one, per-operator terms scale
-    by their number of closes and dedup raw scales by stream rate.
+    by their number of closes and dedup raw scales by stream rate. `ops`
+    limits the sum to those operator ids, in that order; by default every
+    operator counts, in workload order.
     """
     if mode not in OBJECTIVE_MODES:
         raise ValueError(f"unknown objective mode {mode!r}")
+    specs = w.operators if ops is None else [w.operator(i) for i in ops]
     total = 0.0
     if mode == "paper":
-        for op in w.operators:
-            per_window = sum(
-                data_volume(op.id, k, a, p, w) for k in sorted(w.topology.nodes)
-            )
+        nodes = sorted(w.topology.nodes)
+        for op in specs:
+            per_window = 0.0
+            for k in nodes:
+                per_window += data_volume(op.id, k, a, p, w)
             if horizon_s is None:
                 total += per_window
             else:
@@ -389,7 +412,7 @@ def total_objective(
 
     # dedup: raw once per (sensor, node), aggregate/result once per operator
     raw_best: dict[tuple[SensorId, NodeId], float] = {}
-    for op in w.operators:
+    for op in specs:
         for s in op.sensors:
             k = w.topology.sensor_node.get(s)
             if k is None:
@@ -402,7 +425,7 @@ def total_objective(
                 raw_best[key] = raw
     for (s, _k), raw in sorted(raw_best.items()):
         total += raw * a.gamma_sensor.get(s, 0.0)
-    for op in w.operators:
+    for op in specs:
         gamma = a.op_gamma(w, op.id)
         term = _int_res_terms(
             gamma, p.data_int.get(op.id, 0.0), p.data_res.get(op.id, 0.0)
@@ -422,15 +445,8 @@ def cost_report(
     orientation: str = "corrected",
 ) -> CostReport:
     """Per-operator latency/volume rows plus per-node usage for an assignment."""
-    memo: dict[OperatorId, float] = {}
     rows: dict[OperatorId, OperatorCost] = {}
-    for i in topological_order(w):
-        op = w.operator(i)
-        te = edge_time(i, a, p, w, orientation)
-        tt = trans_time(i, a, p, w)
-        tw = wait_time(i, w, memo)
-        tc = cloud_time(i, a, p, w, orientation)
-        memo[i] = te + tt + tw + tc
+    for i, te, tt, tw, tc, t in latency_rows(a, p, w, topological_order(w), orientation):
         volumes: dict[NodeId, float] = {}
         for k in sorted(w.topology.nodes):
             vol = data_volume(i, k, a, p, w)
@@ -444,18 +460,13 @@ def cost_report(
             t_trans=tt,
             t_wait=tw,
             t_cloud=tc,
-            t_total=memo[i],
+            t_total=t,
         )
-    usage: dict[NodeId, NodeUsage] = {}
-    for k in sorted(w.topology.nodes):
-        cpu = sum(node_cpu(op.id, k, a, p, w, orientation) for op in w.operators)
-        mem = sum(node_mem(op.id, k, a, p, w, orientation) for op in w.operators)
-        usage[k] = NodeUsage(node=k, cpu_cycles=cpu, mem_bytes=mem)
     rows = {i: rows[i] for i in sorted(rows)}
     latency_sum = sum(rows[i].t_total for i in sorted(rows))
     return CostReport(
         per_operator=rows,
-        per_node=usage,
+        per_node=node_usage(a, p, w, orientation),
         objective_bytes=total_objective(a, p, w, mode),
         latency_sum=latency_sum,
     )

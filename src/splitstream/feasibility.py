@@ -26,17 +26,15 @@ from dataclasses import dataclass
 from .costs import (
     Assignment,
     Profile,
-    cloud_time,
-    edge_time,
+    effective_t_req,
+    latency_rows,
     le_with_tol,
     lt_strict,
-    node_cpu,
-    node_mem,
-    trans_time,
-    wait_time,
+    node_usage,
 )
 from .model import (
     GAMMA_TOL,
+    NodeId,
     OperatorId,
     Workload,
     topological_order,
@@ -63,36 +61,49 @@ def _is_fractional(g: float) -> bool:
     return not _is_zero(g) and not _is_one(g)
 
 
-def forced_cloud(w: Workload, op_id: OperatorId) -> bool:
-    """True when data locality leaves no choice but full offload: the
-    operator's own sensors sit on more than one node, or (composite) its
-    transitive sensor closure does."""
+def _node_spans(w: Workload, op_id: OperatorId) -> tuple[set[NodeId], bool]:
+    """The nodes of the operator's own sensors, and whether a composite's
+    transitive sensor closure spans several nodes. The closure is only
+    walked when the own sensors sit on at most one node."""
     op = w.operator(op_id)
     own_nodes = {
         w.topology.sensor_node[s]
         for s in op.sensors
         if s in w.topology.sensor_node
     }
-    if len(own_nodes) > 1:
-        return True
-    if op.deps:
-        closure = transitive_sensors(w, op_id)
-        nodes = {
-            w.topology.sensor_node[s]
-            for s in closure
-            if s in w.topology.sensor_node
-        }
-        if len(nodes) > 1:
-            return True
-    return False
+    if len(own_nodes) > 1 or not op.deps:
+        return own_nodes, False
+    closure_nodes = {
+        w.topology.sensor_node[s]
+        for s in transitive_sensors(w, op_id)
+        if s in w.topology.sensor_node
+    }
+    return own_nodes, len(closure_nodes) > 1
+
+
+def forced_cloud(w: Workload, op_id: OperatorId) -> bool:
+    """True when data locality leaves no choice but full offload: the
+    operator's own sensors sit on more than one node, or (composite) its
+    transitive sensor closure does."""
+    own_nodes, closure_span = _node_spans(w, op_id)
+    return len(own_nodes) > 1 or closure_span
+
+
+def composite_gamma(
+    w: Workload, op_id: OperatorId, dep_gammas: list[float]
+) -> float:
+    """A composite's ratio given its deps' ratios: 1 when it is forced to
+    the cloud or any dep is fractional, else the min over its deps."""
+    if forced_cloud(w, op_id) or any(_is_fractional(g) for g in dep_gammas):
+        return 1.0
+    return min(dep_gammas)
 
 
 def propagate_composite_gamma(w: Workload, per_op: dict[OperatorId, float]) -> dict[OperatorId, float]:
     """Fill composite ratios from their dependencies.
 
     Input maps every atomic operator to its ratio; the result adds composites
-    in dependency order: forced-cloud composites and composites with any
-    fractional dependency get 1, the rest get the min over their deps.
+    in dependency order through composite_gamma.
     """
     out = dict(per_op)
     for i in topological_order(w):
@@ -101,11 +112,7 @@ def propagate_composite_gamma(w: Workload, per_op: dict[OperatorId, float]) -> d
             if i not in out:
                 raise ValueError(f"atomic operator {i} has no ratio")
             continue
-        dep_gammas = [out[d] for d in op.deps]
-        if forced_cloud(w, i) or any(_is_fractional(g) for g in dep_gammas):
-            out[i] = 1.0
-        else:
-            out[i] = min(dep_gammas)
+        out[i] = composite_gamma(w, i, [out[d] for d in op.deps])
     return out
 
 
@@ -170,33 +177,19 @@ def check_assignment(
         g = shared.get(op.id)
         if g is None:
             continue
-        own_nodes = {
-            w.topology.sensor_node[s]
-            for s in op.sensors
-            if s in w.topology.sensor_node
-        }
+        own_nodes, closure_span = _node_spans(w, op.id)
         own_span = len(own_nodes) > 1
-        closure_span = False
-        if op.deps:
-            closure = transitive_sensors(w, op.id)
-            nodes = {
-                w.topology.sensor_node[s]
-                for s in closure
-                if s in w.topology.sensor_node
-            }
-            closure_span = len(nodes) > 1
         if own_span and not _is_one(g):
             out.append(
                 Violation("C6", op.id, f"sensors span {sorted(own_nodes)}, ratio {g}")
             )
             continue
         if op.deps:
-            if closure_span and not own_span:
-                if not _is_one(g):
-                    out.append(
-                        Violation("C7", op.id, f"transitive sensors span nodes, ratio {g}")
-                    )
-                    continue
+            if closure_span and not _is_one(g):
+                out.append(
+                    Violation("C7", op.id, f"transitive sensors span nodes, ratio {g}")
+                )
+                continue
             dep_gammas = [shared.get(d) for d in op.deps]
             if any(v is None for v in dep_gammas):
                 continue
@@ -218,28 +211,16 @@ def check_assignment(
 
     # C10 deadlines, evaluated in dependency order so waits resolve.
     if not any(v.constraint == "C3" for v in out):
-        memo: dict[OperatorId, float] = {}
-        for i in order:
-            op = w.operator(i)
-            te = edge_time(i, a, p, w, orientation)
-            tt = trans_time(i, a, p, w)
-            tw = wait_time(i, w, memo)
-            tc = cloud_time(i, a, p, w, orientation)
-            memo[i] = te + tt + tw + tc
-            t_req = op.t_req_s
-            if t_req is None:
-                t_req = p.t_req_s.get(i)
-            if t_req is None:
-                continue
-            if not le_with_tol(memo[i], t_req):
+        for i, _te, _tt, _tw, _tc, t in latency_rows(a, p, w, order, orientation):
+            t_req = effective_t_req(w.operator(i), p)
+            if t_req is not None and not le_with_tol(t, t_req):
                 out.append(
-                    Violation("C10", i, f"latency {memo[i]:.6g}s > deadline {t_req:.6g}s")
+                    Violation("C10", i, f"latency {t:.6g}s > deadline {t_req:.6g}s")
                 )
 
         # C11/C12 strict capacity bounds per node.
-        for k in sorted(w.topology.nodes):
-            cpu = sum(node_cpu(op.id, k, a, p, w, orientation) for op in w.operators)
-            mem = sum(node_mem(op.id, k, a, p, w, orientation) for op in w.operators)
+        for k, usage in node_usage(a, p, w, orientation).items():
+            cpu, mem = usage.cpu_cycles, usage.mem_bytes
             cap_c = p.cpu_cap.get(k)
             cap_m = p.mem_cap.get(k)
             if cap_c is not None and not lt_strict(cpu, cap_c):

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from typing import Iterable
 
@@ -361,9 +362,20 @@ def gamma_record(w: Workload, a: Assignment) -> dict[str, float]:
 
 
 def parse_gamma(record: dict) -> dict[OperatorId, float]:
-    gamma = record.get("gamma", record)
+    """Per-operator ratios from a record's "gamma" member, or from the record
+    itself when it has none. Raises ValueError unless they map operator ids
+    to finite numbers."""
+    gamma = record.get("gamma", record) if isinstance(record, dict) else record
+    if not isinstance(gamma, dict):
+        raise ValueError(f"gamma must map operator ids to ratios, got {gamma!r}")
     out: dict[OperatorId, float] = {}
     for key, value in gamma.items():
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or not math.isfinite(value)
+        ):
+            raise ValueError(f"ratio of operator {key} is not a finite number: {value!r}")
         out[int(key)] = float(value)
     return out
 

@@ -10,6 +10,7 @@ ratio decided elsewhere.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from enum import Enum, unique
 
@@ -142,7 +143,7 @@ class ValidationReport:
 
 def validate_workload(w: Workload) -> ValidationReport:
     """Structural checks: acyclic deps, resolvable references, wired sensors,
-    positive durations. An empty report means the workload is usable."""
+    finite positive durations. An empty report means the workload is usable."""
     out: list[WorkloadViolation] = []
     seen: set[OperatorId] = set()
     for op in w.operators:
@@ -162,19 +163,19 @@ def validate_workload(w: Workload) -> ValidationReport:
                 out.append(
                     WorkloadViolation(V_UNWIRED, s, f"sensor {s} of op {op.id} has no node")
                 )
-        for name, value in (
+        durations = [
             ("window_s", op.window_s),
             ("step_s", op.step_s),
             ("freq_s", op.freq_s),
-        ):
-            if value <= 0:
+        ]
+        if op.t_req_s is not None:
+            durations.append(("t_req_s", op.t_req_s))
+        for name, value in durations:
+            # NaN fails every comparison, so `value <= 0` alone lets it pass.
+            if not (math.isfinite(value) and value > 0):
                 out.append(
                     WorkloadViolation(V_NONPOSITIVE, op.id, f"{name} = {value}")
                 )
-        if op.t_req_s is not None and op.t_req_s <= 0:
-            out.append(
-                WorkloadViolation(V_NONPOSITIVE, op.id, f"t_req_s = {op.t_req_s}")
-            )
 
     out.extend(_find_cycles(w))
     return ValidationReport(tuple(out))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .costs import Assignment, Profile, node_cpu, node_mem, total_latency
+from .costs import Assignment, Profile, latency_rows, node_usage
 from .functions import FunctionContext, output_arity, state_length
 from .model import (
     FunctionKind,
@@ -240,21 +240,15 @@ def generate_profile(
     # Capacities: the all-edge placement is the heaviest the platform must
     # carry; give each node that load times the headroom factor.
     all_edge = Assignment.from_op_gamma(w, {op.id: 0.0 for op in w.operators})
-    cpu_cap = {}
-    mem_cap = {}
-    for k in nodes:
-        cpu_used = sum(node_cpu(op.id, k, all_edge, profile, w) for op in w.operators)
-        mem_used = sum(node_mem(op.id, k, all_edge, profile, w) for op in w.operators)
-        cpu_cap[k] = headroom * max(cpu_used, 1.0)
-        mem_cap[k] = headroom * max(mem_used, 1.0)
-    profile = replace(profile, cpu_cap=cpu_cap, mem_cap=mem_cap)
+    usage = node_usage(all_edge, profile, w)
+    profile = replace(
+        profile,
+        cpu_cap={k: headroom * max(u.cpu_cycles, 1.0) for k, u in usage.items()},
+        mem_cap={k: headroom * max(u.mem_bytes, 1.0) for k, u in usage.items()},
+    )
 
     # Deadlines: slack over the all-cloud latency estimate per operator.
     all_cloud = Assignment.from_op_gamma(w, {op.id: 1.0 for op in w.operators})
-    memo: dict[OperatorId, float] = {}
-    t_req: dict[OperatorId, float] = {}
-    for op_id in topological_order(w):
-        t_req[op_id] = (1.0 + treq_slack) * total_latency(
-            op_id, all_cloud, profile, w, memo
-        )
+    rows = latency_rows(all_cloud, profile, w, topological_order(w))
+    t_req = {i: (1.0 + treq_slack) * t for i, _te, _tt, _tw, _tc, t in rows}
     return replace(profile, t_req_s=t_req)

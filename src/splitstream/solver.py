@@ -22,7 +22,6 @@ smallest ratio vector in topological order.
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -30,20 +29,22 @@ from .costs import (
     Assignment,
     CostReport,
     Profile,
-    cloud_time,
     cost_report,
-    data_volume,
-    edge_time,
+    edge_loads,
     effective_t_req,
+    latency_rows,
     le_with_tol,
     lt_strict,
+    node_usage,
     total_objective,
-    trans_time,
-    wait_time,
 )
-from .feasibility import check_assignment, forced_cloud, propagate_composite_gamma
+from .feasibility import (
+    check_assignment,
+    composite_gamma,
+    forced_cloud,
+    propagate_composite_gamma,
+)
 from .model import (
-    GAMMA_TOL,
     NodeId,
     OperatorId,
     SensorId,
@@ -112,50 +113,36 @@ def operator_domain(
     return grid
 
 
-class _GammaView:
-    """Duck-typed Assignment over plain dicts, for partial evaluations."""
-
-    __slots__ = ("_gamma", "gamma_sensor")
-
-    def __init__(self, gamma: dict[OperatorId, float], sensor: dict[SensorId, float]):
-        self._gamma = gamma
-        self.gamma_sensor = sensor
-
-    def op_gamma(self, w: Workload, op_id: OperatorId) -> float:
-        return self._gamma[op_id]
-
-
 @dataclass
 class SearchState:
-    """Partially enumerated cluster: decided ratios plus running node sums."""
+    """Partially enumerated cluster: decided ratios plus running node sums.
+
+    It prices like an Assignment over the decided operators: op_gamma and
+    gamma_sensor are what the cost functions read.
+    """
 
     w: Workload
     p: Profile
     orientation: str
     gamma: dict[OperatorId, float] = field(default_factory=dict)
-    sensor_gamma: dict[SensorId, float] = field(default_factory=dict)
+    gamma_sensor: dict[SensorId, float] = field(default_factory=dict)
     cpu_used: dict[NodeId, float] = field(default_factory=dict)
     mem_used: dict[NodeId, float] = field(default_factory=dict)
 
-    def view(self) -> _GammaView:
-        return _GammaView(self.gamma, self.sensor_gamma)
+    def op_gamma(self, w: Workload, op_id: OperatorId) -> float:
+        return self.gamma[op_id]
 
     def assign(self, op_id: OperatorId, gamma: float) -> list:
         """Record one decided operator; returns an undo token."""
         op = self.w.operator(op_id)
-        share = gamma if self.orientation == "literal" else 1.0 - gamma
         undo: list = [op_id]
         self.gamma[op_id] = gamma
         for s in op.sensors:
-            old = self.sensor_gamma.get(s, 0.0)
+            old = self.gamma_sensor.get(s, 0.0)
             if gamma > old:
                 undo.append(("s", s, old))
-                self.sensor_gamma[s] = gamma
-            k = self.w.topology.sensor_node.get(s)
-            if k is None:
-                continue
-            dc = self.p.cpu_edge.get((op_id, s, k), 0.0) * share
-            dm = self.p.mem_edge.get((op_id, s, k), 0.0) * share
+                self.gamma_sensor[s] = gamma
+        for k, dc, dm in edge_loads(op, gamma, self.p, self.w, self.orientation):
             if dc:
                 self.cpu_used[k] = self.cpu_used.get(k, 0.0) + dc
                 undo.append(("c", k, dc))
@@ -169,7 +156,7 @@ class SearchState:
         del self.gamma[op_id]
         for tag, key, val in undo[1:]:
             if tag == "s":
-                self.sensor_gamma[key] = val
+                self.gamma_sensor[key] = val
             elif tag == "c":
                 self.cpu_used[key] -= val
             else:
@@ -190,80 +177,29 @@ def preflight_resource(state: SearchState) -> NodeId | None:
 
 
 def preflight_bound(partial_objective: float, incumbent: float | None) -> bool:
-    """True when the partial objective already meets or exceeds the incumbent."""
-    return incumbent is not None and partial_objective >= incumbent
+    """True when the partial objective is strictly worse than the incumbent.
+
+    Equal partials may still win the tie-break, so they are not cut.
+    """
+    return incumbent is not None and partial_objective > incumbent
 
 
-def preflight_latency(state: SearchState) -> OperatorId | None:
+def preflight_latency(state: SearchState, order: list[OperatorId]) -> OperatorId | None:
     """First decided operator whose latency lower bound misses its deadline.
 
-    Transfer uses the decided sensor maxima (which only grow) and wait is
-    bounded below by zero, so a failure here is final for the whole subtree.
+    `order` is the cluster's evaluation order; undecided operators are
+    skipped. The bound leaves out the wait, which can shrink as later
+    decisions raise the fastest dep's total; transfer uses the decided
+    sensor maxima, which only grow. So a failure here is final for the
+    whole subtree.
     """
-    view = state.view()
-    for i in sorted(state.gamma):
-        op = state.w.operator(i)
-        t_req = effective_t_req(op, state.p)
-        if t_req is None:
-            continue
-        lb = (
-            edge_time(i, view, state.p, state.w, state.orientation)
-            + trans_time(i, view, state.p, state.w)
-            + cloud_time(i, view, state.p, state.w, state.orientation)
-        )
-        if not le_with_tol(lb, t_req):
+    decided = [i for i in order if i in state.gamma]
+    rows = latency_rows(state, state.p, state.w, decided, state.orientation)
+    for i, te, tt, _tw, tc, _t in rows:
+        t_req = effective_t_req(state.w.operator(i), state.p)
+        if t_req is not None and not le_with_tol(te + tt + tc, t_req):
             return i
     return None
-
-
-def _partial_objective(state: SearchState, cluster_ops: tuple[OperatorId, ...], mode: str) -> float:
-    """Lower bound of the cluster objective over the decided operators."""
-    view = state.view()
-    total = 0.0
-    if mode == "paper":
-        for i in cluster_ops:
-            if i not in state.gamma:
-                continue
-            for k in sorted(state.w.topology.nodes):
-                total += data_volume(i, k, view, state.p, state.w)
-        return total
-    raw_best: dict[tuple[SensorId, NodeId], float] = {}
-    for i in cluster_ops:
-        if i not in state.gamma:
-            continue
-        op = state.w.operator(i)
-        for s in op.sensors:
-            k = state.w.topology.sensor_node.get(s)
-            if k is None:
-                continue
-            raw = state.p.data_raw.get((i, s, k), 0.0)
-            key = (s, k)
-            if raw > raw_best.get(key, 0.0):
-                raw_best[key] = raw
-    for (s, _k), raw in sorted(raw_best.items()):
-        total += raw * state.sensor_gamma.get(s, 0.0)
-    for i in cluster_ops:
-        if i not in state.gamma:
-            continue
-        g = state.gamma[i]
-        frac = math.ceil(g) - math.floor(g)
-        total += frac * state.p.data_int.get(i, 0.0)
-        total += math.floor(1.0 - g) * state.p.data_res.get(i, 0.0)
-    return total
-
-
-def _cluster_objective(state: SearchState, cluster_ops: tuple[OperatorId, ...], mode: str) -> float:
-    """Exact cluster objective once every member is decided."""
-    return _partial_objective(state, cluster_ops, mode)
-
-
-def _derived_gamma(w: Workload, op_id: OperatorId, dep_gammas: list[float]) -> float:
-    if forced_cloud(w, op_id):
-        return 1.0
-    for g in dep_gammas:
-        if GAMMA_TOL < g < 1.0 - GAMMA_TOL:
-            return 1.0
-    return min(dep_gammas)
 
 
 class _BudgetExceeded(Exception):
@@ -317,30 +253,16 @@ def _solve_cluster(
     best: list = [None]  # [ (objective, latency_sum, gamma_vector, gamma_dict) ]
 
     def leaf_eval() -> None:
-        view = state.view()
-        memo: dict[OperatorId, float] = {}
-        for i in topo:
-            op = w.operator(i)
-            t = (
-                edge_time(i, view, p, w, cfg.cost_orientation)
-                + trans_time(i, view, p, w)
-                + wait_time(i, w, memo)
-                + cloud_time(i, view, p, w, cfg.cost_orientation)
-            )
-            memo[i] = t
-            t_req = effective_t_req(op, p)
+        if preflight_resource(state) is not None:
+            return
+        totals: dict[OperatorId, float] = {}
+        for i, _te, _tt, _tw, _tc, t in latency_rows(state, p, w, topo, cfg.cost_orientation):
+            t_req = effective_t_req(w.operator(i), p)
             if t_req is not None and not le_with_tol(t, t_req):
                 return
-        for k, used in state.cpu_used.items():
-            cap = p.cpu_cap.get(k)
-            if cap is not None and not lt_strict(used, cap):
-                return
-        for k, used in state.mem_used.items():
-            cap = p.mem_cap.get(k)
-            if cap is not None and not lt_strict(used, cap):
-                return
-        objective = _cluster_objective(state, cluster, cfg.objective_mode)
-        latency_sum = sum(memo[i] for i in sorted(memo))
+            totals[i] = t
+        objective = total_objective(state, p, w, cfg.objective_mode, ops=cluster)
+        latency_sum = sum(totals[i] for i in sorted(totals))
         gvec = tuple(state.gamma[i] for i in topo)
         candidate = (objective, latency_sum, gvec)
         if best[0] is None or candidate < best[0][:3]:
@@ -352,7 +274,7 @@ def _solve_cluster(
     def propagate_depth(depth: int, undos: list) -> None:
         for i in comp_at.get(depth, ()):
             dep_gammas = [state.gamma[d] for d in w.operator(i).deps]
-            place(i, _derived_gamma(w, i, dep_gammas), undos)
+            place(i, composite_gamma(w, i, dep_gammas), undos)
 
     def descend(depth: int) -> None:
         if deadline is not None and time.monotonic() > deadline:
@@ -365,23 +287,19 @@ def _solve_cluster(
             undos: list = []
             place(atoms[depth], gamma, undos)
             propagate_depth(depth + 1, undos)
-            pruned = False
-            node = preflight_resource(state)
-            if node is not None:
+            if preflight_resource(state) is not None:
                 stats["prunes"]["resource"] += 1
-                pruned = True
-            if not pruned:
-                partial = _partial_objective(state, cluster, cfg.objective_mode)
-                incumbent = best[0][0] if best[0] is not None else None
-                # Equal partials may still win the tie-break, so only a
-                # strictly worse partial is cut.
-                if preflight_bound(partial, incumbent) and partial > incumbent:
-                    stats["prunes"]["bound"] += 1
-                    pruned = True
-            if not pruned and preflight_latency(state) is not None:
+            elif preflight_bound(
+                total_objective(
+                    state, p, w, cfg.objective_mode,
+                    ops=[i for i in cluster if i in state.gamma],
+                ),
+                best[0][0] if best[0] is not None else None,
+            ):
+                stats["prunes"]["bound"] += 1
+            elif preflight_latency(state, topo) is not None:
                 stats["prunes"]["latency"] += 1
-                pruned = True
-            if not pruned:
+            else:
                 descend(depth + 1)
             for undo in reversed(undos):
                 state.unassign(undo)
@@ -415,24 +333,18 @@ def _solve_cluster(
 def _merge_capacity_coupled(
     w: Workload, p: Profile, clusters: list[tuple[OperatorId, ...]]
 ) -> list[tuple[OperatorId, ...]]:
-    """Join clusters that share a node whose capacity could bind."""
-    max_cpu: dict[NodeId, float] = {}
-    max_mem: dict[NodeId, float] = {}
-    for op in w.operators:
-        for s in op.sensors:
-            k = w.topology.sensor_node.get(s)
-            if k is None:
-                continue
-            max_cpu[k] = max_cpu.get(k, 0.0) + p.cpu_edge.get((op.id, s, k), 0.0)
-            max_mem[k] = max_mem.get(k, 0.0) + p.mem_edge.get((op.id, s, k), 0.0)
+    """Join clusters that share a node whose capacity could bind.
+
+    A node's worst case is its full edge load: the all-edge usage under the
+    corrected orientation, which the literal one reaches at ratio 1.
+    """
+    all_edge = Assignment.from_op_gamma(w, {op.id: 0.0 for op in w.operators})
     contended: set[NodeId] = set()
-    for k, worst in max_cpu.items():
-        cap = p.cpu_cap.get(k)
-        if cap is not None and not lt_strict(worst, cap):
-            contended.add(k)
-    for k, worst in max_mem.items():
-        cap = p.mem_cap.get(k)
-        if cap is not None and not lt_strict(worst, cap):
+    for k, worst in node_usage(all_edge, p, w).items():
+        cap_c, cap_m = p.cpu_cap.get(k), p.mem_cap.get(k)
+        if (cap_c is not None and not lt_strict(worst.cpu_cycles, cap_c)) or (
+            cap_m is not None and not lt_strict(worst.mem_bytes, cap_m)
+        ):
             contended.add(k)
     if not contended:
         return clusters

@@ -35,6 +35,10 @@ def write_inputs(tmp_path, rows=None, wiring=None):
     return w, wpath, ppath
 
 
+def error_lines(result):
+    return [line for line in result.output.splitlines() if line.startswith("error:")]
+
+
 class TestValidate:
     def test_ok(self, runner, tmp_path):
         _, wpath, _ = write_inputs(tmp_path)
@@ -70,6 +74,17 @@ class TestGenerators:
         assert result.exit_code == 0
         record = json.loads(open(out).read())
         assert record  # full structural checks live in test_fileio
+
+    def test_gen_profile_rejects_nonfinite_window(self, runner, tmp_path):
+        wpath = str(tmp_path / "nan.txt")
+        open(wpath, "w").write(
+            "[operators]\n1 | 1 | - | mean | 1 | nan | 5 | 5 | -\n[topology]\n1 -> 1\n"
+        )
+        out = tmp_path / "prof.json"
+        result = runner.invoke(main, ["gen-profile", wpath, "--out", str(out)])
+        assert result.exit_code == 1
+        assert error_lines(result) == ["error: nonpositive-duration: window_s = nan"]
+        assert not out.exists()
 
     def test_gen_trace_is_seeded(self, runner, tmp_path):
         _, wpath, _ = write_inputs(tmp_path)
@@ -164,6 +179,16 @@ class TestSimulateAndCompare:
             ["simulate", wpath, ppath, "--assignment", bad, "--duration", "5", "--force"],
         )
         assert forced.exit_code == 0
+
+    def test_simulate_rejects_infeasible_solve_report(self, runner, tmp_path):
+        _, wpath, ppath = write_inputs(tmp_path)
+        report = str(tmp_path / "infeasible.json")
+        open(report, "w").write(json.dumps({"feasible": False, "gamma": None}))
+        result = runner.invoke(
+            main, ["simulate", wpath, ppath, "--assignment", report, "--duration", "5"]
+        )
+        assert result.exit_code == 1
+        assert len(error_lines(result)) == 1
 
     def test_compare_reports_reductions(self, runner, tmp_path):
         _, wpath, ppath = write_inputs(tmp_path)

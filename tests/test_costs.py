@@ -25,6 +25,7 @@ from splitstream import (
     lt_strict,
     node_cpu,
     node_mem,
+    node_usage,
     propagate_composite_gamma,
     total_objective,
     trans_time,
@@ -206,6 +207,25 @@ class TestLatency:
         per_node_1 = data_volume(1, 1, a, p, w) / p.bandwidth[1]
         assert trans_time(1, a, p, w) == pytest.approx(per_node_1, rel=1e-12)
         assert trans_time(1, a, p, w, node=2) == 0.0
+
+
+class TestNodeUsage:
+    @pytest.mark.parametrize("orientation", ["corrected", "literal"])
+    def test_equals_per_operator_sums(self, orientation):
+        # Ratios off the binary grid make the products inexact, so a change
+        # in summation order would show here.
+        for seed in range(40):
+            w, p = random_instance(seed)
+            rng = random.Random(3000 + seed)
+            a = Assignment.from_op_gamma(
+                w, {op.id: rng.choice((0.0, 0.05, 0.35, 0.7, 1.0)) for op in w.operators}
+            )
+            usage = node_usage(a, p, w, orientation)
+            assert list(usage) == sorted(w.topology.nodes)
+            for k, u in usage.items():
+                ops = w.operators
+                assert u.cpu_cycles == sum(node_cpu(op.id, k, a, p, w, orientation) for op in ops)
+                assert u.mem_bytes == sum(node_mem(op.id, k, a, p, w, orientation) for op in ops)
 
 
 class TestPlacementRules:

@@ -192,6 +192,23 @@ class TestReports:
         save_report(path, {"gamma": record})
         assert load_gamma(path) == {1: 0.25, 2: 1.0, 3: 1.0}
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"gamma": None},
+            {"gamma": [0.5]},
+            [0.5],
+            {"gamma": {"1": math.nan}},
+            {"gamma": {"1": math.inf}},
+            {"gamma": {"1": "0.5"}},
+            {"gamma": {"1": True}},
+        ],
+        ids=["null", "list", "bare-list", "nan", "inf", "string", "bool"],
+    )
+    def test_parse_gamma_rejects_malformed_ratios(self, record):
+        with pytest.raises(ValueError):
+            parse_gamma(record)
+
     def test_digests_are_stable(self, tmp_path):
         assert sha256_bytes(b"abc") == (
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"

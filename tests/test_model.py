@@ -1,5 +1,6 @@
 """Workload structure: validation, ordering, clustering, sensor closures."""
 
+import math
 import random
 
 import pytest
@@ -88,6 +89,13 @@ def test_nonpositive_durations_flagged():
     assert V_NONPOSITIVE in {v.category for v in validate_workload(w).violations}
     w = build_workload([(1, (1,), (), F.MEAN, True, 4, 4, 4, -2.0)], {1: 1})
     assert V_NONPOSITIVE in {v.category for v in validate_workload(w).violations}
+    # Non-finite window, step, frequency and deadline values.
+    for field in (5, 6, 7, 8):
+        for value in (math.nan, math.inf, -math.inf):
+            row = [1, (1,), (), F.MEAN, True, 4, 4, 4, 2.0]
+            row[field] = value
+            report = validate_workload(build_workload([tuple(row)], {1: 1}))
+            assert [v.category for v in report.violations] == [V_NONPOSITIVE], (field, value)
 
 
 def test_dependency_cycle_flagged():

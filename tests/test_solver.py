@@ -51,12 +51,14 @@ class TestGrid:
 class TestAgainstBruteForce:
     def test_matches_exhaustive_enumeration(self):
         # The acceptance suite runs the full 200-instance sweep; this is the
-        # fast smoke version exercising both objective modes.
+        # fast smoke version exercising both objective modes and both cost
+        # orientations.
         for seed in range(40):
             w, p = random_instance(seed)
             cfg = SolverConfig(
                 delta=0.5 if seed % 2 else 0.25,
                 objective_mode="dedup" if seed % 3 == 0 else "paper",
+                cost_orientation="literal" if seed % 4 >= 2 else "corrected",
             )
             got = solve(w, p, cfg)
             want = brute_force(w, p, cfg)
