@@ -23,10 +23,11 @@ from .costs import Assignment, cost_report, effective_t_req
 from .feasibility import check_assignment
 from .fileio import (
     gamma_record,
-    load_gamma,
     load_profile,
     load_trace,
     load_workload,
+    parse_gamma,
+    recorded_orientation,
     save_profile,
     save_report,
     save_trace,
@@ -348,11 +349,14 @@ def simulate(workload: str, profile: str, assignment_path: str,
     w = _load_workload(workload)
     p = _load_profile(profile)
     try:
-        per_op = load_gamma(assignment_path)
-        a = Assignment.from_op_gamma(w, per_op)
+        with open(assignment_path, "r", encoding="utf-8") as fh:
+            record = json.load(fh)
+        a = Assignment.from_op_gamma(w, parse_gamma(record))
+        orientation = recorded_orientation(record)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         _fail(f"assignment {assignment_path}: {exc}")
-    violations = check_assignment(w, p, a)
+    # A placement is feasible or not in the orientation it was solved in.
+    violations = check_assignment(w, p, a, orientation)
     if violations and not force:
         for v in violations:
             click.echo(f"infeasible: {v.constraint}: {v.detail}", err=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .model import (
     GAMMA_TOL,
@@ -158,35 +158,88 @@ def home_nodes(w: Workload, op_id: OperatorId) -> frozenset[NodeId]:
     )
 
 
-def _int_res_terms(gamma: float, d_int: float, d_res: float) -> float:
+def int_res_bytes(gamma: float, d_int: float, d_res: float) -> float:
     """Partial-aggregate and result uploads as a function of the ratio."""
     term = (math.ceil(gamma) - math.floor(gamma)) * d_int
     term += math.floor(1.0 - gamma) * d_res
     return term
 
 
-def data_volume(
-    i: OperatorId, k: NodeId, a: Assignment, p: Profile, w: Workload
-) -> float:
-    """Bytes uplinked from node k per window of operator i.
+@dataclass(frozen=True)
+class VolumeTerms:
+    """The ratio-independent inputs of one operator's uplink volumes.
+
+    `nodes` lists, in ascending node order, every node the operator can
+    uplink from: its wired sensors' (sensor, data_raw) pairs there, in the
+    operator's sensor order, and whether the node is a home node (where the
+    aggregate/result terms are charged). Other nodes carry nothing.
+    """
+
+    nodes: tuple[tuple[NodeId, tuple[tuple[SensorId, float], ...], bool], ...]
+    d_int: float
+    d_res: float
+
+
+class OpVolumes(NamedTuple):
+    """An operator's bytes per window: the total and each node's share."""
+
+    total: float
+    by_node: tuple[tuple[NodeId, float], ...]
+
+
+def volume_terms(w: Workload, p: Profile, i: OperatorId) -> VolumeTerms:
+    """Build operator i's VolumeTerms from the workload and profile."""
+    op = w.operator(i)
+    raws: dict[NodeId, list[tuple[SensorId, float]]] = {}
+    for s in op.sensors:
+        k = w.topology.sensor_node.get(s)
+        if k is not None:
+            raws.setdefault(k, []).append((s, p.data_raw.get((i, s, k), 0.0)))
+    homes = home_nodes(w, i)
+    return VolumeTerms(
+        nodes=tuple(
+            (k, tuple(raws.get(k, ())), k in homes) for k in sorted(raws.keys() | homes)
+        ),
+        d_int=p.data_int.get(i, 0.0),
+        d_res=p.data_res.get(i, 0.0),
+    )
+
+
+def node_volumes(
+    terms: VolumeTerms, gamma: float, gamma_sensor: Mapping[SensorId, float]
+) -> OpVolumes:
+    """Bytes uplinked per window of one operator, per node and in total.
 
     Raw samples leave at the sensor-level ratio; a fractional operator adds
     one partial aggregate per window; a fully edge-resident operator uploads
     only its result. The aggregate/result terms are charged at the operator's
     home nodes (they vanish unless gamma is fractional or zero, and such
-    operators are single-homed in any feasible assignment).
+    operators are single-homed in any feasible assignment). The total folds
+    the nodes in ascending order.
     """
-    op = w.operator(i)
-    gamma = a.op_gamma(w, i)
+    extra = int_res_bytes(gamma, terms.d_int, terms.d_res)
     total = 0.0
-    for s in op.sensors:
-        if w.topology.sensor_node.get(s) != k:
-            continue
-        raw = p.data_raw.get((i, s, k), 0.0)
-        total += raw * a.gamma_sensor.get(s, 0.0)
-    if k in home_nodes(w, i):
-        total += _int_res_terms(gamma, p.data_int.get(i, 0.0), p.data_res.get(i, 0.0))
-    return total
+    by_node = []
+    for k, raws, home in terms.nodes:
+        vol = 0.0
+        for s, raw in raws:
+            vol += raw * gamma_sensor.get(s, 0.0)
+        if home:
+            vol += extra
+        by_node.append((k, vol))
+        total += vol
+    return OpVolumes(total, tuple(by_node))
+
+
+def data_volume(
+    i: OperatorId, k: NodeId, a: Assignment, p: Profile, w: Workload
+) -> float:
+    """Bytes uplinked from node k per window of operator i (see node_volumes)."""
+    gamma = a.op_gamma(w, i)
+    for node, vol in node_volumes(volume_terms(w, p, i), gamma, a.gamma_sensor).by_node:
+        if node == k:
+            return vol
+    return 0.0
 
 
 def edge_loads(
@@ -226,6 +279,16 @@ def edge_time(
     return max(t / p.cpu_unit_edge[k] for k, t in per_node.items())
 
 
+def uplink_time(by_node: Iterable[tuple[NodeId, float]], p: Profile) -> float:
+    """Worst per-node volume over that node's uplink (seconds)."""
+    worst = 0.0
+    for k, vol in by_node:
+        if vol <= 0.0:
+            continue
+        worst = max(worst, vol / p.bandwidth[k])
+    return worst
+
+
 def trans_time(
     i: OperatorId,
     a: Assignment,
@@ -235,14 +298,10 @@ def trans_time(
 ) -> float:
     """Window transfer time: per-node volume over that node's uplink, worst
     node unless one is named."""
-    nodes = [node] if node is not None else sorted(w.topology.nodes)
-    worst = 0.0
-    for k in nodes:
-        vol = data_volume(i, k, a, p, w)
-        if vol <= 0.0:
-            continue
-        worst = max(worst, vol / p.bandwidth[k])
-    return worst
+    vols = node_volumes(volume_terms(w, p, i), a.op_gamma(w, i), a.gamma_sensor).by_node
+    return uplink_time(
+        vols if node is None else [(k, v) for k, v in vols if k == node], p
+    )
 
 
 def cloud_time(
@@ -273,17 +332,23 @@ def latency_rows(
     w: Workload,
     order: Iterable[OperatorId],
     orientation: str = "corrected",
+    volumes: Mapping[OperatorId, OpVolumes] | None = None,
 ) -> Iterator[tuple[OperatorId, float, float, float, float, float]]:
     """Yield (op, t_edge, t_trans, t_wait, t_cloud, t_total) for each operator
     of `order`, the window latency and its terms in seconds.
 
     The wait is the skew between the totals of the operator's deps, so
-    `order` must list every dep ahead of its consumers.
+    `order` must list every dep ahead of its consumers. The transfer term
+    comes from `volumes` when given (each listed operator's node_volumes
+    under `a`), else from trans_time.
     """
     totals: dict[OperatorId, float] = {}
     for i in order:
         te = edge_time(i, a, p, w, orientation)
-        tt = trans_time(i, a, p, w)
+        if volumes is None:
+            tt = trans_time(i, a, p, w)
+        else:
+            tt = uplink_time(volumes[i].by_node, p)
         dep_totals = [totals[d] for d in w.operator(i).deps]
         tw = max(dep_totals) - min(dep_totals) if dep_totals else 0.0
         tc = cloud_time(i, a, p, w, orientation)
@@ -397,11 +462,10 @@ def total_objective(
     specs = w.operators if ops is None else [w.operator(i) for i in ops]
     total = 0.0
     if mode == "paper":
-        nodes = sorted(w.topology.nodes)
         for op in specs:
-            per_window = 0.0
-            for k in nodes:
-                per_window += data_volume(op.id, k, a, p, w)
+            per_window = node_volumes(
+                volume_terms(w, p, op.id), a.op_gamma(w, op.id), a.gamma_sensor
+            ).total
             if horizon_s is None:
                 total += per_window
             else:
@@ -423,17 +487,31 @@ def total_objective(
             key = (s, k)
             if raw > raw_best.get(key, 0.0):
                 raw_best[key] = raw
-    for (s, _k), raw in sorted(raw_best.items()):
-        total += raw * a.gamma_sensor.get(s, 0.0)
+    terms = []
     for op in specs:
         gamma = a.op_gamma(w, op.id)
-        term = _int_res_terms(
+        term = int_res_bytes(
             gamma, p.data_int.get(op.id, 0.0), p.data_res.get(op.id, 0.0)
         )
-        if horizon_s is None:
-            total += term
-        else:
-            total += term * windows_in_horizon(op.window_s, op.step_s, horizon_s)
+        if horizon_s is not None:
+            term *= windows_in_horizon(op.window_s, op.step_s, horizon_s)
+        terms.append(term)
+    return dedup_bytes(raw_best, a.gamma_sensor, terms)
+
+
+def dedup_bytes(
+    raw_best: Mapping[tuple[SensorId, NodeId], float],
+    gamma_sensor: Mapping[SensorId, float],
+    op_terms: Iterable[float],
+) -> float:
+    """The dedup objective from its parts: each (sensor, node)'s largest raw
+    size at its sensor's ratio, in key order, then each operator's
+    aggregate/result term, in the given order."""
+    total = 0.0
+    for (s, _k), raw in sorted(raw_best.items()):
+        total += raw * gamma_sensor.get(s, 0.0)
+    for term in op_terms:
+        total += term
     return total
 
 
@@ -446,16 +524,16 @@ def cost_report(
 ) -> CostReport:
     """Per-operator latency/volume rows plus per-node usage for an assignment."""
     rows: dict[OperatorId, OperatorCost] = {}
-    for i, te, tt, tw, tc, t in latency_rows(a, p, w, topological_order(w), orientation):
-        volumes: dict[NodeId, float] = {}
-        for k in sorted(w.topology.nodes):
-            vol = data_volume(i, k, a, p, w)
-            if vol > 0.0:
-                volumes[k] = vol
+    volumes = {
+        op.id: node_volumes(volume_terms(w, p, op.id), a.op_gamma(w, op.id), a.gamma_sensor)
+        for op in w.operators
+    }
+    order = topological_order(w)
+    for i, te, tt, tw, tc, t in latency_rows(a, p, w, order, orientation, volumes):
         rows[i] = OperatorCost(
             op=i,
             gamma=a.op_gamma(w, i),
-            data_bytes_by_node=volumes,
+            data_bytes_by_node={k: vol for k, vol in volumes[i].by_node if vol > 0.0},
             t_edge=te,
             t_trans=tt,
             t_wait=tw,

@@ -38,7 +38,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .costs import Assignment, Profile
+from .costs import ORIENTATIONS, Assignment, Profile
 from .model import (
     FunctionKind,
     NodeId,
@@ -254,6 +254,17 @@ def parse_profile(text: str) -> Profile:
         data_res[op] = float(row["data_res"])
         if "t_req_s" in row and row["t_req_s"] is not None:
             t_req_s[op] = float(row["t_req_s"])
+    cpu_unit_edge = {int(k): float(v) for k, v in record["cpu_unit_edge"].items()}
+    cpu_unit_cloud = float(record["cpu_unit_cloud"])
+    bandwidth = {int(k): float(v) for k, v in record["bandwidth"].items()}
+    # Rates divide volumes and cycles; NaN fails every comparison, so test
+    # for the good case.
+    rates = [("cpu_unit_cloud", cpu_unit_cloud)]
+    rates += [(f"cpu_unit_edge of node {k}", v) for k, v in cpu_unit_edge.items()]
+    rates += [(f"bandwidth of node {k}", v) for k, v in bandwidth.items()]
+    for name, value in rates:
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     return Profile(
         cpu_edge=cpu_edge,
         cpu_cloud=cpu_cloud,
@@ -262,9 +273,9 @@ def parse_profile(text: str) -> Profile:
         data_raw=data_raw,
         data_int=data_int,
         data_res=data_res,
-        cpu_unit_edge={int(k): float(v) for k, v in record["cpu_unit_edge"].items()},
-        cpu_unit_cloud=float(record["cpu_unit_cloud"]),
-        bandwidth={int(k): float(v) for k, v in record["bandwidth"].items()},
+        cpu_unit_edge=cpu_unit_edge,
+        cpu_unit_cloud=cpu_unit_cloud,
+        bandwidth=bandwidth,
         cpu_cap={int(k): float(v) for k, v in record["cpu_cap"].items()},
         mem_cap={int(k): float(v) for k, v in record["mem_cap"].items()},
         t_req_s=t_req_s,
@@ -378,6 +389,19 @@ def parse_gamma(record: dict) -> dict[OperatorId, float]:
             raise ValueError(f"ratio of operator {key} is not a finite number: {value!r}")
         out[int(key)] = float(value)
     return out
+
+
+def recorded_orientation(record: dict) -> str:
+    """The cost orientation in a report's manifest config, or "corrected"
+    for a record without one, such as a bare gamma map."""
+    manifest = record.get("manifest") if isinstance(record, dict) else None
+    config = manifest.get("config") if isinstance(manifest, dict) else None
+    if not isinstance(config, dict):
+        return "corrected"
+    orientation = config.get("cost_orientation", "corrected")
+    if orientation not in ORIENTATIONS:
+        raise ValueError(f"unknown cost orientation {orientation!r} in the manifest")
+    return orientation
 
 
 def load_gamma(path: str) -> dict[OperatorId, float]:

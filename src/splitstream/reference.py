@@ -16,6 +16,7 @@ factor over the all-cloud latency estimate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 from .costs import Assignment, Profile, latency_rows, node_usage
@@ -190,6 +191,16 @@ def generate_profile(
     """
     if headroom <= 1.0:
         raise ValueError("headroom must exceed 1.0 for the all-edge placement to fit")
+    rates = (
+        ("sample rate", sample_rate_hz),
+        ("bandwidth", bandwidth_bps),
+        ("edge_hz", edge_hz),
+        ("cloud_hz", cloud_hz),
+        ("cloud_speedup", cloud_speedup),
+    )
+    for name, value in rates:
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     if ctx is None:
         ctx = FunctionContext(sample_rate_hz=sample_rate_hz)
 

@@ -22,21 +22,28 @@ smallest ratio vector in topological order.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 
 from .costs import (
     Assignment,
     CostReport,
+    OpVolumes,
     Profile,
+    VolumeTerms,
     cost_report,
+    dedup_bytes,
     edge_loads,
     effective_t_req,
+    int_res_bytes,
     latency_rows,
     le_with_tol,
     lt_strict,
     node_usage,
+    node_volumes,
     total_objective,
+    volume_terms,
 )
 from .feasibility import (
     check_assignment,
@@ -70,6 +77,12 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.delta <= 1.0:
             raise ValueError(f"delta must be in (0, 1], got {self.delta}")
+        points = _grid_steps(self.delta) + 1
+        if points > ENUMERATION_CAP:
+            raise ValueError(
+                f"delta {self.delta} gives {points} grid points, over the cap of "
+                f"{ENUMERATION_CAP}"
+            )
         if self.objective_mode not in ("paper", "dedup"):
             raise ValueError(f"unknown objective mode {self.objective_mode!r}")
         if self.cost_orientation not in ("corrected", "literal"):
@@ -86,20 +99,27 @@ class Solution:
     budget_exceeded: bool = False
 
 
+def _grid_steps(delta: float) -> int:
+    """How many multiples of delta the grid keeps below 1: the first k whose
+    k * delta, rounded to 12 places, reaches 1. The rounded multiples never
+    decrease with k, so the search starts next to 1 / delta."""
+
+    def below_one(k: int) -> bool:
+        return round(k * delta, 12) < 1.0 - 1e-12
+
+    k = max(0, math.floor(1.0 / delta) - 2)
+    while below_one(k):
+        k += 1
+    while k > 0 and not below_one(k - 1):
+        k -= 1
+    return k
+
+
 def gamma_grid(delta: float) -> tuple[float, ...]:
     """Offload-ratio grid: multiples of delta below 1, then 1 itself."""
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
-    values = []
-    k = 0
-    while True:
-        v = round(k * delta, 12)
-        if v >= 1.0 - 1e-12:
-            break
-        values.append(v)
-        k += 1
-    values.append(1.0)
-    return tuple(values)
+    return tuple(round(k * delta, 12) for k in range(_grid_steps(delta))) + (1.0,)
 
 
 def operator_domain(
@@ -115,33 +135,66 @@ def operator_domain(
 
 @dataclass
 class SearchState:
-    """Partially enumerated cluster: decided ratios plus running node sums.
+    """Partially enumerated cluster: decided ratios plus running sums.
 
     It prices like an Assignment over the decided operators: op_gamma and
-    gamma_sensor are what the cost functions read.
+    gamma_sensor are what the cost functions read. Besides the node CPU and
+    memory sums it carries each decided operator's node_volumes in `volumes`
+    and, for the dedup objective, the largest raw size per (sensor, node) in
+    `raw_best`. `terms` holds every operator's VolumeTerms; `readers` lists,
+    per sensor, the operators whose volumes read its ratio.
     """
 
     w: Workload
     p: Profile
     orientation: str
+    mode: str
+    terms: dict[OperatorId, VolumeTerms]
     gamma: dict[OperatorId, float] = field(default_factory=dict)
     gamma_sensor: dict[SensorId, float] = field(default_factory=dict)
     cpu_used: dict[NodeId, float] = field(default_factory=dict)
     mem_used: dict[NodeId, float] = field(default_factory=dict)
+    volumes: dict[OperatorId, OpVolumes] = field(default_factory=dict)
+    raw_best: dict[tuple[SensorId, NodeId], float] = field(default_factory=dict)
+    readers: dict[SensorId, list[OperatorId]] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.readers = {}
+        for i, t in self.terms.items():
+            for _k, raws, _home in t.nodes:
+                for s, _raw in raws:
+                    self.readers.setdefault(s, []).append(i)
 
     def op_gamma(self, w: Workload, op_id: OperatorId) -> float:
         return self.gamma[op_id]
 
     def assign(self, op_id: OperatorId, gamma: float) -> list:
-        """Record one decided operator; returns an undo token."""
+        """Record one decided operator; returns an undo token.
+
+        Volumes are recomputed for this operator and for every decided
+        operator reading a sensor whose ratio this decision raised.
+        """
         op = self.w.operator(op_id)
         undo: list = [op_id]
         self.gamma[op_id] = gamma
+        stale = {op_id}
         for s in op.sensors:
             old = self.gamma_sensor.get(s, 0.0)
             if gamma > old:
                 undo.append(("s", s, old))
                 self.gamma_sensor[s] = gamma
+                stale.update(self.readers.get(s, ()))
+        for j in stale:
+            if j in self.gamma:
+                undo.append(("v", j, self.volumes.get(j)))
+                self.volumes[j] = node_volumes(self.terms[j], self.gamma[j], self.gamma_sensor)
+        if self.mode == "dedup":
+            for k, raws, _home in self.terms[op_id].nodes:
+                for s, raw in raws:
+                    old = self.raw_best.get((s, k))
+                    if raw > (old or 0.0):
+                        undo.append(("r", (s, k), old))
+                        self.raw_best[(s, k)] = raw
         for k, dc, dm in edge_loads(op, gamma, self.p, self.w, self.orientation):
             if dc:
                 self.cpu_used[k] = self.cpu_used.get(k, 0.0) + dc
@@ -159,8 +212,32 @@ class SearchState:
                 self.gamma_sensor[key] = val
             elif tag == "c":
                 self.cpu_used[key] -= val
-            else:
+            elif tag == "m":
                 self.mem_used[key] -= val
+            else:
+                carried = self.volumes if tag == "v" else self.raw_best
+                if val is None:
+                    del carried[key]
+                else:
+                    carried[key] = val
+
+    def objective(self, ops: tuple[OperatorId, ...]) -> float:
+        """total_objective over the decided members of `ops`, in that order,
+        from the carried terms; the same value bit for bit."""
+        decided = [i for i in ops if i in self.gamma]
+        if self.mode == "dedup":
+            return dedup_bytes(
+                self.raw_best,
+                self.gamma_sensor,
+                (
+                    int_res_bytes(self.gamma[i], self.terms[i].d_int, self.terms[i].d_res)
+                    for i in decided
+                ),
+            )
+        total = 0.0
+        for i in decided:
+            total += self.volumes[i].total
+        return total
 
 
 def preflight_resource(state: SearchState) -> NodeId | None:
@@ -194,7 +271,9 @@ def preflight_latency(state: SearchState, order: list[OperatorId]) -> OperatorId
     whole subtree.
     """
     decided = [i for i in order if i in state.gamma]
-    rows = latency_rows(state, state.p, state.w, decided, state.orientation)
+    rows = latency_rows(
+        state, state.p, state.w, decided, state.orientation, state.volumes
+    )
     for i, te, tt, _tw, tc, _t in rows:
         t_req = effective_t_req(state.w.operator(i), state.p)
         if t_req is not None and not le_with_tol(te + tt + tc, t_req):
@@ -221,6 +300,7 @@ def _solve_cluster(
     grid: tuple[float, ...],
     stats: dict,
     deadline: float | None,
+    terms: dict[OperatorId, VolumeTerms],
 ) -> _ClusterResult:
     members = set(cluster)
     topo = [i for i in topological_order(w) if i in members]
@@ -249,19 +329,26 @@ def _solve_cluster(
                 stack.extend(dep.deps)
         comp_at.setdefault(depth, []).append(i)
 
-    state = SearchState(w=w, p=p, orientation=cfg.cost_orientation)
+    state = SearchState(
+        w=w,
+        p=p,
+        orientation=cfg.cost_orientation,
+        mode=cfg.objective_mode,
+        terms=terms,
+    )
     best: list = [None]  # [ (objective, latency_sum, gamma_vector, gamma_dict) ]
 
     def leaf_eval() -> None:
         if preflight_resource(state) is not None:
             return
         totals: dict[OperatorId, float] = {}
-        for i, _te, _tt, _tw, _tc, t in latency_rows(state, p, w, topo, cfg.cost_orientation):
+        rows = latency_rows(state, p, w, topo, cfg.cost_orientation, state.volumes)
+        for i, _te, _tt, _tw, _tc, t in rows:
             t_req = effective_t_req(w.operator(i), p)
             if t_req is not None and not le_with_tol(t, t_req):
                 return
             totals[i] = t
-        objective = total_objective(state, p, w, cfg.objective_mode, ops=cluster)
+        objective = state.objective(cluster)
         latency_sum = sum(totals[i] for i in sorted(totals))
         gvec = tuple(state.gamma[i] for i in topo)
         candidate = (objective, latency_sum, gvec)
@@ -290,10 +377,7 @@ def _solve_cluster(
             if preflight_resource(state) is not None:
                 stats["prunes"]["resource"] += 1
             elif preflight_bound(
-                total_objective(
-                    state, p, w, cfg.objective_mode,
-                    ops=[i for i in cluster if i in state.gamma],
-                ),
+                state.objective(cluster),
                 best[0][0] if best[0] is not None else None,
             ):
                 stats["prunes"]["bound"] += 1
@@ -397,6 +481,7 @@ def solve(w: Workload, p: Profile, cfg: SolverConfig | None = None) -> Solution:
         "clusters": len(clusters),
         "grid_points": len(grid),
     }
+    terms = {op.id: volume_terms(w, p, op.id) for op in w.operators}
     per_op: dict[OperatorId, float] = {}
     feasible = True
     budget_exceeded = False
@@ -406,7 +491,7 @@ def solve(w: Workload, p: Profile, cfg: SolverConfig | None = None) -> Solution:
                 per_op[i] = 1.0
             continue
         try:
-            result = _solve_cluster(w, p, cfg, cluster, grid, stats, deadline)
+            result = _solve_cluster(w, p, cfg, cluster, grid, stats, deadline, terms)
         except _BudgetExceeded:
             budget_exceeded = True
             for i in cluster:

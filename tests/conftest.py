@@ -12,6 +12,7 @@ import random
 import pytest
 
 from splitstream import (
+    Assignment,
     FunctionKind,
     OperatorSpec,
     Profile,
@@ -20,6 +21,9 @@ from splitstream import (
     cloud_only,
     edge_only,
     generate_profile,
+    generate_reference_workload,
+    node_cpu,
+    node_mem,
 )
 
 F = FunctionKind
@@ -125,6 +129,20 @@ def random_instance(seed: int, *, max_ops: int = 4) -> tuple[Workload, Profile]:
             t_req[op.id] = co.report.per_operator[op.id].t_total * rng.uniform(0.6, 2.0)
 
     return w, dataclasses.replace(p, cpu_cap=cpu_cap, mem_cap=mem_cap, t_req_s=t_req)
+
+
+def capped_reference(factor: float) -> tuple[Workload, Profile]:
+    """The bundled workload with its default profile's cpu_cap and mem_cap at
+    `factor` times each node's all-edge usage. generate_profile rejects
+    headroom <= 1, so caps below the all-edge load are set here."""
+    w = generate_reference_workload()
+    p = generate_profile(w)
+    all_edge = Assignment.from_op_gamma(w, {op.id: 0.0 for op in w.operators})
+    cpu_cap, mem_cap = {}, {}
+    for k in sorted(w.topology.nodes):
+        cpu_cap[k] = factor * sum(node_cpu(op.id, k, all_edge, p, w) for op in w.operators)
+        mem_cap[k] = factor * sum(node_mem(op.id, k, all_edge, p, w) for op in w.operators)
+    return w, dataclasses.replace(p, cpu_cap=cpu_cap, mem_cap=mem_cap)
 
 
 @pytest.fixture

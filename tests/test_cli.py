@@ -9,7 +9,7 @@ from splitstream import FunctionKind, dumps_workload, generate_profile, load_wor
 from splitstream.cli import main
 from splitstream.fileio import dumps_profile
 
-from conftest import build_workload
+from conftest import build_workload, capped_reference
 
 F = FunctionKind
 
@@ -86,6 +86,15 @@ class TestGenerators:
         assert error_lines(result) == ["error: nonpositive-duration: window_s = nan"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--bandwidth", "--rate", "--cloud-speedup"])
+    def test_gen_profile_rejects_zero_rates(self, runner, tmp_path, flag):
+        _, wpath, _ = write_inputs(tmp_path)
+        out = tmp_path / "prof.json"
+        result = runner.invoke(main, ["gen-profile", wpath, flag, "0", "--out", str(out)])
+        assert result.exit_code == 1
+        assert len(error_lines(result)) == 1
+        assert not out.exists()
+
     def test_gen_trace_is_seeded(self, runner, tmp_path):
         _, wpath, _ = write_inputs(tmp_path)
         t1, t2 = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
@@ -127,6 +136,23 @@ class TestSolveAndBaseline:
             main, ["solve", str(tmp_path / "none.txt"), str(tmp_path / "none.json")]
         )
         assert result.exit_code == 1
+
+    def test_zero_bandwidth_profile_is_an_input_error(self, runner, tmp_path):
+        _, wpath, ppath = write_inputs(tmp_path)
+        record = json.loads(open(ppath).read())
+        record["bandwidth"] = {k: 0 for k in record["bandwidth"]}
+        open(ppath, "w").write(json.dumps(record))
+        result = runner.invoke(main, ["solve", wpath, ppath])
+        assert result.exit_code == 1
+        assert len(error_lines(result)) == 1
+        assert "bandwidth" in error_lines(result)[0]
+
+    def test_grid_over_the_cap_is_an_input_error(self, runner, tmp_path):
+        _, wpath, ppath = write_inputs(tmp_path)
+        result = runner.invoke(main, ["solve", wpath, ppath, "--delta", "1e-7"])
+        assert result.exit_code == 1
+        assert len(error_lines(result)) == 1
+        assert "grid points" in error_lines(result)[0]
 
     @pytest.mark.parametrize("strategy", ["co", "eo"])
     def test_baselines_run(self, runner, tmp_path, strategy):
@@ -189,6 +215,33 @@ class TestSimulateAndCompare:
         )
         assert result.exit_code == 1
         assert len(error_lines(result)) == 1
+
+    def test_simulate_checks_in_the_solved_orientation(self, runner, tmp_path):
+        # Under caps at 0.4x the all-edge usage, the literal optimum breaks
+        # C11/C12 when priced in the corrected orientation.
+        w, p = capped_reference(0.4)
+        wpath = str(tmp_path / "workload.txt")
+        ppath = str(tmp_path / "profile.json")
+        open(wpath, "w").write(dumps_workload(w))
+        open(ppath, "w").write(dumps_profile(p))
+        report = str(tmp_path / "literal.json")
+        solved = runner.invoke(
+            main,
+            ["solve", wpath, ppath, "--delta", "0.25", "--cost-orientation", "literal",
+             "--out", report],
+        )
+        assert solved.exit_code == 0, solved.output
+        result = runner.invoke(
+            main, ["simulate", wpath, ppath, "--assignment", report, "--duration", "10"]
+        )
+        assert result.exit_code == 0, result.output
+        # The bare gamma map carries no orientation, so it is checked corrected.
+        bare = str(tmp_path / "bare.json")
+        open(bare, "w").write(json.dumps({"gamma": json.loads(open(report).read())["gamma"]}))
+        result = runner.invoke(
+            main, ["simulate", wpath, ppath, "--assignment", bare, "--duration", "10"]
+        )
+        assert result.exit_code == 2
 
     def test_compare_reports_reductions(self, runner, tmp_path):
         _, wpath, ppath = write_inputs(tmp_path)

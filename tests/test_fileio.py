@@ -31,6 +31,7 @@ from splitstream import (
     sha256_file,
     validate_workload,
 )
+from splitstream.fileio import recorded_orientation
 
 from conftest import build_workload
 
@@ -136,6 +137,17 @@ class TestProfileJson:
         with pytest.raises(ValueError, match="integral"):
             dumps_profile(bad)
 
+    @pytest.mark.parametrize("field", ["bandwidth", "cpu_unit_edge", "cpu_unit_cloud"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_rates_must_be_positive_and_finite(self, field, value):
+        record = json.loads(dumps_profile(generate_profile(sample_workload())))
+        if field == "cpu_unit_cloud":
+            record[field] = value
+        else:
+            record[field][next(iter(record[field]))] = value
+        with pytest.raises(ValueError, match="positive and finite"):
+            parse_profile(json.dumps(record))
+
 
 class TestTraceBinary:
     def test_round_trip(self, tmp_path):
@@ -208,6 +220,24 @@ class TestReports:
     def test_parse_gamma_rejects_malformed_ratios(self, record):
         with pytest.raises(ValueError):
             parse_gamma(record)
+
+    @pytest.mark.parametrize(
+        "record, want",
+        [
+            ({"manifest": {"config": {"cost_orientation": "literal"}}}, "literal"),
+            ({"manifest": {"config": {"cost_orientation": "corrected"}}}, "corrected"),
+            ({"manifest": {"config": {"duration_s": 10}}}, "corrected"),
+            ({"gamma": {"1": 0.5}}, "corrected"),
+            ({"1": 0.5}, "corrected"),
+        ],
+        ids=["literal", "corrected", "no-orientation", "no-manifest", "bare-map"],
+    )
+    def test_recorded_orientation(self, record, want):
+        assert recorded_orientation(record) == want
+
+    def test_recorded_orientation_rejects_unknown_values(self):
+        with pytest.raises(ValueError, match="orientation"):
+            recorded_orientation({"manifest": {"config": {"cost_orientation": "sideways"}}})
 
     def test_digests_are_stable(self, tmp_path):
         assert sha256_bytes(b"abc") == (

@@ -17,8 +17,10 @@ from splitstream import (
     generate_profile,
     solve,
 )
+from splitstream.costs import node_volumes, total_objective, volume_terms
+from splitstream.solver import SearchState
 
-from conftest import build_workload, random_instance
+from conftest import build_workload, capped_reference, random_instance
 
 F = FunctionKind
 
@@ -39,6 +41,14 @@ class TestGrid:
             with pytest.raises(ValueError):
                 gamma_grid(delta)
             with pytest.raises(ValueError):
+                SolverConfig(delta=delta)
+
+    def test_grid_over_the_enumeration_cap_rejected(self):
+        # Checked from the grid's size alone: neither grid gets built.
+        assert len(gamma_grid(1 / 999)) == 1_000
+        SolverConfig(delta=1 / 999_999)  # exactly ENUMERATION_CAP points
+        for delta in (1e-6, 1e-7):
+            with pytest.raises(ValueError, match="grid points"):
                 SolverConfig(delta=delta)
 
     def test_bad_mode_and_orientation_rejected(self):
@@ -145,3 +155,96 @@ class TestEdgeCases:
     def test_unbudgeted_runs_do_not_set_flag(self):
         w, p = random_instance(7)
         assert solve(w, p, SolverConfig(delta=0.5)).budget_exceeded is False
+
+
+# The contended reference instances at delta = 0.25: ratios of the optimum
+# (operators not listed stay at 0), then per (caps, mode, orientation) the
+# nodes explored, prunes by kind and objective. The literal orientation's
+# optimum is all-edge.
+_CONTENDED_OFFLOADED = [*range(9, 29), *range(41, 49), 53, 54]
+_CONTENDED_GAMMA = {
+    0.9: {
+        **dict.fromkeys(_CONTENDED_OFFLOADED, 1.0),
+        **dict.fromkeys((4, 8, 32, 36, 40, 49, 50, 51, 52, 56), 0.25),
+    },
+    0.4: {
+        **dict.fromkeys(_CONTENDED_OFFLOADED, 1.0),
+        **dict.fromkeys((4, 8, 32, 36, 40, 56), 0.75),
+        **dict.fromkeys((49, 50, 51, 52), 0.5),
+    },
+}
+_CONTENDED_COUNTERS = [
+    (0.9, "paper", "corrected", 4839, (793, 3026, 0), 548392360.0),
+    (0.9, "dedup", "corrected", 4839, (793, 3026, 0), 522661960.0),
+    (0.4, "paper", "corrected", 4839, (2153, 1654, 0), 753288360.0),
+    (0.4, "dedup", "corrected", 4839, (2153, 1654, 0), 717930360.0),
+    (0.9, "paper", "literal", 169, (14, 108, 0), 4280.0),
+    (0.9, "dedup", "literal", 169, (14, 108, 0), 4280.0),
+    (0.4, "paper", "literal", 169, (29, 93, 0), 4280.0),
+    (0.4, "dedup", "literal", 169, (29, 93, 0), 4280.0),
+]
+
+
+@pytest.fixture(scope="module")
+def contended():
+    return {factor: capped_reference(factor) for factor in (0.9, 0.4)}
+
+
+class TestContendedCounters:
+    """Exact search effort on instances where the node caps bind: a pruning
+    or pricing change that alters any branch decision shows up here."""
+
+    @pytest.mark.parametrize(
+        "factor, mode, orientation, nodes, prunes, objective", _CONTENDED_COUNTERS
+    )
+    def test_counters_and_optimum(
+        self, contended, factor, mode, orientation, nodes, prunes, objective
+    ):
+        w, p = contended[factor]
+        sol = solve(
+            w, p,
+            SolverConfig(delta=0.25, objective_mode=mode, cost_orientation=orientation),
+        )
+        assert sol.feasible
+        assert sol.stats["nodes_explored"] == nodes
+        assert sol.stats["prunes"] == dict(zip(("resource", "bound", "latency"), prunes))
+        assert sol.objective_bytes == objective
+        want = _CONTENDED_GAMMA[factor] if orientation == "corrected" else {}
+        got = {op.id: sol.assignment.op_gamma(w, op.id) for op in w.operators}
+        assert got == {op.id: want.get(op.id, 0.0) for op in w.operators}
+
+
+class TestSearchState:
+    """The carried volumes and objective equal a fresh pricing of the decided
+    operators after any sequence of decisions and undos."""
+
+    @staticmethod
+    def walk(w, p, mode, orientation, rng, steps):
+        terms = {op.id: volume_terms(w, p, op.id) for op in w.operators}
+        state = SearchState(w=w, p=p, orientation=orientation, mode=mode, terms=terms)
+        ops = tuple(sorted(op.id for op in w.operators))
+        undos = []
+        for _ in range(steps):
+            free = [i for i in ops if i not in state.gamma]
+            if free and (not undos or rng.random() < 0.6):
+                undos.append(state.assign(rng.choice(free), rng.choice((0.0, 0.25, 0.5, 1.0))))
+            else:
+                state.unassign(undos.pop())
+            decided = [i for i in ops if i in state.gamma]
+            assert state.volumes == {
+                i: node_volumes(terms[i], state.gamma[i], state.gamma_sensor)
+                for i in decided
+            }
+            assert state.objective(ops) == total_objective(state, p, w, mode, ops=decided)
+
+    @pytest.mark.parametrize("mode", ["paper", "dedup"])
+    def test_random_instances(self, mode):
+        rng = random.Random(5)
+        for seed in range(30):
+            w, p = random_instance(seed, max_ops=6)
+            self.walk(w, p, mode, "corrected", rng, 40)
+
+    @pytest.mark.parametrize("mode", ["paper", "dedup"])
+    def test_contended_reference(self, contended, mode):
+        w, p = contended[0.4]
+        self.walk(w, p, mode, "corrected", random.Random(7), 200)
