@@ -320,7 +320,10 @@ def gen_trace(workload: str, out: str, duration: float, rate: float, seed: int) 
     """Generate a synthetic trace covering WORKLOAD's sensors."""
     w = _load_workload(workload)
     cfg = StreamConfig(duration_s=duration, sample_rate_hz=rate, seed=seed)
-    trace = generate_trace(cfg, w.sensors)
+    try:
+        trace = generate_trace(cfg, w.sensors)
+    except ValueError as exc:
+        _fail(str(exc))
     save_trace(out, trace)
     click.echo(f"wrote {out}: {len(trace.samples)} sensors x {duration}s @ {rate}Hz")
 
@@ -366,9 +369,15 @@ def simulate(workload: str, profile: str, assignment_path: str,
             trace = load_trace(trace_path)
         except (OSError, ValueError) as exc:
             _fail(f"trace {trace_path}: {exc}")
+        missing = sorted(set(w.sensors) - set(trace.samples))
+        if missing:
+            _fail(f"trace {trace_path}: no samples for workload sensors {missing}")
     else:
         cfg = StreamConfig(duration_s=duration, sample_rate_hz=rate, seed=seed)
-        trace = generate_trace(cfg, w.sensors)
+        try:
+            trace = generate_trace(cfg, w.sensors)
+        except ValueError as exc:
+            _fail(str(exc))
     started = time.perf_counter()
     report = run_sim(w, p, a, trace)
     click.echo(f"simulated in {time.perf_counter() - started:.2f}s", err=True)
@@ -464,6 +473,13 @@ def compare(reports: tuple[str, ...], out: str | None) -> None:
                 records.append(json.load(fh))
         except (OSError, json.JSONDecodeError) as exc:
             _fail(f"report {path}: {exc}")
+    # A solve or baseline objective is bytes per window set; a simulate
+    # total is bytes over the whole trace.
+    manifests = [r.get("manifest") if isinstance(r, dict) else None for r in records]
+    kinds = {m.get("command") for m in manifests if isinstance(m, dict)}
+    if kinds & {"solve", "baseline"} and "simulate" in kinds:
+        _fail("cannot compare solve or baseline reports (bytes per window set) "
+              "with simulate reports (bytes over the trace)")
 
     def aggregate_bytes(record: dict) -> float | None:
         for key in ("objective_bytes", "total_payload_bytes"):

@@ -33,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 from typing import Iterable
 
@@ -48,7 +49,7 @@ from .model import (
     Topology,
     Workload,
 )
-from .simulator import Trace
+from .simulator import Trace, sample_count
 
 # ---------------------------------------------------------------------------
 # Workload text format.
@@ -168,9 +169,23 @@ def parse_workload(text: str) -> Workload:
     return Workload.build(operators, Topology.build(sensor_node))
 
 
+def _replace_with(path: str, chunks: Iterable[bytes]) -> None:
+    """Write the chunks to a temporary file next to `path`, then move it
+    into place, so a failed write leaves no half-written target behind."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_workload(path: str, w: Workload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_workload(w))
+    _replace_with(path, [dumps_workload(w).encode("utf-8")])
 
 
 def load_workload(path: str) -> Workload:
@@ -283,8 +298,7 @@ def parse_profile(text: str) -> Profile:
 
 
 def save_profile(path: str, p: Profile) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_profile(p))
+    _replace_with(path, [dumps_profile(p).encode("utf-8")])
 
 
 def load_profile(path: str) -> Profile:
@@ -301,19 +315,21 @@ _TRACE_SENSOR = struct.Struct("<IQ")
 
 
 def save_trace(path: str, trace: Trace) -> None:
-    with open(path, "wb") as fh:
-        fh.write(
-            _TRACE_HEADER.pack(
-                TRACE_MAGIC, len(trace.samples), trace.sample_rate_hz, trace.duration_s
-            )
+    def chunks():
+        yield _TRACE_HEADER.pack(
+            TRACE_MAGIC, len(trace.samples), trace.sample_rate_hz, trace.duration_s
         )
         for sensor in sorted(trace.samples):
             x = np.asarray(trace.samples[sensor], dtype="<f8")
-            fh.write(_TRACE_SENSOR.pack(sensor, len(x)))
-            fh.write(x.tobytes())
+            yield _TRACE_SENSOR.pack(sensor, len(x))
+            yield x.tobytes()
+
+    _replace_with(path, chunks())
 
 
 def load_trace(path: str) -> Trace:
+    """Read a trace; its rate and duration must be positive and finite, and
+    every sensor must hold round(duration x rate) samples."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if len(buf) < _TRACE_HEADER.size:
@@ -321,6 +337,7 @@ def load_trace(path: str) -> Trace:
     magic, count, rate, duration = _TRACE_HEADER.unpack_from(buf, 0)
     if magic != TRACE_MAGIC:
         raise ValueError("not a trace file")
+    expected = sample_count(duration, rate)
     offset = _TRACE_HEADER.size
     samples: dict[SensorId, np.ndarray] = {}
     for _ in range(count):
@@ -331,6 +348,10 @@ def load_trace(path: str) -> Trace:
         end = offset + 8 * n
         if end > len(buf):
             raise ValueError(f"truncated samples for sensor {sensor}")
+        if n != expected:
+            raise ValueError(
+                f"sensor {sensor} has {n} samples; {duration} s at {rate} Hz is {expected}"
+            )
         samples[sensor] = np.frombuffer(buf, dtype="<f8", count=n, offset=offset).copy()
         offset = end
     return Trace(duration_s=duration, sample_rate_hz=rate, samples=samples)
@@ -347,8 +368,7 @@ def canonical_json(record) -> str:
 
 
 def save_report(path: str, record) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(record))
+    _replace_with(path, [canonical_json(record).encode("utf-8")])
 
 
 def sha256_bytes(data: bytes) -> str:

@@ -12,15 +12,25 @@ cloud folds in the remaining samples, and the merged result must match a
 monolithic evaluation to 1e-9 relative. Partial states carry moments shifted
 to a per-part reference where naive running sums would lose precision
 (std/var/cov/trend at large sample magnitudes).
+
+Every kernel works on a batch: a (windows x samples) matrix whose rows are
+windows of one length. eval_windows and split_windows take each channel's
+windows as index ranges into a sample source, group the windows by length
+and evaluate each group as one matrix; eval_function, partial_eval, merge
+and state_to_vector are the one-row case of the same kernels. A batch
+partial state is a tuple whose first item is the sample count its rows
+share and whose other items hold one value (or, for GF's boundary buffers,
+one NaN-padded row) per window.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import FunctionKind
 
@@ -37,6 +47,9 @@ SPLITTABLE = {
     F.MEAN, F.MSQRT, F.STD, F.VAR, F.COV, F.SPEED, F.ACC, F.DISP, F.TREND,
     F.SURGE, F.AVGWS, F.GF, F.AOA, F.AWD,
 }
+
+# The functions that read sample times; the others never gather them.
+TIMED = {F.SPEED, F.ACC, F.TREND}
 
 
 @dataclass(frozen=True)
@@ -57,11 +70,36 @@ DEFAULT_CONTEXT = FunctionContext()
 
 @dataclass(frozen=True)
 class PartialState:
-    """Mergeable aggregate of a sample prefix for one splittable function."""
+    """Mergeable aggregate of a sample prefix for one splittable function:
+    one batch state per channel (per-channel functions) or a single one
+    (cross-channel functions)."""
 
     func: FunctionKind
     n_channels: int
     parts: tuple
+
+
+@dataclass(frozen=True)
+class Channel:
+    """One input channel cut into windows: window i is samples lo[i]:hi[i]
+    of `values`. Sample j was taken at times[j], or at j / rate when times
+    is None."""
+
+    values: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    times: np.ndarray | None = None
+    rate: float = 1.0
+
+    def take(self, start: np.ndarray, n: int, timed: bool):
+        """Samples start[r] .. start[r] + n - 1 for each row r as a matrix,
+        and their times when `timed` (else None)."""
+        x = sliding_window_view(self.values, n)[start]
+        if not timed:
+            return x, None
+        if self.times is not None:
+            return x, sliding_window_view(self.times, n)[start]
+        return x, (start[:, None] + np.arange(n)) / self.rate
 
 
 def output_arity(func: FunctionKind, n_channels: int) -> int:
@@ -96,90 +134,129 @@ def _pair(chans: list[np.ndarray], ts: list[np.ndarray]):
     return x[len(x) - m:], y[len(y) - m:], tx[len(tx) - m:]
 
 
+# Samples gathered into one matrix at most. Overlapping windows are copied
+# once per window, so without a bound a long trace's sliding windows would
+# take many times the trace's own memory.
+_BLOCK_SAMPLES = 1 << 19
+
+
+def _groups(*lengths: np.ndarray) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """The windows whose channels have the same lengths, a block at a time:
+    (the lengths, the window indices in ascending order)."""
+    keys = lengths[0]
+    for more in lengths[1:]:
+        keys = keys * (int(more.max(initial=0)) + 1) + more
+    if not len(keys):
+        return
+    order = np.argsort(keys, kind="stable")
+    for rows in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1):
+        key = tuple(int(n[rows[0]]) for n in lengths)
+        block = max(1, _BLOCK_SAMPLES // max(1, *key))
+        for start in range(0, len(rows), block):
+            yield key, rows[start:start + block]
+
+
+def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den, with 0 where den is 0."""
+    out = np.zeros(np.broadcast(num, den).shape)
+    return np.divide(num, den, out=out, where=den != 0.0)
+
+
+# Row sums below go through matmul, which runs the same dot product as
+# np.dot and np.convolve on a single window and gathers no copies.
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of a with the same row of b."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _rolling_max(x: np.ndarray, k: int) -> np.ndarray:
+    """Largest mean of k consecutive samples in each row (needs k <= n)."""
+    return (sliding_window_view(x, k, axis=1) @ np.ones(k)).max(axis=1) / k
+
+
+def _awd(mx: np.ndarray, my: np.ndarray) -> np.ndarray:
+    """atan(my / mx); on the vertical axis +-pi/2, or 0 at the origin."""
+    vertical = np.where(my != 0.0, np.copysign(math.pi / 2.0, my), 0.0)
+    return np.where(mx == 0.0, vertical, np.arctan(_safe_div(my, mx)))
+
+
 # ---------------------------------------------------------------------------
 # Monolithic evaluation (independent of the partial/merge machinery).
 
 
-def _eval_channel(func: FunctionKind, x: np.ndarray, t: np.ndarray, ctx: FunctionContext) -> float:
-    n = len(x)
+def _eval_channel(func: FunctionKind, x: np.ndarray, t: np.ndarray | None,
+                  ctx: FunctionContext) -> np.ndarray:
+    """Value of each row of x (windows x samples); t holds the sample times
+    of the TIMED functions."""
+    rows, n = x.shape
     if n == 0:
-        return 0.0
+        return np.zeros(rows)
     if func is F.MEAN:
-        return float(np.mean(x))
+        return x.mean(axis=1)
     if func is F.MSQRT:
-        return float(np.sqrt(np.mean(np.square(x))))
+        return np.sqrt(np.square(x).mean(axis=1))
     if func is F.MAX:
-        return float(np.max(x))
+        return x.max(axis=1)
     if func is F.MIN:
-        return float(np.min(x))
+        return x.min(axis=1)
     if func is F.FIRST:
-        return float(x[0])
+        return x[:, 0]
     if func is F.LAST:
-        return float(x[-1])
+        return x[:, -1]
     if func is F.RANGE:
-        return float(np.max(x) - np.min(x))
+        return x.max(axis=1) - x.min(axis=1)
     if func is F.STD:
-        return float(np.std(x))
+        return x.std(axis=1)
     if func is F.VAR:
-        return float(np.var(x))
+        return x.var(axis=1)
     if func is F.DISP:
-        return float(np.mean(x) - ctx.disp_baseline)
+        return x.mean(axis=1) - ctx.disp_baseline
     if func is F.FILTER:
         m = min(ctx.filter_len, n)
-        return float(np.mean(x[n - m:]))
+        return x[:, n - m:].mean(axis=1)
     if func is F.SURGE:
-        mean = float(np.mean(x))
-        return float(x[-1]) / mean if mean != 0.0 else 0.0
+        return _safe_div(x[:, -1], x.mean(axis=1))
     if func is F.GF:
         k = ctx.gf_k()
-        mean = float(np.mean(x))
-        if mean == 0.0:
-            return 0.0
+        mean = x.mean(axis=1)
         if n < k:
-            return 1.0
-        rolling = np.convolve(x, np.ones(k), mode="valid") / k
-        return float(np.max(rolling)) / mean
+            return np.where(mean != 0.0, 1.0, 0.0)
+        return _safe_div(_rolling_max(x, k), mean)
     if func in (F.SPEED, F.ACC):
         if n < 2:
-            return 0.0
-        dt = float(t[-1] - t[-2])
-        return float(x[-1] - x[-2]) / dt if dt != 0.0 else 0.0
+            return np.zeros(rows)
+        return _safe_div(x[:, -1] - x[:, -2], t[:, -1] - t[:, -2])
     if func is F.TREND:
-        tc = t - t.mean()
-        denom = float(np.dot(tc, tc))
-        if denom == 0.0:
-            return 0.0
-        return float(np.dot(tc, x - x.mean())) / denom
+        tc = t - t.mean(axis=1, keepdims=True)
+        return _safe_div(_rowdot(tc, x - x.mean(axis=1, keepdims=True)), _rowdot(tc, tc))
     raise ValueError(f"{func.value} is not a per-channel function")
 
 
-def _eval_cross(func: FunctionKind, x: np.ndarray, y: np.ndarray, t: np.ndarray, ctx: FunctionContext) -> float:
-    n = len(x)
+def _eval_cross(func: FunctionKind, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Value of each row pair of x and y (windows x samples, tail-aligned)."""
+    rows, n = x.shape
     if n == 0:
-        return 0.0
+        return np.zeros(rows)
     if func is F.COV:
-        return float(np.mean((x - x.mean()) * (y - y.mean())))
+        return ((x - x.mean(axis=1, keepdims=True)) * (y - y.mean(axis=1, keepdims=True))).mean(axis=1)
     if func is F.CC:
-        dx = x - x.mean()
-        dy = y - y.mean()
-        denom = math.sqrt(float(np.dot(dx, dx)) * float(np.dot(dy, dy)))
-        return float(np.dot(dx, dy)) / denom if denom != 0.0 else 0.0
+        dx = x - x.mean(axis=1, keepdims=True)
+        dy = y - y.mean(axis=1, keepdims=True)
+        return _safe_div(_rowdot(dx, dy), np.sqrt(_rowdot(dx, dx) * _rowdot(dy, dy)))
     if func is F.AVGWS:
-        return float(np.mean(np.hypot(x, y)))
+        return np.hypot(x, y).mean(axis=1)
     if func is F.AVGWA:
-        return math.degrees(math.atan2(float(y.mean()), float(x.mean()))) % 360.0
+        return np.degrees(np.arctan2(y.mean(axis=1), x.mean(axis=1))) % 360.0
     if func is F.AOA:
-        return math.atan2(float(y.mean()), float(x.mean()))
+        return np.arctan2(y.mean(axis=1), x.mean(axis=1))
     if func is F.AWD:
-        mx, my = float(x.mean()), float(y.mean())
-        if mx == 0.0:
-            return math.copysign(math.pi / 2.0, my) if my != 0.0 else 0.0
-        return math.atan(my / mx)
+        return _awd(x.mean(axis=1), y.mean(axis=1))
     if func is F.FWS:
-        return float(x[-1]) - float(np.mean(x))
+        return x[:, -1] - x.mean(axis=1)
     if func is F.TI:
-        mean = float(np.mean(x))
-        return float(np.std(y)) / mean if mean != 0.0 else 0.0
+        return _safe_div(y.std(axis=1), x.mean(axis=1))
     raise ValueError(f"{func.value} is not a cross-channel function")
 
 
@@ -195,83 +272,78 @@ def eval_function(
     if not chans:
         return np.zeros(0, dtype=np.float64)
     if func in PER_CHANNEL:
-        return np.array(
-            [_eval_channel(func, x, t, ctx) for x, t in zip(chans, ts)],
-            dtype=np.float64,
+        return np.concatenate(
+            [_eval_channel(func, x[None], t[None], ctx) for x, t in zip(chans, ts)]
         )
-    x, y, t = _pair(chans, ts)
-    return np.array([_eval_cross(func, x, y, t, ctx)], dtype=np.float64)
+    x, y, _t = _pair(chans, ts)
+    return _eval_cross(func, x[None], y[None])
 
 
 # ---------------------------------------------------------------------------
-# Partial states. Per-channel states are tuples; _NONE marks absent values.
+# Partial states. Absent values (no sample yet) are NaN.
 
 _NAN = float("nan")
 
 
-def _partial_channel(func: FunctionKind, x: np.ndarray, t: np.ndarray, ctx: FunctionContext) -> tuple:
-    n = len(x)
+def _padded(x: np.ndarray, width: int) -> np.ndarray:
+    """The rows of x, each padded with NaN to `width` values."""
+    out = np.full((x.shape[0], width), _NAN)
+    out[:, :x.shape[1]] = x
+    return out
+
+
+def _partial_channel(func: FunctionKind, x: np.ndarray, t: np.ndarray | None,
+                     ctx: FunctionContext) -> tuple:
+    rows, n = x.shape
     if func in (F.MEAN, F.DISP):
-        return (n, float(np.sum(x)))
+        return (n, x.sum(axis=1))
     if func is F.MSQRT:
-        return (n, float(np.sum(np.square(x))))
+        return (n, np.square(x).sum(axis=1))
     if func in (F.STD, F.VAR):
         if n == 0:
-            return (0, 0.0, 0.0, 0.0)
-        x0 = float(x[0])
-        d = x - x0
-        return (n, float(np.sum(d)), float(np.dot(d, d)), x0)
+            return (0, np.zeros(rows), np.zeros(rows), np.zeros(rows))
+        x0 = x[:, 0]
+        d = x - x0[:, None]
+        return (n, d.sum(axis=1), _rowdot(d, d), x0)
     if func is F.SURGE:
         if n == 0:
-            return (0, 0.0, _NAN)
-        return (n, float(np.sum(x)), float(x[-1]))
+            return (0, np.zeros(rows), np.full(rows, _NAN))
+        return (n, x.sum(axis=1), x[:, -1])
     if func in (F.SPEED, F.ACC):
         if n == 0:
-            return (0, _NAN, _NAN, _NAN, _NAN)
+            return (0, *(np.full(rows, _NAN) for _ in range(4)))
         if n == 1:
-            return (1, _NAN, _NAN, float(t[0]), float(x[0]))
-        return (n, float(t[-2]), float(x[-2]), float(t[-1]), float(x[-1]))
+            return (1, np.full(rows, _NAN), np.full(rows, _NAN), t[:, 0], x[:, 0])
+        return (n, t[:, -2], x[:, -2], t[:, -1], x[:, -1])
     if func is F.TREND:
         if n == 0:
-            return (0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        t0 = float(t[0])
-        dt = t - t0
-        return (
-            n,
-            t0,
-            float(np.sum(dt)),
-            float(np.sum(x)),
-            float(np.dot(dt, dt)),
-            float(np.dot(dt, x)),
-        )
+            return (0, *(np.zeros(rows) for _ in range(5)))
+        t0 = t[:, 0]
+        dt = t - t0[:, None]
+        return (n, t0, dt.sum(axis=1), x.sum(axis=1), _rowdot(dt, dt), _rowdot(dt, x))
     if func is F.GF:
         k = ctx.gf_k()
-        if n == 0:
-            return (0, 0.0, _NAN, (), ())
-        best = _NAN
-        if n >= k:
-            rolling = np.convolve(x, np.ones(k), mode="valid") / k
-            best = float(np.max(rolling))
         keep = k - 1
-        head = tuple(float(v) for v in x[:keep])
-        tail = tuple(float(v) for v in x[max(0, n - keep):]) if keep else ()
-        return (n, float(np.sum(x)), best, head, tail)
+        best = _rolling_max(x, k) if n >= k else np.full(rows, _NAN)
+        head = _padded(x[:, :keep], keep)
+        tail = _padded(x[:, max(0, n - keep):], keep)
+        return (n, x.sum(axis=1), best, head, tail)
     raise ValueError(f"{func.value} has no per-channel partial form")
 
 
-def _partial_cross(func: FunctionKind, x: np.ndarray, y: np.ndarray, ctx: FunctionContext) -> tuple:
-    n = len(x)
+def _partial_cross(func: FunctionKind, x: np.ndarray, y: np.ndarray) -> tuple:
+    rows, n = x.shape
     if func is F.COV:
         if n == 0:
-            return (0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        x0, y0 = float(x[0]), float(y[0])
-        dx = x - x0
-        dy = y - y0
-        return (n, float(np.sum(dx)), float(np.sum(dy)), float(np.dot(dx, dy)), x0, y0)
+            return (0, *(np.zeros(rows) for _ in range(5)))
+        x0, y0 = x[:, 0], y[:, 0]
+        dx = x - x0[:, None]
+        dy = y - y0[:, None]
+        return (n, dx.sum(axis=1), dy.sum(axis=1), _rowdot(dx, dy), x0, y0)
     if func is F.AVGWS:
-        return (n, float(np.sum(np.hypot(x, y))))
+        return (n, np.hypot(x, y).sum(axis=1))
     if func in (F.AOA, F.AWD):
-        return (n, float(np.sum(x)), float(np.sum(y)))
+        return (n, x.sum(axis=1), y.sum(axis=1))
     raise ValueError(f"{func.value} has no cross-channel partial form")
 
 
@@ -285,14 +357,17 @@ def partial_eval(
     if func not in SPLITTABLE:
         raise ValueError(f"{func.value} is not splittable")
     chans, ts = _as_arrays(channels, times, ctx)
+    # States may keep views of their rows; copies keep them off the caller's arrays.
     if func in PER_CHANNEL:
-        parts = tuple(_partial_channel(func, x, t, ctx) for x, t in zip(chans, ts))
+        parts = tuple(
+            _partial_channel(func, x[None].copy(), t[None].copy(), ctx) for x, t in zip(chans, ts)
+        )
         return PartialState(func, len(chans), parts)
     paired = _pair(chans, ts)
     if paired is None:
         return PartialState(func, 0, ())
     x, y, _t = paired
-    return PartialState(func, len(chans), (_partial_cross(func, x, y, ctx),))
+    return PartialState(func, len(chans), (_partial_cross(func, x[None].copy(), y[None].copy()),))
 
 
 def _merge_channel(func: FunctionKind, a: tuple, b: tuple, ctx: FunctionContext) -> tuple:
@@ -312,10 +387,8 @@ def _merge_channel(func: FunctionKind, a: tuple, b: tuple, ctx: FunctionContext)
     if func is F.SURGE:
         return (a[0] + b[0], a[1] + b[1], b[2])
     if func in (F.SPEED, F.ACC):
-        na = a[0]
-        nb = b[0]
-        n = na + nb
-        if nb >= 2:
+        n = a[0] + b[0]
+        if b[0] >= 2:
             return (n, b[1], b[2], b[3], b[4])
         # b has exactly one sample: previous point comes from a's last
         return (n, a[3], a[4], b[3], b[4])
@@ -328,20 +401,19 @@ def _merge_channel(func: FunctionKind, a: tuple, b: tuple, ctx: FunctionContext)
         styb2 = styb + shift * syb
         return (na + nb, t0a, sta + stb2, sya + syb, stta + sttb2, stya + styb2)
     if func is F.GF:
+        # Head and tail hold the first and last min(n, k - 1) samples.
         k = ctx.gf_k()
+        keep = k - 1
         na, sa, besta, heada, taila = a
         nb, sb, bestb, headb, tailb = b
-        candidates = [v for v in (besta, bestb) if not math.isnan(v)]
-        boundary = taila + headb
-        if len(boundary) >= k:
-            arr = np.array(boundary, dtype=np.float64)
-            rolling = np.convolve(arr, np.ones(k), mode="valid") / k
-            candidates.append(float(np.max(rolling)))
-        best = max(candidates) if candidates else _NAN
-        keep = k - 1
-        head = (heada + headb)[:keep]
-        joined = taila + tailb
-        tail = joined[max(0, len(joined) - keep):] if keep else ()
+        best = np.fmax(besta, bestb)
+        boundary = np.concatenate([taila[:, :min(na, keep)], headb[:, :min(nb, keep)]], axis=1)
+        if boundary.shape[1] >= k:
+            best = np.fmax(best, _rolling_max(boundary, k))
+        heads = np.concatenate([heada[:, :min(na, keep)], headb[:, :min(nb, keep)]], axis=1)
+        tails = np.concatenate([taila[:, :min(na, keep)], tailb[:, :min(nb, keep)]], axis=1)
+        head = _padded(heads[:, :keep], keep)
+        tail = _padded(tails[:, max(0, tails.shape[1] - keep):], keep)
         return (na + nb, sa + sb, best, head, tail)
     raise ValueError(f"{func.value} has no per-channel merge")
 
@@ -385,62 +457,51 @@ def merge_states(a: PartialState, b: PartialState, ctx: FunctionContext = DEFAUL
     return PartialState(a.func, a.n_channels, parts)
 
 
-def _finalize_channel(func: FunctionKind, s: tuple, ctx: FunctionContext) -> float:
+def _finalize_channel(func: FunctionKind, s: tuple, ctx: FunctionContext) -> np.ndarray:
     n = s[0]
     if n == 0:
-        return 0.0
+        return np.zeros(len(s[1]))
     if func is F.MEAN:
         return s[1] / n
     if func is F.DISP:
         return s[1] / n - ctx.disp_baseline
     if func is F.MSQRT:
-        return math.sqrt(s[1] / n)
+        return np.sqrt(s[1] / n)
     if func in (F.STD, F.VAR):
         _n, d, d2, _x0 = s
-        var = max((d2 - d * d / n) / n, 0.0)
-        return math.sqrt(var) if func is F.STD else var
+        var = np.maximum((d2 - d * d / n) / n, 0.0)
+        return np.sqrt(var) if func is F.STD else var
     if func is F.SURGE:
-        mean = s[1] / n
-        return s[2] / mean if mean != 0.0 else 0.0
+        return _safe_div(s[2], s[1] / n)
     if func in (F.SPEED, F.ACC):
-        if n < 2:
-            return 0.0
         _n, tp, yp, tl, yl = s
-        dt = tl - tp
-        return (yl - yp) / dt if dt != 0.0 else 0.0
+        if n < 2:
+            return np.zeros(len(tl))
+        return _safe_div(yl - yp, tl - tp)
     if func is F.TREND:
         _n, _t0, st, sy, stt, sty = s
-        denom = n * stt - st * st
-        if denom == 0.0:
-            return 0.0
-        return (n * sty - st * sy) / denom
+        return _safe_div(n * sty - st * sy, n * stt - st * st)
     if func is F.GF:
         _n, total, best, _head, _tail = s
         mean = total / n
-        if mean == 0.0:
-            return 0.0
-        if math.isnan(best):
-            return 1.0
-        return best / mean
+        ratio = np.where(np.isnan(best), 1.0, _safe_div(best, mean))
+        return np.where(mean != 0.0, ratio, 0.0)
     raise ValueError(f"{func.value} has no per-channel finalize")
 
 
-def _finalize_cross(func: FunctionKind, s: tuple) -> float:
+def _finalize_cross(func: FunctionKind, s: tuple) -> np.ndarray:
     n = s[0]
     if n == 0:
-        return 0.0
+        return np.zeros(len(s[1]))
     if func is F.COV:
         _n, dx, dy, dxy, _x0, _y0 = s
         return (dxy - dx * dy / n) / n
     if func is F.AVGWS:
         return s[1] / n
     if func is F.AOA:
-        return math.atan2(s[2] / n, s[1] / n)
+        return np.arctan2(s[2] / n, s[1] / n)
     if func is F.AWD:
-        mx, my = s[1] / n, s[2] / n
-        if mx == 0.0:
-            return math.copysign(math.pi / 2.0, my) if my != 0.0 else 0.0
-        return math.atan(my / mx)
+        return _awd(s[1] / n, s[2] / n)
     raise ValueError(f"{func.value} has no cross finalize")
 
 
@@ -448,11 +509,8 @@ def finalize(state: PartialState, ctx: FunctionContext = DEFAULT_CONTEXT) -> np.
     if state.n_channels == 0:
         return np.zeros(0, dtype=np.float64)
     if state.func in PER_CHANNEL:
-        return np.array(
-            [_finalize_channel(state.func, s, ctx) for s in state.parts],
-            dtype=np.float64,
-        )
-    return np.array([_finalize_cross(state.func, state.parts[0])], dtype=np.float64)
+        return np.concatenate([_finalize_channel(state.func, s, ctx) for s in state.parts])
+    return _finalize_cross(state.func, state.parts[0])
 
 
 def merge(
@@ -493,20 +551,101 @@ def state_length(func: FunctionKind, n_channels: int, ctx: FunctionContext = DEF
     return _CROSS_STATE_LEN[func]
 
 
+def _state_rows(func: FunctionKind, s: tuple, ctx: FunctionContext) -> np.ndarray:
+    """One batch state in the fixed-size f64 layout, one row per window. GF
+    writes its head and tail as a length followed by the values, NaN-padded
+    to k - 1."""
+    n, *fields = s
+    rows = len(fields[0])
+    if func is F.GF:
+        total, best, head, tail = fields
+        used = np.full(rows, float(min(n, ctx.gf_k() - 1)))
+        return np.column_stack([np.full(rows, float(n)), total, best, used, head, used, tail])
+    return np.column_stack([np.full(rows, float(n)), *fields])
+
+
 def state_to_vector(state: PartialState, ctx: FunctionContext = DEFAULT_CONTEXT) -> np.ndarray:
     """Flatten a partial state into the fixed-size f64 layout."""
-    out: list[float] = []
-    if state.func is F.GF:
-        keep = ctx.gf_k() - 1
-        for n, total, best, head, tail in state.parts:
-            row = [float(n), total, best, float(len(head))]
-            row.extend(head)
-            row.extend([_NAN] * (keep - len(head)))
-            row.append(float(len(tail)))
-            row.extend(tail)
-            row.extend([_NAN] * (keep - len(tail)))
-            out.extend(row)
-    else:
-        for part in state.parts:
-            out.extend(float(v) for v in part)
-    return np.array(out, dtype=np.float64)
+    if not state.parts:
+        return np.zeros(0, dtype=np.float64)
+    return np.concatenate([_state_rows(state.func, part, ctx)[0] for part in state.parts])
+
+
+# ---------------------------------------------------------------------------
+# Every window of an operator at once.
+
+
+def _pair_channels(channels: Sequence[Channel]) -> tuple[Channel, Channel]:
+    """The two channels a cross-channel function pairs (see _pair)."""
+    return channels[0], channels[1] if len(channels) > 1 else channels[0]
+
+
+def eval_windows(
+    func: FunctionKind, channels: Sequence[Channel], ctx: FunctionContext = DEFAULT_CONTEXT
+) -> np.ndarray:
+    """Evaluate every window of the channels whole; row i holds what
+    eval_function returns for window i."""
+    n_windows = len(channels[0].lo) if channels else 0
+    out = np.zeros((n_windows, output_arity(func, len(channels))))
+    timed = func in TIMED
+    if func in PER_CHANNEL:
+        for c, ch in enumerate(channels):
+            for (n,), rows in _groups(ch.hi - ch.lo):
+                x, t = ch.take(ch.lo[rows], n, timed)
+                out[rows, c] = _eval_channel(func, x, t, ctx)
+    elif channels:
+        cx, cy = _pair_channels(channels)
+        for (m,), rows in _groups(np.minimum(cx.hi - cx.lo, cy.hi - cy.lo)):
+            x, _ = cx.take(cx.hi[rows] - m, m, False)
+            y, _ = cy.take(cy.hi[rows] - m, m, False)
+            out[rows, 0] = _eval_cross(func, x, y)
+    return out
+
+
+def split_windows(
+    func: FunctionKind,
+    channels: Sequence[Channel],
+    edge_share: float,
+    ctx: FunctionContext = DEFAULT_CONTEXT,
+    *,
+    with_states: bool = False,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Evaluate every window split between edge and cloud: in each channel
+    the edge aggregates the first round(edge_share * n) samples into a
+    partial state and the cloud merges in the rest. Returns the values, as
+    eval_windows does, and with_states the edge states, one state_to_vector
+    row per window."""
+    if func not in SPLITTABLE:
+        raise ValueError(f"{func.value} is not splittable")
+    n_windows = len(channels[0].lo) if channels else 0
+    out = np.zeros((n_windows, output_arity(func, len(channels))))
+    states = None
+    if with_states:
+        states = np.zeros((n_windows, state_length(func, len(channels), ctx)))
+    timed = func in TIMED
+    if func in PER_CHANNEL:
+        width = state_length(func, 1, ctx)
+        for c, ch in enumerate(channels):
+            for (n,), rows in _groups(ch.hi - ch.lo):
+                cut = int(round(edge_share * n))
+                x, t = ch.take(ch.lo[rows], n, timed)
+                edge = _partial_channel(func, x[:, :cut], None if t is None else t[:, :cut], ctx)
+                cloud = _partial_channel(func, x[:, cut:], None if t is None else t[:, cut:], ctx)
+                out[rows, c] = _finalize_channel(func, _merge_channel(func, edge, cloud, ctx), ctx)
+                if states is not None:
+                    states[rows, c * width:(c + 1) * width] = _state_rows(func, edge, ctx)
+    elif channels:
+        cx, cy = _pair_channels(channels)
+        for (nx, ny), rows in _groups(cx.hi - cx.lo, cy.hi - cy.lo):
+            cut_x, cut_y = int(round(edge_share * nx)), int(round(edge_share * ny))
+            m = min(cut_x, cut_y)
+            x, _ = cx.take(cx.lo[rows] + cut_x - m, m, False)
+            y, _ = cy.take(cy.lo[rows] + cut_y - m, m, False)
+            edge = _partial_cross(func, x, y)
+            m = min(nx - cut_x, ny - cut_y)
+            x, _ = cx.take(cx.hi[rows] - m, m, False)
+            y, _ = cy.take(cy.hi[rows] - m, m, False)
+            out[rows, 0] = _finalize_cross(func, _merge_cross(func, edge, _partial_cross(func, x, y)))
+            if states is not None:
+                states[rows] = _state_rows(func, edge, ctx)
+    return out, states

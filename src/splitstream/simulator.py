@@ -37,20 +37,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import Assignment, Profile, effective_t_req, le_with_tol, windows_in_horizon
+from .costs import Assignment, Profile, effective_t_req, windows_in_horizon
 from .functions import (
-    DEFAULT_CONTEXT,
+    Channel,
     FunctionContext,
-    eval_function,
+    eval_windows,
     is_splittable,
-    merge,
     output_arity,
-    partial_eval,
+    split_windows,
     state_length,
-    state_to_vector,
 )
 from .model import (
     GAMMA_TOL,
+    REL_TOL,
+    FunctionKind,
     NodeId,
     OperatorId,
     SensorId,
@@ -95,10 +95,21 @@ class Trace:
         return np.arange(n, dtype=np.float64) / self.sample_rate_hz
 
 
+def sample_count(duration_s: float, sample_rate_hz: float) -> int:
+    """Samples per sensor in a trace, round(duration x rate). Raises
+    ValueError unless the duration and the rate are positive and finite."""
+    for name, value in (("duration", duration_s), ("sample rate", sample_rate_hz)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    if not math.isfinite(duration_s * sample_rate_hz):
+        raise ValueError(f"{duration_s} s at {sample_rate_hz} Hz is too many samples")
+    return round(duration_s * sample_rate_hz)
+
+
 def generate_trace(config: StreamConfig, sensors) -> Trace:
     """Deterministic per-sensor streams; each sensor is seeded independently
     so traces are stable under any sensor ordering."""
-    n = int(round(config.duration_s * config.sample_rate_hz))
+    n = sample_count(config.duration_s, config.sample_rate_hz)
     t = np.arange(n, dtype=np.float64) / config.sample_rate_hz
     samples: dict[SensorId, np.ndarray] = {}
     for sid in sorted(sensors):
@@ -311,16 +322,33 @@ def _raw_uplink(trace: Trace, sensor: SensorId, share: float, node: NodeId,
     return stats, ready, frames
 
 
-def _percentiles(latencies: list[float]) -> tuple[float, float, float, float]:
-    if not latencies:
+def _percentiles(latencies: np.ndarray) -> tuple[float, float, float, float]:
+    if not len(latencies):
         return 0.0, 0.0, 0.0, 0.0
-    arr = np.array(latencies, dtype=np.float64)
     return (
-        float(arr.mean()),
-        float(np.percentile(arr, 50)),
-        float(np.percentile(arr, 95)),
-        float(arr.max()),
+        float(latencies.mean()),
+        float(np.percentile(latencies, 50)),
+        float(np.percentile(latencies, 95)),
+        float(latencies.max()),
     )
+
+
+def _deadline_misses(latency: np.ndarray, bound: float, rel: float = REL_TOL) -> int:
+    """Windows whose latency fails le_with_tol(latency, bound), counted
+    elementwise with math.isclose's symmetric test (not np.isclose)."""
+    with np.errstate(invalid="ignore"):
+        diff = np.abs(bound - latency)
+    close = np.isfinite(latency) & math.isfinite(bound) & (
+        (diff <= abs(rel * bound)) | (diff <= np.abs(rel * latency))
+    )
+    return int(np.count_nonzero(~(close | (latency <= bound))))
+
+
+def _window_closes(window_s: float, step_s: float, duration: float) -> np.ndarray:
+    """Close times window_s + m * step_s of the windows inside the trace."""
+    count = max(0, math.floor((duration - window_s) / step_s) + 3)
+    closes = window_s + np.arange(count) * step_s
+    return closes[closes <= duration + 1e-9]
 
 
 def run_sim(
@@ -332,7 +360,8 @@ def run_sim(
     ctx: FunctionContext | None = None,
     collect_frames: bool = False,
 ) -> SimReport:
-    """Replay the trace through the placed operator graph."""
+    """Replay the trace through the placed operator graph. Each operator's
+    windows are evaluated and timed together, as arrays."""
     if ctx is None:
         ctx = FunctionContext(sample_rate_hz=trace.sample_rate_hz)
     missing = [j for j in workload.sensors if j not in trace.samples]
@@ -358,13 +387,6 @@ def run_sim(
         raw_ready[sid] = ready
         if frames is not None:
             frames.extend(raw_frames)
-
-    def raw_ready_at(sensors, t_close: float) -> float:
-        idx = min(n_seconds, int(math.ceil(t_close - 1e-9)))
-        ready = 0.0
-        for j in sensors:
-            ready = max(ready, float(raw_ready[j][idx]))
-        return ready
 
     per_op: dict[OperatorId, OpSimStats] = {}
     series: dict[OperatorId, _OpSeries] = {}
@@ -393,7 +415,6 @@ def run_sim(
                 "inputs; the downlink is not charged"
             )
 
-        # Input channel sources: own sensors first, then dependency outputs.
         dep_series = [series[d] for d in op.deps]
         n_channels = len(op.sensors) + sum(s.arity for s in dep_series)
 
@@ -423,110 +444,85 @@ def run_sim(
             else max(profile.bandwidth.values(), default=1.0)
         )
 
-        close_times: list[float] = []
-        win_values: list[np.ndarray] = []
-        win_avail_edge: list[float] = []
-        win_avail_cloud: list[float] = []
-        latencies: list[float] = []
+        t_close = _window_closes(op.window_s, op.step_s, duration)
+        t_open = t_close - op.window_s
+        n_windows = len(t_close)
 
-        m = 0
-        while True:
-            t_close = op.window_s + m * op.step_s
-            if t_close > duration + 1e-9:
-                break
-            t_open = t_close - op.window_s
+        # Input channels, own sensors first, then dependency outputs; window
+        # m of a channel is samples lo[m]:hi[m] of its source.
+        channels: list[Channel] = []
+        lo = np.rint(t_open * rate).astype(np.int64)
+        hi = np.rint(t_close * rate).astype(np.int64)
+        for j in op.sensors:
+            x = trace.samples[j]
+            start = np.minimum(lo, len(x))
+            channels.append(Channel(x, start, np.clip(hi, start, len(x)), rate=rate))
+        input_edge = np.zeros(n_windows)
+        input_cloud = np.zeros(n_windows)
+        for s in dep_series:
+            dep_lo = np.searchsorted(s.times, t_open + 1e-9, side="left")
+            dep_hi = np.searchsorted(s.times, t_close + 1e-9, side="left")
+            for c in range(s.arity):
+                channels.append(Channel(s.values[:, c], dep_lo, dep_hi, times=s.times))
+            for avail, latest in ((s.avail_edge, input_edge), (s.avail_cloud, input_cloud)):
+                window_max = eval_windows(FunctionKind.MAX, [Channel(avail, dep_lo, dep_hi)], ctx)[:, 0]
+                np.maximum(latest, window_max, out=latest)
 
-            channels: list[np.ndarray] = []
-            times: list[np.ndarray] = []
-            lo_idx = int(round(t_open * rate))
-            hi_idx = int(round(t_close * rate))
+        states = np.zeros((n_windows, 0))
+        if at_edge or at_cloud or not is_splittable(op.func):
+            values = eval_windows(op.func, channels, ctx)
+        else:
+            values, states = split_windows(
+                op.func, channels, edge_share, ctx, with_states=collect_frames
+            )
+
+        if not at_edge:
+            # Raw batches that landed by each close, over the op's sensors.
+            second = np.minimum(n_seconds, np.ceil(t_close - 1e-9).astype(np.int64))
+            raw_in = np.zeros(n_windows)
             for j in op.sensors:
-                x = trace.samples[j]
-                hi = min(hi_idx, len(x))
-                channels.append(x[lo_idx:hi])
-                times.append(np.arange(lo_idx, hi, dtype=np.float64) / rate)
-            input_edge = 0.0
-            input_cloud = 0.0
-            for s in dep_series:
-                lo = int(np.searchsorted(s.times, t_open + 1e-9, side="left"))
-                hi = int(np.searchsorted(s.times, t_close + 1e-9, side="left"))
-                for c in range(s.arity):
-                    channels.append(s.values[lo:hi, c])
-                    times.append(s.times[lo:hi])
-                if hi > lo:
-                    input_edge = max(input_edge, float(s.avail_edge[lo:hi].max()))
-                    input_cloud = max(input_cloud, float(s.avail_cloud[lo:hi].max()))
+                np.maximum(raw_in, raw_ready[j][second], out=raw_in)
 
-            edge_state = None
-            if at_edge or at_cloud or not is_splittable(op.func):
-                value = eval_function(op.func, channels, times, ctx)
-            else:
-                cut_channels = []
-                cut_times = []
-                rest_channels = []
-                rest_times = []
-                for x, t in zip(channels, times):
-                    cut = int(round(edge_share * len(x)))
-                    cut_channels.append(x[:cut])
-                    cut_times.append(t[:cut])
-                    rest_channels.append(x[cut:])
-                    rest_times.append(t[cut:])
-                edge_state = partial_eval(op.func, cut_channels, cut_times, ctx)
-                value = merge(op.func, edge_state, rest_channels, rest_times, ctx)
-
-            if at_edge:
-                start = max(t_close, input_edge)
-                avail_edge = start + edge_time
-                payload_len = output_arity(op.func, n_channels)
-                wire_bytes = FRAME_HEADER.size + 8 * payload_len
-                avail_cloud = avail_edge + wire_bytes / uplink_bw
-                stats.res_frames += 1
-                stats.res_payload_bytes += 8 * payload_len
-                res_payload += 8 * payload_len
-                res_wire += wire_bytes
-                if frames is not None:
-                    frames.append(Frame(KIND_RESULT, op_id, 0, m, value))
-            elif at_cloud:
-                start = max(t_close, input_cloud, raw_ready_at(op.sensors, t_close))
-                avail_cloud = start + cloud_time
-                avail_edge = avail_cloud
-            else:
-                start = max(t_close, input_edge)
-                state_len = state_length(op.func, n_channels, ctx)
-                wire_bytes = FRAME_HEADER.size + 8 * state_len
-                int_arrive = start + edge_time + wire_bytes / uplink_bw
-                cloud_start = max(
-                    int_arrive, input_cloud, raw_ready_at(op.sensors, t_close)
+        if at_edge:
+            start = np.maximum(t_close, input_edge)
+            avail_edge = start + edge_time
+            payload_len = output_arity(op.func, n_channels)
+            wire_bytes = FRAME_HEADER.size + 8 * payload_len
+            avail_cloud = avail_edge + wire_bytes / uplink_bw
+            stats.res_frames = n_windows
+            stats.res_payload_bytes = 8 * payload_len * n_windows
+            res_payload += stats.res_payload_bytes
+            res_wire += wire_bytes * n_windows
+            if frames is not None:
+                frames.extend(
+                    Frame(KIND_RESULT, op_id, 0, m, values[m]) for m in range(n_windows)
                 )
-                avail_cloud = cloud_start + cloud_time
-                avail_edge = avail_cloud
-                stats.int_frames += 1
-                stats.int_payload_bytes += 8 * state_len
-                int_payload += 8 * state_len
-                int_wire += wire_bytes
-                if frames is not None:
-                    if edge_state is not None:
-                        vec = state_to_vector(edge_state, ctx)
-                    else:
-                        vec = np.zeros(0, dtype=np.float64)
-                    if len(vec) < state_len:
-                        vec = np.concatenate(
-                            [vec, np.full(state_len - len(vec), np.nan)]
-                        )
-                    frames.append(Frame(KIND_INTERMEDIATE, op_id, 0, m, vec))
+        elif at_cloud:
+            start = np.maximum(np.maximum(t_close, input_cloud), raw_in)
+            avail_cloud = start + cloud_time
+            avail_edge = avail_cloud
+        else:
+            start = np.maximum(t_close, input_edge)
+            state_len = state_length(op.func, n_channels, ctx)
+            wire_bytes = FRAME_HEADER.size + 8 * state_len
+            int_arrive = start + edge_time + wire_bytes / uplink_bw
+            cloud_start = np.maximum(np.maximum(int_arrive, input_cloud), raw_in)
+            avail_cloud = cloud_start + cloud_time
+            avail_edge = avail_cloud
+            stats.int_frames = n_windows
+            stats.int_payload_bytes = 8 * state_len * n_windows
+            int_payload += stats.int_payload_bytes
+            int_wire += wire_bytes * n_windows
+            if frames is not None:
+                frames.extend(
+                    Frame(KIND_INTERMEDIATE, op_id, 0, m, states[m]) for m in range(n_windows)
+                )
 
-            latency = avail_cloud - t_close
-            latencies.append(latency)
-            if stats.t_req_s is not None and not le_with_tol(latency, stats.t_req_s):
-                stats.t_req_violations += 1
+        latency = avail_cloud - t_close
+        if stats.t_req_s is not None:
+            stats.t_req_violations = _deadline_misses(latency, stats.t_req_s)
 
-            close_times.append(t_close)
-            win_values.append(value)
-            win_avail_edge.append(avail_edge)
-            win_avail_cloud.append(avail_cloud)
-            m += 1
-
-        stats.windows = len(close_times)
+        stats.windows = n_windows
         expected = windows_in_horizon(op.window_s, op.step_s, duration)
         if stats.windows != expected:
             warnings.append(
@@ -537,38 +533,20 @@ def run_sim(
             stats.latency_p50_s,
             stats.latency_p95_s,
             stats.latency_max_s,
-        ) = _percentiles(latencies)
+        ) = _percentiles(latency)
 
         # Emission series: every freq_s, repeating the latest closed window.
         arity = output_arity(op.func, n_channels)
-        em_times: list[float] = []
-        em_values: list[np.ndarray] = []
-        em_edge: list[float] = []
-        em_cloud: list[float] = []
-        if close_times:
-            closes = np.array(close_times)
-            r = 1
-            while True:
-                t_emit = r * op.freq_s
-                if t_emit > duration + 1e-9:
-                    break
-                w_idx = int(np.searchsorted(closes, t_emit + 1e-9, side="left")) - 1
-                if w_idx >= 0:
-                    em_times.append(t_emit)
-                    em_values.append(win_values[w_idx])
-                    em_edge.append(max(t_emit, win_avail_edge[w_idx]))
-                    em_cloud.append(max(t_emit, win_avail_cloud[w_idx]))
-                r += 1
-        stats.emissions = len(em_times)
+        emits = np.arange(1, max(0, math.floor(duration / op.freq_s) + 3)) * op.freq_s
+        emits = emits[emits <= duration + 1e-9]
+        w_idx = np.searchsorted(t_close, emits + 1e-9, side="left") - 1
+        emits, w_idx = emits[w_idx >= 0], w_idx[w_idx >= 0]
+        stats.emissions = len(emits)
         series[op_id] = _OpSeries(
-            times=np.array(em_times, dtype=np.float64),
-            values=(
-                np.array(em_values, dtype=np.float64).reshape(len(em_times), arity)
-                if em_times
-                else np.zeros((0, arity))
-            ),
-            avail_edge=np.array(em_edge, dtype=np.float64),
-            avail_cloud=np.array(em_cloud, dtype=np.float64),
+            times=emits,
+            values=values[w_idx],
+            avail_edge=np.maximum(emits, avail_edge[w_idx]),
+            avail_cloud=np.maximum(emits, avail_cloud[w_idx]),
             arity=arity,
         )
 

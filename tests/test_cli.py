@@ -1,11 +1,20 @@
 """Command-line surface: exit codes, report files, determinism."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from splitstream import FunctionKind, dumps_workload, generate_profile, load_workload
+from splitstream import (
+    FunctionKind,
+    Trace,
+    dumps_workload,
+    generate_profile,
+    load_workload,
+    save_trace,
+)
 from splitstream.cli import main
 from splitstream.fileio import dumps_profile
 
@@ -91,6 +100,16 @@ class TestGenerators:
         _, wpath, _ = write_inputs(tmp_path)
         out = tmp_path / "prof.json"
         result = runner.invoke(main, ["gen-profile", wpath, flag, "0", "--out", str(out)])
+        assert result.exit_code == 1
+        assert len(error_lines(result)) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--duration", "nan"], ["--duration", "-5"],
+                                       ["--rate", "0"]])
+    def test_gen_trace_rejects_bad_timebase(self, runner, tmp_path, flags):
+        _, wpath, _ = write_inputs(tmp_path)
+        out = tmp_path / "t.bin"
+        result = runner.invoke(main, ["gen-trace", wpath, *flags, "--out", str(out)])
         assert result.exit_code == 1
         assert len(error_lines(result)) == 1
         assert not out.exists()
@@ -268,6 +287,71 @@ class TestSimulateAndCompare:
         record = json.loads(open(out).read())
         assert record["reduction_pct_vs_first"][0] == 0.0
         assert record["reduction_pct_vs_first"][1] > 0.0
+
+    @pytest.mark.parametrize(
+        "duration, rate, counts",
+        [
+            (10.0, 10.0, {1: 100}),
+            (math.nan, 10.0, {1: 100, 2: 100}),
+            (-10.0, 10.0, {1: 100, 2: 100}),
+            (10.0, 0.0, {1: 100, 2: 100}),
+            (10.0, 10.0, {1: 100, 2: 60}),
+        ],
+        ids=["missing-sensor", "nan-duration", "negative-duration", "zero-rate",
+             "short-sensor"],
+    )
+    def test_simulate_rejects_inconsistent_traces(self, runner, tmp_path, duration,
+                                                  rate, counts):
+        _, wpath, ppath = write_inputs(tmp_path)
+        gpath = self.solve_gamma_file(runner, tmp_path, wpath, ppath)
+        tpath = str(tmp_path / "trace.bin")
+        save_trace(tpath, Trace(duration, rate, {s: np.ones(n) for s, n in counts.items()}))
+        out = tmp_path / "sim.json"
+        result = runner.invoke(
+            main,
+            ["simulate", wpath, ppath, "--assignment", gpath, "--trace", tpath,
+             "--out", str(out)],
+        )
+        assert result.exit_code == 1, result.output
+        assert len(error_lines(result)) == 1
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--duration", "nan"], ["--rate", "0"]])
+    def test_simulate_rejects_bad_generated_timebase(self, runner, tmp_path, flags):
+        _, wpath, ppath = write_inputs(tmp_path)
+        gpath = self.solve_gamma_file(runner, tmp_path, wpath, ppath)
+        out = tmp_path / "sim.json"
+        result = runner.invoke(
+            main, ["simulate", wpath, ppath, "--assignment", gpath, *flags, "--out", str(out)]
+        )
+        assert result.exit_code == 1, result.output
+        assert len(error_lines(result)) == 1
+        assert not out.exists()
+
+    def test_compare_refuses_window_set_and_horizon_totals(self, runner, tmp_path):
+        _, wpath, ppath = write_inputs(tmp_path)
+        solved = self.solve_gamma_file(runner, tmp_path, wpath, ppath)
+        sim = str(tmp_path / "sim.json")
+        result = runner.invoke(
+            main,
+            ["simulate", wpath, ppath, "--assignment", solved, "--duration", "10",
+             "--out", sim],
+        )
+        assert result.exit_code == 0, result.output
+        co = str(tmp_path / "co.json")
+        result = runner.invoke(
+            main, ["baseline", wpath, ppath, "--strategy", "co", "--out", co]
+        )
+        assert result.exit_code == 0, result.output
+        for pair in ((solved, sim), (sim, co)):
+            out = tmp_path / "cmp.json"
+            result = runner.invoke(main, ["compare", *pair, "--out", str(out)])
+            assert result.exit_code == 1, result.output
+            assert len(error_lines(result)) == 1
+            assert not out.exists()
+        result = runner.invoke(main, ["compare", co, solved])
+        assert result.exit_code == 0, result.output
 
     def test_compare_needs_two_reports(self, runner, tmp_path):
         _, wpath, ppath = write_inputs(tmp_path)

@@ -10,6 +10,7 @@ from splitstream import (
     Assignment,
     FunctionKind,
     StreamConfig,
+    Trace,
     canonical_json,
     dumps_profile,
     dumps_workload,
@@ -177,6 +178,34 @@ class TestTraceBinary:
             load_trace(bad)
 
 
+    @pytest.mark.parametrize(
+        "duration, rate, n",
+        [
+            (math.nan, 10.0, 30),
+            (-3.0, 10.0, 30),
+            (math.inf, 10.0, 30),
+            (3.0, 0.0, 30),
+            (3.0, math.nan, 30),
+            (3.0, 10.0, 29),
+            (3.0, 10.0, 31),
+            (1e300, 1e300, 0),
+        ],
+        ids=["nan-duration", "negative-duration", "inf-duration", "zero-rate",
+             "nan-rate", "short-sensor", "long-sensor", "overflowing-count"],
+    )
+    def test_inconsistent_headers_rejected(self, tmp_path, duration, rate, n):
+        path = str(tmp_path / "t.bin")
+        save_trace(path, Trace(duration, rate, {1: np.zeros(n), 2: np.zeros(30)}))
+        with pytest.raises(ValueError):
+            load_trace(path)
+
+    def test_sample_count_rounds_like_generate_trace(self, tmp_path):
+        trace = generate_trace(StreamConfig(duration_s=2.25, sample_rate_hz=10, seed=4), [1])
+        path = str(tmp_path / "t.bin")
+        save_trace(path, trace)
+        assert len(load_trace(path).samples[1]) == round(2.25 * 10) == 22
+
+
 class TestReports:
     def test_canonical_json_is_sorted_and_newline_terminated(self):
         out = canonical_json({"b": 1, "a": [1, 2]})
@@ -194,6 +223,15 @@ class TestReports:
         save_report(path, record)
         text = open(path).read()
         assert text == canonical_json(record)
+
+    def test_failed_save_leaves_the_target_intact(self, tmp_path):
+        path = tmp_path / "r.json"
+        save_report(str(path), {"x": 1})
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            save_report(str(path), {"x": math.nan})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
 
     def test_gamma_record_round_trip(self, tmp_path):
         w = sample_workload()

@@ -5,9 +5,12 @@ calling back into the library.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitstream import (
     FunctionContext,
@@ -21,7 +24,15 @@ from splitstream import (
     state_length,
     state_to_vector,
 )
-from splitstream.functions import CROSS_CHANNEL, PER_CHANNEL, SPLITTABLE
+from splitstream import functions
+from splitstream.functions import (
+    CROSS_CHANNEL,
+    PER_CHANNEL,
+    SPLITTABLE,
+    Channel,
+    eval_windows,
+    split_windows,
+)
 
 F = FunctionKind
 CTX = FunctionContext()
@@ -274,3 +285,86 @@ class TestStateVectors:
         b = partial_eval(F.VAR, [x], [t])
         with pytest.raises(ValueError):
             merge_states(a, b)
+
+
+class TestBatchEqualsRows:
+    """eval_windows and split_windows over a ragged window set against one
+    eval_function / partial_eval + merge call per window."""
+
+    @staticmethod
+    def ragged(seed, spans, timed):
+        rng = np.random.default_rng(seed)
+        channels = []
+        for c, windows in enumerate(spans):
+            lo = np.array([start for start, _ in windows], dtype=np.int64)
+            hi = lo + np.array([n for _, n in windows], dtype=np.int64)
+            size = int(hi.max(initial=0))
+            values = rng.normal(loc=3.0, scale=2.0, size=size)
+            if timed[c]:
+                times = 17.0 + np.cumsum(rng.uniform(0.05, 0.2, size=size))
+                channels.append(Channel(values, lo, hi, times=times))
+            else:
+                channels.append(Channel(values, lo, hi, rate=CTX.sample_rate_hz))
+        return channels
+
+    @staticmethod
+    def window(ch, i):
+        lo, hi = int(ch.lo[i]), int(ch.hi[i])
+        times = ch.times[lo:hi] if ch.times is not None else np.arange(lo, hi) / ch.rate
+        return ch.values[lo:hi], times
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        func=st.sampled_from(sorted(F, key=lambda f: f.value)),
+        n_windows=st.integers(0, 8),
+        n_channels=st.integers(1, 3),
+        data=st.data(),
+        ctx=st.sampled_from([CTX, FunctionContext(gf_subwindow_s=0.4)]),
+        edge_share=st.sampled_from([0.0, 0.3, 0.5, 0.77, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+        block=st.sampled_from([functions._BLOCK_SAMPLES, 7]),
+    )
+    def test_one_batch_call_matches_per_row_calls(
+        self, func, n_windows, n_channels, data, ctx, edge_share, seed, block
+    ):
+        # A small block splits a length group over several matrices.
+        with mock.patch.object(functions, "_BLOCK_SAMPLES", block):
+            self.check(func, n_windows, n_channels, data, ctx, edge_share, seed)
+
+    def check(self, func, n_windows, n_channels, data, ctx, edge_share, seed):
+        # Lengths run from empty through shorter than k to several k, and
+        # differ between channels so cross-channel tails are aligned.
+        window = st.tuples(st.integers(0, 30), st.integers(0, 40))
+        spans = [
+            data.draw(st.lists(window, min_size=n_windows, max_size=n_windows))
+            for _ in range(n_channels)
+        ]
+        timed = data.draw(st.lists(st.booleans(), min_size=n_channels, max_size=n_channels))
+        channels = self.ragged(seed, spans, timed)
+        whole = eval_windows(func, channels, ctx)
+        assert whole.shape == (n_windows, output_arity(func, n_channels))
+        for i in range(n_windows):
+            chans, ts = zip(*(self.window(ch, i) for ch in channels))
+            np.testing.assert_allclose(
+                whole[i], eval_function(func, chans, ts, ctx), rtol=1e-9, atol=1e-12
+            )
+        if func not in SPLITTABLE:
+            with pytest.raises(ValueError):
+                split_windows(func, channels, edge_share, ctx)
+            return
+        split, states = split_windows(func, channels, edge_share, ctx, with_states=True)
+        assert states.shape == (n_windows, state_length(func, n_channels, ctx))
+        for i in range(n_windows):
+            chans, ts = zip(*(self.window(ch, i) for ch in channels))
+            cuts = [int(round(edge_share * len(x))) for x in chans]
+            state = partial_eval(
+                func, [x[:c] for x, c in zip(chans, cuts)], [t[:c] for t, c in zip(ts, cuts)], ctx
+            )
+            merged = merge(
+                func, state, [x[c:] for x, c in zip(chans, cuts)],
+                [t[c:] for t, c in zip(ts, cuts)], ctx,
+            )
+            np.testing.assert_allclose(split[i], merged, rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(
+                states[i], state_to_vector(state, ctx), rtol=1e-9, atol=1e-12
+            )

@@ -7,26 +7,37 @@ edge-resident, one 16-byte two-number partial aggregate each when split).
 """
 
 import dataclasses
+import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitstream import (
     Assignment,
     Frame,
     FunctionKind,
     SignalSpec,
+    SolverConfig,
     StreamConfig,
+    cloud_only,
     compare_runs,
     decode_frame,
+    edge_only,
     encode_frame,
     generate_profile,
+    generate_reference_workload,
     generate_trace,
+    le_with_tol,
     run_sim,
+    solve,
 )
-from splitstream.simulator import KIND_INTERMEDIATE, KIND_RAW, KIND_RESULT
+from splitstream.simulator import KIND_INTERMEDIATE, KIND_RAW, KIND_RESULT, _deadline_misses
 
-from conftest import build_workload
+from conftest import build_workload, capped_reference
 
 F = FunctionKind
 
@@ -117,6 +128,58 @@ class TestLatencyAndDeadlines:
         p = dataclasses.replace(p, t_req_s={1: 1e-12})
         s = run_sim(w, p, a, trace).per_op[1]
         assert s.t_req_violations == s.windows == 2
+
+
+class TestDeadlineCount:
+    @settings(deadline=None)
+    @given(
+        st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=20),
+        st.floats(allow_nan=False, allow_infinity=True),
+    )
+    def test_counts_what_le_with_tol_rejects(self, latencies, bound):
+        # Values within a few ulps of the bound exercise the tolerance.
+        near = [bound * (1.0 + e) for e in (-1e-12, 1e-10, 1e-9, 2e-9, -1e-9)]
+        values = np.array(latencies + [v for v in near if math.isfinite(v)])
+        want = sum(not le_with_tol(v, bound) for v in values.tolist())
+        assert _deadline_misses(values, bound) == want
+
+
+class TestReplayPin:
+    """Per-operator figures of a 600 s replay (seed 11) of the reference,
+    pinned from the per-window replay loop the batched one replaced. Counts,
+    bytes and latencies must match exactly."""
+
+    @pytest.fixture(scope="class")
+    def replays(self):
+        w = generate_reference_workload()
+        p = generate_profile(w)
+        wq, q = capped_reference(0.9)
+        trace = generate_trace(
+            StreamConfig(duration_s=600.0, sample_rate_hz=10.0, seed=11),
+            sorted(w.topology.sensor_node),
+        )
+        placements = {
+            "co": (p, cloud_only(w, p).assignment),
+            "eo": (p, edge_only(w, p).assignment),
+            "ref05": (p, solve(w, p, SolverConfig(delta=0.05)).assignment),
+            "cap90": (q, solve(wq, q, SolverConfig(delta=0.25)).assignment),
+        }
+        return {name: run_sim(w, pp, a, trace) for name, (pp, a) in placements.items()}
+
+    @pytest.mark.parametrize("placement", ["co", "eo", "ref05", "cap90"])
+    def test_matches_the_pinned_figures(self, replays, placement):
+        pinned = json.loads(
+            (Path(__file__).parent / "data" / "replay_600s_seed11.json").read_text()
+        )
+        want = pinned["placements"][placement]
+        rep = replays[placement]
+        for name, value in want["totals"].items():
+            assert getattr(rep, name) == value, name
+        assert set(rep.per_op) == {int(op) for op in want["per_op"]}
+        for op, row in want["per_op"].items():
+            stats = rep.per_op[int(op)]
+            got = [getattr(stats, field) for field in pinned["fields"]]
+            assert got == row, f"operator {op}"
 
 
 class TestEmissions:
