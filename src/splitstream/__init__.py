@@ -7,10 +7,8 @@ placement, and replays synthetic traces to confirm the analytic byte counts
 against concrete frames.
 """
 
-from .baselines import cloud_only, cross_placement_ops, edge_only
+from .baselines import cloud_only, edge_only
 from .costs import (
-    OBJECTIVE_MODES,
-    ORIENTATIONS,
     Assignment,
     CostReport,
     NodeUsage,
@@ -19,7 +17,6 @@ from .costs import (
     cloud_time,
     cost_report,
     data_volume,
-    derive_sensor_gamma,
     edge_time,
     effective_t_req,
     home_nodes,
@@ -31,6 +28,7 @@ from .costs import (
     node_usage,
     total_objective,
     trans_time,
+    validate_profile,
     windows_in_horizon,
 )
 from .feasibility import (
@@ -44,7 +42,6 @@ from .fileio import (
     dumps_profile,
     dumps_workload,
     gamma_record,
-    load_gamma,
     load_profile,
     load_trace,
     load_workload,
@@ -55,11 +52,9 @@ from .fileio import (
     save_report,
     save_trace,
     save_workload,
-    sha256_bytes,
     sha256_file,
 )
 from .functions import (
-    DEFAULT_CONTEXT,
     CROSS_CHANNEL,
     PER_CHANNEL,
     SPLITTABLE,
@@ -76,8 +71,6 @@ from .functions import (
     state_to_vector,
 )
 from .model import (
-    GAMMA_TOL,
-    REL_TOL,
     FunctionKind,
     OperatorSpec,
     Topology,
@@ -102,7 +95,6 @@ from .simulator import (
     SimReport,
     StreamConfig,
     Trace,
-    compare_runs,
     decode_frame,
     encode_frame,
     generate_trace,

@@ -6,7 +6,7 @@ wherever locality allows, uploading results only.
 
 from __future__ import annotations
 
-from .costs import Assignment, Profile, cost_report, total_objective
+from .costs import Assignment, Profile, cost_report
 from .feasibility import check_assignment, forced_cloud, propagate_composite_gamma
 from .model import OperatorId, Workload
 from .solver import Solution
@@ -22,11 +22,12 @@ def _evaluate(
 ) -> Solution:
     a = Assignment.from_op_gamma(w, per_op)
     violations = check_assignment(w, p, a, orientation)
+    report = cost_report(w, p, a, mode, orientation)
     return Solution(
         feasible=not violations,
         assignment=a,
-        objective_bytes=total_objective(a, p, w, mode),
-        report=cost_report(w, p, a, mode, orientation),
+        objective_bytes=report.objective_bytes,
+        report=report,
         stats={
             "strategy": strategy,
             "violations": [
@@ -63,21 +64,3 @@ def edge_only(
     per_op = propagate_composite_gamma(w, per_op)
     return _evaluate(w, p, per_op, mode, orientation, "eo")
 
-
-def cross_placement_ops(w: Workload, a: Assignment) -> list[OperatorId]:
-    """Composites placed on the edge while some dependency output lives in
-    the cloud; the derived min rule allows this and reports flag it."""
-    from .model import GAMMA_TOL
-
-    out = []
-    for op in w.operators:
-        if op.atomic:
-            continue
-        g = a.op_gamma(w, op.id)
-        if abs(g) > GAMMA_TOL:
-            continue
-        for d in op.deps:
-            if abs(a.op_gamma(w, d) - 1.0) <= GAMMA_TOL:
-                out.append(op.id)
-                break
-    return out

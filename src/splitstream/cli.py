@@ -19,7 +19,7 @@ import click
 
 from . import __version__
 from .baselines import cloud_only, edge_only
-from .costs import Assignment, cost_report, effective_t_req
+from .costs import Assignment, effective_t_req, validate_profile
 from .feasibility import check_assignment
 from .fileio import (
     gamma_record,
@@ -67,11 +67,15 @@ def _load_workload(path: str):
     return w
 
 
-def _load_profile(path: str):
+def _load_inputs(workload: str, profile: str):
+    """The workload and a profile that covers it; exits 1 on a gap."""
+    w = _load_workload(workload)
     try:
-        return load_profile(path)
+        p = load_profile(profile)
+        validate_profile(w, p)
     except (OSError, ValueError, KeyError) as exc:
-        _fail(f"profile {path}: {exc}")
+        _fail(f"profile {profile}: {exc}")
+    return w, p
 
 
 def _manifest(command: str, inputs: dict[str, str], config: dict) -> dict:
@@ -247,8 +251,7 @@ def _with_options(options):
 def solve_cmd(workload: str, profile: str, delta: float, time_budget: float | None,
               objective_mode: str, cost_orientation: str, out: str | None) -> None:
     """Search the ratio grid for the cheapest feasible placement."""
-    w = _load_workload(workload)
-    p = _load_profile(profile)
+    w, p = _load_inputs(workload, profile)
     try:
         cfg = SolverConfig(
             delta=delta,
@@ -288,8 +291,7 @@ def solve_cmd(workload: str, profile: str, delta: float, time_budget: float | No
 def baseline(workload: str, profile: str, strategy: str,
              objective_mode: str, cost_orientation: str, out: str | None) -> None:
     """Price the all-cloud or all-edge reference placement."""
-    w = _load_workload(workload)
-    p = _load_profile(profile)
+    w, p = _load_inputs(workload, profile)
     runner = cloud_only if strategy == "co" else edge_only
     sol = runner(w, p, mode=objective_mode, orientation=cost_orientation)
     manifest = _manifest(
@@ -349,8 +351,7 @@ def simulate(workload: str, profile: str, assignment_path: str,
              trace_path: str | None, duration: float, seed: int, rate: float,
              force: bool, out: str | None) -> None:
     """Replay a trace through a placed workload and count every byte."""
-    w = _load_workload(workload)
-    p = _load_profile(profile)
+    w, p = _load_inputs(workload, profile)
     try:
         with open(assignment_path, "r", encoding="utf-8") as fh:
             record = json.load(fh)
@@ -480,6 +481,11 @@ def compare(reports: tuple[str, ...], out: str | None) -> None:
     if kinds & {"solve", "baseline"} and "simulate" in kinds:
         _fail("cannot compare solve or baseline reports (bytes per window set) "
               "with simulate reports (bytes over the trace)")
+    durations = [r["duration_s"] for r in records if isinstance(r, dict) and "duration_s" in r]
+    others = [d for d in durations if d != durations[0]]
+    if others:
+        _fail(f"cannot compare simulate reports over traces of {durations[0]} s "
+              f"and {others[0]} s")
 
     def aggregate_bytes(record: dict) -> float | None:
         for key in ("objective_bytes", "total_payload_bytes"):

@@ -59,6 +59,26 @@ class Profile:
     t_req_s: dict[OperatorId, float] = field(default_factory=dict)
 
 
+def validate_profile(w: Workload, p: Profile) -> None:
+    """Raise ValueError at the first row the workload needs and the profile
+    lacks: an (op, sensor, node) or per-operator row, or a topology node's
+    bandwidth or edge clock rate."""
+    for op in w.operators:
+        for s in op.sensors:
+            k = w.topology.sensor_node.get(s)
+            key = (op.id, s, k)
+            if (op.id, s) not in p.cpu_cloud or any(
+                key not in t for t in (p.cpu_edge, p.mem_edge, p.data_raw)
+            ):
+                raise ValueError(f"no per_sensor row for op {op.id}, sensor {s}, node {k}")
+        if any(op.id not in t for t in (p.cpu_res, p.data_int, p.data_res)):
+            raise ValueError(f"no per_operator row for op {op.id}")
+    for k in sorted(w.topology.nodes):
+        for name, table in (("bandwidth", p.bandwidth), ("cpu_unit_edge", p.cpu_unit_edge)):
+            if k not in table:
+                raise ValueError(f"no {name} for node {k}")
+
+
 @dataclass(frozen=True)
 class Assignment:
     """A complete offload decision.
@@ -74,18 +94,20 @@ class Assignment:
 
     @classmethod
     def from_op_gamma(cls, w: Workload, per_op: dict[OperatorId, float]) -> "Assignment":
-        """Expand one ratio per operator into the keyed maps."""
+        """Expand one ratio per operator into the keyed maps. A sensor's
+        ratio is the max over the operators consuming it, 0 for none."""
         gamma_op: dict[tuple[OperatorId, SensorId], float] = {}
+        gamma_sensor: dict[SensorId, float] = {s: 0.0 for s in sorted(w.sensors)}
         gamma_bare: dict[OperatorId, float] = {}
         for op in w.operators:
             g = per_op[op.id]
-            if op.sensors:
-                for s in op.sensors:
-                    gamma_op[(op.id, s)] = g
-            else:
+            if not op.sensors:
                 gamma_bare[op.id] = g
-        a = cls(gamma_op=gamma_op, gamma_sensor={}, gamma_bare=gamma_bare)
-        return derive_sensor_gamma(a, w)
+            for s in op.sensors:
+                gamma_op[(op.id, s)] = g
+                if g > gamma_sensor[s]:
+                    gamma_sensor[s] = g
+        return cls(gamma_op=gamma_op, gamma_sensor=gamma_sensor, gamma_bare=gamma_bare)
 
     def op_gamma(self, w: Workload, op_id: OperatorId) -> float:
         """The operator's shared ratio; fails if its sensors disagree."""
@@ -105,26 +127,6 @@ class Assignment:
                 f"operator {op_id} has unequal per-sensor ratios ({lo}..{hi})"
             )
         return values[0]
-
-
-def derive_sensor_gamma(a: Assignment, w: Workload) -> Assignment:
-    """Recompute per-sensor upload ratios as the max over consuming operators.
-
-    Sensors no operator consumes upload nothing (ratio 0).
-    """
-    gamma_sensor: dict[SensorId, float] = {s: 0.0 for s in sorted(w.sensors)}
-    for op in w.operators:
-        for s in op.sensors:
-            g = a.gamma_op.get((op.id, s))
-            if g is None:
-                raise ValueError(f"no offload ratio for operator {op.id}, sensor {s}")
-            if g > gamma_sensor[s]:
-                gamma_sensor[s] = g
-    return Assignment(
-        gamma_op=dict(a.gamma_op),
-        gamma_sensor=gamma_sensor,
-        gamma_bare=dict(a.gamma_bare),
-    )
 
 
 def le_with_tol(x: float, bound: float, rel: float = REL_TOL) -> bool:

@@ -48,6 +48,7 @@ from .model import (
     SensorId,
     Topology,
     Workload,
+    check_positive,
 )
 from .simulator import Trace, sample_count
 
@@ -270,16 +271,20 @@ def parse_profile(text: str) -> Profile:
         if "t_req_s" in row and row["t_req_s"] is not None:
             t_req_s[op] = float(row["t_req_s"])
     cpu_unit_edge = {int(k): float(v) for k, v in record["cpu_unit_edge"].items()}
-    cpu_unit_cloud = float(record["cpu_unit_cloud"])
+    cpu_unit_cloud = check_positive("cpu_unit_cloud", float(record["cpu_unit_cloud"]))
     bandwidth = {int(k): float(v) for k, v in record["bandwidth"].items()}
-    # Rates divide volumes and cycles; NaN fails every comparison, so test
-    # for the good case.
-    rates = [("cpu_unit_cloud", cpu_unit_cloud)]
-    rates += [(f"cpu_unit_edge of node {k}", v) for k, v in cpu_unit_edge.items()]
-    rates += [(f"bandwidth of node {k}", v) for k, v in bandwidth.items()]
-    for name, value in rates:
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+    cpu_cap = {int(k): float(v) for k, v in record["cpu_cap"].items()}
+    mem_cap = {int(k): float(v) for k, v in record["mem_cap"].items()}
+    # Rates divide volumes and cycles; caps and deadlines are strict bounds.
+    for name, where, table in (
+        ("cpu_unit_edge", "node", cpu_unit_edge),
+        ("bandwidth", "node", bandwidth),
+        ("cpu_cap", "node", cpu_cap),
+        ("mem_cap", "node", mem_cap),
+        ("t_req_s", "op", t_req_s),
+    ):
+        for k, value in table.items():
+            check_positive(f"{name} of {where} {k}", value)
     return Profile(
         cpu_edge=cpu_edge,
         cpu_cloud=cpu_cloud,
@@ -291,8 +296,8 @@ def parse_profile(text: str) -> Profile:
         cpu_unit_edge=cpu_unit_edge,
         cpu_unit_cloud=cpu_unit_cloud,
         bandwidth=bandwidth,
-        cpu_cap={int(k): float(v) for k, v in record["cpu_cap"].items()},
-        mem_cap={int(k): float(v) for k, v in record["mem_cap"].items()},
+        cpu_cap=cpu_cap,
+        mem_cap=mem_cap,
         t_req_s=t_req_s,
     )
 
@@ -371,10 +376,6 @@ def save_report(path: str, record) -> None:
     _replace_with(path, [canonical_json(record).encode("utf-8")])
 
 
-def sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def sha256_file(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -422,8 +423,3 @@ def recorded_orientation(record: dict) -> str:
     if orientation not in ORIENTATIONS:
         raise ValueError(f"unknown cost orientation {orientation!r} in the manifest")
     return orientation
-
-
-def load_gamma(path: str) -> dict[OperatorId, float]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_gamma(json.load(fh))

@@ -516,16 +516,13 @@ def finalize(state: PartialState, ctx: FunctionContext = DEFAULT_CONTEXT) -> np.
 def merge(
     func: FunctionKind,
     edge_state: PartialState,
-    cloud: PartialState | Sequence[np.ndarray],
+    cloud: Sequence[np.ndarray],
     times: Sequence[np.ndarray] | None = None,
     ctx: FunctionContext = DEFAULT_CONTEXT,
 ) -> np.ndarray:
-    """Fold the cloud-side share (a state or raw samples) into the edge
-    state and finalize to the window's value(s)."""
-    if isinstance(cloud, PartialState):
-        cloud_state = cloud
-    else:
-        cloud_state = partial_eval(func, cloud, times, ctx)
+    """Fold the cloud-side samples into the edge state and finalize to the
+    window's value(s)."""
+    cloud_state = partial_eval(func, cloud, times, ctx)
     return finalize(merge_states(edge_state, cloud_state, ctx), ctx)
 
 

@@ -13,6 +13,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from enum import Enum, unique
+from typing import Iterable
 
 SensorId = int
 NodeId = int
@@ -22,6 +23,14 @@ OperatorId = int
 GAMMA_TOL = 1e-9
 # Relative tolerance for latency and capacity comparisons.
 REL_TOL = 1e-9
+
+
+def check_positive(name: str, value: float) -> float:
+    """The value, or ValueError unless it is positive and finite. NaN fails
+    every comparison, so the test is for the good case."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
 
 
 @unique
@@ -262,34 +271,42 @@ def sensor_clusters(w: Workload) -> list[tuple[OperatorId, ...]]:
     group can be searched independently when node capacity is not contended.
     Clusters are ordered by smallest member; members ascend.
     """
-    parent: dict[OperatorId, OperatorId] = {op.id: op.id for op in w.operators}
 
-    def find(x: OperatorId) -> OperatorId:
+    def links():
+        first_user: dict[SensorId, OperatorId] = {}
+        for op in w.operators:
+            for s in op.sensors:
+                if s in first_user:
+                    yield op.id, first_user[s]
+                else:
+                    first_user[s] = op.id
+            for dep in op.deps:
+                if dep in w.by_id:
+                    yield op.id, dep
+
+    groups = union_find_groups([op.id for op in w.operators], links())
+    return [tuple(sorted(g)) for g in groups]
+
+
+def union_find_groups(keys: list[int], links: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Connected components of `keys` joined by `links`, each listing its
+    keys in `keys` order; the components are ordered by smallest key."""
+    parent = {k: k for k in keys}
+
+    def find(x: int) -> int:
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    def union(a: OperatorId, b: OperatorId) -> None:
+    for a, b in links:
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
-
-    first_user: dict[SensorId, OperatorId] = {}
-    for op in w.operators:
-        for s in op.sensors:
-            if s in first_user:
-                union(op.id, first_user[s])
-            else:
-                first_user[s] = op.id
-        for dep in op.deps:
-            if dep in parent:
-                union(op.id, dep)
-
-    groups: dict[OperatorId, list[OperatorId]] = {}
-    for op in w.operators:
-        groups.setdefault(find(op.id), []).append(op.id)
-    return [tuple(sorted(g)) for _, g in sorted(groups.items())]
+    groups: dict[int, list[int]] = {}
+    for k in keys:
+        groups.setdefault(find(k), []).append(k)
+    return [g for _, g in sorted(groups.items())]
 
 
 def transitive_sensors(w: Workload, op_id: OperatorId) -> frozenset[SensorId]:

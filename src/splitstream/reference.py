@@ -16,7 +16,6 @@ factor over the all-cloud latency estimate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 
 from .costs import Assignment, Profile, latency_rows, node_usage
@@ -29,6 +28,7 @@ from .model import (
     SensorId,
     Topology,
     Workload,
+    check_positive,
     sensor_clusters,
     topological_order,
 )
@@ -189,18 +189,15 @@ def generate_profile(
     `headroom`, and deadlines are (1 + treq_slack) times the all-cloud
     latency estimate.
     """
-    if headroom <= 1.0:
-        raise ValueError("headroom must exceed 1.0 for the all-edge placement to fit")
-    rates = (
-        ("sample rate", sample_rate_hz),
-        ("bandwidth", bandwidth_bps),
-        ("edge_hz", edge_hz),
-        ("cloud_hz", cloud_hz),
-        ("cloud_speedup", cloud_speedup),
-    )
-    for name, value in rates:
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+    # The all-edge placement must fit under headroom x its usage, and the
+    # deadlines are (1 + treq_slack) x positive latencies.
+    check_positive("headroom - 1", headroom - 1.0)
+    check_positive("1 + treq_slack", 1.0 + treq_slack)
+    check_positive("sample rate", sample_rate_hz)
+    check_positive("bandwidth", bandwidth_bps)
+    check_positive("edge_hz", edge_hz)
+    check_positive("cloud_hz", cloud_hz)
+    check_positive("cloud_speedup", cloud_speedup)
     if ctx is None:
         ctx = FunctionContext(sample_rate_hz=sample_rate_hz)
 

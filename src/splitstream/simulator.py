@@ -55,6 +55,7 @@ from .model import (
     OperatorId,
     SensorId,
     Workload,
+    check_positive,
     topological_order,
     transitive_sensors,
 )
@@ -98,9 +99,8 @@ class Trace:
 def sample_count(duration_s: float, sample_rate_hz: float) -> int:
     """Samples per sensor in a trace, round(duration x rate). Raises
     ValueError unless the duration and the rate are positive and finite."""
-    for name, value in (("duration", duration_s), ("sample rate", sample_rate_hz)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+    check_positive("duration", duration_s)
+    check_positive("sample rate", sample_rate_hz)
     if not math.isfinite(duration_s * sample_rate_hz):
         raise ValueError(f"{duration_s} s at {sample_rate_hz} Hz is too many samples")
     return round(duration_s * sample_rate_hz)
@@ -230,48 +230,6 @@ class SimReport:
         return self.raw_wire_bytes + self.int_wire_bytes + self.res_wire_bytes
 
 
-def compare_runs(reports: list[SimReport], labels: list[str] | None = None) -> dict:
-    """Side-by-side byte/latency comparison; percentages are computed
-    against the first report. Operators absent from a report show None
-    rather than zero."""
-    if not reports:
-        raise ValueError("nothing to compare")
-    if labels is None:
-        labels = [f"run-{i}" for i in range(len(reports))]
-    if len(labels) != len(reports):
-        raise ValueError("one label per report required")
-
-    def reduction(base: float, other: float) -> float:
-        return 100.0 * (1.0 - other / base) if base > 0 else 0.0
-
-    base = reports[0]
-    aggregate = {
-        "payload_bytes": [r.total_payload_bytes for r in reports],
-        "wire_bytes": [r.total_wire_bytes for r in reports],
-        "payload_reduction_pct": [
-            reduction(base.total_payload_bytes, r.total_payload_bytes) for r in reports
-        ],
-        "wire_reduction_pct": [
-            reduction(base.total_wire_bytes, r.total_wire_bytes) for r in reports
-        ],
-        "t_req_violations": [
-            sum(s.t_req_violations for s in r.per_op.values()) for r in reports
-        ],
-    }
-    op_ids = sorted({op for r in reports for op in r.per_op})
-    per_operator = {}
-    for op in op_ids:
-        rows = [r.per_op.get(op) for r in reports]
-        per_operator[op] = {
-            "payload_bytes": [
-                (s.int_payload_bytes + s.res_payload_bytes) if s else None for s in rows
-            ],
-            "latency_mean_s": [s.latency_mean_s if s else None for s in rows],
-            "t_req_violations": [s.t_req_violations if s else None for s in rows],
-        }
-    return {"labels": list(labels), "aggregate": aggregate, "per_operator": per_operator}
-
-
 # ---------------------------------------------------------------------------
 # Simulation internals.
 
@@ -357,13 +315,11 @@ def run_sim(
     assignment: Assignment,
     trace: Trace,
     *,
-    ctx: FunctionContext | None = None,
     collect_frames: bool = False,
 ) -> SimReport:
     """Replay the trace through the placed operator graph. Each operator's
     windows are evaluated and timed together, as arrays."""
-    if ctx is None:
-        ctx = FunctionContext(sample_rate_hz=trace.sample_rate_hz)
+    ctx = FunctionContext(sample_rate_hz=trace.sample_rate_hz)
     missing = [j for j in workload.sensors if j not in trace.samples]
     if missing:
         raise ValueError(f"trace lacks sensors {sorted(missing)}")

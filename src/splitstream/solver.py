@@ -58,6 +58,7 @@ from .model import (
     Workload,
     sensor_clusters,
     topological_order,
+    union_find_groups,
 )
 
 ENUMERATION_CAP = 1_000_000
@@ -306,28 +307,17 @@ def _solve_cluster(
     topo = [i for i in topological_order(w) if i in members]
     atoms = [i for i in topo if w.operator(i).atomic]
     domains = [operator_domain(w, i, grid) for i in atoms]
-    atom_pos = {i: d for d, i in enumerate(atoms)}
 
-    # Depth at which each composite becomes fully derived.
+    # Depth at which each composite becomes fully derived: one past its
+    # deepest atomic ancestor. A composite shares its deps' cluster and
+    # topological_order rejects cycles and missing deps, so every cluster
+    # holds an atomic operator and every composite is ready at depth >= 1.
+    ready = {i: d + 1 for d, i in enumerate(atoms)}
     comp_at: dict[int, list[OperatorId]] = {}
     for i in topo:
-        op = w.operator(i)
-        if op.atomic:
-            continue
-        seen: set[OperatorId] = set()
-        stack = list(op.deps)
-        depth = 0
-        while stack:
-            u = stack.pop()
-            if u in seen:
-                continue
-            seen.add(u)
-            dep = w.operator(u)
-            if dep.atomic:
-                depth = max(depth, atom_pos[u] + 1)
-            else:
-                stack.extend(dep.deps)
-        comp_at.setdefault(depth, []).append(i)
+        if i not in ready:
+            ready[i] = max(ready[d] for d in w.operator(i).deps)
+            comp_at.setdefault(ready[i], []).append(i)
 
     state = SearchState(
         w=w,
@@ -390,24 +380,13 @@ def _solve_cluster(
 
     # Cloud-only incumbent: a feasible all-ones leaf seeds the bound check.
     undos: list = []
-    if atoms:
-        for d, i in enumerate(atoms):
-            place(i, 1.0, undos)
-            propagate_depth(d + 1, undos)
-    else:
-        propagate_depth(0, undos)
+    for d, i in enumerate(atoms):
+        place(i, 1.0, undos)
+        propagate_depth(d + 1, undos)
     leaf_eval()
     for undo in reversed(undos):
         state.unassign(undo)
-
-    if atoms:
-        descend(0)
-    else:
-        undos = []
-        propagate_depth(0, undos)
-        leaf_eval()
-        for undo in reversed(undos):
-            state.unassign(undo)
+    descend(0)
 
     if best[0] is None:
         return _ClusterResult(feasible=False, gamma=None, objective=None)
@@ -433,33 +412,23 @@ def _merge_capacity_coupled(
     if not contended:
         return clusters
 
-    parent = list(range(len(clusters)))
+    def links():
+        node_owner: dict[NodeId, int] = {}
+        for idx, cluster in enumerate(clusters):
+            nodes = {
+                w.topology.sensor_node[s]
+                for i in cluster
+                for s in w.operator(i).sensors
+                if s in w.topology.sensor_node
+            }
+            for k in nodes & contended:
+                if k in node_owner:
+                    yield idx, node_owner[k]
+                else:
+                    node_owner[k] = idx
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    node_owner: dict[NodeId, int] = {}
-    for idx, cluster in enumerate(clusters):
-        nodes = {
-            w.topology.sensor_node[s]
-            for i in cluster
-            for s in w.operator(i).sensors
-            if s in w.topology.sensor_node
-        }
-        for k in nodes & contended:
-            if k in node_owner:
-                ra, rb = find(idx), find(node_owner[k])
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-            else:
-                node_owner[k] = idx
-    groups: dict[int, list[OperatorId]] = {}
-    for idx, cluster in enumerate(clusters):
-        groups.setdefault(find(idx), []).extend(cluster)
-    return [tuple(sorted(g)) for _, g in sorted(groups.items())]
+    groups = union_find_groups(list(range(len(clusters))), links())
+    return [tuple(sorted(i for idx in g for i in clusters[idx])) for g in groups]
 
 
 def solve(w: Workload, p: Profile, cfg: SolverConfig | None = None) -> Solution:
@@ -483,9 +452,15 @@ def solve(w: Workload, p: Profile, cfg: SolverConfig | None = None) -> Solution:
     }
     terms = {op.id: volume_terms(w, p, op.id) for op in w.operators}
     per_op: dict[OperatorId, float] = {}
-    feasible = True
+    # The search tests the caps of loaded nodes only, but check_assignment
+    # holds every node under its caps, unloaded ones at usage 0: a cap that
+    # 0 does not stay under rules out every placement.
+    feasible = all(
+        lt_strict(0.0, caps[k]) for caps in (p.cpu_cap, p.mem_cap)
+        for k in w.topology.nodes if k in caps
+    )
     budget_exceeded = False
-    for cluster in clusters:
+    for cluster in clusters if feasible else ():
         if budget_exceeded:
             for i in cluster:
                 per_op[i] = 1.0
@@ -501,23 +476,6 @@ def solve(w: Workload, p: Profile, cfg: SolverConfig | None = None) -> Solution:
             feasible = False
             break
         per_op.update(result.gamma)
-    if budget_exceeded:
-        assignment = Assignment.from_op_gamma(w, per_op)
-        ok = not check_assignment(w, p, assignment, cfg.cost_orientation)
-        return Solution(
-            feasible=ok,
-            assignment=assignment,
-            objective_bytes=(
-                total_objective(assignment, p, w, cfg.objective_mode) if ok else None
-            ),
-            report=(
-                cost_report(w, p, assignment, cfg.objective_mode, cfg.cost_orientation)
-                if ok
-                else None
-            ),
-            stats=stats,
-            budget_exceeded=True,
-        )
     if not feasible:
         return Solution(
             feasible=False,
@@ -527,12 +485,19 @@ def solve(w: Workload, p: Profile, cfg: SolverConfig | None = None) -> Solution:
             stats=stats,
         )
     assignment = Assignment.from_op_gamma(w, per_op)
+    ok = not budget_exceeded or not check_assignment(w, p, assignment, cfg.cost_orientation)
+    report = (
+        cost_report(w, p, assignment, cfg.objective_mode, cfg.cost_orientation)
+        if ok
+        else None
+    )
     return Solution(
-        feasible=True,
+        feasible=ok,
         assignment=assignment,
-        objective_bytes=total_objective(assignment, p, w, cfg.objective_mode),
-        report=cost_report(w, p, assignment, cfg.objective_mode, cfg.cost_orientation),
+        objective_bytes=report.objective_bytes if ok else None,
+        report=report,
         stats=stats,
+        budget_exceeded=budget_exceeded,
     )
 
 

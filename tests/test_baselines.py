@@ -1,14 +1,11 @@
-"""Reference strategies: full offload, edge-resident, cross-placement flags."""
+"""Reference strategies: full offload and edge-resident."""
 
 from splitstream import (
-    Assignment,
     FunctionKind,
     check_assignment,
     cloud_only,
-    cross_placement_ops,
     edge_only,
     generate_profile,
-    propagate_composite_gamma,
     total_objective,
 )
 
@@ -85,20 +82,3 @@ def test_cloud_only_passes_structural_constraints_randomly():
         }
         assert structural == set()
 
-
-def test_cross_placement_flags_edge_consumer_of_cloud_output():
-    w = build_workload(
-        [
-            (1, (1,), (), F.MEAN, False, 600, 600, 600),
-            (2, (2,), (), F.STD, False, 600, 600, 600),
-            (3, (), (1, 2), F.LAST, False, 600, 600, 600),
-        ],
-        {1: 1, 2: 1},
-    )
-    per_op = propagate_composite_gamma(w, {1: 0.0, 2: 1.0})
-    assert per_op[3] == 0.0  # min rule puts the composite on the edge
-    a = Assignment.from_op_gamma(w, per_op)
-    assert cross_placement_ops(w, a) == [3]
-
-    all_edge = Assignment.from_op_gamma(w, propagate_composite_gamma(w, {1: 0.0, 2: 0.0}))
-    assert cross_placement_ops(w, all_edge) == []

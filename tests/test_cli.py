@@ -104,6 +104,18 @@ class TestGenerators:
         assert len(error_lines(result)) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--headroom", "nan"), ("--headroom", "inf"),
+                                             ("--headroom", "1"), ("--treq-slack", "nan"),
+                                             ("--treq-slack", "-2")])
+    def test_gen_profile_rejects_bad_headroom_and_slack(self, runner, tmp_path, flag, value):
+        _, wpath, _ = write_inputs(tmp_path)
+        out = tmp_path / "prof.json"
+        result = runner.invoke(main, ["gen-profile", wpath, flag, value, "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert len(error_lines(result)) == 1
+        assert "positive and finite" in error_lines(result)[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [["--duration", "nan"], ["--duration", "-5"],
                                        ["--rate", "0"]])
     def test_gen_trace_rejects_bad_timebase(self, runner, tmp_path, flags):
@@ -172,6 +184,37 @@ class TestSolveAndBaseline:
         assert result.exit_code == 1
         assert len(error_lines(result)) == 1
         assert "grid points" in error_lines(result)[0]
+
+    @pytest.mark.parametrize("command", ["solve", "baseline", "simulate"])
+    @pytest.mark.parametrize(
+        "gap", ["other-workload", "per-operator", "per-sensor", "bandwidth", "cpu-unit"]
+    )
+    def test_profile_must_cover_the_workload(self, runner, tmp_path, command, gap):
+        w, wpath, ppath = write_inputs(tmp_path)
+        record = json.loads(open(ppath).read())
+        if gap == "other-workload":
+            one = build_workload([(1, (1,), (), F.MEAN, True, 5, 5, 5)], {1: 1})
+            record = json.loads(dumps_profile(generate_profile(one)))
+        elif gap == "per-operator":
+            record["per_operator"] = [r for r in record["per_operator"] if r["op"] != 2]
+        elif gap == "per-sensor":
+            record["per_sensor"] = [r for r in record["per_sensor"] if r["op"] != 1]
+        else:
+            del record["bandwidth" if gap == "bandwidth" else "cpu_unit_edge"]["1"]
+        open(ppath, "w").write(json.dumps(record))
+        gpath = str(tmp_path / "gamma.json")
+        open(gpath, "w").write(json.dumps({"1": 1.0, "2": 1.0}))
+        extra = {
+            "solve": [],
+            "baseline": ["--strategy", "co"],
+            "simulate": ["--assignment", gpath, "--duration", "10"],
+        }[command]
+        out = tmp_path / "report.json"
+        result = runner.invoke(main, [command, wpath, ppath, *extra, "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert len(error_lines(result)) == 1
+        assert "Traceback" not in result.output
+        assert not out.exists()
 
     @pytest.mark.parametrize("strategy", ["co", "eo"])
     def test_baselines_run(self, runner, tmp_path, strategy):
@@ -351,6 +394,32 @@ class TestSimulateAndCompare:
             assert len(error_lines(result)) == 1
             assert not out.exists()
         result = runner.invoke(main, ["compare", co, solved])
+        assert result.exit_code == 0, result.output
+
+    def test_compare_refuses_different_trace_lengths(self, runner, tmp_path):
+        _, wpath, ppath = write_inputs(tmp_path)
+        co = str(tmp_path / "co.json")
+        result = runner.invoke(
+            main, ["baseline", wpath, ppath, "--strategy", "co", "--out", co]
+        )
+        assert result.exit_code == 0, result.output
+        sims = []
+        for duration in ("20", "10"):
+            sim = str(tmp_path / f"sim{duration}.json")
+            result = runner.invoke(
+                main,
+                ["simulate", wpath, ppath, "--assignment", co, "--duration", duration,
+                 "--out", sim],
+            )
+            assert result.exit_code == 0, result.output
+            sims.append(sim)
+        out = tmp_path / "cmp.json"
+        result = runner.invoke(main, ["compare", *sims, "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert len(error_lines(result)) == 1
+        assert "20.0 s" in error_lines(result)[0] and "10.0 s" in error_lines(result)[0]
+        assert not out.exists()
+        result = runner.invoke(main, ["compare", sims[0], sims[0]])
         assert result.exit_code == 0, result.output
 
     def test_compare_needs_two_reports(self, runner, tmp_path):

@@ -17,7 +17,6 @@ from splitstream import (
     cloud_time,
     cost_report,
     data_volume,
-    derive_sensor_gamma,
     edge_time,
     effective_t_req,
     home_nodes,

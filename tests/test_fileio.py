@@ -17,7 +17,6 @@ from splitstream import (
     gamma_record,
     generate_profile,
     generate_trace,
-    load_gamma,
     load_profile,
     load_trace,
     load_workload,
@@ -28,7 +27,6 @@ from splitstream import (
     save_report,
     save_trace,
     save_workload,
-    sha256_bytes,
     sha256_file,
     validate_workload,
 )
@@ -138,12 +136,18 @@ class TestProfileJson:
         with pytest.raises(ValueError, match="integral"):
             dumps_profile(bad)
 
-    @pytest.mark.parametrize("field", ["bandwidth", "cpu_unit_edge", "cpu_unit_cloud"])
+    @pytest.mark.parametrize(
+        "field",
+        ["bandwidth", "cpu_unit_edge", "cpu_unit_cloud", "cpu_cap", "mem_cap", "t_req_s"],
+    )
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
     def test_rates_must_be_positive_and_finite(self, field, value):
+        # json writes and reads NaN and Infinity tokens.
         record = json.loads(dumps_profile(generate_profile(sample_workload())))
         if field == "cpu_unit_cloud":
             record[field] = value
+        elif field == "t_req_s":
+            record["per_operator"][0][field] = value
         else:
             record[field][next(iter(record[field]))] = value
         with pytest.raises(ValueError, match="positive and finite"):
@@ -240,7 +244,8 @@ class TestReports:
         assert parse_gamma(record) == {1: 0.25, 2: 1.0, 3: 1.0}
         path = str(tmp_path / "g.json")
         save_report(path, {"gamma": record})
-        assert load_gamma(path) == {1: 0.25, 2: 1.0, 3: 1.0}
+        with open(path, encoding="utf-8") as fh:
+            assert parse_gamma(json.load(fh)) == {1: 0.25, 2: 1.0, 3: 1.0}
 
     @pytest.mark.parametrize(
         "record",
@@ -278,9 +283,8 @@ class TestReports:
             recorded_orientation({"manifest": {"config": {"cost_orientation": "sideways"}}})
 
     def test_digests_are_stable(self, tmp_path):
-        assert sha256_bytes(b"abc") == (
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        )
         path = str(tmp_path / "f.bin")
         open(path, "wb").write(b"abc")
-        assert sha256_file(path) == sha256_bytes(b"abc")
+        assert sha256_file(path) == (
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        )

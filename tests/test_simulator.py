@@ -24,7 +24,6 @@ from splitstream import (
     SolverConfig,
     StreamConfig,
     cloud_only,
-    compare_runs,
     decode_frame,
     edge_only,
     encode_frame,
@@ -281,39 +280,3 @@ class TestDeterminism:
                            signals={1: spec})
         trace = generate_trace(cfg, [1])
         assert np.allclose(trace.samples[1], 5.0)
-
-
-class TestCompareRuns:
-    def test_reduction_against_first_run(self):
-        w, p, a1, trace = tiny_setup(1.0)
-        a0 = Assignment.from_op_gamma(w, {1: 0.0})
-        co = run_sim(w, p, a1, trace)
-        eo = run_sim(w, p, a0, trace)
-        out = compare_runs([co, eo], labels=["co", "eo"])
-        assert out["labels"] == ["co", "eo"]
-        agg = out["aggregate"]
-        assert agg["payload_bytes"] == [800, 16]
-        assert agg["payload_reduction_pct"][0] == 0.0
-        assert agg["payload_reduction_pct"][1] == pytest.approx(98.0)
-        assert out["per_operator"][1]["payload_bytes"] == [0, 16]
-
-    def test_missing_operator_shows_none(self):
-        w, p, a, trace = tiny_setup(0.0)
-        rep = run_sim(w, p, a, trace)
-        w2 = build_workload(
-            [
-                (1, (1,), (), F.MEAN, True, 5, 5, 5),
-                (2, (1,), (), F.MAX, False, 5, 5, 5),
-            ],
-            {1: 1},
-        )
-        p2 = generate_profile(w2)
-        a2 = Assignment.from_op_gamma(w2, {1: 0.0, 2: 0.0})
-        rep2 = run_sim(w2, p2, a2, trace)
-        out = compare_runs([rep, rep2])
-        assert out["per_operator"][2]["payload_bytes"][0] is None
-        assert out["per_operator"][2]["payload_bytes"][1] == 16
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            compare_runs([])

@@ -109,6 +109,25 @@ class TestEdgeCases:
             assert sol.objective_bytes is None
             assert sol.report is None
 
+    @pytest.mark.parametrize("cap", ["cpu_cap", "mem_cap"])
+    def test_zero_cap_on_an_unloaded_node_is_infeasible(self, cap):
+        # Op 2 at ratio 1 puts no load on node 2, but the checker holds
+        # every node, loaded or not, under its cap.
+        w = build_workload(
+            [
+                (1, (1,), (), F.MEAN, True, 5, 5, 5),
+                (2, (2,), (), F.MAX, False, 5, 5, 5),
+            ],
+            {1: 1, 2: 2},
+        )
+        p = generate_profile(w)
+        p = dataclasses.replace(p, **{cap: {**getattr(p, cap), 2: 0.0}})
+        cfg = SolverConfig(delta=0.25)
+        assert not brute_force(w, p, cfg).feasible
+        sol = solve(w, p, cfg)
+        assert not sol.feasible
+        assert sol.assignment is None
+
     def test_forced_cloud_operator_is_offloaded(self):
         w = build_workload(
             [(1, (1, 2), (), F.MEAN, True, 600, 600, 600)], {1: 1, 2: 2}
