@@ -474,14 +474,16 @@ def compare(reports: tuple[str, ...], out: str | None) -> None:
                 records.append(json.load(fh))
         except (OSError, json.JSONDecodeError) as exc:
             _fail(f"report {path}: {exc}")
+        if not isinstance(records[-1], dict):
+            _fail(f"report {path}: not a JSON object")
     # A solve or baseline objective is bytes per window set; a simulate
     # total is bytes over the whole trace.
-    manifests = [r.get("manifest") if isinstance(r, dict) else None for r in records]
+    manifests = [r.get("manifest") for r in records]
     kinds = {m.get("command") for m in manifests if isinstance(m, dict)}
     if kinds & {"solve", "baseline"} and "simulate" in kinds:
         _fail("cannot compare solve or baseline reports (bytes per window set) "
               "with simulate reports (bytes over the trace)")
-    durations = [r["duration_s"] for r in records if isinstance(r, dict) and "duration_s" in r]
+    durations = [r["duration_s"] for r in records if "duration_s" in r]
     others = [d for d in durations if d != durations[0]]
     if others:
         _fail(f"cannot compare simulate reports over traces of {durations[0]} s "

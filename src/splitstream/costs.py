@@ -328,6 +328,24 @@ def cloud_time(
     return (cycles + res) / p.cpu_unit_cloud
 
 
+def latency_terms(
+    i: OperatorId,
+    a: Assignment,
+    p: Profile,
+    w: Workload,
+    orientation: str = "corrected",
+    volumes: Mapping[OperatorId, OpVolumes] | None = None,
+) -> tuple[float, float, float]:
+    """(t_edge, t_trans, t_cloud) of operator i in seconds; t_trans comes from
+    `volumes` when given (i's node_volumes under `a`), else from trans_time."""
+    te = edge_time(i, a, p, w, orientation)
+    if volumes is None:
+        tt = trans_time(i, a, p, w)
+    else:
+        tt = uplink_time(volumes[i].by_node, p)
+    return te, tt, cloud_time(i, a, p, w, orientation)
+
+
 def latency_rows(
     a: Assignment,
     p: Profile,
@@ -340,20 +358,14 @@ def latency_rows(
     of `order`, the window latency and its terms in seconds.
 
     The wait is the skew between the totals of the operator's deps, so
-    `order` must list every dep ahead of its consumers. The transfer term
-    comes from `volumes` when given (each listed operator's node_volumes
-    under `a`), else from trans_time.
+    `order` must list every dep ahead of its consumers. The other terms come
+    from latency_terms.
     """
     totals: dict[OperatorId, float] = {}
     for i in order:
-        te = edge_time(i, a, p, w, orientation)
-        if volumes is None:
-            tt = trans_time(i, a, p, w)
-        else:
-            tt = uplink_time(volumes[i].by_node, p)
+        te, tt, tc = latency_terms(i, a, p, w, orientation, volumes)
         dep_totals = [totals[d] for d in w.operator(i).deps]
         tw = max(dep_totals) - min(dep_totals) if dep_totals else 0.0
-        tc = cloud_time(i, a, p, w, orientation)
         totals[i] = te + tt + tw + tc
         yield i, te, tt, tw, tc, totals[i]
 

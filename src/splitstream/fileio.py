@@ -244,6 +244,20 @@ def dumps_profile(p: Profile) -> str:
     return canonical_json(record)
 
 
+def _cost(row: dict, name: str, key: object) -> float:
+    """row[name] as a float, if it is a finite non-negative JSON number."""
+    value = row[name]
+    try:
+        number = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:
+        number = math.inf
+    if not (math.isfinite(number) and number >= 0):
+        raise ValueError(
+            f"{name} must be a non-negative finite number for {key}, got {value!r}"
+        )
+    return number
+
+
 def parse_profile(text: str) -> Profile:
     record = json.loads(text)
     cpu_edge = {}
@@ -252,22 +266,20 @@ def parse_profile(text: str) -> Profile:
     data_raw = {}
     for row in record["per_sensor"]:
         key = (row["op"], row["sensor"], row["node"])
-        for name in ("cpu_edge", "cpu_cloud", "mem_edge", "data_raw"):
-            if row[name] < 0:
-                raise ValueError(f"{name} must be non-negative for {key}")
-        cpu_edge[key] = float(row["cpu_edge"])
-        cpu_cloud[(row["op"], row["sensor"])] = float(row["cpu_cloud"])
-        mem_edge[key] = float(row["mem_edge"])
-        data_raw[key] = float(row["data_raw"])
+        cpu_edge[key] = _cost(row, "cpu_edge", key)
+        cpu_cloud[(row["op"], row["sensor"])] = _cost(row, "cpu_cloud", key)
+        mem_edge[key] = _cost(row, "mem_edge", key)
+        data_raw[key] = _cost(row, "data_raw", key)
     cpu_res = {}
     data_int = {}
     data_res = {}
     t_req_s = {}
     for row in record["per_operator"]:
         op = row["op"]
-        cpu_res[op] = float(row["cpu_res"])
-        data_int[op] = float(row["data_int"])
-        data_res[op] = float(row["data_res"])
+        key = f"op {op}"
+        cpu_res[op] = _cost(row, "cpu_res", key)
+        data_int[op] = _cost(row, "data_int", key)
+        data_res[op] = _cost(row, "data_res", key)
         if "t_req_s" in row and row["t_req_s"] is not None:
             t_req_s[op] = float(row["t_req_s"])
     cpu_unit_edge = {int(k): float(v) for k, v in record["cpu_unit_edge"].items()}

@@ -10,13 +10,16 @@ Operators are searched in dependency-linked clusters. Clusters are
 independent except for node capacity; clusters sharing a node whose capacity
 could bind are merged before the search so pruning stays exact.
 
-Three pre-flight checks gate every branch, in order: resource (partial
-CPU/memory sums against capacity), incumbent bound (partial objective against
-the best complete solution), latency (deadline check on a lower bound of each
-decided operator's total). A branch is pruned on the bound check only when it
-is strictly worse than the incumbent, so equal-objective leaves survive to
-the deterministic tie-break: smaller latency sum, then lexicographically
-smallest ratio vector in topological order.
+Three pre-flight checks gate every branch, in order: resource (CPU/memory
+sums, from each operator's static load rows, against capacity), incumbent
+bound (against the best complete solution; in paper mode the decided
+operators' bytes plus a carried floor for each undecided one, see
+SearchState.bound), latency (deadline check on a lower bound of the total of
+each operator the branch's decisions changed; the others passed at the
+parent). A branch is pruned on the bound check only when it is strictly worse
+than the incumbent, so equal-objective leaves survive to the deterministic
+tie-break: smaller latency sum, then lexicographically smallest ratio vector
+in topological order.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .costs import (
     effective_t_req,
     int_res_bytes,
     latency_rows,
+    latency_terms,
     le_with_tol,
     lt_strict,
     node_usage,
@@ -142,8 +146,11 @@ class SearchState:
     gamma_sensor are what the cost functions read. Besides the node CPU and
     memory sums it carries each decided operator's node_volumes in `volumes`
     and, for the dedup objective, the largest raw size per (sensor, node) in
-    `raw_best`. `terms` holds every operator's VolumeTerms; `readers` lists,
-    per sensor, the operators whose volumes read its ratio.
+    `raw_best`; in paper mode, each undecided operator's `floor` (see bound).
+    `terms` holds the VolumeTerms of every operator it may decide, which must
+    include every reader of their sensors; `readers` lists, per sensor, the
+    operators whose volumes read its ratio; `loads` holds each operator's
+    static edge_loads rows, taken at share 1 and scaled by the share.
     """
 
     w: Workload
@@ -158,13 +165,20 @@ class SearchState:
     volumes: dict[OperatorId, OpVolumes] = field(default_factory=dict)
     raw_best: dict[tuple[SensorId, NodeId], float] = field(default_factory=dict)
     readers: dict[SensorId, list[OperatorId]] = field(init=False, repr=False)
+    loads: dict[OperatorId, tuple] = field(init=False, repr=False)
+    floor: dict[OperatorId, float] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.readers = {}
+        self.loads = {}
+        self.floor = {}
         for i, t in self.terms.items():
+            self.floor[i] = node_volumes(t, 1.0, self.gamma_sensor).total
             for _k, raws, _home in t.nodes:
                 for s, _raw in raws:
                     self.readers.setdefault(s, []).append(i)
+            op = self.w.operator(i)
+            self.loads[i] = tuple(edge_loads(op, 0.0, self.p, self.w, "corrected"))
 
     def op_gamma(self, w: Workload, op_id: OperatorId) -> float:
         return self.gamma[op_id]
@@ -173,7 +187,8 @@ class SearchState:
         """Record one decided operator; returns an undo token.
 
         Volumes are recomputed for this operator and for every decided
-        operator reading a sensor whose ratio this decision raised.
+        operator reading a sensor whose ratio this decision raised; in paper
+        mode the floors of the undecided readers are refreshed too.
         """
         op = self.w.operator(op_id)
         undo: list = [op_id]
@@ -189,6 +204,9 @@ class SearchState:
             if j in self.gamma:
                 undo.append(("v", j, self.volumes.get(j)))
                 self.volumes[j] = node_volumes(self.terms[j], self.gamma[j], self.gamma_sensor)
+            elif self.mode == "paper":
+                undo.append(("f", j, self.floor[j]))
+                self.floor[j] = node_volumes(self.terms[j], 1.0, self.gamma_sensor).total
         if self.mode == "dedup":
             for k, raws, _home in self.terms[op_id].nodes:
                 for s, raw in raws:
@@ -196,7 +214,9 @@ class SearchState:
                     if raw > (old or 0.0):
                         undo.append(("r", (s, k), old))
                         self.raw_best[(s, k)] = raw
-        for k, dc, dm in edge_loads(op, gamma, self.p, self.w, self.orientation):
+        share = gamma if self.orientation == "literal" else 1.0 - gamma
+        for k, c, m in self.loads[op_id]:
+            dc, dm = c * share, m * share
             if dc:
                 self.cpu_used[k] = self.cpu_used.get(k, 0.0) + dc
                 undo.append(("c", k, dc))
@@ -215,6 +235,8 @@ class SearchState:
                 self.cpu_used[key] -= val
             elif tag == "m":
                 self.mem_used[key] -= val
+            elif tag == "f":
+                self.floor[key] = val
             else:
                 carried = self.volumes if tag == "v" else self.raw_best
                 if val is None:
@@ -240,6 +262,27 @@ class SearchState:
             total += self.volumes[i].total
         return total
 
+    def bound(self, ops: tuple[OperatorId, ...]) -> float:
+        """A lower bound on objective(ops) at every leaf below this state.
+
+        Dedup mode returns the decided operators' objective. Paper mode folds
+        `ops` in order, a decided operator adding its volumes' total and an
+        undecided one its floor: node_volumes at ratio 1 under the current
+        sensor ratios, which at ratio 1 is its raw bytes alone. Each term is
+        at most the same term of objective(ops) at any leaf below, in floats
+        too: sensor ratios only rise as decisions are added; products with a
+        non-negative raw size and sums of non-negative terms are monotone
+        under rounding; int_res_bytes is never negative, as profiles hold
+        non-negative finite sizes. Folded in the same order, the bound is
+        therefore at most the leaf's objective.
+        """
+        if self.mode == "dedup":
+            return self.objective(ops)
+        total = 0.0
+        for i in ops:
+            total += self.volumes[i].total if i in self.gamma else self.floor[i]
+        return total
+
 
 def preflight_resource(state: SearchState) -> NodeId | None:
     """First node whose partial CPU or memory sum already meets its cap."""
@@ -262,22 +305,26 @@ def preflight_bound(partial_objective: float, incumbent: float | None) -> bool:
     return incumbent is not None and partial_objective > incumbent
 
 
-def preflight_latency(state: SearchState, order: list[OperatorId]) -> OperatorId | None:
-    """First decided operator whose latency lower bound misses its deadline.
+def preflight_latency(state: SearchState, undos: list) -> OperatorId | None:
+    """First operator changed by the undo tokens `undos` whose latency lower
+    bound misses its deadline.
 
-    `order` is the cluster's evaluation order; undecided operators are
-    skipped. The bound leaves out the wait, which can shrink as later
-    decisions raise the fastest dep's total; transfer uses the decided
-    sensor maxima, which only grow. So a failure here is final for the
-    whole subtree.
+    The bound leaves out the wait, which can shrink as later decisions raise
+    the fastest dep's total; transfer uses the decided sensor maxima, which
+    only grow. So a failure here is final for the whole subtree. A node's
+    decisions change only the operators they recompute volumes for (a "v"
+    token): every other decided operator passed at the parent node with the
+    same ratio and volumes, so only the changed ones are checked.
     """
-    decided = [i for i in order if i in state.gamma]
-    rows = latency_rows(
-        state, state.p, state.w, decided, state.orientation, state.volumes
-    )
-    for i, te, tt, _tw, tc, _t in rows:
+    changed = dict.fromkeys(t[1] for undo in undos for t in undo[1:] if t[0] == "v")
+    for i in changed:
         t_req = effective_t_req(state.w.operator(i), state.p)
-        if t_req is not None and not le_with_tol(te + tt + tc, t_req):
+        if t_req is None:
+            continue
+        te, tt, tc = latency_terms(
+            i, state, state.p, state.w, state.orientation, state.volumes
+        )
+        if not le_with_tol(te + tt + tc, t_req):
             return i
     return None
 
@@ -324,7 +371,7 @@ def _solve_cluster(
         p=p,
         orientation=cfg.cost_orientation,
         mode=cfg.objective_mode,
-        terms=terms,
+        terms={i: terms[i] for i in cluster},
     )
     best: list = [None]  # [ (objective, latency_sum, gamma_vector, gamma_dict) ]
 
@@ -367,11 +414,11 @@ def _solve_cluster(
             if preflight_resource(state) is not None:
                 stats["prunes"]["resource"] += 1
             elif preflight_bound(
-                state.objective(cluster),
+                state.bound(cluster),
                 best[0][0] if best[0] is not None else None,
             ):
                 stats["prunes"]["bound"] += 1
-            elif preflight_latency(state, topo) is not None:
+            elif preflight_latency(state, undos) is not None:
                 stats["prunes"]["latency"] += 1
             else:
                 descend(depth + 1)

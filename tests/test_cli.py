@@ -178,6 +178,22 @@ class TestSolveAndBaseline:
         assert len(error_lines(result)) == 1
         assert "bandwidth" in error_lines(result)[0]
 
+    @pytest.mark.parametrize(
+        "table, field", [("per_sensor", "cpu_edge"), ("per_operator", "data_int")]
+    )
+    @pytest.mark.parametrize("value", ["5", None, -1, math.nan])
+    def test_malformed_profile_cost_is_an_input_error(
+        self, runner, tmp_path, table, field, value
+    ):
+        _, wpath, ppath = write_inputs(tmp_path)
+        record = json.loads(open(ppath).read())
+        record[table][0][field] = value
+        open(ppath, "w").write(json.dumps(record))
+        result = runner.invoke(main, ["solve", wpath, ppath])
+        assert result.exit_code == 1
+        assert len(error_lines(result)) == 1
+        assert field in error_lines(result)[0]
+
     def test_grid_over_the_cap_is_an_input_error(self, runner, tmp_path):
         _, wpath, ppath = write_inputs(tmp_path)
         result = runner.invoke(main, ["solve", wpath, ppath, "--delta", "1e-7"])
@@ -421,6 +437,21 @@ class TestSimulateAndCompare:
         assert not out.exists()
         result = runner.invoke(main, ["compare", sims[0], sims[0]])
         assert result.exit_code == 0, result.output
+
+    def test_compare_refuses_a_report_that_is_not_an_object(self, runner, tmp_path):
+        _, wpath, ppath = write_inputs(tmp_path)
+        co = str(tmp_path / "co.json")
+        result = runner.invoke(
+            main, ["baseline", wpath, ppath, "--strategy", "co", "--out", co]
+        )
+        assert result.exit_code == 0, result.output
+        listed = tmp_path / "list.json"
+        listed.write_text("[1]")
+        for pair in ((co, str(listed)), (str(listed), co)):
+            result = runner.invoke(main, ["compare", *pair])
+            assert result.exit_code == 1, result.output
+            assert len(error_lines(result)) == 1
+            assert "list.json" in error_lines(result)[0]
 
     def test_compare_needs_two_reports(self, runner, tmp_path):
         _, wpath, ppath = write_inputs(tmp_path)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -151,6 +152,32 @@ class TestProfileJson:
         else:
             record[field][next(iter(record[field]))] = value
         with pytest.raises(ValueError, match="positive and finite"):
+            parse_profile(json.dumps(record))
+
+    @pytest.mark.parametrize(
+        "table, field",
+        [
+            ("per_sensor", "cpu_edge"),
+            ("per_sensor", "cpu_cloud"),
+            ("per_sensor", "mem_edge"),
+            ("per_sensor", "data_raw"),
+            ("per_operator", "cpu_res"),
+            ("per_operator", "data_int"),
+            ("per_operator", "data_res"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "value", ["5", None, True, math.nan, math.inf, -math.inf, -1, 10**400]
+    )
+    def test_costs_must_be_non_negative_finite_numbers(self, table, field, value):
+        record = json.loads(dumps_profile(generate_profile(sample_workload())))
+        row = record[table][0]
+        row[field] = value
+        if table == "per_operator":
+            key = f"op {row['op']}"
+        else:
+            key = (row["op"], row["sensor"], row["node"])
+        with pytest.raises(ValueError, match=f"{field} must be .* for {re.escape(str(key))}"):
             parse_profile(json.dumps(record))
 
 

@@ -1,6 +1,7 @@
 """Search correctness: grids, domains, pruning soundness, budget handling."""
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -179,7 +180,8 @@ class TestEdgeCases:
 # The contended reference instances at delta = 0.25: ratios of the optimum
 # (operators not listed stay at 0), then per (caps, mode, orientation) the
 # nodes explored, prunes by kind and objective. The literal orientation's
-# optimum is all-edge.
+# optimum is all-edge. Paper mode's shared-sensor floor (SearchState.bound)
+# prunes more than dedup mode's decided-only bound, so it visits fewer nodes.
 _CONTENDED_OFFLOADED = [*range(9, 29), *range(41, 49), 53, 54]
 _CONTENDED_GAMMA = {
     0.9: {
@@ -193,9 +195,9 @@ _CONTENDED_GAMMA = {
     },
 }
 _CONTENDED_COUNTERS = [
-    (0.9, "paper", "corrected", 4839, (793, 3026, 0), 548392360.0),
+    (0.9, "paper", "corrected", 414, (43, 260, 0), 548392360.0),
     (0.9, "dedup", "corrected", 4839, (793, 3026, 0), 522661960.0),
-    (0.4, "paper", "corrected", 4839, (2153, 1654, 0), 753288360.0),
+    (0.4, "paper", "corrected", 1509, (562, 605, 0), 753288360.0),
     (0.4, "dedup", "corrected", 4839, (2153, 1654, 0), 717930360.0),
     (0.9, "paper", "literal", 169, (14, 108, 0), 4280.0),
     (0.9, "dedup", "literal", 169, (14, 108, 0), 4280.0),
@@ -255,6 +257,12 @@ class TestSearchState:
                 for i in decided
             }
             assert state.objective(ops) == total_objective(state, p, w, mode, ops=decided)
+            if mode == "paper":
+                undecided = [j for j in ops if j not in state.gamma]
+                assert {j: state.floor[j] for j in undecided} == {
+                    j: node_volumes(terms[j], 1.0, state.gamma_sensor).total
+                    for j in undecided
+                }
 
     @pytest.mark.parametrize("mode", ["paper", "dedup"])
     def test_random_instances(self, mode):
@@ -267,3 +275,45 @@ class TestSearchState:
     def test_contended_reference(self, contended, mode):
         w, p = contended[0.4]
         self.walk(w, p, mode, "corrected", random.Random(7), 200)
+
+
+class TestPaperBound:
+    """The paper-mode bound of a partial assignment never exceeds the
+    objective of any completion, so pruning on it keeps the search exact."""
+
+    def test_bound_below_every_completion(self):
+        rng = random.Random(11)
+        grid = (0.0, 0.25, 0.5, 1.0)
+        checked = 0
+        for seed in range(40):
+            w, p = random_instance(seed)
+            terms = {op.id: volume_terms(w, p, op.id) for op in w.operators}
+            state = SearchState(w=w, p=p, orientation="corrected", mode="paper", terms=terms)
+            ops = tuple(sorted(op.id for op in w.operators))
+            for i in rng.sample(ops, rng.randint(0, len(ops))):
+                state.assign(i, rng.choice(grid))
+            bound = state.bound(ops)
+            free = [i for i in ops if i not in state.gamma]
+            for combo in itertools.product(grid, repeat=len(free)):
+                a = Assignment.from_op_gamma(w, {**state.gamma, **dict(zip(free, combo))})
+                assert bound <= total_objective(a, p, w, "paper", ops=ops), f"seed {seed}"
+                checked += 1
+        assert checked > 1_000
+
+
+class TestFineGridOptimum:
+    def test_capped_reference_at_a_twentieth(self, contended):
+        # Ratios of the optimum found by the decided-only bound, before the
+        # floor; operators not listed stay at 0.
+        w, p = contended[0.9]
+        sol = solve(w, p, SolverConfig(delta=0.05))
+        assert sol.feasible
+        assert sol.objective_bytes == 500928448.0
+        want = {
+            **dict.fromkeys((49, 50, 51, 52), 0.05),
+            **dict.fromkeys((2, 4), 0.1),
+            **dict.fromkeys((8, 32, 36, 40, 56), 0.15),
+            **dict.fromkeys((*range(9, 29), *range(41, 49), 53, 54, 55, *range(57, 64)), 1.0),
+        }
+        got = {op.id: sol.assignment.op_gamma(w, op.id) for op in w.operators}
+        assert got == {op.id: want.get(op.id, 0.0) for op in w.operators}
