@@ -23,6 +23,8 @@ from .costs import Assignment, effective_t_req, validate_profile
 from .feasibility import check_assignment
 from .fileio import (
     gamma_record,
+    json_cost,
+    json_shaped,
     load_profile,
     load_trace,
     load_workload,
@@ -489,26 +491,35 @@ def compare(reports: tuple[str, ...], out: str | None) -> None:
         _fail(f"cannot compare simulate reports over traces of {durations[0]} s "
               f"and {others[0]} s")
 
-    def aggregate_bytes(record: dict) -> float | None:
+    def report_bytes(record: dict) -> tuple[float | None, dict[str, float]]:
+        """The byte total (None if absent or null) and per-operator bytes."""
+        total = None
         for key in ("objective_bytes", "total_payload_bytes"):
-            if key in record:
-                return float(record[key])
-        return None
-
-    def per_op_bytes(record: dict) -> dict[str, float]:
-        rows = record.get("per_operator", {})
-        out_rows: dict[str, float] = {}
+            if record.get(key) is not None:
+                total = json_cost(record, key, "the report")
+                break
+        per_op: dict[str, float] = {}
+        rows = json_shaped(record.get("per_operator", {}), dict, "per_operator")
         for op, row in rows.items():
+            int(op)  # rows are listed by operator id
+            row = json_shaped(row, dict, f"per_operator row {op}")
             if "data_bytes" in row:
-                out_rows[op] = float(row["data_bytes"])
+                per_op[op] = json_cost(row, "data_bytes", f"op {op}")
             elif "int_payload_bytes" in row:
-                out_rows[op] = float(row["int_payload_bytes"]) + float(
-                    row["res_payload_bytes"]
+                per_op[op] = json_cost(row, "int_payload_bytes", f"op {op}") + json_cost(
+                    row, "res_payload_bytes", f"op {op}"
                 )
-        return out_rows
+        return total, per_op
 
     labels = list(reports)
-    totals = [aggregate_bytes(r) for r in records]
+    totals, per_ops = [], []
+    for path, record in zip(reports, records):
+        try:
+            total, per_op = report_bytes(record)
+        except (ValueError, KeyError) as exc:
+            _fail(f"report {path}: {exc}")
+        totals.append(total)
+        per_ops.append(per_op)
     if totals[0] in (None, 0.0):
         _fail(f"report {reports[0]} carries no byte total to compare against")
     reductions = [
@@ -520,15 +531,8 @@ def compare(reports: tuple[str, ...], out: str | None) -> None:
         red_text = f"{red:+.2f}%" if red is not None else "-"
         click.echo(f"{label:<36} {total_text:>12} {red_text:>12}")
 
-    all_ops = sorted(
-        {op for r in records for op in per_op_bytes(r)}, key=lambda s: int(s)
-    )
-    per_operator = {}
-    for op in all_ops:
-        row = []
-        for r in records:
-            row.append(per_op_bytes(r).get(op))
-        per_operator[op] = {"bytes": row}
+    all_ops = sorted({op for per_op in per_ops for op in per_op}, key=int)
+    per_operator = {op: {"bytes": [per_op.get(op) for per_op in per_ops]} for op in all_ops}
 
     if out:
         record = {

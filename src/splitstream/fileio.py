@@ -244,7 +244,15 @@ def dumps_profile(p: Profile) -> str:
     return canonical_json(record)
 
 
-def _cost(row: dict, name: str, key: object) -> float:
+def json_shaped(value, kind: type, what: str):
+    """value, if it is a JSON object (kind dict) or array (kind list)."""
+    if not isinstance(value, kind):
+        noun = "an object" if kind is dict else "an array"
+        raise ValueError(f"{what} must be {noun}, got {value!r:.60}")
+    return value
+
+
+def json_cost(row: dict, name: str, key: object) -> float:
     """row[name] as a float, if it is a finite non-negative JSON number."""
     value = row[name]
     try:
@@ -259,34 +267,36 @@ def _cost(row: dict, name: str, key: object) -> float:
 
 
 def parse_profile(text: str) -> Profile:
-    record = json.loads(text)
+    record = json_shaped(json.loads(text), dict, "a profile")
     cpu_edge = {}
     cpu_cloud = {}
     mem_edge = {}
     data_raw = {}
-    for row in record["per_sensor"]:
+    for row in json_shaped(record["per_sensor"], list, "per_sensor"):
+        row = json_shaped(row, dict, "a per_sensor row")
         key = (row["op"], row["sensor"], row["node"])
-        cpu_edge[key] = _cost(row, "cpu_edge", key)
-        cpu_cloud[(row["op"], row["sensor"])] = _cost(row, "cpu_cloud", key)
-        mem_edge[key] = _cost(row, "mem_edge", key)
-        data_raw[key] = _cost(row, "data_raw", key)
+        cpu_edge[key] = json_cost(row, "cpu_edge", key)
+        cpu_cloud[(row["op"], row["sensor"])] = json_cost(row, "cpu_cloud", key)
+        mem_edge[key] = json_cost(row, "mem_edge", key)
+        data_raw[key] = json_cost(row, "data_raw", key)
     cpu_res = {}
     data_int = {}
     data_res = {}
     t_req_s = {}
-    for row in record["per_operator"]:
+    for row in json_shaped(record["per_operator"], list, "per_operator"):
+        row = json_shaped(row, dict, "a per_operator row")
         op = row["op"]
         key = f"op {op}"
-        cpu_res[op] = _cost(row, "cpu_res", key)
-        data_int[op] = _cost(row, "data_int", key)
-        data_res[op] = _cost(row, "data_res", key)
+        cpu_res[op] = json_cost(row, "cpu_res", key)
+        data_int[op] = json_cost(row, "data_int", key)
+        data_res[op] = json_cost(row, "data_res", key)
         if "t_req_s" in row and row["t_req_s"] is not None:
             t_req_s[op] = float(row["t_req_s"])
-    cpu_unit_edge = {int(k): float(v) for k, v in record["cpu_unit_edge"].items()}
+    cpu_unit_edge, bandwidth, cpu_cap, mem_cap = (
+        {int(k): float(v) for k, v in json_shaped(record[name], dict, name).items()}
+        for name in ("cpu_unit_edge", "bandwidth", "cpu_cap", "mem_cap")
+    )
     cpu_unit_cloud = check_positive("cpu_unit_cloud", float(record["cpu_unit_cloud"]))
-    bandwidth = {int(k): float(v) for k, v in record["bandwidth"].items()}
-    cpu_cap = {int(k): float(v) for k, v in record["cpu_cap"].items()}
-    mem_cap = {int(k): float(v) for k, v in record["mem_cap"].items()}
     # Rates divide volumes and cycles; caps and deadlines are strict bounds.
     for name, where, table in (
         ("cpu_unit_edge", "node", cpu_unit_edge),
@@ -346,31 +356,34 @@ def save_trace(path: str, trace: Trace) -> None:
 
 def load_trace(path: str) -> Trace:
     """Read a trace; its rate and duration must be positive and finite, and
-    every sensor must hold round(duration x rate) samples."""
+    every sensor must hold round(duration x rate) samples. Each sensor's
+    samples are read straight into their own array; bytes after the last
+    sensor are ignored."""
     with open(path, "rb") as fh:
-        buf = fh.read()
-    if len(buf) < _TRACE_HEADER.size:
-        raise ValueError("truncated trace header")
-    magic, count, rate, duration = _TRACE_HEADER.unpack_from(buf, 0)
-    if magic != TRACE_MAGIC:
-        raise ValueError("not a trace file")
-    expected = sample_count(duration, rate)
-    offset = _TRACE_HEADER.size
-    samples: dict[SensorId, np.ndarray] = {}
-    for _ in range(count):
-        if offset + _TRACE_SENSOR.size > len(buf):
-            raise ValueError("truncated sensor header")
-        sensor, n = _TRACE_SENSOR.unpack_from(buf, offset)
-        offset += _TRACE_SENSOR.size
-        end = offset + 8 * n
-        if end > len(buf):
-            raise ValueError(f"truncated samples for sensor {sensor}")
-        if n != expected:
-            raise ValueError(
-                f"sensor {sensor} has {n} samples; {duration} s at {rate} Hz is {expected}"
-            )
-        samples[sensor] = np.frombuffer(buf, dtype="<f8", count=n, offset=offset).copy()
-        offset = end
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(_TRACE_HEADER.size)
+        if len(head) < _TRACE_HEADER.size:
+            raise ValueError("truncated trace header")
+        magic, count, rate, duration = _TRACE_HEADER.unpack(head)
+        if magic != TRACE_MAGIC:
+            raise ValueError("not a trace file")
+        expected = sample_count(duration, rate)
+        samples: dict[SensorId, np.ndarray] = {}
+        for _ in range(count):
+            block = fh.read(_TRACE_SENSOR.size)
+            if len(block) < _TRACE_SENSOR.size:
+                raise ValueError("truncated sensor header")
+            sensor, n = _TRACE_SENSOR.unpack(block)
+            # Checked against the file size before anything is allocated.
+            if fh.tell() + 8 * n > size:
+                raise ValueError(f"truncated samples for sensor {sensor}")
+            if n != expected:
+                raise ValueError(
+                    f"sensor {sensor} has {n} samples; {duration} s at {rate} Hz is {expected}"
+                )
+            samples[sensor] = np.empty(n, dtype="<f8")
+            if fh.readinto(samples[sensor]) != 8 * n:
+                raise ValueError(f"truncated samples for sensor {sensor}")
     return Trace(duration_s=duration, sample_rate_hz=rate, samples=samples)
 
 

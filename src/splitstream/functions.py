@@ -604,21 +604,17 @@ def split_windows(
     channels: Sequence[Channel],
     edge_share: float,
     ctx: FunctionContext = DEFAULT_CONTEXT,
-    *,
-    with_states: bool = False,
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate every window split between edge and cloud: in each channel
     the edge aggregates the first round(edge_share * n) samples into a
     partial state and the cloud merges in the rest. Returns the values, as
-    eval_windows does, and with_states the edge states, one state_to_vector
-    row per window."""
+    eval_windows does, and the edge states, one state_to_vector row per
+    window."""
     if func not in SPLITTABLE:
         raise ValueError(f"{func.value} is not splittable")
     n_windows = len(channels[0].lo) if channels else 0
     out = np.zeros((n_windows, output_arity(func, len(channels))))
-    states = None
-    if with_states:
-        states = np.zeros((n_windows, state_length(func, len(channels), ctx)))
+    states = np.zeros((n_windows, state_length(func, len(channels), ctx)))
     timed = func in TIMED
     if func in PER_CHANNEL:
         width = state_length(func, 1, ctx)
@@ -629,8 +625,7 @@ def split_windows(
                 edge = _partial_channel(func, x[:, :cut], None if t is None else t[:, :cut], ctx)
                 cloud = _partial_channel(func, x[:, cut:], None if t is None else t[:, cut:], ctx)
                 out[rows, c] = _finalize_channel(func, _merge_channel(func, edge, cloud, ctx), ctx)
-                if states is not None:
-                    states[rows, c * width:(c + 1) * width] = _state_rows(func, edge, ctx)
+                states[rows, c * width:(c + 1) * width] = _state_rows(func, edge, ctx)
     elif channels:
         cx, cy = _pair_channels(channels)
         for (nx, ny), rows in _groups(cx.hi - cx.lo, cy.hi - cy.lo):
@@ -643,6 +638,5 @@ def split_windows(
             x, _ = cx.take(cx.hi[rows] - m, m, False)
             y, _ = cy.take(cy.hi[rows] - m, m, False)
             out[rows, 0] = _finalize_cross(func, _merge_cross(func, edge, _partial_cross(func, x, y)))
-            if states is not None:
-                states[rows] = _state_rows(func, edge, ctx)
+            states[rows] = _state_rows(func, edge, ctx)
     return out, states

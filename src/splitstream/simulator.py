@@ -27,6 +27,10 @@ cost model:
   (latest closed window, held between closes). Their own compute is charged
   through the cloud-side result coefficient when any share runs in the
   cloud; edge-side compute on emission streams is treated as negligible.
+* Every report figure (bytes, counts, latencies, deadline misses) follows
+  from window times, arities and state lengths alone. Window values reach
+  only frame payloads, so they are evaluated only when frames are
+  collected, and a report never carries them.
 """
 
 from __future__ import annotations
@@ -239,7 +243,7 @@ class _OpSeries:
     """Per-operator emission series exposed to downstream consumers."""
 
     times: np.ndarray
-    values: np.ndarray  # (n_emissions, arity)
+    values: np.ndarray | None  # (n_emissions, arity) when frames are collected
     avail_edge: np.ndarray
     avail_cloud: np.ndarray
     arity: int
@@ -283,12 +287,8 @@ def _raw_uplink(trace: Trace, sensor: SensorId, share: float, node: NodeId,
 def _percentiles(latencies: np.ndarray) -> tuple[float, float, float, float]:
     if not len(latencies):
         return 0.0, 0.0, 0.0, 0.0
-    return (
-        float(latencies.mean()),
-        float(np.percentile(latencies, 50)),
-        float(np.percentile(latencies, 95)),
-        float(latencies.max()),
-    )
+    p50, p95 = np.percentile(latencies, (50, 95))
+    return float(latencies.mean()), float(p50), float(p95), float(latencies.max())
 
 
 def _deadline_misses(latency: np.ndarray, bound: float, rel: float = REL_TOL) -> int:
@@ -318,7 +318,8 @@ def run_sim(
     collect_frames: bool = False,
 ) -> SimReport:
     """Replay the trace through the placed operator graph. Each operator's
-    windows are evaluated and timed together, as arrays."""
+    windows are timed together, as arrays; their values are evaluated only
+    for the frames, when collect_frames is set."""
     ctx = FunctionContext(sample_rate_hz=trace.sample_rate_hz)
     missing = [j for j in workload.sensors if j not in trace.samples]
     if missing:
@@ -405,32 +406,33 @@ def run_sim(
         n_windows = len(t_close)
 
         # Input channels, own sensors first, then dependency outputs; window
-        # m of a channel is samples lo[m]:hi[m] of its source.
+        # m of a channel is samples lo[m]:hi[m] of its source. Only frames
+        # carry window values, so channels are built only for them.
         channels: list[Channel] = []
-        lo = np.rint(t_open * rate).astype(np.int64)
-        hi = np.rint(t_close * rate).astype(np.int64)
-        for j in op.sensors:
-            x = trace.samples[j]
-            start = np.minimum(lo, len(x))
-            channels.append(Channel(x, start, np.clip(hi, start, len(x)), rate=rate))
+        if frames is not None:
+            lo = np.rint(t_open * rate).astype(np.int64)
+            hi = np.rint(t_close * rate).astype(np.int64)
+            for j in op.sensors:
+                x = trace.samples[j]
+                start = np.minimum(lo, len(x))
+                channels.append(Channel(x, start, np.clip(hi, start, len(x)), rate=rate))
         input_edge = np.zeros(n_windows)
         input_cloud = np.zeros(n_windows)
         for s in dep_series:
             dep_lo = np.searchsorted(s.times, t_open + 1e-9, side="left")
             dep_hi = np.searchsorted(s.times, t_close + 1e-9, side="left")
-            for c in range(s.arity):
-                channels.append(Channel(s.values[:, c], dep_lo, dep_hi, times=s.times))
+            if frames is not None:
+                channels.extend(Channel(s.values[:, c], dep_lo, dep_hi, times=s.times)
+                                for c in range(s.arity))
             for avail, latest in ((s.avail_edge, input_edge), (s.avail_cloud, input_cloud)):
                 window_max = eval_windows(FunctionKind.MAX, [Channel(avail, dep_lo, dep_hi)], ctx)[:, 0]
                 np.maximum(latest, window_max, out=latest)
 
-        states = np.zeros((n_windows, 0))
-        if at_edge or at_cloud or not is_splittable(op.func):
-            values = eval_windows(op.func, channels, ctx)
-        else:
-            values, states = split_windows(
-                op.func, channels, edge_share, ctx, with_states=collect_frames
-            )
+        values = states = None
+        if frames is not None and (at_edge or at_cloud or not is_splittable(op.func)):
+            values, states = eval_windows(op.func, channels, ctx), np.zeros((n_windows, 0))
+        elif frames is not None:
+            values, states = split_windows(op.func, channels, edge_share, ctx)
 
         if not at_edge:
             # Raw batches that landed by each close, over the op's sensors.
@@ -500,7 +502,7 @@ def run_sim(
         stats.emissions = len(emits)
         series[op_id] = _OpSeries(
             times=emits,
-            values=values[w_idx],
+            values=None if values is None else values[w_idx],
             avail_edge=np.maximum(emits, avail_edge[w_idx]),
             avail_cloud=np.maximum(emits, avail_cloud[w_idx]),
             arity=arity,

@@ -194,6 +194,24 @@ class TestSolveAndBaseline:
         assert len(error_lines(result)) == 1
         assert field in error_lines(result)[0]
 
+    @pytest.mark.parametrize(
+        "table, shape",
+        [("per_sensor", "number"), ("per_sensor", "list-row"),
+         ("per_operator", "number"), ("per_operator", "list-row")],
+    )
+    def test_malformed_profile_shape_is_an_input_error(self, runner, tmp_path, table, shape):
+        _, wpath, ppath = write_inputs(tmp_path)
+        record = json.loads(open(ppath).read())
+        if shape == "number":
+            record[table] = 5
+        else:
+            record[table][0] = list(record[table][0].values())
+        open(ppath, "w").write(json.dumps(record))
+        result = runner.invoke(main, ["solve", wpath, ppath])
+        assert result.exit_code == 1
+        assert len(error_lines(result)) == 1
+        assert table in error_lines(result)[0]
+
     def test_grid_over_the_cap_is_an_input_error(self, runner, tmp_path):
         _, wpath, ppath = write_inputs(tmp_path)
         result = runner.invoke(main, ["solve", wpath, ppath, "--delta", "1e-7"])
@@ -452,6 +470,46 @@ class TestSimulateAndCompare:
             assert result.exit_code == 1, result.output
             assert len(error_lines(result)) == 1
             assert "list.json" in error_lines(result)[0]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("per_operator", [1]), ("per_operator", {"1": 5}), ("per_operator", {"x": {}}),
+         ("objective_bytes", "x"), ("objective_bytes", -1)],
+        ids=["rows-list", "row-number", "row-id", "total-string", "total-negative"],
+    )
+    def test_compare_refuses_malformed_byte_figures(self, runner, tmp_path, field, value):
+        _, wpath, ppath = write_inputs(tmp_path)
+        co = str(tmp_path / "co.json")
+        result = runner.invoke(
+            main, ["baseline", wpath, ppath, "--strategy", "co", "--out", co]
+        )
+        assert result.exit_code == 0, result.output
+        record = json.loads(open(co).read())
+        record[field] = value
+        bad = tmp_path / "r.json"
+        bad.write_text(json.dumps(record))
+        for pair in ((co, str(bad)), (str(bad), co)):
+            result = runner.invoke(main, ["compare", *pair])
+            assert result.exit_code == 1, result.output
+            assert len(error_lines(result)) == 1
+            assert "r.json" in error_lines(result)[0]
+
+    def test_compare_lists_an_infeasible_solve_without_a_total(self, runner, tmp_path):
+        _, wpath, ppath = write_inputs(tmp_path)
+        co = str(tmp_path / "co.json")
+        result = runner.invoke(
+            main, ["baseline", wpath, ppath, "--strategy", "co", "--out", co]
+        )
+        assert result.exit_code == 0, result.output
+        record = json.loads(open(co).read())
+        record.update(feasible=False, objective_bytes=None, per_operator={})
+        bad = tmp_path / "infeasible.json"
+        bad.write_text(json.dumps(record))
+        result = runner.invoke(main, ["compare", co, str(bad)])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, ["compare", str(bad), co])
+        assert result.exit_code == 1, result.output
+        assert "no byte total" in error_lines(result)[0]
 
     def test_compare_needs_two_reports(self, runner, tmp_path):
         _, wpath, ppath = write_inputs(tmp_path)

@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from splitstream import (
     Assignment,
@@ -31,7 +33,7 @@ from splitstream import (
     sha256_file,
     validate_workload,
 )
-from splitstream.fileio import recorded_orientation
+from splitstream.fileio import _TRACE_HEADER, _TRACE_SENSOR, TRACE_MAGIC, recorded_orientation
 
 from conftest import build_workload
 
@@ -235,6 +237,78 @@ class TestTraceBinary:
         path = str(tmp_path / "t.bin")
         save_trace(path, trace)
         assert len(load_trace(path).samples[1]) == round(2.25 * 10) == 22
+
+
+HUGE_AND_TINY = [10.0, 1e12, 1e17, 2.0**64, 1e300, 1e-300, 5e-324]
+
+
+class TestTraceFuzz:
+    """load_trace returns a Trace or raises ValueError, and nothing else."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return str(tmp_path_factory.mktemp("fuzz") / "t.bin")
+
+    @staticmethod
+    def load(path, data: bytes):
+        """The trace in a file holding data, or None after a ValueError;
+        any other exception fails the test."""
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            trace = load_trace(path)
+        except ValueError:
+            return None
+        for x in trace.samples.values():
+            assert len(x) == round(trace.duration_s * trace.sample_rate_hz)
+        return trace
+
+    def test_every_truncation_rejected(self, path):
+        trace = generate_trace(StreamConfig(duration_s=0.5, sample_rate_hz=10, seed=4), [1, 2, 3])
+        save_trace(path, trace)
+        raw = open(path, "rb").read()
+        for cut in range(len(raw)):
+            assert self.load(path, raw[:cut]) is None, cut
+        for tail in (b"", b"junk", raw):
+            got = self.load(path, raw + tail)
+            assert sorted(got.samples) == [1, 2, 3]
+            for s in (1, 2, 3):
+                assert np.array_equal(got.samples[s], trace.samples[s])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=200))
+    def test_random_bytes_after_the_magic(self, path, tail):
+        self.load(path, TRACE_MAGIC + tail)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        count=st.one_of(st.integers(0, 3), st.integers(0, 2**32 - 1)),
+        sensor=st.integers(0, 2**32 - 1),
+        n=st.one_of(st.integers(0, 8), st.integers(0, 2**64 - 1)),
+        payload=st.binary(max_size=80),
+    )
+    def test_huge_sample_counts(self, path, count, sensor, n, payload):
+        data = _TRACE_HEADER.pack(TRACE_MAGIC, count, 10.0, 0.5)
+        data += _TRACE_SENSOR.pack(sensor, n) + payload
+        got = self.load(path, data)
+        if count and n != 5:
+            assert got is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rate=st.one_of(st.floats(), st.sampled_from(HUGE_AND_TINY)),
+        duration=st.one_of(st.floats(), st.sampled_from(HUGE_AND_TINY)),
+        n=st.integers(0, 2**64 - 1),
+        consistent=st.booleans(),
+    )
+    @example(rate=10.0, duration=1e17, n=0, consistent=True)
+    def test_nonfinite_and_huge_timebases(self, path, rate, duration, n, consistent):
+        # A count that matches the header gets past the count check, so
+        # only the file size stands between it and the allocation.
+        if consistent and math.isfinite(rate * duration) and 0 <= rate * duration < 2**63:
+            n = round(rate * duration)
+        data = _TRACE_HEADER.pack(TRACE_MAGIC, 1, rate, duration)
+        self.load(path, data + _TRACE_SENSOR.pack(7, n) + bytes(8 * min(n, 4)))
 
 
 class TestReports:

@@ -352,7 +352,7 @@ class TestBatchEqualsRows:
             with pytest.raises(ValueError):
                 split_windows(func, channels, edge_share, ctx)
             return
-        split, states = split_windows(func, channels, edge_share, ctx, with_states=True)
+        split, states = split_windows(func, channels, edge_share, ctx)
         assert states.shape == (n_windows, state_length(func, n_channels, ctx))
         for i in range(n_windows):
             chans, ts = zip(*(self.window(ch, i) for ch in channels))

@@ -9,6 +9,7 @@ edge-resident, one 16-byte two-number partial aggregate each when split).
 import dataclasses
 import json
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from splitstream import (
 )
 from splitstream.simulator import KIND_INTERMEDIATE, KIND_RAW, KIND_RESULT, _deadline_misses
 
-from conftest import build_workload, capped_reference
+from conftest import build_workload, capped_reference, random_profile, random_workload
 
 F = FunctionKind
 
@@ -179,6 +180,61 @@ class TestReplayPin:
             stats = rep.per_op[int(op)]
             got = [getattr(stats, field) for field in pinned["fields"]]
             assert got == row, f"operator {op}"
+
+
+def report_fields(rep):
+    """Every SimReport field but the frames."""
+    return {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep) if f.name != "frames"}
+
+
+class TestFramesLeaveTheReport:
+    """Window values reach only frames: collecting frames adds them and
+    changes no stat, total or warning of the report."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        w = generate_reference_workload()
+        p = generate_profile(w)
+        wq, q = capped_reference(0.9)
+        trace = generate_trace(
+            StreamConfig(duration_s=600.0, sample_rate_hz=10.0, seed=11),
+            sorted(w.topology.sensor_node),
+        )
+        return w, trace, {
+            "co": (p, cloud_only(w, p).assignment),
+            "eo": (p, edge_only(w, p).assignment),
+            "ref05": (p, solve(w, p, SolverConfig(delta=0.05)).assignment),
+            "cap90": (q, solve(wq, q, SolverConfig(delta=0.25)).assignment),
+        }
+
+    @pytest.mark.parametrize("placement", ["co", "eo", "ref05", "cap90"])
+    def test_reference(self, reference, placement):
+        w, trace, placements = reference
+        p, a = placements[placement]
+        bare = run_sim(w, p, a, trace)
+        framed = run_sim(w, p, a, trace, collect_frames=True)
+        assert bare.frames is None and framed.frames
+        assert report_fields(framed) == report_fields(bare)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        ratios=st.lists(
+            st.one_of(st.sampled_from([0.0, 0.35, 0.5, 1.0]), st.floats(0.0, 1.0)),
+            min_size=6, max_size=6,
+        ),
+        duration=st.sampled_from([7.0, 13.7, 30.0]),
+        rate=st.sampled_from([3.0, 7.5, 10.0]),
+    )
+    def test_random_workloads(self, seed, ratios, duration, rate):
+        rng = random.Random(seed)
+        w = random_workload(rng, max_ops=6)
+        p = random_profile(w, rng)
+        a = Assignment.from_op_gamma(w, {op.id: ratios[i] for i, op in enumerate(w.operators)})
+        trace = generate_trace(StreamConfig(duration_s=duration, sample_rate_hz=rate, seed=seed), w.sensors)
+        bare = run_sim(w, p, a, trace)
+        framed = run_sim(w, p, a, trace, collect_frames=True)
+        assert report_fields(framed) == report_fields(bare)
 
 
 class TestEmissions:
