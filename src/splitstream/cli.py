@@ -470,6 +470,7 @@ def compare(reports: tuple[str, ...], out: str | None) -> None:
     if len(reports) < 2:
         _fail("need at least two reports to compare")
     records = []
+    kinds = set()
     for path in reports:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -478,10 +479,13 @@ def compare(reports: tuple[str, ...], out: str | None) -> None:
             _fail(f"report {path}: {exc}")
         if not isinstance(records[-1], dict):
             _fail(f"report {path}: not a JSON object")
+        manifest = records[-1].get("manifest")
+        command = manifest.get("command") if isinstance(manifest, dict) else None
+        if command is not None and not isinstance(command, str):
+            _fail(f"report {path}: manifest command must be a string, got {command!r:.60}")
+        kinds.add(command)
     # A solve or baseline objective is bytes per window set; a simulate
     # total is bytes over the whole trace.
-    manifests = [r.get("manifest") for r in records]
-    kinds = {m.get("command") for m in manifests if isinstance(m, dict)}
     if kinds & {"solve", "baseline"} and "simulate" in kinds:
         _fail("cannot compare solve or baseline reports (bytes per window set) "
               "with simulate reports (bytes over the trace)")

@@ -1,10 +1,9 @@
 """Analytic cost model: data volumes, latency components, node usage.
 
-Offload ratios live in [0, 1] per (operator, sensor): 0 keeps the work on the
+Offload ratios live in [0, 1], one per operator: 0 keeps the work on the
 edge node, 1 ships the raw window to the cloud, fractional values ship a raw
-share plus one partial-aggregate upload per window. All sensors of one
-operator share a single ratio; a sensor's upload ratio is the max over the
-operators consuming it.
+share plus one partial-aggregate upload per window. A sensor's upload ratio
+is the max over the operators consuming it.
 
 Two orientations are supported. The default ("corrected") scales edge-side
 compute and usage by (1 - gamma) and cloud-side compute by gamma, charging
@@ -81,52 +80,26 @@ def validate_profile(w: Workload, p: Profile) -> None:
 
 @dataclass(frozen=True)
 class Assignment:
-    """A complete offload decision.
+    """A complete offload decision: gamma maps each operator to its ratio;
+    gamma_sensor is the derived per-sensor max."""
 
-    gamma_op maps (operator, sensor) to the operator's ratio; gamma_sensor is
-    the derived per-sensor max. Operators without sensors keep their ratio in
-    gamma_bare.
-    """
-
-    gamma_op: dict[tuple[OperatorId, SensorId], float]
+    gamma: dict[OperatorId, float]
     gamma_sensor: dict[SensorId, float]
-    gamma_bare: dict[OperatorId, float] = field(default_factory=dict)
 
     @classmethod
     def from_op_gamma(cls, w: Workload, per_op: dict[OperatorId, float]) -> "Assignment":
-        """Expand one ratio per operator into the keyed maps. A sensor's
-        ratio is the max over the operators consuming it, 0 for none."""
-        gamma_op: dict[tuple[OperatorId, SensorId], float] = {}
+        """Take one ratio per workload operator. A sensor's ratio is the max
+        over the operators consuming it, 0 for none."""
+        gamma = {op.id: per_op[op.id] for op in w.operators}
         gamma_sensor: dict[SensorId, float] = {s: 0.0 for s in sorted(w.sensors)}
-        gamma_bare: dict[OperatorId, float] = {}
         for op in w.operators:
-            g = per_op[op.id]
-            if not op.sensors:
-                gamma_bare[op.id] = g
             for s in op.sensors:
-                gamma_op[(op.id, s)] = g
-                if g > gamma_sensor[s]:
-                    gamma_sensor[s] = g
-        return cls(gamma_op=gamma_op, gamma_sensor=gamma_sensor, gamma_bare=gamma_bare)
+                gamma_sensor[s] = max(gamma_sensor[s], gamma[op.id])
+        return cls(gamma=gamma, gamma_sensor=gamma_sensor)
 
     def op_gamma(self, w: Workload, op_id: OperatorId) -> float:
-        """The operator's shared ratio; fails if its sensors disagree."""
-        op = w.operator(op_id)
-        if not op.sensors:
-            if op_id not in self.gamma_bare:
-                raise ValueError(f"no offload ratio recorded for operator {op_id}")
-            return self.gamma_bare[op_id]
-        values = []
-        for s in op.sensors:
-            if (op_id, s) not in self.gamma_op:
-                raise ValueError(f"no offload ratio for operator {op_id}, sensor {s}")
-            values.append(self.gamma_op[(op_id, s)])
-        lo, hi = min(values), max(values)
-        if hi - lo > GAMMA_TOL:
-            raise ValueError(
-                f"operator {op_id} has unequal per-sensor ratios ({lo}..{hi})"
-            )
-        return values[0]
+        """The operator's ratio."""
+        return self.gamma[op_id]
 
 
 def le_with_tol(x: float, bound: float, rel: float = REL_TOL) -> bool:
@@ -237,8 +210,7 @@ def data_volume(
     i: OperatorId, k: NodeId, a: Assignment, p: Profile, w: Workload
 ) -> float:
     """Bytes uplinked from node k per window of operator i (see node_volumes)."""
-    gamma = a.op_gamma(w, i)
-    for node, vol in node_volumes(volume_terms(w, p, i), gamma, a.gamma_sensor).by_node:
+    for node, vol in node_volumes(volume_terms(w, p, i), a.gamma[i], a.gamma_sensor).by_node:
         if node == k:
             return vol
     return 0.0
@@ -274,7 +246,7 @@ def edge_time(
 ) -> float:
     """Slowest per-node edge compute time for operator i (seconds)."""
     per_node: dict[NodeId, float] = {}
-    for k, cycles, _mem in edge_loads(w.operator(i), a.op_gamma(w, i), p, w, orientation):
+    for k, cycles, _mem in edge_loads(w.operator(i), a.gamma[i], p, w, orientation):
         per_node[k] = per_node.get(k, 0.0) + cycles
     if not per_node:
         return 0.0
@@ -300,7 +272,7 @@ def trans_time(
 ) -> float:
     """Window transfer time: per-node volume over that node's uplink, worst
     node unless one is named."""
-    vols = node_volumes(volume_terms(w, p, i), a.op_gamma(w, i), a.gamma_sensor).by_node
+    vols = node_volumes(volume_terms(w, p, i), a.gamma[i], a.gamma_sensor).by_node
     return uplink_time(
         vols if node is None else [(k, v) for k, v in vols if k == node], p
     )
@@ -315,7 +287,7 @@ def cloud_time(
 ) -> float:
     """Cloud compute time for operator i's offloaded share (seconds)."""
     op = w.operator(i)
-    gamma = a.op_gamma(w, i)
+    gamma = a.gamma[i]
     cycles = 0.0
     if orientation == "literal":
         share = 1.0 - gamma
@@ -406,7 +378,7 @@ def node_cpu(
     orientation: str = "corrected",
 ) -> float:
     """Edge CPU cycles operator i occupies on node k."""
-    loads = edge_loads(w.operator(i), a.op_gamma(w, i), p, w, orientation)
+    loads = edge_loads(w.operator(i), a.gamma[i], p, w, orientation)
     return sum((cpu for node, cpu, _mem in loads if node == k), 0.0)
 
 
@@ -419,7 +391,7 @@ def node_mem(
     orientation: str = "corrected",
 ) -> float:
     """Edge memory bytes operator i occupies on node k."""
-    loads = edge_loads(w.operator(i), a.op_gamma(w, i), p, w, orientation)
+    loads = edge_loads(w.operator(i), a.gamma[i], p, w, orientation)
     return sum((mem for node, _cpu, mem in loads if node == k), 0.0)
 
 
@@ -437,7 +409,7 @@ def node_usage(
     for op in w.operators:
         op_cpu: dict[NodeId, float] = {}
         op_mem: dict[NodeId, float] = {}
-        for k, c, m in edge_loads(op, a.op_gamma(w, op.id), p, w, orientation):
+        for k, c, m in edge_loads(op, a.gamma[op.id], p, w, orientation):
             op_cpu[k] = op_cpu.get(k, 0.0) + c
             op_mem[k] = op_mem.get(k, 0.0) + m
         for k in op_cpu.keys() & cpu.keys():
@@ -478,7 +450,7 @@ def total_objective(
     if mode == "paper":
         for op in specs:
             per_window = node_volumes(
-                volume_terms(w, p, op.id), a.op_gamma(w, op.id), a.gamma_sensor
+                volume_terms(w, p, op.id), a.gamma[op.id], a.gamma_sensor
             ).total
             if horizon_s is None:
                 total += per_window
@@ -503,9 +475,8 @@ def total_objective(
                 raw_best[key] = raw
     terms = []
     for op in specs:
-        gamma = a.op_gamma(w, op.id)
         term = int_res_bytes(
-            gamma, p.data_int.get(op.id, 0.0), p.data_res.get(op.id, 0.0)
+            a.gamma[op.id], p.data_int.get(op.id, 0.0), p.data_res.get(op.id, 0.0)
         )
         if horizon_s is not None:
             term *= windows_in_horizon(op.window_s, op.step_s, horizon_s)
@@ -539,14 +510,14 @@ def cost_report(
     """Per-operator latency/volume rows plus per-node usage for an assignment."""
     rows: dict[OperatorId, OperatorCost] = {}
     volumes = {
-        op.id: node_volumes(volume_terms(w, p, op.id), a.op_gamma(w, op.id), a.gamma_sensor)
+        op.id: node_volumes(volume_terms(w, p, op.id), a.gamma[op.id], a.gamma_sensor)
         for op in w.operators
     }
     order = topological_order(w)
     for i, te, tt, tw, tc, t in latency_rows(a, p, w, order, orientation, volumes):
         rows[i] = OperatorCost(
             op=i,
-            gamma=a.op_gamma(w, i),
+            gamma=a.gamma[i],
             data_bytes_by_node={k: vol for k, vol in volumes[i].by_node if vol > 0.0},
             t_edge=te,
             t_trans=tt,

@@ -4,7 +4,7 @@ The twelve constraint ids:
 
   C1  fractional ratio stays in [0, 1] (splittable operators)
   C2  non-splittable operators use {0, 1} only
-  C3  all sensors of one operator share one ratio
+  C3  every operator has a ratio (the format holds one per operator)
   C4  topology values are well-formed node ids
   C5  each referenced sensor is wired to exactly one node
   C6  an operator whose own sensors span several nodes runs in the cloud
@@ -139,42 +139,20 @@ def check_assignment(
                     Violation("C4", op.id, f"sensor {s} wired to unknown node {node}")
                 )
 
-    # C1/C2/C3 per operator; remember each operator's shared ratio.
-    shared: dict[OperatorId, float] = {}
+    # C1/C2/C3 per operator.
     for op in w.operators:
-        values = []
-        for s in op.sensors:
-            g = a.gamma_op.get((op.id, s))
-            if g is None:
-                out.append(
-                    Violation("C3", op.id, f"missing ratio for sensor {s}")
-                )
-                continue
-            values.append(g)
-        if not op.sensors:
-            if op.id in a.gamma_bare:
-                values = [a.gamma_bare[op.id]]
-            else:
-                out.append(Violation("C3", op.id, "no ratio recorded"))
-        if not values:
-            continue
-        lo, hi = min(values), max(values)
-        if hi - lo > GAMMA_TOL:
-            out.append(
-                Violation("C3", op.id, f"per-sensor ratios differ ({lo}..{hi})")
-            )
-        g = values[0]
-        shared[op.id] = g
-        if op.iterative:
+        g = a.gamma.get(op.id)
+        if g is None:
+            out.append(Violation("C3", op.id, "no ratio recorded"))
+        elif op.iterative:
             if g < -GAMMA_TOL or g > 1.0 + GAMMA_TOL:
                 out.append(Violation("C1", op.id, f"ratio {g} outside [0, 1]"))
-        else:
-            if not (_is_zero(g) or _is_one(g)):
-                out.append(Violation("C2", op.id, f"ratio {g} not in {{0, 1}}"))
+        elif not (_is_zero(g) or _is_one(g)):
+            out.append(Violation("C2", op.id, f"ratio {g} not in {{0, 1}}"))
 
     # C6/C7/C8/C9 placement rules.
     for op in w.operators:
-        g = shared.get(op.id)
+        g = a.gamma.get(op.id)
         if g is None:
             continue
         own_nodes, closure_span = _node_spans(w, op.id)
@@ -190,7 +168,7 @@ def check_assignment(
                     Violation("C7", op.id, f"transitive sensors span nodes, ratio {g}")
                 )
                 continue
-            dep_gammas = [shared.get(d) for d in op.deps]
+            dep_gammas = [a.gamma.get(d) for d in op.deps]
             if any(v is None for v in dep_gammas):
                 continue
             if any(_is_fractional(v) for v in dep_gammas):

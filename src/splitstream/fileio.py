@@ -252,18 +252,33 @@ def json_shaped(value, kind: type, what: str):
     return value
 
 
+def json_number(value, name: str, key: object) -> float:
+    """value as a float, if it is a JSON number (a bool is not); an integer
+    too large for a float reads as inf."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} must be a number for {key}, got {value!r:.60}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 def json_cost(row: dict, name: str, key: object) -> float:
     """row[name] as a float, if it is a finite non-negative JSON number."""
-    value = row[name]
-    try:
-        number = float(value) if type(value) in (int, float) else math.nan
-    except OverflowError:
-        number = math.inf
+    number = json_number(row[name], name, key)
     if not (math.isfinite(number) and number >= 0):
         raise ValueError(
-            f"{name} must be a non-negative finite number for {key}, got {value!r}"
+            f"{name} must be a non-negative finite number for {key}, got {row[name]!r}"
         )
     return number
+
+
+def json_id(row: dict, name: str, table: str) -> int:
+    """row[name], if it is a JSON integer (a bool is not)."""
+    value = row[name]
+    if type(value) is not int:
+        raise ValueError(f"{name} of a {table} row must be an integer id, got {value!r:.60}")
+    return value
 
 
 def parse_profile(text: str) -> Profile:
@@ -274,9 +289,9 @@ def parse_profile(text: str) -> Profile:
     data_raw = {}
     for row in json_shaped(record["per_sensor"], list, "per_sensor"):
         row = json_shaped(row, dict, "a per_sensor row")
-        key = (row["op"], row["sensor"], row["node"])
+        key = tuple(json_id(row, name, "per_sensor") for name in ("op", "sensor", "node"))
         cpu_edge[key] = json_cost(row, "cpu_edge", key)
-        cpu_cloud[(row["op"], row["sensor"])] = json_cost(row, "cpu_cloud", key)
+        cpu_cloud[key[:2]] = json_cost(row, "cpu_cloud", key)
         mem_edge[key] = json_cost(row, "mem_edge", key)
         data_raw[key] = json_cost(row, "data_raw", key)
     cpu_res = {}
@@ -285,18 +300,23 @@ def parse_profile(text: str) -> Profile:
     t_req_s = {}
     for row in json_shaped(record["per_operator"], list, "per_operator"):
         row = json_shaped(row, dict, "a per_operator row")
-        op = row["op"]
+        op = json_id(row, "op", "per_operator")
         key = f"op {op}"
         cpu_res[op] = json_cost(row, "cpu_res", key)
         data_int[op] = json_cost(row, "data_int", key)
         data_res[op] = json_cost(row, "data_res", key)
         if "t_req_s" in row and row["t_req_s"] is not None:
-            t_req_s[op] = float(row["t_req_s"])
+            t_req_s[op] = json_number(row["t_req_s"], "t_req_s", key)
     cpu_unit_edge, bandwidth, cpu_cap, mem_cap = (
-        {int(k): float(v) for k, v in json_shaped(record[name], dict, name).items()}
+        {
+            int(k): json_number(v, name, f"node {k}")
+            for k, v in json_shaped(record[name], dict, name).items()
+        }
         for name in ("cpu_unit_edge", "bandwidth", "cpu_cap", "mem_cap")
     )
-    cpu_unit_cloud = check_positive("cpu_unit_cloud", float(record["cpu_unit_cloud"]))
+    cpu_unit_cloud = check_positive(
+        "cpu_unit_cloud", json_number(record["cpu_unit_cloud"], "cpu_unit_cloud", "the cloud")
+    )
     # Rates divide volumes and cycles; caps and deadlines are strict bounds.
     for name, where, table in (
         ("cpu_unit_edge", "node", cpu_unit_edge),
@@ -415,7 +435,7 @@ def sha256_file(path: str) -> str:
 
 def gamma_record(w: Workload, a: Assignment) -> dict[str, float]:
     """Per-operator ratios as a JSON-friendly map keyed by operator id."""
-    return {str(op.id): a.op_gamma(w, op.id) for op in w.operators}
+    return {str(op.id): a.gamma[op.id] for op in w.operators}
 
 
 def parse_gamma(record: dict) -> dict[OperatorId, float]:

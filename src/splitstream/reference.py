@@ -87,6 +87,9 @@ CYCLES_PER_SAMPLE = {
 
 REFERENCE_SAMPLE_RATE_HZ = 10.0
 REFERENCE_BANDWIDTH_BPS = 1_560_000.0
+REFERENCE_EDGE_HZ = 1.5e9
+REFERENCE_CLOUD_HZ = 3.2e9
+REFERENCE_MEM_OVERHEAD_BYTES = 1024.0
 
 
 def _catalog() -> tuple[list[OperatorSpec], dict[SensorId, str]]:
@@ -172,13 +175,9 @@ def generate_profile(
     *,
     sample_rate_hz: float = REFERENCE_SAMPLE_RATE_HZ,
     bandwidth_bps: float = REFERENCE_BANDWIDTH_BPS,
-    edge_hz: float = 1.5e9,
-    cloud_hz: float = 3.2e9,
     cloud_speedup: float = 1.0,
-    mem_overhead_bytes: float = 1024.0,
     headroom: float = 2.0,
     treq_slack: float = 0.10,
-    ctx: FunctionContext | None = None,
 ) -> Profile:
     """Synthesize a profile for any workload.
 
@@ -195,11 +194,8 @@ def generate_profile(
     check_positive("1 + treq_slack", 1.0 + treq_slack)
     check_positive("sample rate", sample_rate_hz)
     check_positive("bandwidth", bandwidth_bps)
-    check_positive("edge_hz", edge_hz)
-    check_positive("cloud_hz", cloud_hz)
     check_positive("cloud_speedup", cloud_speedup)
-    if ctx is None:
-        ctx = FunctionContext(sample_rate_hz=sample_rate_hz)
+    ctx = FunctionContext(sample_rate_hz=sample_rate_hz)
 
     cpu_edge: dict[tuple[OperatorId, SensorId, NodeId], float] = {}
     cpu_cloud: dict[tuple[OperatorId, SensorId], float] = {}
@@ -220,14 +216,14 @@ def generate_profile(
             k = w.topology.sensor_node[j]
             cpu_edge[(op_id, j, k)] = coeff * samples
             cpu_cloud[(op_id, j)] = coeff * samples
-            mem_edge[(op_id, j, k)] = 8.0 * samples + mem_overhead_bytes
+            mem_edge[(op_id, j, k)] = 8.0 * samples + REFERENCE_MEM_OVERHEAD_BYTES
             data_raw[(op_id, j, k)] = 8.0 * samples
         cpu_res[op_id] = 400.0 + 100.0 * arity[op_id]
         data_int[op_id] = 8.0 * state_length(op.func, channels, ctx)
         data_res[op_id] = 8.0 * arity[op_id]
 
     nodes = sorted(w.topology.nodes)
-    cpu_unit_edge = {k: edge_hz for k in nodes}
+    cpu_unit_edge = {k: REFERENCE_EDGE_HZ for k in nodes}
     bandwidth = {k: bandwidth_bps for k in nodes}
     profile = Profile(
         cpu_edge=cpu_edge,
@@ -238,7 +234,7 @@ def generate_profile(
         data_int=data_int,
         data_res=data_res,
         cpu_unit_edge=cpu_unit_edge,
-        cpu_unit_cloud=cloud_hz * cloud_speedup,
+        cpu_unit_cloud=REFERENCE_CLOUD_HZ * cloud_speedup,
         bandwidth=bandwidth,
         cpu_cap={k: 1.0 for k in nodes},
         mem_cap={k: 1.0 for k in nodes},

@@ -351,7 +351,7 @@ def run_sim(
 
     for op_id in topological_order(workload):
         op = workload.operator(op_id)
-        gamma = assignment.op_gamma(workload, op_id)
+        gamma = assignment.gamma[op_id]
         at_edge = gamma <= GAMMA_TOL
         at_cloud = gamma >= 1.0 - GAMMA_TOL
         stats = OpSimStats(op_id, gamma)
@@ -364,9 +364,7 @@ def run_sim(
                 f"({duration}s); no windows close"
             )
 
-        if at_edge and any(
-            assignment.op_gamma(workload, d) >= 1.0 - GAMMA_TOL for d in op.deps
-        ):
+        if at_edge and any(assignment.gamma[d] >= 1.0 - GAMMA_TOL for d in op.deps):
             warnings.append(
                 f"operator {op_id} computes at the edge from cloud-resident "
                 "inputs; the downlink is not charged"

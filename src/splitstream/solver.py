@@ -30,6 +30,8 @@ import time
 from dataclasses import dataclass, field
 
 from .costs import (
+    OBJECTIVE_MODES,
+    ORIENTATIONS,
     Assignment,
     CostReport,
     OpVolumes,
@@ -46,7 +48,6 @@ from .costs import (
     lt_strict,
     node_usage,
     node_volumes,
-    total_objective,
     volume_terms,
 )
 from .feasibility import (
@@ -88,9 +89,9 @@ class SolverConfig:
                 f"delta {self.delta} gives {points} grid points, over the cap of "
                 f"{ENUMERATION_CAP}"
             )
-        if self.objective_mode not in ("paper", "dedup"):
+        if self.objective_mode not in OBJECTIVE_MODES:
             raise ValueError(f"unknown objective mode {self.objective_mode!r}")
-        if self.cost_orientation not in ("corrected", "literal"):
+        if self.cost_orientation not in ORIENTATIONS:
             raise ValueError(f"unknown orientation {self.cost_orientation!r}")
 
 
@@ -142,11 +143,12 @@ def operator_domain(
 class SearchState:
     """Partially enumerated cluster: decided ratios plus running sums.
 
-    It prices like an Assignment over the decided operators: op_gamma and
-    gamma_sensor are what the cost functions read. Besides the node CPU and
-    memory sums it carries each decided operator's node_volumes in `volumes`
-    and, for the dedup objective, the largest raw size per (sensor, node) in
-    `raw_best`; in paper mode, each undecided operator's `floor` (see bound).
+    It has an Assignment's two fields, gamma and gamma_sensor, over the
+    decided operators, so the cost functions price it directly. Besides the
+    node CPU and memory sums it carries each decided operator's node_volumes
+    in `volumes` and, for the dedup objective, the largest raw size per
+    (sensor, node) in `raw_best`; in paper mode, each undecided operator's
+    `floor` (see bound).
     `terms` holds the VolumeTerms of every operator it may decide, which must
     include every reader of their sensors; `readers` lists, per sensor, the
     operators whose volumes read its ratio; `loads` holds each operator's
@@ -179,9 +181,6 @@ class SearchState:
                     self.readers.setdefault(s, []).append(i)
             op = self.w.operator(i)
             self.loads[i] = tuple(edge_loads(op, 0.0, self.p, self.w, "corrected"))
-
-    def op_gamma(self, w: Workload, op_id: OperatorId) -> float:
-        return self.gamma[op_id]
 
     def assign(self, op_id: OperatorId, gamma: float) -> list:
         """Record one decided operator; returns an undo token.
@@ -333,13 +332,6 @@ class _BudgetExceeded(Exception):
     pass
 
 
-@dataclass
-class _ClusterResult:
-    feasible: bool
-    gamma: dict[OperatorId, float] | None
-    objective: float | None
-
-
 def _solve_cluster(
     w: Workload,
     p: Profile,
@@ -349,7 +341,8 @@ def _solve_cluster(
     stats: dict,
     deadline: float | None,
     terms: dict[OperatorId, VolumeTerms],
-) -> _ClusterResult:
+) -> dict[OperatorId, float] | None:
+    """The cluster's optimal ratios, or None when no leaf is feasible."""
     members = set(cluster)
     topo = [i for i in topological_order(w) if i in members]
     atoms = [i for i in topo if w.operator(i).atomic]
@@ -435,9 +428,7 @@ def _solve_cluster(
         state.unassign(undo)
     descend(0)
 
-    if best[0] is None:
-        return _ClusterResult(feasible=False, gamma=None, objective=None)
-    return _ClusterResult(feasible=True, gamma=best[0][3], objective=best[0][0])
+    return None if best[0] is None else best[0][3]
 
 
 def _merge_capacity_coupled(
@@ -508,21 +499,16 @@ def solve(w: Workload, p: Profile, cfg: SolverConfig | None = None) -> Solution:
     )
     budget_exceeded = False
     for cluster in clusters if feasible else ():
-        if budget_exceeded:
-            for i in cluster:
-                per_op[i] = 1.0
-            continue
-        try:
-            result = _solve_cluster(w, p, cfg, cluster, grid, stats, deadline, terms)
-        except _BudgetExceeded:
-            budget_exceeded = True
-            for i in cluster:
-                per_op[i] = 1.0
-            continue
-        if not result.feasible:
-            feasible = False
-            break
-        per_op.update(result.gamma)
+        gamma = None
+        if not budget_exceeded:
+            try:
+                gamma = _solve_cluster(w, p, cfg, cluster, grid, stats, deadline, terms)
+                if gamma is None:
+                    feasible = False
+                    break
+            except _BudgetExceeded:
+                budget_exceeded = True
+        per_op.update(dict.fromkeys(cluster, 1.0) if gamma is None else gamma)
     if not feasible:
         return Solution(
             feasible=False,
@@ -577,10 +563,9 @@ def brute_force(
         a = Assignment.from_op_gamma(w, full)
         if check_assignment(w, p, a, cfg.cost_orientation):
             continue
-        objective = total_objective(a, p, w, cfg.objective_mode)
         report = cost_report(w, p, a, cfg.objective_mode, cfg.cost_orientation)
         gvec = tuple(full[i] for i in topo)
-        candidate = (objective, report.latency_sum, gvec)
+        candidate = (report.objective_bytes, report.latency_sum, gvec)
         if best is None or candidate < best:
             best = candidate
             best_assignment = a

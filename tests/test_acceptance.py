@@ -105,13 +105,9 @@ def _crafted_cases():
     w = build_workload([(1, (1,), (), F.MEAN, False, 4, 4, 4)], {1: 1})
     yield "C2", w, _bare_profile(w), Assignment.from_op_gamma(w, {1: 0.5})
 
-    # C3: per-sensor ratios of one operator disagree.
+    # C3: an operator has no ratio.
     w = build_workload([(1, (1, 2), (), F.MEAN, True, 4, 4, 4)], {1: 1, 2: 1})
-    a = Assignment(
-        gamma_op={(1, 1): 0.2, (1, 2): 0.8},
-        gamma_sensor={1: 0.2, 2: 0.8},
-        gamma_bare={},
-    )
+    a = Assignment(gamma={}, gamma_sensor={1: 0.0, 2: 0.0})
     yield "C3", w, _bare_profile(w), a
 
     # C4: sensor wired to a node outside the topology.

@@ -197,15 +197,29 @@ class TestSolveAndBaseline:
     @pytest.mark.parametrize(
         "table, shape",
         [("per_sensor", "number"), ("per_sensor", "list-row"),
-         ("per_operator", "number"), ("per_operator", "list-row")],
+         ("per_operator", "number"), ("per_operator", "list-row"),
+         ("per_sensor", "op=[1]"), ("per_sensor", 'sensor={"a": 1}'),
+         ("per_sensor", "node=[1]"), ("per_sensor", "op=true"),
+         ("per_operator", 'op={"a": 1}'), ("per_operator", "op=1.0"),
+         ("bandwidth", "[1]"), ("cpu_unit_edge", "[1]"), ("cpu_cap", "[1]"),
+         ("mem_cap", "[1]"), ("cpu_unit_cloud", "{}"), ("t_req_s", '"1.5"')],
     )
     def test_malformed_profile_shape_is_an_input_error(self, runner, tmp_path, table, shape):
         _, wpath, ppath = write_inputs(tmp_path)
         record = json.loads(open(ppath).read())
         if shape == "number":
             record[table] = 5
-        else:
+        elif shape == "list-row":
             record[table][0] = list(record[table][0].values())
+        elif "=" in shape:
+            field, value = shape.split("=")
+            record[table][0][field] = json.loads(value)
+        elif table == "t_req_s":
+            record["per_operator"][0][table] = json.loads(shape)
+        elif table == "cpu_unit_cloud":
+            record[table] = json.loads(shape)
+        else:
+            record[table]["1"] = json.loads(shape)
         open(ppath, "w").write(json.dumps(record))
         result = runner.invoke(main, ["solve", wpath, ppath])
         assert result.exit_code == 1
@@ -486,6 +500,24 @@ class TestSimulateAndCompare:
         assert result.exit_code == 0, result.output
         record = json.loads(open(co).read())
         record[field] = value
+        bad = tmp_path / "r.json"
+        bad.write_text(json.dumps(record))
+        for pair in ((co, str(bad)), (str(bad), co)):
+            result = runner.invoke(main, ["compare", *pair])
+            assert result.exit_code == 1, result.output
+            assert len(error_lines(result)) == 1
+            assert "r.json" in error_lines(result)[0]
+
+    @pytest.mark.parametrize("command", [["simulate"], {"name": "simulate"}])
+    def test_compare_refuses_a_command_that_is_not_a_string(self, runner, tmp_path, command):
+        _, wpath, ppath = write_inputs(tmp_path)
+        co = str(tmp_path / "co.json")
+        result = runner.invoke(
+            main, ["baseline", wpath, ppath, "--strategy", "co", "--out", co]
+        )
+        assert result.exit_code == 0, result.output
+        record = json.loads(open(co).read())
+        record["manifest"]["command"] = command
         bad = tmp_path / "r.json"
         bad.write_text(json.dumps(record))
         for pair in ((co, str(bad)), (str(bad), co)):

@@ -64,13 +64,9 @@ class TestEachConstraint:
         a = Assignment.from_op_gamma(w, {1: 0.5})
         assert ids(check_assignment(w, bare_profile(w), a)) == ["C2"]
 
-    def test_c3_per_sensor_ratios_must_match(self):
+    def test_c3_every_operator_needs_a_ratio(self):
         w = one_op(sensors=(1, 2), wiring={1: 1, 2: 1})
-        a = Assignment(
-            gamma_op={(1, 1): 0.2, (1, 2): 0.8},
-            gamma_sensor={1: 0.2, 2: 0.8},
-            gamma_bare={},
-        )
+        a = Assignment(gamma={}, gamma_sensor={1: 0.0, 2: 0.0})
         assert ids(check_assignment(w, bare_profile(w), a)) == ["C3"]
 
     def test_c4_sensor_wired_to_unknown_node(self):

@@ -1,5 +1,6 @@
 """Serialization: text workloads, JSON profiles, binary traces, reports."""
 
+import copy
 import json
 import math
 import re
@@ -19,6 +20,7 @@ from splitstream import (
     dumps_workload,
     gamma_record,
     generate_profile,
+    generate_reference_workload,
     generate_trace,
     load_profile,
     load_trace,
@@ -31,6 +33,7 @@ from splitstream import (
     save_trace,
     save_workload,
     sha256_file,
+    validate_profile,
     validate_workload,
 )
 from splitstream.fileio import _TRACE_HEADER, _TRACE_SENSOR, TRACE_MAGIC, recorded_orientation
@@ -181,6 +184,56 @@ class TestProfileJson:
             key = (row["op"], row["sensor"], row["node"])
         with pytest.raises(ValueError, match=f"{field} must be .* for {re.escape(str(key))}"):
             parse_profile(json.dumps(record))
+
+
+JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.text(max_size=8),
+        st.integers(),
+        st.sampled_from([10**400, -(10**400), 2**64, math.nan, math.inf, -math.inf]),
+        st.floats(),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+
+class TestProfileFuzz:
+    """parse_profile then validate_profile on the reference profile with one
+    member or row field replaced: they return or raise ValueError or
+    KeyError, the errors the CLI reports, and nothing else."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        w = generate_reference_workload()
+        record = json.loads(dumps_profile(generate_profile(w)))
+        paths = [(name,) for name in record]
+        paths += [(name, k) for name, table in record.items() if isinstance(table, dict)
+                  for k in table]
+        paths += [(name, i, field) for name in ("per_sensor", "per_operator")
+                  for i, row in enumerate(record[name]) for field in row]
+        return w, record, paths
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), value=JSON_VALUES)
+    def test_one_replaced_value(self, reference, data, value):
+        w, record, paths = reference
+        *where, last = data.draw(st.sampled_from(paths))
+        # Copy only the containers on the way to the replaced value.
+        edited = parent = dict(record)
+        for step in where:
+            child = copy.copy(parent[step])
+            parent[step] = child
+            parent = child
+        parent[last] = value
+        try:
+            validate_profile(w, parse_profile(json.dumps(edited)))
+        except (ValueError, KeyError):
+            pass
 
 
 class TestTraceBinary:
