@@ -5,7 +5,13 @@ prices any placement (per-operator offload ratios) in uplink bytes and
 end-to-end latency, searches the ratio grid for the cheapest feasible
 placement, and replays synthetic traces to confirm the analytic byte counts
 against concrete frames.
+
+The planning layers are imported with the package. The window functions and
+the replay engine, which need numpy, are imported on first use of one of
+their names below.
 """
+
+import importlib
 
 from .baselines import cloud_only, edge_only
 from .costs import (
@@ -54,30 +60,21 @@ from .fileio import (
     save_workload,
     sha256_file,
 )
-from .functions import (
+from .model import (
     CROSS_CHANNEL,
     PER_CHANNEL,
     SPLITTABLE,
     FunctionContext,
-    PartialState,
-    eval_function,
-    finalize,
-    is_splittable,
-    merge,
-    merge_states,
-    output_arity,
-    partial_eval,
-    state_length,
-    state_to_vector,
-)
-from .model import (
     FunctionKind,
     OperatorSpec,
     Topology,
     ValidationReport,
     Workload,
     WorkloadViolation,
+    is_splittable,
+    output_arity,
     sensor_clusters,
+    state_length,
     topological_order,
     transitive_sensors,
     validate_workload,
@@ -88,17 +85,6 @@ from .reference import (
     generate_profile,
     generate_reference_workload,
     sensor_legend,
-)
-from .simulator import (
-    Frame,
-    SignalSpec,
-    SimReport,
-    StreamConfig,
-    Trace,
-    decode_frame,
-    encode_frame,
-    generate_trace,
-    run_sim,
 )
 from .solver import (
     ENUMERATION_CAP,
@@ -112,3 +98,20 @@ from .solver import (
 )
 
 __version__ = "0.1.0"
+
+_LAZY = dict.fromkeys(
+    ("PartialState", "eval_function", "finalize", "merge", "merge_states", "partial_eval",
+     "state_to_vector"), "functions",
+) | dict.fromkeys(
+    ("Frame", "SignalSpec", "SimReport", "StreamConfig", "Trace", "decode_frame",
+     "encode_frame", "generate_trace", "run_sim"), "simulator",
+)
+
+
+def __getattr__(name: str):
+    """The numpy-backed names, imported on first use (PEP 562)."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value

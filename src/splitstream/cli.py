@@ -7,11 +7,15 @@ so equal inputs reproduce byte-identical files. Timing chatter goes to
 stderr only.
 
 Exit codes: 0 success, 2 infeasible placement, 1 bad input.
+
+Only gen-trace and simulate import the replay engine (and numpy), inside
+the commands, so the planning commands start without it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 import time
 
@@ -23,13 +27,12 @@ from .costs import Assignment, effective_t_req, validate_profile
 from .feasibility import check_assignment
 from .fileio import (
     gamma_record,
-    json_cost,
-    json_shaped,
     load_profile,
     load_trace,
     load_workload,
     parse_gamma,
     recorded_orientation,
+    report_bytes,
     save_profile,
     save_report,
     save_trace,
@@ -43,7 +46,6 @@ from .reference import (
     generate_profile,
     generate_reference_workload,
 )
-from .simulator import StreamConfig, generate_trace, run_sim
 from .solver import Solution, SolverConfig, solve
 
 EXIT_OK = 0
@@ -322,6 +324,8 @@ def baseline(workload: str, profile: str, strategy: str,
 @click.option("--seed", default=0, show_default=True, type=int, help="Trace seed.")
 def gen_trace(workload: str, out: str, duration: float, rate: float, seed: int) -> None:
     """Generate a synthetic trace covering WORKLOAD's sensors."""
+    from .simulator import StreamConfig, generate_trace
+
     w = _load_workload(workload)
     cfg = StreamConfig(duration_s=duration, sample_rate_hz=rate, seed=seed)
     try:
@@ -353,6 +357,8 @@ def simulate(workload: str, profile: str, assignment_path: str,
              trace_path: str | None, duration: float, seed: int, rate: float,
              force: bool, out: str | None) -> None:
     """Replay a trace through a placed workload and count every byte."""
+    from .simulator import StreamConfig, generate_trace, run_sim
+
     w, p = _load_inputs(workload, profile)
     try:
         with open(assignment_path, "r", encoding="utf-8") as fh:
@@ -469,21 +475,17 @@ def compare(reports: tuple[str, ...], out: str | None) -> None:
     """Compare report files; percentages are relative to the first one."""
     if len(reports) < 2:
         _fail("need at least two reports to compare")
-    records = []
-    kinds = set()
+    records, kinds, totals, per_ops = [], set(), [], []
     for path in reports:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 records.append(json.load(fh))
-        except (OSError, json.JSONDecodeError) as exc:
+            command, total, per_op = report_bytes(records[-1])
+        except (OSError, ValueError, KeyError) as exc:
             _fail(f"report {path}: {exc}")
-        if not isinstance(records[-1], dict):
-            _fail(f"report {path}: not a JSON object")
-        manifest = records[-1].get("manifest")
-        command = manifest.get("command") if isinstance(manifest, dict) else None
-        if command is not None and not isinstance(command, str):
-            _fail(f"report {path}: manifest command must be a string, got {command!r:.60}")
         kinds.add(command)
+        totals.append(total)
+        per_ops.append(per_op)
     # A solve or baseline objective is bytes per window set; a simulate
     # total is bytes over the whole trace.
     if kinds & {"solve", "baseline"} and "simulate" in kinds:
@@ -494,41 +496,14 @@ def compare(reports: tuple[str, ...], out: str | None) -> None:
     if others:
         _fail(f"cannot compare simulate reports over traces of {durations[0]} s "
               f"and {others[0]} s")
-
-    def report_bytes(record: dict) -> tuple[float | None, dict[str, float]]:
-        """The byte total (None if absent or null) and per-operator bytes."""
-        total = None
-        for key in ("objective_bytes", "total_payload_bytes"):
-            if record.get(key) is not None:
-                total = json_cost(record, key, "the report")
-                break
-        per_op: dict[str, float] = {}
-        rows = json_shaped(record.get("per_operator", {}), dict, "per_operator")
-        for op, row in rows.items():
-            int(op)  # rows are listed by operator id
-            row = json_shaped(row, dict, f"per_operator row {op}")
-            if "data_bytes" in row:
-                per_op[op] = json_cost(row, "data_bytes", f"op {op}")
-            elif "int_payload_bytes" in row:
-                per_op[op] = json_cost(row, "int_payload_bytes", f"op {op}") + json_cost(
-                    row, "res_payload_bytes", f"op {op}"
-                )
-        return total, per_op
-
     labels = list(reports)
-    totals, per_ops = [], []
-    for path, record in zip(reports, records):
-        try:
-            total, per_op = report_bytes(record)
-        except (ValueError, KeyError) as exc:
-            _fail(f"report {path}: {exc}")
-        totals.append(total)
-        per_ops.append(per_op)
     if totals[0] in (None, 0.0):
         _fail(f"report {reports[0]} carries no byte total to compare against")
     reductions = [
         None if t is None else 100.0 * (1.0 - t / totals[0]) for t in totals
     ]
+    if any(r is not None and not math.isfinite(r) for r in reductions):
+        _fail(f"the byte totals are too far apart to compare with {reports[0]}")
     click.echo("report                                bytes      vs first")
     for label, total, red in zip(labels, totals, reductions):
         total_text = f"{total:.0f}" if total is not None else "-"

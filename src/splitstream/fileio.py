@@ -35,9 +35,7 @@ import json
 import math
 import os
 import struct
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .costs import ORIENTATIONS, Assignment, Profile
 from .model import (
@@ -50,7 +48,9 @@ from .model import (
     Workload,
     check_positive,
 )
-from .simulator import Trace, sample_count
+
+if TYPE_CHECKING:
+    from .simulator import Trace
 
 # ---------------------------------------------------------------------------
 # Workload text format.
@@ -281,6 +281,15 @@ def json_id(row: dict, name: str, table: str) -> int:
     return value
 
 
+def json_key(key: str, what: str) -> int:
+    """An object key as an id, if it spells one in canonical decimal: "01",
+    " 1", "+1" and "1_0" are refused, so that no two keys name one id."""
+    digits = key[1:] if key.startswith("-") else key
+    if not (digits.isdecimal() and str(int(key)) == key):
+        raise ValueError(f"{what} key must be an id in canonical decimal, got {key!r:.60}")
+    return int(key)
+
+
 def parse_profile(text: str) -> Profile:
     record = json_shaped(json.loads(text), dict, "a profile")
     cpu_edge = {}
@@ -290,6 +299,8 @@ def parse_profile(text: str) -> Profile:
     for row in json_shaped(record["per_sensor"], list, "per_sensor"):
         row = json_shaped(row, dict, "a per_sensor row")
         key = tuple(json_id(row, name, "per_sensor") for name in ("op", "sensor", "node"))
+        if key in cpu_edge:
+            raise ValueError(f"per_sensor lists {key} twice")
         cpu_edge[key] = json_cost(row, "cpu_edge", key)
         cpu_cloud[key[:2]] = json_cost(row, "cpu_cloud", key)
         mem_edge[key] = json_cost(row, "mem_edge", key)
@@ -301,6 +312,8 @@ def parse_profile(text: str) -> Profile:
     for row in json_shaped(record["per_operator"], list, "per_operator"):
         row = json_shaped(row, dict, "a per_operator row")
         op = json_id(row, "op", "per_operator")
+        if op in cpu_res:
+            raise ValueError(f"per_operator lists op {op} twice")
         key = f"op {op}"
         cpu_res[op] = json_cost(row, "cpu_res", key)
         data_int[op] = json_cost(row, "data_int", key)
@@ -309,7 +322,7 @@ def parse_profile(text: str) -> Profile:
             t_req_s[op] = json_number(row["t_req_s"], "t_req_s", key)
     cpu_unit_edge, bandwidth, cpu_cap, mem_cap = (
         {
-            int(k): json_number(v, name, f"node {k}")
+            json_key(k, name): json_number(v, name, f"node {k}")
             for k, v in json_shaped(record[name], dict, name).items()
         }
         for name in ("cpu_unit_edge", "bandwidth", "cpu_cap", "mem_cap")
@@ -354,7 +367,8 @@ def load_profile(path: str) -> Profile:
 
 
 # ---------------------------------------------------------------------------
-# Trace binary format.
+# Trace binary format. The trace functions import numpy and the simulator
+# when called, so that commands which never touch a trace start without them.
 
 TRACE_MAGIC = b"SSTR"
 _TRACE_HEADER = struct.Struct("<4sIdd")
@@ -362,6 +376,8 @@ _TRACE_SENSOR = struct.Struct("<IQ")
 
 
 def save_trace(path: str, trace: Trace) -> None:
+    import numpy as np
+
     def chunks():
         yield _TRACE_HEADER.pack(
             TRACE_MAGIC, len(trace.samples), trace.sample_rate_hz, trace.duration_s
@@ -379,6 +395,10 @@ def load_trace(path: str) -> Trace:
     every sensor must hold round(duration x rate) samples. Each sensor's
     samples are read straight into their own array; bytes after the last
     sensor are ignored."""
+    import numpy as np
+
+    from .simulator import Trace, sample_count
+
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(_TRACE_HEADER.size)
@@ -411,6 +431,35 @@ def load_trace(path: str) -> Trace:
 # Reports and digests.
 
 
+def report_bytes(record) -> tuple[str | None, float | None, dict[str, float]]:
+    """A solve, baseline or simulate report's manifest command, its byte
+    total (None if absent or null) and its per-operator bytes. Raises
+    ValueError unless the report is an object, the command a string and
+    every byte figure a non-negative finite number."""
+    record = json_shaped(record, dict, "a report")
+    manifest = record.get("manifest")
+    command = manifest.get("command") if isinstance(manifest, dict) else None
+    if command is not None and not isinstance(command, str):
+        raise ValueError(f"manifest command must be a string, got {command!r:.60}")
+    total = None
+    for key in ("objective_bytes", "total_payload_bytes"):
+        if record.get(key) is not None:
+            total = json_cost(record, key, "the report")
+            break
+    per_op: dict[str, float] = {}
+    rows = json_shaped(record.get("per_operator", {}), dict, "per_operator")
+    for op, row in rows.items():
+        json_key(op, "a per_operator")
+        row = json_shaped(row, dict, f"per_operator row {op}")
+        if "data_bytes" in row:
+            per_op[op] = json_cost(row, "data_bytes", f"op {op}")
+        elif "int_payload_bytes" in row:
+            per_op[op] = json_cost(row, "int_payload_bytes", f"op {op}") + json_cost(
+                row, "res_payload_bytes", f"op {op}"
+            )
+    return command, total, per_op
+
+
 def canonical_json(record) -> str:
     """Stable serialization: sorted keys, fixed separators, one trailing
     newline. Equal records give byte-identical text."""
@@ -441,19 +490,16 @@ def gamma_record(w: Workload, a: Assignment) -> dict[str, float]:
 def parse_gamma(record: dict) -> dict[OperatorId, float]:
     """Per-operator ratios from a record's "gamma" member, or from the record
     itself when it has none. Raises ValueError unless they map operator ids
-    to finite numbers."""
+    (keys in canonical decimal) to finite numbers."""
     gamma = record.get("gamma", record) if isinstance(record, dict) else record
     if not isinstance(gamma, dict):
         raise ValueError(f"gamma must map operator ids to ratios, got {gamma!r}")
     out: dict[OperatorId, float] = {}
     for key, value in gamma.items():
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, (int, float))
-            or not math.isfinite(value)
-        ):
-            raise ValueError(f"ratio of operator {key} is not a finite number: {value!r}")
-        out[int(key)] = float(value)
+        ratio = json_number(value, "ratio", f"operator {key}")
+        if not math.isfinite(ratio):
+            raise ValueError(f"ratio of operator {key} is not a finite number: {value!r:.60}")
+        out[json_key(key, "gamma")] = ratio
     return out
 
 

@@ -63,6 +63,70 @@ class FunctionKind(str, Enum):
     AWD = "awd"
 
 
+# Function shapes and partial-state sizes: what the cost model and the
+# profile read of a function without evaluating it (see functions.py).
+F = FunctionKind
+
+PER_CHANNEL = {
+    F.MEAN, F.MSQRT, F.MAX, F.MIN, F.FIRST, F.LAST, F.RANGE, F.STD, F.VAR,
+    F.DISP, F.FILTER, F.SURGE, F.GF, F.SPEED, F.ACC, F.TREND,
+}
+
+CROSS_CHANNEL = {F.COV, F.CC, F.AVGWS, F.AVGWA, F.AOA, F.AWD, F.FWS, F.TI}
+
+SPLITTABLE = {
+    F.MEAN, F.MSQRT, F.STD, F.VAR, F.COV, F.SPEED, F.ACC, F.DISP, F.TREND,
+    F.SURGE, F.AVGWS, F.GF, F.AOA, F.AWD,
+}
+
+
+@dataclass(frozen=True)
+class FunctionContext:
+    """Knobs the window functions need beyond the samples themselves."""
+
+    sample_rate_hz: float = 10.0
+    disp_baseline: float = 0.0
+    filter_len: int = 5
+    gf_subwindow_s: float = 3.0
+
+    def gf_k(self) -> int:
+        return max(1, int(round(self.gf_subwindow_s * self.sample_rate_hz)))
+
+
+DEFAULT_CONTEXT = FunctionContext()
+
+
+def output_arity(func: FunctionKind, n_channels: int) -> int:
+    if n_channels <= 0:
+        return 0
+    return n_channels if func in PER_CHANNEL else 1
+
+
+def is_splittable(func: FunctionKind) -> bool:
+    return func in SPLITTABLE
+
+
+# Serialized state size, for partial-aggregate payloads and profiles.
+
+_CHANNEL_STATE_LEN = {
+    F.MEAN: 2, F.DISP: 2, F.MSQRT: 2, F.STD: 4, F.VAR: 4, F.SURGE: 3,
+    F.SPEED: 5, F.ACC: 5, F.TREND: 6,
+}
+
+_CROSS_STATE_LEN = {F.COV: 6, F.AVGWS: 2, F.AOA: 3, F.AWD: 3}
+
+
+def state_length(func: FunctionKind, n_channels: int, ctx: FunctionContext = DEFAULT_CONTEXT) -> int:
+    """Number of 8-byte values in a serialized partial state."""
+    if func not in SPLITTABLE or n_channels <= 0:
+        return 0
+    if func is F.GF:
+        return (2 * ctx.gf_k() + 3) * n_channels
+    if func in _CHANNEL_STATE_LEN:
+        return _CHANNEL_STATE_LEN[func] * n_channels
+    return _CROSS_STATE_LEN[func]
+
+
 @dataclass(frozen=True)
 class OperatorSpec:
     """One stream operator.

@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .costs import Assignment, Profile, latency_rows, node_usage
-from .functions import FunctionContext, output_arity, state_length
 from .model import (
+    FunctionContext,
     FunctionKind,
     NodeId,
     OperatorId,
@@ -29,7 +29,9 @@ from .model import (
     Topology,
     Workload,
     check_positive,
+    output_arity,
     sensor_clusters,
+    state_length,
     topological_order,
 )
 

@@ -42,24 +42,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .costs import Assignment, Profile, effective_t_req, windows_in_horizon
-from .functions import (
-    Channel,
-    FunctionContext,
-    eval_windows,
-    is_splittable,
-    output_arity,
-    split_windows,
-    state_length,
-)
+from .functions import Channel, eval_windows, split_windows
 from .model import (
     GAMMA_TOL,
     REL_TOL,
+    FunctionContext,
     FunctionKind,
     NodeId,
     OperatorId,
     SensorId,
     Workload,
     check_positive,
+    is_splittable,
+    output_arity,
+    state_length,
     topological_order,
     transitive_sensors,
 )

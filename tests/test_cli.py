@@ -68,6 +68,22 @@ class TestValidate:
         result = runner.invoke(main, ["validate", path])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize(
+        "text",
+        [b"\xff\xfe[operators]\n",
+         b"[operators]\n" + b"9" * 5000 + b" | 1 | - | mean | 1 | 1 | 1 | 1 | -\n",
+         b"[operators]\n1 | 1,,2 | - | mean | 1 | 1 | 1 | 1 | -\n",
+         b"[topology]\n1 -> \x00\n"],
+        ids=["not-utf8", "huge-id", "empty-id", "nul-node"],
+    )
+    def test_unreadable_workload_is_one_error_line(self, runner, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(text)
+        result = runner.invoke(main, ["validate", str(path)])
+        assert result.exit_code == 1, result.output
+        assert len(error_lines(result)) == 1
+        assert "bad.txt" in error_lines(result)[0]
+
 
 class TestGenerators:
     def test_gen_workload_produces_the_reference(self, runner, tmp_path):
@@ -262,6 +278,24 @@ class TestSolveAndBaseline:
         assert result.exit_code == 1, result.output
         assert len(error_lines(result)) == 1
         assert "Traceback" not in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit", ["bandwidth", "per_sensor", "per_operator"])
+    def test_an_id_named_twice_is_an_input_error(self, runner, tmp_path, edit):
+        _, wpath, ppath = write_inputs(tmp_path)
+        record = json.loads(open(ppath).read())
+        if edit == "bandwidth":
+            record[edit]["01"] = 1.0
+        else:
+            record[edit].append(dict(record[edit][0]))
+        open(ppath, "w").write(json.dumps(record))
+        out = tmp_path / "co.json"
+        result = runner.invoke(
+            main, ["baseline", wpath, ppath, "--strategy", "co", "--out", str(out)]
+        )
+        assert result.exit_code == 1, result.output
+        assert len(error_lines(result)) == 1
+        assert edit in error_lines(result)[0]
         assert not out.exists()
 
     @pytest.mark.parametrize("strategy", ["co", "eo"])
@@ -542,6 +576,58 @@ class TestSimulateAndCompare:
         result = runner.invoke(main, ["compare", str(bad), co])
         assert result.exit_code == 1, result.output
         assert "no byte total" in error_lines(result)[0]
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"gamma": {"1": 1.0, "01": 0.5, "2": 1.0}}', '{"1": 1' + "0" * 400 + ', "2": 1.0}',
+         '{"1": 1.0, "2": 1.0, "+3": 1.0}', b"\xff{}"],
+        ids=["aliased-key", "huge-int", "signed-key", "not-utf8"],
+    )
+    def test_simulate_refuses_a_malformed_assignment(self, runner, tmp_path, text):
+        _, wpath, ppath = write_inputs(tmp_path)
+        gpath = tmp_path / "gamma.json"
+        if isinstance(text, str):
+            gpath.write_text(text)
+        else:
+            gpath.write_bytes(text)
+        result = runner.invoke(
+            main, ["simulate", wpath, ppath, "--assignment", str(gpath), "--duration", "10"]
+        )
+        assert result.exit_code == 1, result.output
+        assert len(error_lines(result)) == 1
+        assert "gamma.json" in error_lines(result)[0]
+
+    def test_compare_refuses_an_undecodable_report(self, runner, tmp_path):
+        _, wpath, ppath = write_inputs(tmp_path)
+        co = str(tmp_path / "co.json")
+        result = runner.invoke(
+            main, ["baseline", wpath, ppath, "--strategy", "co", "--out", co]
+        )
+        assert result.exit_code == 0, result.output
+        bad = tmp_path / "bytes.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        for pair in ((co, str(bad)), (str(bad), co)):
+            result = runner.invoke(main, ["compare", *pair])
+            assert result.exit_code == 1, result.output
+            assert len(error_lines(result)) == 1
+            assert "bytes.json" in error_lines(result)[0]
+
+    def test_compare_refuses_totals_too_far_apart(self, runner, tmp_path):
+        _, wpath, ppath = write_inputs(tmp_path)
+        co = str(tmp_path / "co.json")
+        result = runner.invoke(
+            main, ["baseline", wpath, ppath, "--strategy", "co", "--out", co]
+        )
+        assert result.exit_code == 0, result.output
+        record = json.loads(open(co).read())
+        record["objective_bytes"] = 5e-324
+        tiny = tmp_path / "tiny.json"
+        tiny.write_text(json.dumps(record))
+        out = tmp_path / "cmp.json"
+        result = runner.invoke(main, ["compare", str(tiny), co, "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert len(error_lines(result)) == 1
+        assert not out.exists()
 
     def test_compare_needs_two_reports(self, runner, tmp_path):
         _, wpath, ppath = write_inputs(tmp_path)

@@ -1,12 +1,15 @@
 """Serialization: text workloads, JSON profiles, binary traces, reports."""
 
 import copy
+import functools
 import json
 import math
+import operator
 import re
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +19,7 @@ from splitstream import (
     StreamConfig,
     Trace,
     canonical_json,
+    check_assignment,
     dumps_profile,
     dumps_workload,
     gamma_record,
@@ -36,7 +40,14 @@ from splitstream import (
     validate_profile,
     validate_workload,
 )
-from splitstream.fileio import _TRACE_HEADER, _TRACE_SENSOR, TRACE_MAGIC, recorded_orientation
+from splitstream.cli import main
+from splitstream.fileio import (
+    _TRACE_HEADER,
+    _TRACE_SENSOR,
+    TRACE_MAGIC,
+    recorded_orientation,
+    report_bytes,
+)
 
 from conftest import build_workload
 
@@ -159,6 +170,23 @@ class TestProfileJson:
         with pytest.raises(ValueError, match="positive and finite"):
             parse_profile(json.dumps(record))
 
+    @pytest.mark.parametrize("key", ["01", " 1", "+1", "1_0", "1.0"])
+    @pytest.mark.parametrize("table", ["cpu_unit_edge", "bandwidth", "cpu_cap", "mem_cap"])
+    def test_node_keys_are_canonical(self, table, key):
+        # int() reads each of these keys as a node id, so it could stand in
+        # for (or override) another spelling of the same node.
+        record = json.loads(dumps_profile(generate_profile(sample_workload())))
+        record[table][key] = 1.0
+        with pytest.raises(ValueError, match=f"{table} key must be an id in canonical decimal"):
+            parse_profile(json.dumps(record))
+
+    @pytest.mark.parametrize("table", ["per_sensor", "per_operator"])
+    def test_a_repeated_row_is_refused(self, table):
+        record = json.loads(dumps_profile(generate_profile(sample_workload())))
+        record[table].append(dict(record[table][0]))
+        with pytest.raises(ValueError, match=f"{table} lists .* twice"):
+            parse_profile(json.dumps(record))
+
     @pytest.mark.parametrize(
         "table, field",
         [
@@ -202,6 +230,36 @@ JSON_VALUES = st.recursive(
 )
 
 
+def json_paths(value, depth: int) -> list[tuple]:
+    """The key and index paths to every member of a JSON value, `depth`
+    levels down at most."""
+    if depth == 0 or not isinstance(value, (dict, list)):
+        return []
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    return [path for k, v in items for path in [(k,), *((k, *p) for p in json_paths(v, depth - 1))]]
+
+
+def replaced(record, path: tuple, value):
+    """record with the member at path set to value (added, for a new key);
+    only the containers on the way are copied."""
+    edited = parent = copy.copy(record)
+    *where, last = path
+    for step in where:
+        parent[step] = parent = copy.copy(parent[step])
+    parent[last] = value
+    return edited
+
+
+def draw_edit(data, record, depth: int):
+    """record with one member, or a new key beside one, set to an arbitrary
+    JSON value."""
+    path = data.draw(st.sampled_from(json_paths(record, depth)))
+    parent = functools.reduce(operator.getitem, path[:-1], record)
+    if isinstance(parent, dict) and data.draw(st.booleans()):
+        path = (*path[:-1], data.draw(st.text(max_size=3)))
+    return replaced(record, path, data.draw(JSON_VALUES))
+
+
 class TestProfileFuzz:
     """parse_profile then validate_profile on the reference profile with one
     member or row field replaced: they return or raise ValueError or
@@ -222,16 +280,99 @@ class TestProfileFuzz:
     @given(data=st.data(), value=JSON_VALUES)
     def test_one_replaced_value(self, reference, data, value):
         w, record, paths = reference
-        *where, last = data.draw(st.sampled_from(paths))
-        # Copy only the containers on the way to the replaced value.
-        edited = parent = dict(record)
-        for step in where:
-            child = copy.copy(parent[step])
-            parent[step] = child
-            parent = child
-        parent[last] = value
+        edited = replaced(record, data.draw(st.sampled_from(paths)), value)
         try:
             validate_profile(w, parse_profile(json.dumps(edited)))
+        except (ValueError, KeyError):
+            pass
+
+
+WORKLOAD_TOKENS = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(["", "-", "0", "-1", "nan", "inf", "1e400", "9" * 5000, "1,,2",
+                     "mean", "#", "[operators]", "[topology]", "1 -> 1", "\x00", "\u2028"]),
+)
+
+
+class TestWorkloadFuzz:
+    """parse_workload then validate_workload on the reference workload text
+    with one line, or one field or id of a line, replaced: they return or
+    raise ValueError or KeyError, the errors the CLI reports, and nothing
+    else."""
+
+    LINES = dumps_workload(generate_reference_workload()).splitlines()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), token=WORKLOAD_TOKENS)
+    def test_one_replaced_token(self, data, token):
+        lines = list(self.LINES)
+        i = data.draw(st.integers(0, len(lines) - 1))
+        # Separators sit at the odd positions; None replaces the whole line.
+        parts = re.split(r"(\||->|,)", lines[i])
+        j = data.draw(st.one_of(st.none(), st.integers(0, len(parts) - 1).map(lambda j: j & ~1)))
+        if j is None:
+            lines[i] = token
+        else:
+            parts[j] = token
+            lines[i] = "".join(parts)
+        try:
+            validate_workload(parse_workload("\n".join(lines)))
+        except (ValueError, KeyError):
+            pass
+
+
+@pytest.fixture(scope="module")
+def cli_reports(tmp_path_factory):
+    """A solve and a simulate report on sample_workload, as the CLI writes them."""
+    tmp = tmp_path_factory.mktemp("reports")
+    w_path, p_path = str(tmp / "w.txt"), str(tmp / "p.json")
+    save_workload(w_path, sample_workload())
+    save_profile(p_path, generate_profile(sample_workload()))
+    solve_path, sim_path = str(tmp / "solve.json"), str(tmp / "sim.json")
+    for args in (["solve", w_path, p_path, "--delta", "0.5", "--out", solve_path],
+                 ["simulate", w_path, p_path, "--assignment", solve_path, "--out", sim_path]):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, result.output
+    return {name: json.loads(open(path).read())
+            for name, path in (("solve", solve_path), ("simulate", sim_path))}
+
+
+class TestGammaFuzz:
+    """What `simulate --assignment` reads of a solve report (parse_gamma,
+    Assignment.from_op_gamma, recorded_orientation, then check_assignment)
+    on the report with one member replaced or added, or on any JSON value:
+    they return or raise ValueError or KeyError, and nothing else."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_replaced_value(self, cli_reports, data):
+        if data.draw(st.booleans()):
+            record = draw_edit(data, cli_reports["solve"], 3)
+        else:
+            record = data.draw(JSON_VALUES)
+        w = sample_workload()
+        try:
+            a = Assignment.from_op_gamma(w, parse_gamma(record))
+            check_assignment(w, generate_profile(w), a, recorded_orientation(record))
+        except (ValueError, KeyError):
+            pass
+
+
+class TestReportFuzz:
+    """report_bytes, the reader behind `compare`, on a solve or simulate
+    report with one member replaced or added, or on any JSON value: it
+    returns or raises ValueError or KeyError, and nothing else."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_replaced_value(self, cli_reports, data):
+        name = data.draw(st.sampled_from(sorted(cli_reports)))
+        if data.draw(st.booleans()):
+            record = draw_edit(data, cli_reports[name], 3)
+        else:
+            record = data.draw(JSON_VALUES)
+        try:
+            report_bytes(record)
         except (ValueError, KeyError):
             pass
 
@@ -411,8 +552,12 @@ class TestReports:
             {"gamma": {"1": math.inf}},
             {"gamma": {"1": "0.5"}},
             {"gamma": {"1": True}},
+            {"gamma": {"1": 10**400}},
+            {"gamma": {"1": 1.0, "01": 0.5}},
+            {"gamma": {" 1": 0.5}},
         ],
-        ids=["null", "list", "bare-list", "nan", "inf", "string", "bool"],
+        ids=["null", "list", "bare-list", "nan", "inf", "string", "bool", "huge-int",
+             "aliased-key", "spaced-key"],
     )
     def test_parse_gamma_rejects_malformed_ratios(self, record):
         with pytest.raises(ValueError):
