@@ -11,7 +11,7 @@ the replay engine, which need numpy, are imported on first use of one of
 their names below.
 """
 
-import importlib
+from importlib import import_module as _import_module
 
 from .baselines import cloud_only, edge_only
 from .costs import (
@@ -109,9 +109,26 @@ _LAZY = dict.fromkeys(
 
 
 def __getattr__(name: str):
-    """The numpy-backed names, imported on first use (PEP 562)."""
-    if name not in _LAZY:
+    """The numpy-backed names and their modules, imported on first use
+    (PEP 562)."""
+    if name in _LAZY:
+        value = getattr(_import_module(f".{_LAZY[name]}", __name__), name)
+    elif name in _LAZY.values():
+        value = _import_module(f".{name}", __name__)
+    else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
     globals()[name] = value
     return value
+
+
+# What `from splitstream import *` binds: every public name above, the
+# layers' modules, and the lazy names, which a star import would otherwise
+# miss because they are not globals until first use.
+__all__ = sorted(
+    {name for name in globals() if not name.startswith("_")} | _LAZY.keys()
+    | set(_LAZY.values())
+)
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | __all__)

@@ -38,6 +38,7 @@ from .fileio import (
     save_trace,
     save_workload,
     sha256_file,
+    unique_keys,
 )
 from .model import validate_workload
 from .reference import (
@@ -362,7 +363,7 @@ def simulate(workload: str, profile: str, assignment_path: str,
     w, p = _load_inputs(workload, profile)
     try:
         with open(assignment_path, "r", encoding="utf-8") as fh:
-            record = json.load(fh)
+            record = json.load(fh, object_pairs_hook=unique_keys)
         a = Assignment.from_op_gamma(w, parse_gamma(record))
         orientation = recorded_orientation(record)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
@@ -479,7 +480,7 @@ def compare(reports: tuple[str, ...], out: str | None) -> None:
     for path in reports:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                records.append(json.load(fh))
+                records.append(json.load(fh, object_pairs_hook=unique_keys))
             command, total, per_op = report_bytes(records[-1])
         except (OSError, ValueError, KeyError) as exc:
             _fail(f"report {path}: {exc}")

@@ -33,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import mmap
 import os
 import struct
 from typing import TYPE_CHECKING, Iterable
@@ -290,8 +291,20 @@ def json_key(key: str, what: str) -> int:
     return int(key)
 
 
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The members of one JSON object, refusing a key named twice, which
+    json would otherwise read last-wins. The object_pairs_hook of every
+    JSON reader here."""
+    record = {}
+    for key, value in pairs:
+        if key in record:
+            raise ValueError(f"key {key!r:.60} appears twice in one object")
+        record[key] = value
+    return record
+
+
 def parse_profile(text: str) -> Profile:
-    record = json_shaped(json.loads(text), dict, "a profile")
+    record = json_shaped(json.loads(text, object_pairs_hook=unique_keys), dict, "a profile")
     cpu_edge = {}
     cpu_cloud = {}
     mem_edge = {}
@@ -391,10 +404,14 @@ def save_trace(path: str, trace: Trace) -> None:
 
 
 def load_trace(path: str) -> Trace:
-    """Read a trace; its rate and duration must be positive and finite, and
-    every sensor must hold round(duration x rate) samples. Each sensor's
-    samples are read straight into their own array; bytes after the last
-    sensor are ignored."""
+    """Read a trace; its rate and duration must be positive and finite,
+    every sensor must hold round(duration x rate) samples, and no sensor may
+    appear twice. The file is mapped read-only, and each sensor's samples
+    are a read-only view of the mapping, so a replay holds in memory only
+    the samples it reads. Replace a loaded file, as save_trace does; never
+    rewrite it in place: the views would change under the reader, and
+    reading past a shortened file ends the process with SIGBUS. Bytes after
+    the last sensor are ignored."""
     import numpy as np
 
     from .simulator import Trace, sample_count
@@ -408,22 +425,30 @@ def load_trace(path: str) -> Trace:
         if magic != TRACE_MAGIC:
             raise ValueError("not a trace file")
         expected = sample_count(duration, rate)
-        samples: dict[SensorId, np.ndarray] = {}
+        # The sensor headers are read through the file, not the mapping, so
+        # that no page of samples is touched on the way.
+        offsets: dict[SensorId, int] = {}
         for _ in range(count):
             block = fh.read(_TRACE_SENSOR.size)
             if len(block) < _TRACE_SENSOR.size:
                 raise ValueError("truncated sensor header")
             sensor, n = _TRACE_SENSOR.unpack(block)
-            # Checked against the file size before anything is allocated.
+            # Checked against the file size before anything is mapped.
             if fh.tell() + 8 * n > size:
                 raise ValueError(f"truncated samples for sensor {sensor}")
             if n != expected:
                 raise ValueError(
                     f"sensor {sensor} has {n} samples; {duration} s at {rate} Hz is {expected}"
                 )
-            samples[sensor] = np.empty(n, dtype="<f8")
-            if fh.readinto(samples[sensor]) != 8 * n:
-                raise ValueError(f"truncated samples for sensor {sensor}")
+            if sensor in offsets:
+                raise ValueError(f"sensor {sensor} appears twice")
+            offsets[sensor] = fh.tell()
+            fh.seek(8 * n, os.SEEK_CUR)
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    samples = {
+        sensor: np.frombuffer(mapped, dtype="<f8", count=expected, offset=offset)
+        for sensor, offset in offsets.items()
+    }
     return Trace(duration_s=duration, sample_rate_hz=rate, samples=samples)
 
 

@@ -257,27 +257,30 @@ def validate_workload(w: Workload) -> ValidationReport:
 def _find_cycles(w: Workload) -> list[WorkloadViolation]:
     """One violation per dependency cycle, anchored at its smallest member."""
     color: dict[OperatorId, int] = {}  # 0 unvisited, 1 on stack, 2 done
-    stack: list[OperatorId] = []
     cycles: list[tuple[OperatorId, ...]] = []
-
-    def visit(u: OperatorId) -> None:
-        color[u] = 1
-        stack.append(u)
-        for v in w.by_id[u].deps:
-            if v not in w.by_id:
-                continue
-            c = color.get(v, 0)
-            if c == 0:
-                visit(v)
-            elif c == 1:
-                cycle = tuple(stack[stack.index(v):])
-                cycles.append(cycle)
-        stack.pop()
-        color[u] = 2
-
     for op in w.operators:
-        if color.get(op.id, 0) == 0:
-            visit(op.id)
+        if color.get(op.id, 0):
+            continue
+        # A depth-first walk with an explicit stack, so that a long chain
+        # does not overflow Python's: path[i] is on the walk and deps[i]
+        # holds the dependencies of path[i] still to visit.
+        color[op.id] = 1
+        path, deps = [op.id], [iter(w.by_id[op.id].deps)]
+        while deps:
+            for v in deps[-1]:
+                if v not in w.by_id:
+                    continue
+                c = color.get(v, 0)
+                if c == 0:
+                    color[v] = 1
+                    path.append(v)
+                    deps.append(iter(w.by_id[v].deps))
+                    break
+                if c == 1:
+                    cycles.append(tuple(path[path.index(v):]))
+            else:
+                color[path.pop()] = 2
+                deps.pop()
 
     out = []
     reported: set[frozenset[OperatorId]] = set()

@@ -16,7 +16,7 @@ from splitstream import (
     save_trace,
 )
 from splitstream.cli import main
-from splitstream.fileio import dumps_profile
+from splitstream.fileio import _TRACE_HEADER, _TRACE_SENSOR, dumps_profile
 
 from conftest import build_workload, capped_reference
 
@@ -298,6 +298,26 @@ class TestSolveAndBaseline:
         assert edit in error_lines(result)[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "opening, repeat",
+        [('"bandwidth": {', '"1": 1.0, '), ('"cpu_cap": {', '"1": 1.0, '),
+         ('"per_operator": [\n    {', '"op": 2, ')],
+        ids=["bandwidth", "cpu_cap", "per_operator-row"],
+    )
+    def test_a_repeated_json_key_is_an_input_error(self, runner, tmp_path, opening, repeat):
+        _, wpath, ppath = write_inputs(tmp_path)
+        text = open(ppath).read()
+        assert text.count(opening) == 1
+        open(ppath, "w").write(text.replace(opening, opening + repeat))
+        out = tmp_path / "co.json"
+        result = runner.invoke(
+            main, ["baseline", wpath, ppath, "--strategy", "co", "--out", str(out)]
+        )
+        assert result.exit_code == 1, result.output
+        assert len(error_lines(result)) == 1
+        assert "appears twice" in error_lines(result)[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("strategy", ["co", "eo"])
     def test_baselines_run(self, runner, tmp_path, strategy):
         _, wpath, ppath = write_inputs(tmp_path)
@@ -442,6 +462,27 @@ class TestSimulateAndCompare:
         assert "Traceback" not in result.output
         assert not out.exists()
 
+    def test_simulate_refuses_a_trace_that_repeats_a_sensor(self, runner, tmp_path):
+        _, wpath, ppath = write_inputs(tmp_path)
+        gpath = self.solve_gamma_file(runner, tmp_path, wpath, ppath)
+        tpath = tmp_path / "trace.bin"
+        save_trace(str(tpath), Trace(10.0, 10.0, {1: np.ones(100), 2: np.ones(100)}))
+        raw = tpath.read_bytes()
+        # Sensor 2's block, the second half after the header, becomes a
+        # second block for sensor 1.
+        second = _TRACE_HEADER.size + (len(raw) - _TRACE_HEADER.size) // 2
+        header = _TRACE_SENSOR.pack(1, 100)
+        tpath.write_bytes(raw[:second] + header + raw[second + len(header):])
+        out = tmp_path / "sim.json"
+        result = runner.invoke(
+            main,
+            ["simulate", wpath, ppath, "--assignment", gpath, "--trace", str(tpath),
+             "--out", str(out)],
+        )
+        assert result.exit_code == 1, result.output
+        assert error_lines(result) == [f"error: trace {tpath}: sensor 1 appears twice"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [["--duration", "nan"], ["--rate", "0"]])
     def test_simulate_rejects_bad_generated_timebase(self, runner, tmp_path, flags):
         _, wpath, ppath = write_inputs(tmp_path)
@@ -580,8 +621,10 @@ class TestSimulateAndCompare:
     @pytest.mark.parametrize(
         "text",
         ['{"gamma": {"1": 1.0, "01": 0.5, "2": 1.0}}', '{"1": 1' + "0" * 400 + ', "2": 1.0}',
-         '{"1": 1.0, "2": 1.0, "+3": 1.0}', b"\xff{}"],
-        ids=["aliased-key", "huge-int", "signed-key", "not-utf8"],
+         '{"1": 1.0, "2": 1.0, "+3": 1.0}', b"\xff{}", '{"1": 0.0, "1": 1.0, "2": 1.0}',
+         '{"gamma": {}, "gamma": {"1": 1.0, "2": 1.0}}'],
+        ids=["aliased-key", "huge-int", "signed-key", "not-utf8", "repeated-key",
+             "repeated-member"],
     )
     def test_simulate_refuses_a_malformed_assignment(self, runner, tmp_path, text):
         _, wpath, ppath = write_inputs(tmp_path)
@@ -611,6 +654,22 @@ class TestSimulateAndCompare:
             assert result.exit_code == 1, result.output
             assert len(error_lines(result)) == 1
             assert "bytes.json" in error_lines(result)[0]
+
+    def test_compare_refuses_a_repeated_key(self, runner, tmp_path):
+        _, wpath, ppath = write_inputs(tmp_path)
+        co = str(tmp_path / "co.json")
+        result = runner.invoke(
+            main, ["baseline", wpath, ppath, "--strategy", "co", "--out", co]
+        )
+        assert result.exit_code == 0, result.output
+        twice = tmp_path / "twice.json"
+        twice.write_text('{"objective_bytes": 1, ' + open(co).read()[1:])
+        for pair in ((co, str(twice)), (str(twice), co)):
+            result = runner.invoke(main, ["compare", *pair])
+            assert result.exit_code == 1, result.output
+            assert len(error_lines(result)) == 1
+            assert "twice.json" in error_lines(result)[0]
+            assert "appears twice" in error_lines(result)[0]
 
     def test_compare_refuses_totals_too_far_apart(self, runner, tmp_path):
         _, wpath, ppath = write_inputs(tmp_path)

@@ -6,6 +6,7 @@ import json
 import math
 import operator
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -47,6 +48,7 @@ from splitstream.fileio import (
     TRACE_MAGIC,
     recorded_orientation,
     report_bytes,
+    unique_keys,
 )
 
 from conftest import build_workload
@@ -239,6 +241,19 @@ def json_paths(value, depth: int) -> list[tuple]:
     return [path for k, v in items for path in [(k,), *((k, *p) for p in json_paths(v, depth - 1))]]
 
 
+def repeated_key_text(record, path: tuple, value) -> str:
+    """record as JSON text in which the object holding the key at path names
+    that key once more, before the rest, with value: json alone would read
+    the original member and let the first one pass unseen."""
+    *where, key = path
+    where = tuple(where)
+    obj = functools.reduce(operator.getitem, where, record)
+    marker = "\x00repeated\x00"
+    text = json.dumps(replaced(record, where, marker) if where else marker)
+    spliced = json.dumps({key: value})[:-1] + ", " + json.dumps(obj)[1:]
+    return text.replace(json.dumps(marker), spliced)
+
+
 def replaced(record, path: tuple, value):
     """record with the member at path set to value (added, for a new key);
     only the containers on the way are copied."""
@@ -285,6 +300,14 @@ class TestProfileFuzz:
             validate_profile(w, parse_profile(json.dumps(edited)))
         except (ValueError, KeyError):
             pass
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), value=JSON_VALUES)
+    def test_a_repeated_key_is_refused(self, reference, data, value):
+        _, record, paths = reference
+        text = repeated_key_text(record, data.draw(st.sampled_from(paths)), value)
+        with pytest.raises(ValueError, match="appears twice"):
+            parse_profile(text)
 
 
 WORKLOAD_TOKENS = st.one_of(
@@ -357,6 +380,15 @@ class TestGammaFuzz:
         except (ValueError, KeyError):
             pass
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), value=JSON_VALUES)
+    def test_a_repeated_key_is_refused(self, cli_reports, data, value):
+        record = cli_reports["solve"]
+        keys = [path for path in json_paths(record, 3) if isinstance(path[-1], str)]
+        text = repeated_key_text(record, data.draw(st.sampled_from(keys)), value)
+        with pytest.raises(ValueError, match="appears twice"):
+            parse_gamma(json.loads(text, object_pairs_hook=unique_keys))
+
 
 class TestReportFuzz:
     """report_bytes, the reader behind `compare`, on a solve or simulate
@@ -426,11 +458,54 @@ class TestTraceBinary:
         with pytest.raises(ValueError):
             load_trace(path)
 
+    def test_a_repeated_sensor_is_refused(self, tmp_path):
+        path = tmp_path / "t.bin"
+        blocks = [_TRACE_SENSOR.pack(1, 2) + np.array([x, x], "<f8").tobytes() for x in (1.0, 2.0)]
+        path.write_bytes(_TRACE_HEADER.pack(TRACE_MAGIC, 2, 10.0, 0.2) + b"".join(blocks))
+        with pytest.raises(ValueError, match="^sensor 1 appears twice$"):
+            load_trace(str(path))
+
     def test_sample_count_rounds_like_generate_trace(self, tmp_path):
         trace = generate_trace(StreamConfig(duration_s=2.25, sample_rate_hz=10, seed=4), [1])
         path = str(tmp_path / "t.bin")
         save_trace(path, trace)
         assert len(load_trace(path).samples[1]) == round(2.25 * 10) == 22
+
+
+class TestMappedTrace:
+    """load_trace maps the file: each sensor's samples are a read-only view
+    of the mapping, equal bit for bit to the array save_trace wrote."""
+
+    def test_views_are_read_only_and_bit_identical(self, tmp_path):
+        trace = generate_trace(StreamConfig(duration_s=3, sample_rate_hz=10, seed=4), [1, 2, 3, 7])
+        # Negative zero and a NaN with a payload survive only a bitwise copy.
+        odd = np.frombuffer(struct.pack("<dQ", -0.0, 0x7FF8_0000_0000_0123), "<f8")
+        trace.samples[2][:2] = odd
+        path = str(tmp_path / "t.bin")
+        save_trace(path, trace)
+        got = load_trace(path)
+        assert sorted(got.samples) == [1, 2, 3, 7]
+        for s, x in got.samples.items():
+            assert x.dtype == np.dtype("<f8") and not x.flags.writeable
+            assert x.tobytes() == trace.samples[s].tobytes(), s
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = 1.0
+        assert got.samples[2][:2].tobytes() == odd.tobytes()
+        # The 12-byte sensor headers leave every other sensor's view unaligned.
+        assert [got.samples[s].flags.aligned for s in (1, 2, 3, 7)] == [False, True, False, True]
+
+    def test_a_loaded_trace_outlives_the_file_it_was_read_from(self, tmp_path):
+        old, new = (
+            generate_trace(StreamConfig(duration_s=3, sample_rate_hz=10, seed=seed), [1, 2])
+            for seed in (4, 5)
+        )
+        path = str(tmp_path / "t.bin")
+        save_trace(path, old)
+        got = load_trace(path)
+        save_trace(path, new)
+        for s in (1, 2):
+            assert got.samples[s].tobytes() == old.samples[s].tobytes()
+            assert load_trace(path).samples[s].tobytes() == new.samples[s].tobytes()
 
 
 HUGE_AND_TINY = [10.0, 1e12, 1e17, 2.0**64, 1e300, 1e-300, 5e-324]

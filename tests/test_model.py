@@ -110,6 +110,29 @@ def test_dependency_cycle_flagged():
     assert V_CYCLE in cats
 
 
+def test_a_long_chain_declared_backwards_validates():
+    # Each operator is declared before the one it depends on, so the cycle
+    # search walks the whole chain in one descent.
+    n = 3000
+    w = build_workload(
+        [(i, (1,) if i == 1 else (), (i - 1,) if i > 1 else (), F.MEAN, True, 4, 4, 4)
+         for i in range(n, 0, -1)],
+        {1: 1},
+    )
+    assert validate_workload(w).ok
+
+
+def test_a_long_cycle_is_reported_once():
+    n = 3000
+    w = build_workload(
+        [(i, (1,), (i - 1 if i > 1 else n,), F.MEAN, True, 4, 4, 4) for i in range(n, 0, -1)],
+        {1: 1},
+    )
+    violations = validate_workload(w).violations
+    assert [(v.category, v.subject) for v in violations] == [(V_CYCLE, 1)]
+    assert violations[0].detail == "cycle through " + ",".join(map(str, range(1, n + 1)))
+
+
 def test_unknown_operator_lookup_raises():
     w = chain_workload()
     with pytest.raises(KeyError):

@@ -53,6 +53,21 @@ def test_every_export_resolves():
         assert namespace[name] is getattr(splitstream, name), name
 
 
+# The layers' modules, which a star import has always bound beside EXPORTS.
+MODULES = ("baselines", "costs", "feasibility", "fileio", "functions", "model",
+           "reference", "simulator", "solver")
+
+
+def test_a_star_import_binds_every_export_and_module():
+    namespace = {}
+    exec("from splitstream import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(EXPORTS) - {"__version__"} | set(MODULES)
+    for name, value in namespace.items():
+        assert value is getattr(splitstream, name), name
+    assert set(namespace) <= set(dir(splitstream))
+
+
 def test_an_unknown_name_is_an_import_error():
     with pytest.raises(ImportError):
         exec("from splitstream import no_such_name", {})
