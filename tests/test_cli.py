@@ -16,7 +16,7 @@ from splitstream import (
     save_trace,
 )
 from splitstream.cli import main
-from splitstream.fileio import _TRACE_HEADER, _TRACE_SENSOR, dumps_profile
+from splitstream.fileio import _TRACE_HEADER, _TRACE_SENSOR, dumps_profile, sha256_file
 
 from conftest import build_workload, capped_reference
 
@@ -706,3 +706,39 @@ class TestDeterminism:
             assert result.exit_code == 0
             outs.append(open(out, "rb").read())
         assert outs[0] == outs[1]
+
+
+# The README's reference steps, each writing one --out file, and the sha256
+# of each file. Paths are relative, as the manifests record them as given.
+_REFERENCE_STEPS = [
+    ["gen-workload", "--out", "w.txt"],
+    ["gen-profile", "w.txt", "--out", "p.json"],
+    ["solve", "w.txt", "p.json", "--out", "solve.json"],
+    ["solve", "w.txt", "p.json", "--objective-mode", "dedup", "--out", "dedup.json"],
+    ["solve", "w.txt", "p.json", "--cost-orientation", "literal", "--out", "literal.json"],
+    ["solve", "w.txt", "p.json", "--delta", "0.01", "--out", "solve01.json"],
+    ["baseline", "w.txt", "p.json", "--strategy", "co", "--out", "co.json"],
+    ["baseline", "w.txt", "p.json", "--strategy", "eo", "--out", "eo.json"],
+    ["compare", "co.json", "solve.json", "--out", "cmp.json"],
+]
+_REFERENCE_DIGESTS = {
+    "w.txt": "c68153ed4ef9bc2bb58d73a691196786e341a2726bd8a5373288bd5b7d48cdbe",
+    "p.json": "f73ce94056571cf4de44f25dece79539dfa5e76196eabda0d1f9e0a35190c2f0",
+    "solve.json": "d07dd336ed2272d27d97566f48e878a26ddff13bb68c72e1b0fb32b4613b5dad",
+    "dedup.json": "8e4d8a3766d64dfa2d38ec264be6bfa56cf75d46f302c83dfc294f9c46c659b7",
+    "literal.json": "0ff29e8ad200df92fbca17658a8befb34d8bcdf45643a97bbf0002c7384b6448",
+    "solve01.json": "dc6635540a782d36494380ce037166fc671ba3044280a3d59e43752a6a609337",
+    "co.json": "f287c006fa8363d16ea06007662310da0b084b40340591a1ec63eb5c77a7de23",
+    "eo.json": "3eff51b180a8db099ec3da4d2c1ddb92fce54c058acc993037390b9611f07423",
+    "cmp.json": "641189499604474109c5691b537b8f006bb3e56af3a7048fdf5e53788ba4a989",
+}
+
+
+class TestReferenceDigests:
+    def test_reference_reports_keep_their_bytes(self, runner, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for args in _REFERENCE_STEPS:
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, (args, result.output)
+        got = {args[-1]: sha256_file(args[-1]) for args in _REFERENCE_STEPS}
+        assert got == _REFERENCE_DIGESTS

@@ -16,6 +16,7 @@ from splitstream import (
     cloud_only,
     gamma_grid,
     generate_profile,
+    generate_reference_workload,
     solve,
 )
 from splitstream.costs import node_volumes, total_objective, volume_terms
@@ -182,6 +183,8 @@ class TestEdgeCases:
 # nodes explored, prunes by kind and objective. The literal orientation's
 # optimum is all-edge. Paper mode's shared-sensor floor (SearchState.bound)
 # prunes more than dedup mode's decided-only bound, so it visits fewer nodes.
+# The uncapped reference (caps None) is solved at delta 0.05 and 0.01; its
+# optimum is all-edge. Every instance has 14 clusters.
 _CONTENDED_OFFLOADED = [*range(9, 29), *range(41, 49), 53, 54]
 _CONTENDED_GAMMA = {
     0.9: {
@@ -195,42 +198,50 @@ _CONTENDED_GAMMA = {
     },
 }
 _CONTENDED_COUNTERS = [
-    (0.9, "paper", "corrected", 414, (43, 260, 0), 548392360.0),
-    (0.9, "dedup", "corrected", 4839, (793, 3026, 0), 522661960.0),
-    (0.4, "paper", "corrected", 1509, (562, 605, 0), 753288360.0),
-    (0.4, "dedup", "corrected", 4839, (2153, 1654, 0), 717930360.0),
-    (0.9, "paper", "literal", 169, (14, 108, 0), 4280.0),
-    (0.9, "dedup", "literal", 169, (14, 108, 0), 4280.0),
-    (0.4, "paper", "literal", 169, (29, 93, 0), 4280.0),
-    (0.4, "dedup", "literal", 169, (29, 93, 0), 4280.0),
+    (0.9, 0.25, "paper", "corrected", 414, (43, 260, 0), 548392360.0),
+    (0.9, 0.25, "dedup", "corrected", 4839, (793, 3026, 0), 522661960.0),
+    (0.4, 0.25, "paper", "corrected", 1509, (562, 605, 0), 753288360.0),
+    (0.4, 0.25, "dedup", "corrected", 4839, (2153, 1654, 0), 717930360.0),
+    (0.9, 0.25, "paper", "literal", 169, (14, 108, 0), 4280.0),
+    (0.9, 0.25, "dedup", "literal", 169, (14, 108, 0), 4280.0),
+    (0.4, 0.25, "paper", "literal", 169, (29, 93, 0), 4280.0),
+    (0.4, 0.25, "dedup", "literal", 169, (29, 93, 0), 4280.0),
+    (None, 0.05, "paper", "corrected", 569, (0, 522, 0), 4280.0),
+    (None, 0.01, "paper", "corrected", 2569, (0, 2522, 0), 4280.0),
 ]
 
 
 @pytest.fixture(scope="module")
 def contended():
-    return {factor: capped_reference(factor) for factor in (0.9, 0.4)}
+    w = generate_reference_workload()
+    return {
+        None: (w, generate_profile(w)),
+        **{factor: capped_reference(factor) for factor in (0.9, 0.4)},
+    }
 
 
 class TestContendedCounters:
-    """Exact search effort on instances where the node caps bind: a pruning
-    or pricing change that alters any branch decision shows up here."""
+    """Exact search effort on the reference and on instances where the node
+    caps bind: a pruning or pricing change that alters any branch decision
+    shows up here."""
 
     @pytest.mark.parametrize(
-        "factor, mode, orientation, nodes, prunes, objective", _CONTENDED_COUNTERS
+        "factor, delta, mode, orientation, nodes, prunes, objective", _CONTENDED_COUNTERS
     )
     def test_counters_and_optimum(
-        self, contended, factor, mode, orientation, nodes, prunes, objective
+        self, contended, factor, delta, mode, orientation, nodes, prunes, objective
     ):
         w, p = contended[factor]
         sol = solve(
             w, p,
-            SolverConfig(delta=0.25, objective_mode=mode, cost_orientation=orientation),
+            SolverConfig(delta=delta, objective_mode=mode, cost_orientation=orientation),
         )
         assert sol.feasible
         assert sol.stats["nodes_explored"] == nodes
         assert sol.stats["prunes"] == dict(zip(("resource", "bound", "latency"), prunes))
+        assert sol.stats["clusters"] == 14
         assert sol.objective_bytes == objective
-        want = _CONTENDED_GAMMA[factor] if orientation == "corrected" else {}
+        want = _CONTENDED_GAMMA.get(factor, {}) if orientation == "corrected" else {}
         got = {op.id: sol.assignment.op_gamma(w, op.id) for op in w.operators}
         assert got == {op.id: want.get(op.id, 0.0) for op in w.operators}
 
