@@ -40,7 +40,7 @@ from .fileio import (
     sha256_file,
     unique_keys,
 )
-from .model import validate_workload
+from .model import fold_sum, validate_workload
 from .reference import (
     REFERENCE_BANDWIDTH_BPS,
     REFERENCE_SAMPLE_RATE_HZ,
@@ -119,7 +119,7 @@ def _solution_record(manifest: dict, w, p, sol: Solution) -> dict:
             "t_cloud_s": cost.t_cloud,
             "t_total_s": cost.t_total,
             "t_req_s": effective_t_req(op, p),
-            "data_bytes": sum(cost.data_bytes_by_node.values()),
+            "data_bytes": fold_sum(cost.data_bytes_by_node.values()),
         }
     return {
         "manifest": manifest,
@@ -150,7 +150,7 @@ def _print_solution(title: str, w, p, sol: Solution) -> None:
         treq_text = f"{treq:.6f}" if treq is not None else "-"
         click.echo(
             f"  {op.id:>3} {cost.gamma:>6.3f} {cost.t_total:>12.6f} {treq_text:>12} "
-            f"{sum(cost.data_bytes_by_node.values()):>10.0f}"
+            f"{fold_sum(cost.data_bytes_by_node.values()):>10.0f}"
         )
     if sol.stats.get("violations"):
         click.echo(f"violations: {sol.stats['violations']}")
@@ -269,6 +269,9 @@ def solve_cmd(workload: str, profile: str, delta: float, time_budget: float | No
     started = time.perf_counter()
     sol = solve(w, p, cfg)
     click.echo(f"solved in {time.perf_counter() - started:.2f}s", err=True)
+    if sol.budget_exceeded:
+        click.echo(f"warning: the {time_budget} s time budget ran out; the clusters it cut "
+                   "fall back to full offload", err=True)
     manifest = _manifest(
         "solve",
         {"workload": workload, "profile": profile},

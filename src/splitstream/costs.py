@@ -25,6 +25,7 @@ from .model import (
     OperatorSpec,
     SensorId,
     Workload,
+    fold_sum,
     topological_order,
     transitive_sensors,
 )
@@ -133,6 +134,14 @@ def home_nodes(w: Workload, op_id: OperatorId) -> frozenset[NodeId]:
     )
 
 
+def forced_cloud(w: Workload, op_id: OperatorId) -> bool:
+    """True when data locality leaves no choice but full offload: the
+    sensors of the operator's dependency closure, its own included, sit on
+    more than one node."""
+    closure = transitive_sensors(w, op_id)
+    return len({w.topology.sensor_node[s] for s in closure if s in w.topology.sensor_node}) > 1
+
+
 def int_res_bytes(gamma: float, d_int: float, d_res: float) -> float:
     """Partial-aggregate and result uploads as a function of the ratio."""
     term = (math.ceil(gamma) - math.floor(gamma)) * d_int
@@ -216,6 +225,11 @@ def data_volume(
     return 0.0
 
 
+def edge_share(gamma: float, orientation: str) -> float:
+    """The share of an operator's edge load its node carries at ratio gamma."""
+    return gamma if orientation == "literal" else 1.0 - gamma
+
+
 def edge_loads(
     op: OperatorSpec,
     gamma: float,
@@ -225,7 +239,7 @@ def edge_loads(
 ) -> Iterator[tuple[NodeId, float, float]]:
     """Yield (node, CPU cycles, memory bytes) that each wired sensor of the
     operator puts on its edge node at ratio gamma."""
-    share = gamma if orientation == "literal" else 1.0 - gamma
+    share = edge_share(gamma, orientation)
     for s in op.sensors:
         k = w.topology.sensor_node.get(s)
         if k is None:
@@ -245,12 +259,7 @@ def edge_time(
     orientation: str = "corrected",
 ) -> float:
     """Slowest per-node edge compute time for operator i (seconds)."""
-    per_node: dict[NodeId, float] = {}
-    for k, cycles, _mem in edge_loads(w.operator(i), a.gamma[i], p, w, orientation):
-        per_node[k] = per_node.get(k, 0.0) + cycles
-    if not per_node:
-        return 0.0
-    return max(t / p.cpu_unit_edge[k] for k, t in per_node.items())
+    return OpFacts.build(w, p, i).edge_time(a.gamma[i], p, orientation)
 
 
 def uplink_time(by_node: Iterable[tuple[NodeId, float]], p: Profile) -> float:
@@ -286,60 +295,111 @@ def cloud_time(
     orientation: str = "corrected",
 ) -> float:
     """Cloud compute time for operator i's offloaded share (seconds)."""
-    op = w.operator(i)
-    gamma = a.gamma[i]
-    cycles = 0.0
-    if orientation == "literal":
-        share = 1.0 - gamma
-        res = p.cpu_res.get(i, 0.0)
-    else:
-        share = gamma
-        res = p.cpu_res.get(i, 0.0) if gamma > GAMMA_TOL else 0.0
-    for s in op.sensors:
-        cycles += p.cpu_cloud.get((i, s), 0.0) * share
-    return (cycles + res) / p.cpu_unit_cloud
+    return OpFacts.build(w, p, i).cloud_time(a.gamma[i], p, orientation)
 
 
-def latency_terms(
-    i: OperatorId,
-    a: Assignment,
-    p: Profile,
-    w: Workload,
-    orientation: str = "corrected",
-    volumes: Mapping[OperatorId, OpVolumes] | None = None,
-) -> tuple[float, float, float]:
-    """(t_edge, t_trans, t_cloud) of operator i in seconds; t_trans comes from
-    `volumes` when given (i's node_volumes under `a`), else from trans_time."""
-    te = edge_time(i, a, p, w, orientation)
-    if volumes is None:
-        tt = trans_time(i, a, p, w)
-    else:
-        tt = uplink_time(volumes[i].by_node, p)
-    return te, tt, cloud_time(i, a, p, w, orientation)
+@dataclass(frozen=True)
+class OpFacts:
+    """What pricing and the checks read of one operator. Its edge_loads rows
+    at share 1 and its cloud cycles per own sensor keep sensor order, so
+    scaled by a share they repeat edge_loads' and cloud_time's products."""
+
+    spec: OperatorSpec
+    terms: VolumeTerms
+    loads: tuple[tuple[NodeId, float, float], ...]
+    cloud: tuple[float, ...]
+    cpu_res: float
+    t_req: float | None
+    nodes: frozenset[NodeId]
+    forced_cloud: bool
+
+    @classmethod
+    def build(cls, w: Workload, p: Profile, i: OperatorId) -> "OpFacts":
+        op = w.operator(i)
+        loads = tuple(edge_loads(op, 0.0, p, w))  # corrected, ratio 0: share 1
+        return cls(
+            spec=op,
+            terms=volume_terms(w, p, i),
+            loads=loads,
+            cloud=tuple(p.cpu_cloud.get((i, s), 0.0) for s in op.sensors),
+            cpu_res=p.cpu_res.get(i, 0.0),
+            t_req=effective_t_req(op, p),
+            nodes=frozenset(k for k, _cpu, _mem in loads),
+            forced_cloud=forced_cloud(w, i),
+        )
+
+    def edge_time(self, gamma: float, p: Profile, orientation: str) -> float:
+        """Slowest per-node edge compute time at ratio gamma (seconds)."""
+        share = edge_share(gamma, orientation)
+        per_node: dict[NodeId, float] = {}
+        for k, cycles, _mem in self.loads:
+            per_node[k] = per_node.get(k, 0.0) + cycles * share
+        if not per_node:
+            return 0.0
+        return max(t / p.cpu_unit_edge[k] for k, t in per_node.items())
+
+    def cloud_time(self, gamma: float, p: Profile, orientation: str) -> float:
+        """Cloud compute time of the offloaded share at ratio gamma (seconds)."""
+        if orientation == "literal":
+            share, res = 1.0 - gamma, self.cpu_res
+        else:
+            share, res = gamma, self.cpu_res if gamma > GAMMA_TOL else 0.0
+        cycles = 0.0
+        for c in self.cloud:
+            cycles += c * share
+        return (cycles + res) / p.cpu_unit_cloud
+
+
+@dataclass(frozen=True)
+class Instance:
+    """A workload and profile compiled once: the topological order and each
+    operator's OpFacts."""
+
+    w: Workload
+    p: Profile
+    order: tuple[OperatorId, ...]
+    ops: dict[OperatorId, OpFacts]
+
+    @classmethod
+    def build(cls, w: Workload, p: Profile) -> "Instance":
+        ops = {op.id: OpFacts.build(w, p, op.id) for op in w.operators}
+        return cls(w, p, tuple(topological_order(w)), ops)
+
+    def volumes(self, a: Assignment) -> dict[OperatorId, OpVolumes]:
+        """Every operator's node_volumes under the assignment."""
+        g, gs = a.gamma, a.gamma_sensor
+        return {i: node_volumes(f.terms, g[i], gs) for i, f in self.ops.items()}
 
 
 def latency_rows(
+    inst: Instance,
     a: Assignment,
-    p: Profile,
-    w: Workload,
+    volumes: Mapping[OperatorId, OpVolumes],
     order: Iterable[OperatorId],
     orientation: str = "corrected",
-    volumes: Mapping[OperatorId, OpVolumes] | None = None,
 ) -> Iterator[tuple[OperatorId, float, float, float, float, float]]:
     """Yield (op, t_edge, t_trans, t_wait, t_cloud, t_total) for each operator
     of `order`, the window latency and its terms in seconds.
 
-    The wait is the skew between the totals of the operator's deps, so
-    `order` must list every dep ahead of its consumers. The other terms come
-    from latency_terms.
+    The transfer time reads each operator's node_volumes under `a` from
+    `volumes`. The wait is the skew between the totals of the operator's
+    deps, so `order` must list every dep ahead of its consumers.
     """
     totals: dict[OperatorId, float] = {}
     for i in order:
-        te, tt, tc = latency_terms(i, a, p, w, orientation, volumes)
-        dep_totals = [totals[d] for d in w.operator(i).deps]
+        f = inst.ops[i]
+        te = f.edge_time(a.gamma[i], inst.p, orientation)
+        tt = uplink_time(volumes[i].by_node, inst.p)
+        tc = f.cloud_time(a.gamma[i], inst.p, orientation)
+        dep_totals = [totals[d] for d in f.spec.deps]
         tw = max(dep_totals) - min(dep_totals) if dep_totals else 0.0
         totals[i] = te + tt + tw + tc
         yield i, te, tt, tw, tc, totals[i]
+
+
+def latency_sum(totals: Mapping[OperatorId, float]) -> float:
+    """Latency totals folded in ascending operator id order (see fold_sum)."""
+    return fold_sum(totals[i] for i in sorted(totals))
 
 
 @dataclass(frozen=True)
@@ -379,7 +439,7 @@ def node_cpu(
 ) -> float:
     """Edge CPU cycles operator i occupies on node k."""
     loads = edge_loads(w.operator(i), a.gamma[i], p, w, orientation)
-    return sum((cpu for node, cpu, _mem in loads if node == k), 0.0)
+    return fold_sum(cpu for node, cpu, _mem in loads if node == k)
 
 
 def node_mem(
@@ -392,7 +452,7 @@ def node_mem(
 ) -> float:
     """Edge memory bytes operator i occupies on node k."""
     loads = edge_loads(w.operator(i), a.gamma[i], p, w, orientation)
-    return sum((mem for node, _cpu, mem in loads if node == k), 0.0)
+    return fold_sum(mem for node, _cpu, mem in loads if node == k)
 
 
 def node_usage(
@@ -508,13 +568,10 @@ def cost_report(
     orientation: str = "corrected",
 ) -> CostReport:
     """Per-operator latency/volume rows plus per-node usage for an assignment."""
+    inst = Instance.build(w, p)
+    volumes = inst.volumes(a)
     rows: dict[OperatorId, OperatorCost] = {}
-    volumes = {
-        op.id: node_volumes(volume_terms(w, p, op.id), a.gamma[op.id], a.gamma_sensor)
-        for op in w.operators
-    }
-    order = topological_order(w)
-    for i, te, tt, tw, tc, t in latency_rows(a, p, w, order, orientation, volumes):
+    for i, te, tt, tw, tc, t in latency_rows(inst, a, volumes, inst.order, orientation):
         rows[i] = OperatorCost(
             op=i,
             gamma=a.gamma[i],
@@ -526,10 +583,9 @@ def cost_report(
             t_total=t,
         )
     rows = {i: rows[i] for i in sorted(rows)}
-    latency_sum = sum(rows[i].t_total for i in sorted(rows))
     return CostReport(
         per_operator=rows,
         per_node=node_usage(a, p, w, orientation),
         objective_bytes=total_objective(a, p, w, mode),
-        latency_sum=latency_sum,
+        latency_sum=latency_sum({i: row.t_total for i, row in rows.items()}),
     )

@@ -25,21 +25,15 @@ from dataclasses import dataclass
 
 from .costs import (
     Assignment,
+    Instance,
     Profile,
-    effective_t_req,
+    forced_cloud,
     latency_rows,
     le_with_tol,
     lt_strict,
     node_usage,
 )
-from .model import (
-    GAMMA_TOL,
-    NodeId,
-    OperatorId,
-    Workload,
-    topological_order,
-    transitive_sensors,
-)
+from .model import GAMMA_TOL, OperatorId, Workload, topological_order
 
 
 @dataclass(frozen=True)
@@ -61,40 +55,11 @@ def _is_fractional(g: float) -> bool:
     return not _is_zero(g) and not _is_one(g)
 
 
-def _node_spans(w: Workload, op_id: OperatorId) -> tuple[set[NodeId], bool]:
-    """The nodes of the operator's own sensors, and whether a composite's
-    transitive sensor closure spans several nodes. The closure is only
-    walked when the own sensors sit on at most one node."""
-    op = w.operator(op_id)
-    own_nodes = {
-        w.topology.sensor_node[s]
-        for s in op.sensors
-        if s in w.topology.sensor_node
-    }
-    if len(own_nodes) > 1 or not op.deps:
-        return own_nodes, False
-    closure_nodes = {
-        w.topology.sensor_node[s]
-        for s in transitive_sensors(w, op_id)
-        if s in w.topology.sensor_node
-    }
-    return own_nodes, len(closure_nodes) > 1
-
-
-def forced_cloud(w: Workload, op_id: OperatorId) -> bool:
-    """True when data locality leaves no choice but full offload: the
-    operator's own sensors sit on more than one node, or (composite) its
-    transitive sensor closure does."""
-    own_nodes, closure_span = _node_spans(w, op_id)
-    return len(own_nodes) > 1 or closure_span
-
-
-def composite_gamma(
-    w: Workload, op_id: OperatorId, dep_gammas: list[float]
-) -> float:
-    """A composite's ratio given its deps' ratios: 1 when it is forced to
-    the cloud or any dep is fractional, else the min over its deps."""
-    if forced_cloud(w, op_id) or any(_is_fractional(g) for g in dep_gammas):
+def composite_gamma(forced: bool, dep_gammas: list[float]) -> float:
+    """A composite's ratio given its deps' ratios: 1 when locality forces it
+    to the cloud (`forced`, see forced_cloud) or any dep is fractional, else
+    the min over its deps."""
+    if forced or any(_is_fractional(g) for g in dep_gammas):
         return 1.0
     return min(dep_gammas)
 
@@ -112,7 +77,7 @@ def propagate_composite_gamma(w: Workload, per_op: dict[OperatorId, float]) -> d
             if i not in out:
                 raise ValueError(f"atomic operator {i} has no ratio")
             continue
-        out[i] = composite_gamma(w, i, [out[d] for d in op.deps])
+        out[i] = composite_gamma(forced_cloud(w, i), [out[d] for d in op.deps])
     return out
 
 
@@ -124,7 +89,7 @@ def check_assignment(
 ) -> list[Violation]:
     """Evaluate every constraint; an empty list means feasible."""
     out: list[Violation] = []
-    order = topological_order(w)
+    inst = Instance.build(w, p)
 
     # C4/C5: topology well-formedness for every referenced sensor.
     for op in w.operators:
@@ -155,15 +120,14 @@ def check_assignment(
         g = a.gamma.get(op.id)
         if g is None:
             continue
-        own_nodes, closure_span = _node_spans(w, op.id)
-        own_span = len(own_nodes) > 1
-        if own_span and not _is_one(g):
+        facts = inst.ops[op.id]
+        if len(facts.nodes) > 1 and not _is_one(g):
             out.append(
-                Violation("C6", op.id, f"sensors span {sorted(own_nodes)}, ratio {g}")
+                Violation("C6", op.id, f"sensors span {sorted(facts.nodes)}, ratio {g}")
             )
             continue
         if op.deps:
-            if closure_span and not _is_one(g):
+            if facts.forced_cloud and not _is_one(g):
                 out.append(
                     Violation("C7", op.id, f"transitive sensors span nodes, ratio {g}")
                 )
@@ -177,7 +141,7 @@ def check_assignment(
                         Violation("C8", op.id, f"fractional dependency, ratio {g}")
                     )
                 continue
-            if own_span or closure_span:
+            if facts.forced_cloud:
                 continue  # forced-cloud rule already satisfied
             expected = min(dep_gammas)
             if abs(g - expected) > GAMMA_TOL:
@@ -189,8 +153,9 @@ def check_assignment(
 
     # C10 deadlines, evaluated in dependency order so waits resolve.
     if not any(v.constraint == "C3" for v in out):
-        for i, _te, _tt, _tw, _tc, t in latency_rows(a, p, w, order, orientation):
-            t_req = effective_t_req(w.operator(i), p)
+        rows = latency_rows(inst, a, inst.volumes(a), inst.order, orientation)
+        for i, _te, _tt, _tw, _tc, t in rows:
+            t_req = inst.ops[i].t_req
             if t_req is not None and not le_with_tol(t, t_req):
                 out.append(
                     Violation("C10", i, f"latency {t:.6g}s > deadline {t_req:.6g}s")

@@ -33,6 +33,15 @@ def check_positive(name: str, value: float) -> float:
     return value
 
 
+def fold_sum(values: Iterable[float]) -> float:
+    """The floats added left to right, as `sum` did before Python 3.12 began
+    compensating float rounding, so the result is the same on every Python."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 @unique
 class FunctionKind(str, Enum):
     """Window functions the engine knows how to evaluate."""

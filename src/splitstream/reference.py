@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .costs import Assignment, Profile, latency_rows, node_usage
+from .costs import Assignment, Instance, Profile, latency_rows, node_usage
 from .model import (
     FunctionContext,
     FunctionKind,
@@ -255,6 +255,7 @@ def generate_profile(
 
     # Deadlines: slack over the all-cloud latency estimate per operator.
     all_cloud = Assignment.from_op_gamma(w, {op.id: 1.0 for op in w.operators})
-    rows = latency_rows(all_cloud, profile, w, topological_order(w))
+    inst = Instance.build(w, profile)
+    rows = latency_rows(inst, all_cloud, inst.volumes(all_cloud), inst.order)
     t_req = {i: (1.0 + treq_slack) * t for i, _te, _tt, _tw, _tc, t in rows}
     return replace(profile, t_req_s=t_req)

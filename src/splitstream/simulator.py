@@ -53,6 +53,7 @@ from .model import (
     SensorId,
     Workload,
     check_positive,
+    fold_sum,
     is_splittable,
     output_arity,
     state_length,
@@ -381,7 +382,7 @@ def run_sim(
             edge_time *= edge_share
         cloud_cycles = 0.0
         if gamma > GAMMA_TOL:
-            cloud_cycles = gamma * sum(
+            cloud_cycles = gamma * fold_sum(
                 profile.cpu_cloud[(op_id, j)] for j in op.sensors
             ) + profile.cpu_res[op_id]
         cloud_time = cloud_cycles / profile.cpu_unit_cloud

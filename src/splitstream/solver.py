@@ -34,21 +34,20 @@ from .costs import (
     ORIENTATIONS,
     Assignment,
     CostReport,
+    Instance,
     OpVolumes,
     Profile,
-    VolumeTerms,
     cost_report,
     dedup_bytes,
-    edge_loads,
-    effective_t_req,
+    edge_share,
     int_res_bytes,
     latency_rows,
-    latency_terms,
+    latency_sum,
     le_with_tol,
     lt_strict,
     node_usage,
     node_volumes,
-    volume_terms,
+    uplink_time,
 )
 from .feasibility import (
     check_assignment,
@@ -93,6 +92,10 @@ class SolverConfig:
             raise ValueError(f"unknown objective mode {self.objective_mode!r}")
         if self.cost_orientation not in ORIENTATIONS:
             raise ValueError(f"unknown orientation {self.cost_orientation!r}")
+        budget = self.time_budget_s
+        # NaN fails every comparison, so the test is for the good case.
+        if budget is not None and not (math.isfinite(budget) and budget >= 0):
+            raise ValueError(f"time budget must be finite and not negative, got {budget}")
 
 
 @dataclass
@@ -149,17 +152,16 @@ class SearchState:
     in `volumes` and, for the dedup objective, the largest raw size per
     (sensor, node) in `raw_best`; in paper mode, each undecided operator's
     `floor` (see bound).
-    `terms` holds the VolumeTerms of every operator it may decide, which must
-    include every reader of their sensors; `readers` lists, per sensor, the
-    operators whose volumes read its ratio; `loads` holds each operator's
-    static edge_loads rows, taken at share 1 and scaled by the share.
+    `cluster` lists the operators it may decide, which must include every
+    reader of their sensors; `readers` lists, per sensor, the operators
+    whose volumes read its ratio. Everything static, the VolumeTerms and
+    the edge_loads rows at share 1 among it, is read from `inst`.
     """
 
-    w: Workload
-    p: Profile
+    inst: Instance
     orientation: str
     mode: str
-    terms: dict[OperatorId, VolumeTerms]
+    cluster: tuple[OperatorId, ...]
     gamma: dict[OperatorId, float] = field(default_factory=dict)
     gamma_sensor: dict[SensorId, float] = field(default_factory=dict)
     cpu_used: dict[NodeId, float] = field(default_factory=dict)
@@ -167,20 +169,17 @@ class SearchState:
     volumes: dict[OperatorId, OpVolumes] = field(default_factory=dict)
     raw_best: dict[tuple[SensorId, NodeId], float] = field(default_factory=dict)
     readers: dict[SensorId, list[OperatorId]] = field(init=False, repr=False)
-    loads: dict[OperatorId, tuple] = field(init=False, repr=False)
     floor: dict[OperatorId, float] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.readers = {}
-        self.loads = {}
         self.floor = {}
-        for i, t in self.terms.items():
+        for i in self.cluster:
+            t = self.inst.ops[i].terms
             self.floor[i] = node_volumes(t, 1.0, self.gamma_sensor).total
             for _k, raws, _home in t.nodes:
                 for s, _raw in raws:
                     self.readers.setdefault(s, []).append(i)
-            op = self.w.operator(i)
-            self.loads[i] = tuple(edge_loads(op, 0.0, self.p, self.w, "corrected"))
 
     def assign(self, op_id: OperatorId, gamma: float) -> list:
         """Record one decided operator; returns an undo token.
@@ -189,32 +188,33 @@ class SearchState:
         operator reading a sensor whose ratio this decision raised; in paper
         mode the floors of the undecided readers are refreshed too.
         """
-        op = self.w.operator(op_id)
+        facts = self.inst.ops[op_id]
         undo: list = [op_id]
         self.gamma[op_id] = gamma
         stale = {op_id}
-        for s in op.sensors:
+        for s in facts.spec.sensors:
             old = self.gamma_sensor.get(s, 0.0)
             if gamma > old:
                 undo.append(("s", s, old))
                 self.gamma_sensor[s] = gamma
                 stale.update(self.readers.get(s, ()))
         for j in stale:
+            terms = self.inst.ops[j].terms
             if j in self.gamma:
                 undo.append(("v", j, self.volumes.get(j)))
-                self.volumes[j] = node_volumes(self.terms[j], self.gamma[j], self.gamma_sensor)
+                self.volumes[j] = node_volumes(terms, self.gamma[j], self.gamma_sensor)
             elif self.mode == "paper":
                 undo.append(("f", j, self.floor[j]))
-                self.floor[j] = node_volumes(self.terms[j], 1.0, self.gamma_sensor).total
+                self.floor[j] = node_volumes(terms, 1.0, self.gamma_sensor).total
         if self.mode == "dedup":
-            for k, raws, _home in self.terms[op_id].nodes:
+            for k, raws, _home in facts.terms.nodes:
                 for s, raw in raws:
                     old = self.raw_best.get((s, k))
                     if raw > (old or 0.0):
                         undo.append(("r", (s, k), old))
                         self.raw_best[(s, k)] = raw
-        share = gamma if self.orientation == "literal" else 1.0 - gamma
-        for k, c, m in self.loads[op_id]:
+        share = edge_share(gamma, self.orientation)
+        for k, c, m in facts.loads:
             dc, dm = c * share, m * share
             if dc:
                 self.cpu_used[k] = self.cpu_used.get(k, 0.0) + dc
@@ -248,13 +248,11 @@ class SearchState:
         from the carried terms; the same value bit for bit."""
         decided = [i for i in ops if i in self.gamma]
         if self.mode == "dedup":
+            terms = [(self.gamma[i], self.inst.ops[i].terms) for i in decided]
             return dedup_bytes(
                 self.raw_best,
                 self.gamma_sensor,
-                (
-                    int_res_bytes(self.gamma[i], self.terms[i].d_int, self.terms[i].d_res)
-                    for i in decided
-                ),
+                (int_res_bytes(g, t.d_int, t.d_res) for g, t in terms),
             )
         total = 0.0
         for i in decided:
@@ -286,11 +284,11 @@ class SearchState:
 def preflight_resource(state: SearchState) -> NodeId | None:
     """First node whose partial CPU or memory sum already meets its cap."""
     for k in state.cpu_used:
-        cap = state.p.cpu_cap.get(k)
+        cap = state.inst.p.cpu_cap.get(k)
         if cap is not None and not lt_strict(state.cpu_used[k], cap):
             return k
     for k in state.mem_used:
-        cap = state.p.mem_cap.get(k)
+        cap = state.inst.p.mem_cap.get(k)
         if cap is not None and not lt_strict(state.mem_used[k], cap):
             return k
     return None
@@ -316,14 +314,16 @@ def preflight_latency(state: SearchState, undos: list) -> OperatorId | None:
     same ratio and volumes, so only the changed ones are checked.
     """
     changed = dict.fromkeys(t[1] for undo in undos for t in undo[1:] if t[0] == "v")
+    p = state.inst.p
     for i in changed:
-        t_req = effective_t_req(state.w.operator(i), state.p)
-        if t_req is None:
+        facts = state.inst.ops[i]
+        if facts.t_req is None:
             continue
-        te, tt, tc = latency_terms(
-            i, state, state.p, state.w, state.orientation, state.volumes
-        )
-        if not le_with_tol(te + tt + tc, t_req):
+        gamma = state.gamma[i]
+        te = facts.edge_time(gamma, p, state.orientation)
+        tt = uplink_time(state.volumes[i].by_node, p)
+        tc = facts.cloud_time(gamma, p, state.orientation)
+        if not le_with_tol(te + tt + tc, facts.t_req):
             return i
     return None
 
@@ -333,20 +333,18 @@ class _BudgetExceeded(Exception):
 
 
 def _solve_cluster(
-    w: Workload,
-    p: Profile,
+    inst: Instance,
     cfg: SolverConfig,
     cluster: tuple[OperatorId, ...],
     grid: tuple[float, ...],
     stats: dict,
     deadline: float | None,
-    terms: dict[OperatorId, VolumeTerms],
 ) -> dict[OperatorId, float] | None:
     """The cluster's optimal ratios, or None when no leaf is feasible."""
     members = set(cluster)
-    topo = [i for i in topological_order(w) if i in members]
-    atoms = [i for i in topo if w.operator(i).atomic]
-    domains = [operator_domain(w, i, grid) for i in atoms]
+    topo = [i for i in inst.order if i in members]
+    atoms = [i for i in topo if inst.ops[i].spec.atomic]
+    domains = [operator_domain(inst.w, i, grid) for i in atoms]
 
     # Depth at which each composite becomes fully derived: one past its
     # deepest atomic ancestor. A composite shares its deps' cluster and
@@ -356,15 +354,11 @@ def _solve_cluster(
     comp_at: dict[int, list[OperatorId]] = {}
     for i in topo:
         if i not in ready:
-            ready[i] = max(ready[d] for d in w.operator(i).deps)
+            ready[i] = max(ready[d] for d in inst.ops[i].spec.deps)
             comp_at.setdefault(ready[i], []).append(i)
 
     state = SearchState(
-        w=w,
-        p=p,
-        orientation=cfg.cost_orientation,
-        mode=cfg.objective_mode,
-        terms={i: terms[i] for i in cluster},
+        inst=inst, orientation=cfg.cost_orientation, mode=cfg.objective_mode, cluster=cluster
     )
     best: list = [None]  # [ (objective, latency_sum, gamma_vector, gamma_dict) ]
 
@@ -372,26 +366,26 @@ def _solve_cluster(
         if preflight_resource(state) is not None:
             return
         totals: dict[OperatorId, float] = {}
-        rows = latency_rows(state, p, w, topo, cfg.cost_orientation, state.volumes)
+        rows = latency_rows(inst, state, state.volumes, topo, cfg.cost_orientation)
         for i, _te, _tt, _tw, _tc, t in rows:
-            t_req = effective_t_req(w.operator(i), p)
+            t_req = inst.ops[i].t_req
             if t_req is not None and not le_with_tol(t, t_req):
                 return
             totals[i] = t
         objective = state.objective(cluster)
-        latency_sum = sum(totals[i] for i in sorted(totals))
         gvec = tuple(state.gamma[i] for i in topo)
-        candidate = (objective, latency_sum, gvec)
+        candidate = (objective, latency_sum(totals), gvec)
         if best[0] is None or candidate < best[0][:3]:
-            best[0] = (objective, latency_sum, gvec, dict(state.gamma))
+            best[0] = (*candidate, dict(state.gamma))
 
     def place(op_id: OperatorId, gamma: float, undos: list) -> None:
         undos.append(state.assign(op_id, gamma))
 
     def propagate_depth(depth: int, undos: list) -> None:
         for i in comp_at.get(depth, ()):
-            dep_gammas = [state.gamma[d] for d in w.operator(i).deps]
-            place(i, composite_gamma(w, i, dep_gammas), undos)
+            facts = inst.ops[i]
+            dep_gammas = [state.gamma[d] for d in facts.spec.deps]
+            place(i, composite_gamma(facts.forced_cloud, dep_gammas), undos)
 
     def descend(depth: int) -> None:
         if deadline is not None and time.monotonic() > deadline:
@@ -432,13 +426,14 @@ def _solve_cluster(
 
 
 def _merge_capacity_coupled(
-    w: Workload, p: Profile, clusters: list[tuple[OperatorId, ...]]
+    inst: Instance, clusters: list[tuple[OperatorId, ...]]
 ) -> list[tuple[OperatorId, ...]]:
     """Join clusters that share a node whose capacity could bind.
 
     A node's worst case is its full edge load: the all-edge usage under the
     corrected orientation, which the literal one reaches at ratio 1.
     """
+    w, p = inst.w, inst.p
     all_edge = Assignment.from_op_gamma(w, {op.id: 0.0 for op in w.operators})
     contended: set[NodeId] = set()
     for k, worst in node_usage(all_edge, p, w).items():
@@ -453,12 +448,7 @@ def _merge_capacity_coupled(
     def links():
         node_owner: dict[NodeId, int] = {}
         for idx, cluster in enumerate(clusters):
-            nodes = {
-                w.topology.sensor_node[s]
-                for i in cluster
-                for s in w.operator(i).sensors
-                if s in w.topology.sensor_node
-            }
+            nodes = set().union(*(inst.ops[i].nodes for i in cluster))
             for k in nodes & contended:
                 if k in node_owner:
                     yield idx, node_owner[k]
@@ -478,7 +468,8 @@ def solve(w: Workload, p: Profile, cfg: SolverConfig | None = None) -> Solution:
     """
     cfg = cfg or SolverConfig()
     grid = gamma_grid(cfg.delta)
-    clusters = _merge_capacity_coupled(w, p, sensor_clusters(w))
+    inst = Instance.build(w, p)
+    clusters = _merge_capacity_coupled(inst, sensor_clusters(w))
     deadline = (
         time.monotonic() + cfg.time_budget_s if cfg.time_budget_s is not None else None
     )
@@ -488,7 +479,6 @@ def solve(w: Workload, p: Profile, cfg: SolverConfig | None = None) -> Solution:
         "clusters": len(clusters),
         "grid_points": len(grid),
     }
-    terms = {op.id: volume_terms(w, p, op.id) for op in w.operators}
     per_op: dict[OperatorId, float] = {}
     # The search tests the caps of loaded nodes only, but check_assignment
     # holds every node under its caps, unloaded ones at usage 0: a cap that
@@ -502,13 +492,15 @@ def solve(w: Workload, p: Profile, cfg: SolverConfig | None = None) -> Solution:
         gamma = None
         if not budget_exceeded:
             try:
-                gamma = _solve_cluster(w, p, cfg, cluster, grid, stats, deadline, terms)
+                gamma = _solve_cluster(inst, cfg, cluster, grid, stats, deadline)
                 if gamma is None:
                     feasible = False
                     break
             except _BudgetExceeded:
                 budget_exceeded = True
         per_op.update(dict.fromkeys(cluster, 1.0) if gamma is None else gamma)
+    if budget_exceeded:
+        stats["budget_exceeded"] = True
     if not feasible:
         return Solution(
             feasible=False,
@@ -543,7 +535,8 @@ def brute_force(
     """Full-grid oracle: every combination, no pruning, full feasibility check."""
     cfg = cfg or SolverConfig()
     grid = gamma_grid(cfg.delta)
-    atoms = [i for i in topological_order(w) if w.operator(i).atomic]
+    topo = topological_order(w)
+    atoms = [i for i in topo if w.operator(i).atomic]
     domains = [operator_domain(w, i, grid) for i in atoms]
     count = 1
     for d in domains:
@@ -552,7 +545,6 @@ def brute_force(
         raise EnumerationLimitError(
             f"{count} grid points exceed the enumeration cap of {cap}"
         )
-    topo = topological_order(w)
     best: tuple | None = None
     best_assignment: Assignment | None = None
     explored = 0

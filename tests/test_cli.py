@@ -242,6 +242,31 @@ class TestSolveAndBaseline:
         assert len(error_lines(result)) == 1
         assert table in error_lines(result)[0]
 
+    @pytest.mark.parametrize("budget", ["nan", "inf", "-inf", "-1"])
+    def test_bad_time_budget_is_an_input_error(self, runner, tmp_path, budget):
+        _, wpath, ppath = write_inputs(tmp_path)
+        out = tmp_path / "r.json"
+        result = runner.invoke(
+            main, ["solve", wpath, ppath, "--time-budget", budget, "--out", str(out)]
+        )
+        assert result.exit_code == 1
+        assert len(error_lines(result)) == 1
+        assert "time budget" in error_lines(result)[0]
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
+    def test_a_budget_cut_is_reported(self, runner, tmp_path):
+        _, wpath, ppath = write_inputs(tmp_path)
+        out = tmp_path / "r.json"
+        result = runner.invoke(
+            main, ["solve", wpath, ppath, "--time-budget", "0", "--out", str(out)]
+        )
+        assert result.exit_code == 0  # full offload is feasible here
+        warnings = [line for line in result.stderr.splitlines() if line.startswith("warning:")]
+        assert len(warnings) == 1
+        assert "time budget" in warnings[0]
+        assert json.loads(out.read_text())["stats"]["budget_exceeded"] is True
+
     def test_grid_over_the_cap_is_an_input_error(self, runner, tmp_path):
         _, wpath, ppath = write_inputs(tmp_path)
         result = runner.invoke(main, ["solve", wpath, ppath, "--delta", "1e-7"])

@@ -14,6 +14,7 @@ import pytest
 from splitstream import (
     Assignment,
     FunctionKind,
+    cloud_only,
     cloud_time,
     cost_report,
     data_volume,
@@ -26,11 +27,14 @@ from splitstream import (
     node_mem,
     node_usage,
     propagate_composite_gamma,
+    solve,
     total_objective,
     trans_time,
     windows_in_horizon,
 )
-from splitstream import generate_profile
+from splitstream import generate_profile, generate_reference_workload, topological_order
+from splitstream.costs import Instance, edge_loads, volume_terms
+from splitstream.model import fold_sum
 
 from conftest import build_workload, random_instance
 
@@ -223,8 +227,45 @@ class TestNodeUsage:
             assert list(usage) == sorted(w.topology.nodes)
             for k, u in usage.items():
                 ops = w.operators
-                assert u.cpu_cycles == sum(node_cpu(op.id, k, a, p, w, orientation) for op in ops)
-                assert u.mem_bytes == sum(node_mem(op.id, k, a, p, w, orientation) for op in ops)
+                cpu = fold_sum(node_cpu(op.id, k, a, p, w, orientation) for op in ops)
+                mem = fold_sum(node_mem(op.id, k, a, p, w, orientation) for op in ops)
+                assert (u.cpu_cycles, u.mem_bytes) == (cpu, mem)
+
+
+class TestInstance:
+    @pytest.mark.parametrize("orientation", ["corrected", "literal"])
+    def test_facts_repeat_the_narrow_builders(self, orientation):
+        # Load rows at share 1, scaled by a share, repeat edge_loads' rows
+        # bit for bit; ratios off the binary grid make the products inexact.
+        for seed in range(30):
+            w, p = random_instance(seed)
+            inst = Instance.build(w, p)
+            assert list(inst.order) == topological_order(w)
+            for op in w.operators:
+                facts = inst.ops[op.id]
+                assert facts.spec is op
+                assert facts.terms == volume_terms(w, p, op.id)
+                assert facts.nodes == {w.topology.sensor_node[s] for s in op.sensors}
+                assert facts.t_req == effective_t_req(op, p)
+                for g in (0.0, 0.05, 0.35, 0.7, 1.0):
+                    share = g if orientation == "literal" else 1.0 - g
+                    rows = [(k, c * share, m * share) for k, c, m in facts.loads]
+                    assert rows == list(edge_loads(op, g, p, w, orientation))
+
+
+class TestFloatFolds:
+    """Float sums fold left to right, so reports read the same on every
+    supported Python: from 3.12 on, `sum` compensates float rounding."""
+
+    def test_fold_sum_rounds_each_addition(self):
+        assert fold_sum([1e16, 1.0, -1e16]) == 0.0
+        assert fold_sum([]) == 0.0
+
+    def test_reference_latency_sums(self):
+        w = generate_reference_workload()
+        p = generate_profile(w)
+        assert solve(w, p).report.latency_sum == 0.3812594779487179
+        assert cloud_only(w, p).report.latency_sum == 555.6473590124999
 
 
 class TestPlacementRules:

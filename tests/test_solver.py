@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 import random
 
 import pytest
@@ -19,7 +20,7 @@ from splitstream import (
     generate_reference_workload,
     solve,
 )
-from splitstream.costs import node_volumes, total_objective, volume_terms
+from splitstream.costs import Instance, node_volumes, total_objective, volume_terms
 from splitstream.solver import SearchState
 
 from conftest import build_workload, capped_reference, random_instance
@@ -177,6 +178,18 @@ class TestEdgeCases:
         w, p = random_instance(7)
         assert solve(w, p, SolverConfig(delta=0.5)).budget_exceeded is False
 
+    def test_budget_cut_is_recorded_in_stats(self):
+        w = build_workload([(1, (1,), (), F.MEAN, True, 600, 600, 600)], {1: 1})
+        p = generate_profile(w)
+        assert solve(w, p, SolverConfig(time_budget_s=0.0)).stats["budget_exceeded"] is True
+        assert "budget_exceeded" not in solve(w, p, SolverConfig(time_budget_s=60.0)).stats
+        assert "budget_exceeded" not in solve(w, p).stats
+
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf, -1.0])
+    def test_bad_time_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="time budget"):
+            SolverConfig(time_budget_s=budget)
+
 
 # The contended reference instances at delta = 0.25: ratios of the optimum
 # (operators not listed stay at 0), then per (caps, mode, orientation) the
@@ -253,7 +266,7 @@ class TestSearchState:
     @staticmethod
     def walk(w, p, mode, orientation, rng, steps):
         terms = {op.id: volume_terms(w, p, op.id) for op in w.operators}
-        state = SearchState(w=w, p=p, orientation=orientation, mode=mode, terms=terms)
+        state = SearchState(Instance.build(w, p), orientation, mode, cluster=tuple(terms))
         ops = tuple(sorted(op.id for op in w.operators))
         undos = []
         for _ in range(steps):
@@ -299,7 +312,7 @@ class TestPaperBound:
         for seed in range(40):
             w, p = random_instance(seed)
             terms = {op.id: volume_terms(w, p, op.id) for op in w.operators}
-            state = SearchState(w=w, p=p, orientation="corrected", mode="paper", terms=terms)
+            state = SearchState(Instance.build(w, p), "corrected", "paper", cluster=tuple(terms))
             ops = tuple(sorted(op.id for op in w.operators))
             for i in rng.sample(ops, rng.randint(0, len(ops))):
                 state.assign(i, rng.choice(grid))
