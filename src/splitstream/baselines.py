@@ -6,7 +6,7 @@ wherever locality allows, uploading results only.
 
 from __future__ import annotations
 
-from .costs import Assignment, Profile, cost_report
+from .costs import Assignment, Instance, Profile, cost_report
 from .feasibility import check_assignment, forced_cloud, propagate_composite_gamma
 from .model import OperatorId, Workload
 from .solver import Solution
@@ -21,8 +21,9 @@ def _evaluate(
     strategy: str,
 ) -> Solution:
     a = Assignment.from_op_gamma(w, per_op)
-    violations = check_assignment(w, p, a, orientation)
-    report = cost_report(w, p, a, mode, orientation)
+    inst = Instance.build(w, p)
+    violations = check_assignment(w, p, a, orientation, inst=inst)
+    report = cost_report(w, p, a, mode, orientation, inst=inst)
     return Solution(
         feasible=not violations,
         assignment=a,

@@ -566,9 +566,12 @@ def cost_report(
     a: Assignment,
     mode: str = "paper",
     orientation: str = "corrected",
+    *,
+    inst: Instance | None = None,
 ) -> CostReport:
-    """Per-operator latency/volume rows plus per-node usage for an assignment."""
-    inst = Instance.build(w, p)
+    """Per-operator latency/volume rows plus per-node usage for an assignment.
+    `inst`, when given, is Instance.build(w, p), compiled by the caller."""
+    inst = inst or Instance.build(w, p)
     volumes = inst.volumes(a)
     rows: dict[OperatorId, OperatorCost] = {}
     for i, te, tt, tw, tc, t in latency_rows(inst, a, volumes, inst.order, orientation):

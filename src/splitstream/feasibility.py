@@ -86,10 +86,13 @@ def check_assignment(
     p: Profile,
     a: Assignment,
     orientation: str = "corrected",
+    *,
+    inst: Instance | None = None,
 ) -> list[Violation]:
-    """Evaluate every constraint; an empty list means feasible."""
+    """Evaluate every constraint; an empty list means feasible. `inst`, when
+    given, is Instance.build(w, p), compiled by the caller."""
     out: list[Violation] = []
-    inst = Instance.build(w, p)
+    inst = inst or Instance.build(w, p)
 
     # C4/C5: topology well-formedness for every referenced sensor.
     for op in w.operators:

@@ -246,52 +246,59 @@ class _OpSeries:
     arity: int
 
 
-def _raw_uplink(trace: Trace, sensor: SensorId, share: float, node: NodeId,
-                bandwidth: float, collect: bool) -> tuple[RawUplinkStats, np.ndarray, list[Frame]]:
-    """Stream `share` of one sensor's samples cloudward in per-second
-    batches. Returns the stats, a prefix-max arrival time per whole second
-    (index s = batches 1..s landed), and frames when collected."""
-    x = trace.samples[sensor]
-    n = len(x)
-    rate = trace.sample_rate_hz
-    n_seconds = int(math.ceil(trace.duration_s - 1e-9))
-    stats = RawUplinkStats(sensor, node, share)
-    ready = np.zeros(n_seconds + 1, dtype=np.float64)
-    frames: list[Frame] = []
-    if share <= GAMMA_TOL or n == 0 or n_seconds == 0:
-        return stats, ready, frames
+def _raw_schedule(
+    n: int, share: float, bandwidth: float, rate: float, n_seconds: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int, int]]:
+    """Stream `share` of n samples cloudward in per-second batches over a
+    link of `bandwidth`. Returns the cumulative samples and the samples sent
+    per second, a prefix-max arrival time per whole second (index s =
+    batches 1..s landed), and the samples sent, frames and wire bytes."""
     seconds = np.arange(1, n_seconds + 1, dtype=np.float64)
     cum_samples = np.minimum(n, np.ceil(seconds * rate - 1e-9)).astype(np.int64)
     cum_sent = np.floor(share * cum_samples + 1e-9).astype(np.int64)
     sends = np.diff(np.concatenate(([0], cum_sent)))
     wire = np.where(sends > 0, FRAME_HEADER.size + 8 * sends, 0)
     arrivals = np.where(sends > 0, seconds + wire / bandwidth, 0.0)
+    ready = np.zeros(n_seconds + 1, dtype=np.float64)
     ready[1:] = np.maximum.accumulate(arrivals)
-    stats.samples_sent = int(cum_sent[-1])
-    stats.frames = int(np.count_nonzero(sends))
-    stats.payload_bytes = 8 * stats.samples_sent
-    stats.wire_bytes = int(np.sum(wire))
-    if collect:
-        for s in range(1, n_seconds + 1):
-            sent = int(sends[s - 1])
-            if sent == 0:
-                continue
-            hi = int(cum_samples[s - 1])
-            frames.append(Frame(KIND_RAW, RAW_OP_SENTINEL, sensor, s - 1, x[hi - sent:hi]))
-    return stats, ready, frames
+    ready.flags.writeable = False
+    counts = int(cum_sent[-1]), int(np.count_nonzero(sends)), int(np.sum(wire))
+    return cum_samples, sends, ready, counts
 
 
 def _percentiles(latencies: np.ndarray) -> tuple[float, float, float, float]:
-    if not len(latencies):
+    """Mean, p50, p95 and max. The percentiles follow np.percentile's
+    "linear" rule operation for operation: virtual index (n - 1) * q, both
+    neighbours at the top index from n - 1 on, the weight's upper branch
+    from 0.5, and a NaN result when a NaN sorts last. The neighbours come
+    from one sort, or from numpy's own partition where one is a zero."""
+    n = len(latencies)
+    if not n:
         return 0.0, 0.0, 0.0, 0.0
-    p50, p95 = np.percentile(latencies, (50, 95))
-    return float(latencies.mean()), float(p50), float(p95), float(latencies.max())
+    v = [(n - 1) * q for q in (0.5, 0.95)]
+    lo = [-1 if vq >= n - 1 else math.floor(vq) for vq in v]
+    near = [i for j in lo for i in (j, -1 if j < 0 else j + 1)]
+    x = np.sort(latencies)
+    ab = x[near].tolist()
+    if 0.0 in ab:
+        # -0.0 == 0.0, so the zeros a sort puts at a neighbour need not be
+        # the ones np.percentile reads, and their signs can reach the result.
+        x = np.partition(latencies, sorted({0, -1, *near}))
+        ab = x[near].tolist()
+    p = []
+    for vq, j, a, b in zip(v, lo, ab[::2], ab[1::2]):
+        t = vq - j
+        diff = b - a
+        p.append(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+    if math.isnan(x[-1]):
+        p = [float(x[-1])] * 2
+    return float(latencies.mean()), p[0], p[1], float(latencies.max())
 
 
 def _deadline_misses(latency: np.ndarray, bound: float, rel: float = REL_TOL) -> int:
     """Windows whose latency fails le_with_tol(latency, bound), counted
     elementwise with math.isclose's symmetric test (not np.isclose)."""
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         diff = np.abs(bound - latency)
     close = np.isfinite(latency) & math.isfinite(bound) & (
         (diff <= abs(rel * bound)) | (diff <= np.abs(rel * latency))
@@ -329,18 +336,33 @@ def run_sim(
     frames: list[Frame] = [] if collect_frames else None
 
     # Shared raw uplink, one stream per sensor regardless of consumer count.
+    # Sensors with the same sample count, share and link bandwidth share one
+    # read-only schedule; idle sensors share one array of zeros.
+    idle = np.zeros(n_seconds + 1, dtype=np.float64)
+    idle.flags.writeable = False
+    schedules: dict[tuple[int, float, float], tuple] = {}
     raw_stats: dict[SensorId, RawUplinkStats] = {}
     raw_ready: dict[SensorId, np.ndarray] = {}
     for sid in sorted(workload.sensors):
         node = workload.topology.sensor_node[sid]
         share = assignment.gamma_sensor.get(sid, 0.0)
-        stats, ready, raw_frames = _raw_uplink(
-            trace, sid, share, node, profile.bandwidth[node], collect_frames
-        )
-        raw_stats[sid] = stats
-        raw_ready[sid] = ready
+        x = trace.samples[sid]
+        stats = raw_stats[sid] = RawUplinkStats(sid, node, share)
+        if share <= GAMMA_TOL or len(x) == 0 or n_seconds == 0:
+            raw_ready[sid] = idle
+            continue
+        key = (len(x), share, profile.bandwidth[node])
+        if key not in schedules:
+            schedules[key] = _raw_schedule(*key, rate, n_seconds)
+        cum_samples, sends, raw_ready[sid], counts = schedules[key]
+        stats.samples_sent, stats.frames, stats.wire_bytes = counts
+        stats.payload_bytes = 8 * stats.samples_sent
         if frames is not None:
-            frames.extend(raw_frames)
+            frames.extend(
+                Frame(KIND_RAW, RAW_OP_SENTINEL, sid, s, x[hi - sent:hi])
+                for s, (sent, hi) in enumerate(zip(sends.tolist(), cum_samples.tolist()))
+                if sent
+            )
 
     per_op: dict[OperatorId, OpSimStats] = {}
     series: dict[OperatorId, _OpSeries] = {}
@@ -430,11 +452,12 @@ def run_sim(
             values, states = split_windows(op.func, channels, edge_share, ctx)
 
         if not at_edge:
-            # Raw batches that landed by each close, over the op's sensors.
+            # Raw batches that landed by each close, over the op's sensors:
+            # once per distinct schedule, as sensors may share one.
             second = np.minimum(n_seconds, np.ceil(t_close - 1e-9).astype(np.int64))
             raw_in = np.zeros(n_windows)
-            for j in op.sensors:
-                np.maximum(raw_in, raw_ready[j][second], out=raw_in)
+            for ready in {id(r): r for r in (raw_ready[j] for j in op.sensors)}.values():
+                np.maximum(raw_in, ready[second], out=raw_in)
 
         if at_edge:
             start = np.maximum(t_close, input_edge)

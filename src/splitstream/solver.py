@@ -510,9 +510,11 @@ def solve(w: Workload, p: Profile, cfg: SolverConfig | None = None) -> Solution:
             stats=stats,
         )
     assignment = Assignment.from_op_gamma(w, per_op)
-    ok = not budget_exceeded or not check_assignment(w, p, assignment, cfg.cost_orientation)
+    ok = not budget_exceeded or not check_assignment(
+        w, p, assignment, cfg.cost_orientation, inst=inst
+    )
     report = (
-        cost_report(w, p, assignment, cfg.objective_mode, cfg.cost_orientation)
+        cost_report(w, p, assignment, cfg.objective_mode, cfg.cost_orientation, inst=inst)
         if ok
         else None
     )
@@ -545,6 +547,7 @@ def brute_force(
         raise EnumerationLimitError(
             f"{count} grid points exceed the enumeration cap of {cap}"
         )
+    inst = Instance.build(w, p)
     best: tuple | None = None
     best_assignment: Assignment | None = None
     explored = 0
@@ -553,9 +556,9 @@ def brute_force(
         per_op = dict(zip(atoms, combo))
         full = propagate_composite_gamma(w, per_op)
         a = Assignment.from_op_gamma(w, full)
-        if check_assignment(w, p, a, cfg.cost_orientation):
+        if check_assignment(w, p, a, cfg.cost_orientation, inst=inst):
             continue
-        report = cost_report(w, p, a, cfg.objective_mode, cfg.cost_orientation)
+        report = cost_report(w, p, a, cfg.objective_mode, cfg.cost_orientation, inst=inst)
         gvec = tuple(full[i] for i in topo)
         candidate = (report.objective_bytes, report.latency_sum, gvec)
         if best is None or candidate < best:
@@ -574,6 +577,8 @@ def brute_force(
         feasible=True,
         assignment=best_assignment,
         objective_bytes=best[0],
-        report=cost_report(w, p, best_assignment, cfg.objective_mode, cfg.cost_orientation),
+        report=cost_report(
+            w, p, best_assignment, cfg.objective_mode, cfg.cost_orientation, inst=inst
+        ),
         stats=stats,
     )

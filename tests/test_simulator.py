@@ -10,12 +10,14 @@ import dataclasses
 import json
 import math
 import random
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from splitstream import (
     Assignment,
@@ -37,11 +39,26 @@ from splitstream import (
     save_trace,
     solve,
 )
-from splitstream.simulator import KIND_INTERMEDIATE, KIND_RAW, KIND_RESULT, _deadline_misses
+from splitstream.simulator import (
+    KIND_INTERMEDIATE,
+    KIND_RAW,
+    KIND_RESULT,
+    _deadline_misses,
+    _percentiles,
+)
 
-from conftest import build_workload, capped_reference, random_profile, random_workload
+from conftest import (
+    build_workload,
+    capped_reference,
+    random_instance,
+    random_profile,
+    random_workload,
+)
 
 F = FunctionKind
+
+# An overflow or invalid operation in the replay is a fault here, not noise.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def tiny_setup(gamma, *, iterative=True):
@@ -145,6 +162,49 @@ class TestDeadlineCount:
         want = sum(not le_with_tol(v, bound) for v in values.tolist())
         assert _deadline_misses(values, bound) == want
 
+    def test_an_overflowing_difference_is_not_close(self):
+        # bound - latency overflows for -1.7e308 and is NaN for inf.
+        assert _deadline_misses(np.array([0.1, -1.7e308, np.inf]), 1.7e308) == 1
+
+
+SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.0, 1.7e308, -1.7e308,
+                  math.inf, -math.inf, math.nan)
+
+
+def spread(seed, n, scale, specials):
+    """n exponential draws at `scale`, a few replaced by special floats."""
+    rng = np.random.default_rng(seed)
+    x = rng.exponential(scale, n)
+    x[rng.integers(0, n, len(specials))] = specials
+    return x
+
+
+def packed(values):
+    """Each float's bytes, every NaN alike."""
+    return [b"nan" if math.isnan(v) else struct.pack("<d", v) for v in values]
+
+
+class TestPercentiles:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        arrays(np.float64, st.integers(1, 4000), elements=st.one_of(
+            st.sampled_from(SPECIAL_FLOATS), st.floats(), st.floats(-1e-300, 1e-300),
+            st.sampled_from((1e-4, 2e-4, 3e-4)),
+        )),
+        st.builds(
+            spread, st.integers(0, 2**32), st.integers(1, 4000),
+            st.sampled_from((1e-4, 1.0, 1e300)), st.lists(st.sampled_from(SPECIAL_FLOATS), max_size=3),
+        ),
+    ))
+    @example(np.array([-0.0, 0.0] + [-0.0] * 8))
+    @example(np.array([0.0, -5e-324, -5e-324, -0.0, 0.0, 2.0, -5e-324, -5e-324, -5e-324, -5e-324,
+                       -0.0, 0.0, -0.0, -5e-324, 1.0, 0.0, 0.0, -5e-324, -5e-324, -5e-324]))
+    def test_match_numpy_bit_for_bit(self, x):
+        with np.errstate(all="ignore"):
+            want = (x.mean(), *np.percentile(x, (50, 95)), x.max())
+            got = _percentiles(x)
+        assert packed(got) == packed(float(v) for v in want)
+
 
 class TestReplayPin:
     """Per-operator figures of a 600 s replay (seed 11) of the reference,
@@ -182,6 +242,40 @@ class TestReplayPin:
             stats = rep.per_op[int(op)]
             got = [getattr(stats, field) for field in pinned["fields"]]
             assert got == row, f"operator {op}"
+
+
+class TestMixedLinkPin:
+    """Replays of 20 random instances whose nodes draw their bandwidth from
+    three values, so some links coincide and some differ, at ratios from
+    {0, 0.35, 0.5, 1}. Pinned before the raw schedules were shared between
+    sensors: a schedule keyed on anything less than (sample count, share,
+    bandwidth) changes a byte count or a latency here."""
+
+    CASES = json.loads(
+        (Path(__file__).parent / "data" / "replay_mixed_links.json").read_text()
+    )["cases"]
+
+    def test_links_coincide_and_differ(self):
+        pairs = [set(c["bandwidth"].values()) for c in self.CASES if len(c["bandwidth"]) == 2]
+        assert any(len(b) == 1 for b in pairs) and any(len(b) == 2 for b in pairs)
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: f"seed{c['seed']}")
+    def test_matches_the_pinned_figures(self, case):
+        w, p = random_instance(case["seed"], max_ops=6)
+        p = dataclasses.replace(p, bandwidth={int(k): v for k, v in case["bandwidth"].items()})
+        a = Assignment.from_op_gamma(w, {int(i): g for i, g in case["gamma"].items()})
+        trace = generate_trace(
+            StreamConfig(duration_s=case["duration_s"], sample_rate_hz=case["sample_rate_hz"],
+                         seed=case["seed"]),
+            w.sensors,
+        )
+        rep = run_sim(w, p, a, trace)
+        assert {str(s): dataclasses.asdict(r) for s, r in rep.per_sensor_raw.items()} == (
+            case["per_sensor_raw"]
+        )
+        assert {str(i): dataclasses.asdict(s) for i, s in rep.per_op.items()} == case["per_op"]
+        assert {f: getattr(rep, f) for f in case["totals"]} == case["totals"]
+        assert rep.warnings == case["warnings"]
 
 
 def report_fields(rep):
