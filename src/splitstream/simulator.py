@@ -271,20 +271,16 @@ def _percentiles(latencies: np.ndarray) -> tuple[float, float, float, float]:
     "linear" rule operation for operation: virtual index (n - 1) * q, both
     neighbours at the top index from n - 1 on, the weight's upper branch
     from 0.5, and a NaN result when a NaN sorts last. The neighbours come
-    from one sort, or from numpy's own partition where one is a zero."""
+    from one partition with np.percentile's own indices, so even the signs
+    of tied zeros match."""
     n = len(latencies)
     if not n:
         return 0.0, 0.0, 0.0, 0.0
     v = [(n - 1) * q for q in (0.5, 0.95)]
     lo = [-1 if vq >= n - 1 else math.floor(vq) for vq in v]
     near = [i for j in lo for i in (j, -1 if j < 0 else j + 1)]
-    x = np.sort(latencies)
+    x = np.partition(latencies, sorted({0, -1, *near}))
     ab = x[near].tolist()
-    if 0.0 in ab:
-        # -0.0 == 0.0, so the zeros a sort puts at a neighbour need not be
-        # the ones np.percentile reads, and their signs can reach the result.
-        x = np.partition(latencies, sorted({0, -1, *near}))
-        ab = x[near].tolist()
     p = []
     for vq, j, a, b in zip(v, lo, ab[::2], ab[1::2]):
         t = vq - j
