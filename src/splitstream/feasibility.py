@@ -130,29 +130,22 @@ def check_assignment(
             )
             continue
         if op.deps:
-            if facts.forced_cloud and not _is_one(g):
+            dep_gammas = [a.gamma.get(d) for d in op.deps]
+            # A forced composite is checked even when a dep has no ratio:
+            # composite_gamma then reads none of them.
+            if not facts.forced_cloud and any(v is None for v in dep_gammas):
+                continue
+            expected = composite_gamma(facts.forced_cloud, dep_gammas)
+            if abs(g - expected) <= GAMMA_TOL:
+                continue
+            if facts.forced_cloud:
                 out.append(
                     Violation("C7", op.id, f"transitive sensors span nodes, ratio {g}")
                 )
-                continue
-            dep_gammas = [a.gamma.get(d) for d in op.deps]
-            if any(v is None for v in dep_gammas):
-                continue
-            if any(_is_fractional(v) for v in dep_gammas):
-                if not _is_one(g):
-                    out.append(
-                        Violation("C8", op.id, f"fractional dependency, ratio {g}")
-                    )
-                continue
-            if facts.forced_cloud:
-                continue  # forced-cloud rule already satisfied
-            expected = min(dep_gammas)
-            if abs(g - expected) > GAMMA_TOL:
-                out.append(
-                    Violation(
-                        "C9", op.id, f"ratio {g} != min over deps {expected}"
-                    )
-                )
+            elif any(_is_fractional(v) for v in dep_gammas):
+                out.append(Violation("C8", op.id, f"fractional dependency, ratio {g}"))
+            else:
+                out.append(Violation("C9", op.id, f"ratio {g} != min over deps {expected}"))
 
     # C10 deadlines, evaluated in dependency order so waits resolve.
     if not any(v.constraint == "C3" for v in out):

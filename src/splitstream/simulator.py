@@ -109,11 +109,14 @@ def sample_count(duration_s: float, sample_rate_hz: float) -> int:
 
 def generate_trace(config: StreamConfig, sensors) -> Trace:
     """Deterministic per-sensor streams; each sensor is seeded independently
-    so traces are stable under any sensor ordering."""
+    so traces are stable under any sensor ordering. Raises ValueError for a
+    sensor id that a trace file's unsigned 32-bit id field cannot hold."""
     n = sample_count(config.duration_s, config.sample_rate_hz)
     t = np.arange(n, dtype=np.float64) / config.sample_rate_hz
     samples: dict[SensorId, np.ndarray] = {}
     for sid in sorted(sensors):
+        if not 0 <= sid < 2**32:
+            raise ValueError(f"sensor {sid} is outside a trace's id range 0 to {2**32 - 1}")
         rng = np.random.default_rng([config.seed, sid])
         spec = config.signals.get(sid)
         if spec is None:

@@ -151,7 +151,8 @@ class SearchState:
     node CPU and memory sums it carries each decided operator's node_volumes
     in `volumes` and, for the dedup objective, the largest raw size per
     (sensor, node) in `raw_best`; in paper mode, each undecided operator's
-    `floor` (see bound).
+    `floor` (see bound). `trail` logs every entry a decision overwrote, so
+    that undo restores earlier states by value.
     `cluster` lists the operators it may decide, which must include every
     reader of their sensors; `readers` lists, per sensor, the operators
     whose volumes read its ratio. Everything static, the VolumeTerms and
@@ -170,6 +171,7 @@ class SearchState:
     raw_best: dict[tuple[SensorId, NodeId], float] = field(default_factory=dict)
     readers: dict[SensorId, list[OperatorId]] = field(init=False, repr=False)
     floor: dict[OperatorId, float] = field(init=False, repr=False)
+    trail: list[tuple] = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.readers = {}
@@ -181,67 +183,66 @@ class SearchState:
                 for s, _raw in raws:
                     self.readers.setdefault(s, []).append(i)
 
-    def assign(self, op_id: OperatorId, gamma: float) -> list:
-        """Record one decided operator; returns an undo token.
+    def assign(self, op_id: OperatorId, gamma: float) -> None:
+        """Record one decided operator.
 
         Volumes are recomputed for this operator and for every decided
         operator reading a sensor whose ratio this decision raised; in paper
-        mode the floors of the undecided readers are refreshed too.
+        mode the floors of the undecided readers are refreshed too. Every
+        entry written is first logged on `trail` as (table, key, previous
+        value or None when absent), for undo.
         """
         facts = self.inst.ops[op_id]
-        undo: list = [op_id]
+        trail = self.trail
+        trail.append((self.gamma, op_id, self.gamma.get(op_id)))
         self.gamma[op_id] = gamma
         stale = {op_id}
         for s in facts.spec.sensors:
-            old = self.gamma_sensor.get(s, 0.0)
-            if gamma > old:
-                undo.append(("s", s, old))
+            old = self.gamma_sensor.get(s)
+            if gamma > (old or 0.0):
+                trail.append((self.gamma_sensor, s, old))
                 self.gamma_sensor[s] = gamma
                 stale.update(self.readers.get(s, ()))
         for j in stale:
             terms = self.inst.ops[j].terms
             if j in self.gamma:
-                undo.append(("v", j, self.volumes.get(j)))
+                trail.append((self.volumes, j, self.volumes.get(j)))
                 self.volumes[j] = node_volumes(terms, self.gamma[j], self.gamma_sensor)
             elif self.mode == "paper":
-                undo.append(("f", j, self.floor[j]))
+                trail.append((self.floor, j, self.floor[j]))
                 self.floor[j] = node_volumes(terms, 1.0, self.gamma_sensor).total
         if self.mode == "dedup":
             for k, raws, _home in facts.terms.nodes:
                 for s, raw in raws:
                     old = self.raw_best.get((s, k))
                     if raw > (old or 0.0):
-                        undo.append(("r", (s, k), old))
+                        trail.append((self.raw_best, (s, k), old))
                         self.raw_best[(s, k)] = raw
         share = edge_share(gamma, self.orientation)
+        cpu, mem = self.cpu_used, self.mem_used
         for k, c, m in facts.loads:
             dc, dm = c * share, m * share
             if dc:
-                self.cpu_used[k] = self.cpu_used.get(k, 0.0) + dc
-                undo.append(("c", k, dc))
+                old = cpu.get(k)
+                trail.append((cpu, k, old))
+                cpu[k] = (old or 0.0) + dc
             if dm:
-                self.mem_used[k] = self.mem_used.get(k, 0.0) + dm
-                undo.append(("m", k, dm))
-        return undo
+                old = mem.get(k)
+                trail.append((mem, k, old))
+                mem[k] = (old or 0.0) + dm
 
-    def unassign(self, undo: list) -> None:
-        op_id = undo[0]
-        del self.gamma[op_id]
-        for tag, key, val in undo[1:]:
-            if tag == "s":
-                self.gamma_sensor[key] = val
-            elif tag == "c":
-                self.cpu_used[key] -= val
-            elif tag == "m":
-                self.mem_used[key] -= val
-            elif tag == "f":
-                self.floor[key] = val
+    def undo(self, mark: int) -> None:
+        """Restore, newest first, every entry logged since the trail held
+        `mark` entries, deleting those the decisions created, and truncate
+        the trail: the state then equals a fresh replay of the decisions
+        still on it, bit for bit."""
+        trail = self.trail
+        for table, key, old in reversed(trail[mark:]):
+            if old is None:
+                del table[key]
             else:
-                carried = self.volumes if tag == "v" else self.raw_best
-                if val is None:
-                    del carried[key]
-                else:
-                    carried[key] = val
+                table[key] = old
+        del trail[mark:]
 
     def objective(self, ops: tuple[OperatorId, ...]) -> float:
         """total_objective over the decided members of `ops`, in that order,
@@ -294,26 +295,20 @@ def preflight_resource(state: SearchState) -> NodeId | None:
     return None
 
 
-def preflight_bound(partial_objective: float, incumbent: float | None) -> bool:
-    """True when the partial objective is strictly worse than the incumbent.
-
-    Equal partials may still win the tie-break, so they are not cut.
-    """
-    return incumbent is not None and partial_objective > incumbent
-
-
-def preflight_latency(state: SearchState, undos: list) -> OperatorId | None:
-    """First operator changed by the undo tokens `undos` whose latency lower
-    bound misses its deadline.
+def preflight_latency(state: SearchState, mark: int) -> OperatorId | None:
+    """First operator changed since the trail held `mark` entries whose
+    latency lower bound misses its deadline.
 
     The bound leaves out the wait, which can shrink as later decisions raise
     the fastest dep's total; transfer uses the decided sensor maxima, which
     only grow. So a failure here is final for the whole subtree. A node's
-    decisions change only the operators they recompute volumes for (a "v"
-    token): every other decided operator passed at the parent node with the
-    same ratio and volumes, so only the changed ones are checked.
+    decisions change only the operators they recompute volumes for (a
+    `volumes` entry on the trail): every other decided operator passed at the
+    parent node with the same ratio and volumes, so only the changed ones are
+    checked.
     """
-    changed = dict.fromkeys(t[1] for undo in undos for t in undo[1:] if t[0] == "v")
+    volumes = state.volumes
+    changed = dict.fromkeys(key for table, key, _ in state.trail[mark:] if table is volumes)
     p = state.inst.p
     for i in changed:
         facts = state.inst.ops[i]
@@ -378,14 +373,11 @@ def _solve_cluster(
         if best[0] is None or candidate < best[0][:3]:
             best[0] = (*candidate, dict(state.gamma))
 
-    def place(op_id: OperatorId, gamma: float, undos: list) -> None:
-        undos.append(state.assign(op_id, gamma))
-
-    def propagate_depth(depth: int, undos: list) -> None:
+    def propagate_depth(depth: int) -> None:
         for i in comp_at.get(depth, ()):
             facts = inst.ops[i]
             dep_gammas = [state.gamma[d] for d in facts.spec.deps]
-            place(i, composite_gamma(facts.forced_cloud, dep_gammas), undos)
+            state.assign(i, composite_gamma(facts.forced_cloud, dep_gammas))
 
     def descend(depth: int) -> None:
         if deadline is not None and time.monotonic() > deadline:
@@ -393,33 +385,29 @@ def _solve_cluster(
         if depth == len(atoms):
             leaf_eval()
             return
+        mark = len(state.trail)
         for gamma in domains[depth]:
             stats["nodes_explored"] += 1
-            undos: list = []
-            place(atoms[depth], gamma, undos)
-            propagate_depth(depth + 1, undos)
+            state.assign(atoms[depth], gamma)
+            propagate_depth(depth + 1)
             if preflight_resource(state) is not None:
                 stats["prunes"]["resource"] += 1
-            elif preflight_bound(
-                state.bound(cluster),
-                best[0][0] if best[0] is not None else None,
-            ):
+            # Only a strictly worse partial is cut: an equal one may still
+            # win the tie-break.
+            elif best[0] is not None and state.bound(cluster) > best[0][0]:
                 stats["prunes"]["bound"] += 1
-            elif preflight_latency(state, undos) is not None:
+            elif preflight_latency(state, mark) is not None:
                 stats["prunes"]["latency"] += 1
             else:
                 descend(depth + 1)
-            for undo in reversed(undos):
-                state.unassign(undo)
+            state.undo(mark)
 
     # Cloud-only incumbent: a feasible all-ones leaf seeds the bound check.
-    undos: list = []
     for d, i in enumerate(atoms):
-        place(i, 1.0, undos)
-        propagate_depth(d + 1, undos)
+        state.assign(i, 1.0)
+        propagate_depth(d + 1)
     leaf_eval()
-    for undo in reversed(undos):
-        state.unassign(undo)
+    state.undo(0)
     descend(0)
 
     return None if best[0] is None else best[0][3]

@@ -142,6 +142,20 @@ class TestGenerators:
         assert len(error_lines(result)) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("sensor", [2**32, -1])
+    def test_gen_trace_rejects_sensor_outside_id_field(self, runner, tmp_path, sensor):
+        # The trace stores each sensor id in an unsigned 32-bit field.
+        _, wpath, _ = write_inputs(
+            tmp_path, rows=[(1, (sensor,), (), F.MEAN, True, 5, 5, 5)], wiring={sensor: 1}
+        )
+        out = tmp_path / "t.bin"
+        result = runner.invoke(main, ["gen-trace", wpath, "--out", str(out)])
+        assert result.exit_code == 1
+        assert error_lines(result) == [
+            f"error: sensor {sensor} is outside a trace's id range 0 to 4294967295"
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["profile.json", "workload.txt"]
+
     def test_gen_trace_is_seeded(self, runner, tmp_path):
         _, wpath, _ = write_inputs(tmp_path)
         t1, t2 = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")

@@ -259,22 +259,64 @@ class TestContendedCounters:
         assert got == {op.id: want.get(op.id, 0.0) for op in w.operators}
 
 
-class TestSearchState:
-    """The carried volumes and objective equal a fresh pricing of the decided
-    operators after any sequence of decisions and undos."""
+# Random instances at delta = 0.25 with every profile deadline scaled by a
+# factor, where the latency prune cuts branches (no contended row does): per
+# (seed, factor, mode, orientation) the nodes explored, prunes by kind,
+# objective and optimal ratios.
+_LATENCY_PRUNED = [
+    (25, 0.9, "dedup", "corrected", 70, (0, 43, 13), 57644.5, {1: 0.0, 2: 0.0, 3: 0.5, 4: 0.0}),
+    (54, 1.0, "dedup", "corrected", 364, (0, 158, 69), 63668.0, {1: 1.0, 2: 1.0, 3: 1.0, 4: 1.0}),
+    (162, 0.5, "paper", "literal", 120, (0, 21, 74), 189111.0, {1: 0.0, 2: 1.0, 3: 0.0, 4: 1.0}),
+    (239, 1.0, "paper", "corrected", 75, (0, 28, 29), 182968.5,
+     {1: 0.75, 2: 1.0, 3: 0.0, 4: 0.75}),
+    (273, 0.7, "paper", "corrected", 30, (4, 17, 3), 46608.25, {1: 0.0, 2: 0.25, 3: 0.25}),
+]
 
-    @staticmethod
-    def walk(w, p, mode, orientation, rng, steps):
+
+@pytest.mark.parametrize(
+    "seed, factor, mode, orientation, nodes, prunes, objective, gamma", _LATENCY_PRUNED
+)
+def test_latency_prune_counters(seed, factor, mode, orientation, nodes, prunes, objective, gamma):
+    w, p = random_instance(seed)
+    p = dataclasses.replace(p, t_req_s={i: t * factor for i, t in p.t_req_s.items()})
+    sol = solve(
+        w, p, SolverConfig(delta=0.25, objective_mode=mode, cost_orientation=orientation)
+    )
+    assert sol.feasible
+    assert sol.stats["nodes_explored"] == nodes
+    assert sol.stats["prunes"] == dict(zip(("resource", "bound", "latency"), prunes))
+    assert sol.objective_bytes == objective
+    assert sol.assignment.gamma == gamma
+
+
+class TestSearchState:
+    """After any sequence of decisions and undos, every carried table equals
+    that of a fresh state replaying the decisions still standing, bit for
+    bit, and the carried volumes and objective equal a fresh pricing of the
+    decided operators."""
+
+    CARRIED = ("gamma", "gamma_sensor", "cpu_used", "mem_used", "volumes", "raw_best", "floor")
+
+    @classmethod
+    def walk(cls, w, p, mode, orientation, rng, steps):
+        inst = Instance.build(w, p)
         terms = {op.id: volume_terms(w, p, op.id) for op in w.operators}
-        state = SearchState(Instance.build(w, p), orientation, mode, cluster=tuple(terms))
+        state = SearchState(inst, orientation, mode, cluster=tuple(terms))
         ops = tuple(sorted(op.id for op in w.operators))
-        undos = []
+        stack = []  # (operator, ratio, trail length before its decision)
         for _ in range(steps):
             free = [i for i in ops if i not in state.gamma]
-            if free and (not undos or rng.random() < 0.6):
-                undos.append(state.assign(rng.choice(free), rng.choice((0.0, 0.25, 0.5, 1.0))))
+            if free and (not stack or rng.random() < 0.6):
+                op, gamma = rng.choice(free), rng.choice((0.0, 0.05, 0.1, 0.35, 0.7, 1.0))
+                stack.append((op, gamma, len(state.trail)))
+                state.assign(op, gamma)
             else:
-                state.unassign(undos.pop())
+                state.undo(stack.pop()[2])
+            fresh = SearchState(inst, orientation, mode, cluster=tuple(terms))
+            for op, gamma, _mark in stack:
+                fresh.assign(op, gamma)
+            for table in cls.CARRIED:
+                assert getattr(state, table) == getattr(fresh, table), table
             decided = [i for i in ops if i in state.gamma]
             assert state.volumes == {
                 i: node_volumes(terms[i], state.gamma[i], state.gamma_sensor)
