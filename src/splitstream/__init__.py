@@ -20,10 +20,8 @@ from .costs import (
     NodeUsage,
     OperatorCost,
     Profile,
-    cloud_time,
     cost_report,
     data_volume,
-    edge_time,
     effective_t_req,
     home_nodes,
     latency_rows,
@@ -33,7 +31,6 @@ from .costs import (
     node_mem,
     node_usage,
     total_objective,
-    trans_time,
     validate_profile,
     windows_in_horizon,
 )

@@ -251,58 +251,12 @@ def edge_loads(
         )
 
 
-def edge_time(
-    i: OperatorId,
-    a: Assignment,
-    p: Profile,
-    w: Workload,
-    orientation: str = "corrected",
-) -> float:
-    """Slowest per-node edge compute time for operator i (seconds)."""
-    return OpFacts.build(w, p, i).edge_time(a.gamma[i], p, orientation)
-
-
-def uplink_time(by_node: Iterable[tuple[NodeId, float]], p: Profile) -> float:
-    """Worst per-node volume over that node's uplink (seconds)."""
-    worst = 0.0
-    for k, vol in by_node:
-        if vol <= 0.0:
-            continue
-        worst = max(worst, vol / p.bandwidth[k])
-    return worst
-
-
-def trans_time(
-    i: OperatorId,
-    a: Assignment,
-    p: Profile,
-    w: Workload,
-    node: NodeId | None = None,
-) -> float:
-    """Window transfer time: per-node volume over that node's uplink, worst
-    node unless one is named."""
-    vols = node_volumes(volume_terms(w, p, i), a.gamma[i], a.gamma_sensor).by_node
-    return uplink_time(
-        vols if node is None else [(k, v) for k, v in vols if k == node], p
-    )
-
-
-def cloud_time(
-    i: OperatorId,
-    a: Assignment,
-    p: Profile,
-    w: Workload,
-    orientation: str = "corrected",
-) -> float:
-    """Cloud compute time for operator i's offloaded share (seconds)."""
-    return OpFacts.build(w, p, i).cloud_time(a.gamma[i], p, orientation)
-
-
 @dataclass(frozen=True)
 class OpFacts:
     """What pricing and the checks read of one operator. Its edge_loads rows
     at share 1 and its cloud cycles per own sensor keep sensor order, so
-    scaled by a share they repeat edge_loads' and cloud_time's products."""
+    scaled by a share they repeat edge_loads' products, and latency_terms
+    folds them in that order."""
 
     spec: OperatorSpec
     terms: VolumeTerms
@@ -328,18 +282,26 @@ class OpFacts:
             forced_cloud=forced_cloud(w, i),
         )
 
-    def edge_time(self, gamma: float, p: Profile, orientation: str) -> float:
-        """Slowest per-node edge compute time at ratio gamma (seconds)."""
+    def latency_terms(
+        self,
+        gamma: float,
+        by_node: Iterable[tuple[NodeId, float]],
+        p: Profile,
+        orientation: str,
+    ) -> tuple[float, float, float]:
+        """The wait-free window latency terms at ratio gamma, in seconds:
+        (edge, transfer, cloud). Transfer is the worst node's volume in
+        `by_node` (the operator's node_volumes) over its uplink; the corrected
+        orientation charges the result cycles only once offloading starts."""
         share = edge_share(gamma, orientation)
         per_node: dict[NodeId, float] = {}
         for k, cycles, _mem in self.loads:
             per_node[k] = per_node.get(k, 0.0) + cycles * share
-        if not per_node:
-            return 0.0
-        return max(t / p.cpu_unit_edge[k] for k, t in per_node.items())
-
-    def cloud_time(self, gamma: float, p: Profile, orientation: str) -> float:
-        """Cloud compute time of the offloaded share at ratio gamma (seconds)."""
+        t_edge = max((t / p.cpu_unit_edge[k] for k, t in per_node.items()), default=0.0)
+        t_trans = 0.0
+        for k, vol in by_node:
+            if vol > 0.0:
+                t_trans = max(t_trans, vol / p.bandwidth[k])
         if orientation == "literal":
             share, res = 1.0 - gamma, self.cpu_res
         else:
@@ -347,7 +309,11 @@ class OpFacts:
         cycles = 0.0
         for c in self.cloud:
             cycles += c * share
-        return (cycles + res) / p.cpu_unit_cloud
+        return t_edge, t_trans, (cycles + res) / p.cpu_unit_cloud
+
+    def meets_deadline(self, t: float) -> bool:
+        """True when the operator has no deadline or latency t meets it."""
+        return self.t_req is None or le_with_tol(t, self.t_req)
 
 
 @dataclass(frozen=True)
@@ -381,16 +347,15 @@ def latency_rows(
     """Yield (op, t_edge, t_trans, t_wait, t_cloud, t_total) for each operator
     of `order`, the window latency and its terms in seconds.
 
-    The transfer time reads each operator's node_volumes under `a` from
-    `volumes`. The wait is the skew between the totals of the operator's
-    deps, so `order` must list every dep ahead of its consumers.
+    The edge, transfer and cloud terms are the operator's latency_terms,
+    its transfer read from its node_volumes under `a` in `volumes`. The
+    wait is the skew between the totals of the operator's deps, so `order`
+    must list every dep ahead of its consumers.
     """
     totals: dict[OperatorId, float] = {}
     for i in order:
         f = inst.ops[i]
-        te = f.edge_time(a.gamma[i], inst.p, orientation)
-        tt = uplink_time(volumes[i].by_node, inst.p)
-        tc = f.cloud_time(a.gamma[i], inst.p, orientation)
+        te, tt, tc = f.latency_terms(a.gamma[i], volumes[i].by_node, inst.p, orientation)
         dep_totals = [totals[d] for d in f.spec.deps]
         tw = max(dep_totals) - min(dep_totals) if dep_totals else 0.0
         totals[i] = te + tt + tw + tc

@@ -16,11 +16,13 @@ The twelve constraint ids:
   C11 per-node CPU stays strictly under capacity
   C12 per-node memory stays strictly under capacity
 
-C6/C7/C8 take precedence over C9.
+C6/C7/C8 take precedence over C9. C10 to C12 are checked only when every
+operator has a finite ratio.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .costs import (
@@ -29,7 +31,6 @@ from .costs import (
     Profile,
     forced_cloud,
     latency_rows,
-    le_with_tol,
     lt_strict,
     node_usage,
 )
@@ -113,7 +114,7 @@ def check_assignment(
         if g is None:
             out.append(Violation("C3", op.id, "no ratio recorded"))
         elif op.iterative:
-            if g < -GAMMA_TOL or g > 1.0 + GAMMA_TOL:
+            if not -GAMMA_TOL <= g <= 1.0 + GAMMA_TOL:
                 out.append(Violation("C1", op.id, f"ratio {g} outside [0, 1]"))
         elif not (_is_zero(g) or _is_one(g)):
             out.append(Violation("C2", op.id, f"ratio {g} not in {{0, 1}}"))
@@ -148,13 +149,14 @@ def check_assignment(
                 out.append(Violation("C9", op.id, f"ratio {g} != min over deps {expected}"))
 
     # C10 deadlines, evaluated in dependency order so waits resolve.
-    if not any(v.constraint == "C3" for v in out):
+    ratios = [a.gamma.get(op.id) for op in w.operators]
+    if all(g is not None and math.isfinite(g) for g in ratios):
         rows = latency_rows(inst, a, inst.volumes(a), inst.order, orientation)
         for i, _te, _tt, _tw, _tc, t in rows:
-            t_req = inst.ops[i].t_req
-            if t_req is not None and not le_with_tol(t, t_req):
+            facts = inst.ops[i]
+            if not facts.meets_deadline(t):
                 out.append(
-                    Violation("C10", i, f"latency {t:.6g}s > deadline {t_req:.6g}s")
+                    Violation("C10", i, f"latency {t:.6g}s > deadline {facts.t_req:.6g}s")
                 )
 
         # C11/C12 strict capacity bounds per node.

@@ -388,8 +388,19 @@ _TRACE_HEADER = struct.Struct("<4sIdd")
 _TRACE_SENSOR = struct.Struct("<IQ")
 
 
+def check_trace_sensor(sensor: SensorId) -> None:
+    """Raise ValueError for a sensor id the u32 id field cannot hold."""
+    if not 0 <= sensor < 2**32:
+        raise ValueError(f"sensor {sensor} is outside a trace's id range 0 to {2**32 - 1}")
+
+
 def save_trace(path: str, trace: Trace) -> None:
+    """Write the trace; a sensor id outside the id field raises ValueError
+    before anything is written."""
     import numpy as np
+
+    for sensor in sorted(trace.samples):
+        check_trace_sensor(sensor)
 
     def chunks():
         yield _TRACE_HEADER.pack(

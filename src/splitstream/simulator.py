@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .costs import Assignment, Profile, effective_t_req, windows_in_horizon
+from .fileio import check_trace_sensor
 from .functions import Channel, eval_windows, split_windows
 from .model import (
     GAMMA_TOL,
@@ -115,8 +116,7 @@ def generate_trace(config: StreamConfig, sensors) -> Trace:
     t = np.arange(n, dtype=np.float64) / config.sample_rate_hz
     samples: dict[SensorId, np.ndarray] = {}
     for sid in sorted(sensors):
-        if not 0 <= sid < 2**32:
-            raise ValueError(f"sensor {sid} is outside a trace's id range 0 to {2**32 - 1}")
+        check_trace_sensor(sid)
         rng = np.random.default_rng([config.seed, sid])
         spec = config.signals.get(sid)
         if spec is None:

@@ -43,11 +43,9 @@ from .costs import (
     int_res_bytes,
     latency_rows,
     latency_sum,
-    le_with_tol,
     lt_strict,
     node_usage,
     node_volumes,
-    uplink_time,
 )
 from .feasibility import (
     check_assignment,
@@ -299,8 +297,9 @@ def preflight_latency(state: SearchState, mark: int) -> OperatorId | None:
     """First operator changed since the trail held `mark` entries whose
     latency lower bound misses its deadline.
 
-    The bound leaves out the wait, which can shrink as later decisions raise
-    the fastest dep's total; transfer uses the decided sensor maxima, which
+    The bound is the sum of its latency_terms under the carried volumes. It
+    leaves out the wait, which can shrink as later decisions raise the
+    fastest dep's total; transfer uses the decided sensor maxima, which
     only grow. So a failure here is final for the whole subtree. A node's
     decisions change only the operators they recompute volumes for (a
     `volumes` entry on the trail): every other decided operator passed at the
@@ -309,16 +308,12 @@ def preflight_latency(state: SearchState, mark: int) -> OperatorId | None:
     """
     volumes = state.volumes
     changed = dict.fromkeys(key for table, key, _ in state.trail[mark:] if table is volumes)
-    p = state.inst.p
     for i in changed:
         facts = state.inst.ops[i]
-        if facts.t_req is None:
-            continue
-        gamma = state.gamma[i]
-        te = facts.edge_time(gamma, p, state.orientation)
-        tt = uplink_time(state.volumes[i].by_node, p)
-        tc = facts.cloud_time(gamma, p, state.orientation)
-        if not le_with_tol(te + tt + tc, facts.t_req):
+        te, tt, tc = facts.latency_terms(
+            state.gamma[i], volumes[i].by_node, state.inst.p, state.orientation
+        )
+        if not facts.meets_deadline(te + tt + tc):
             return i
     return None
 
@@ -363,8 +358,7 @@ def _solve_cluster(
         totals: dict[OperatorId, float] = {}
         rows = latency_rows(inst, state, state.volumes, topo, cfg.cost_orientation)
         for i, _te, _tt, _tw, _tc, t in rows:
-            t_req = inst.ops[i].t_req
-            if t_req is not None and not le_with_tol(t, t_req):
+            if not inst.ops[i].meets_deadline(t):
                 return
             totals[i] = t
         objective = state.objective(cluster)

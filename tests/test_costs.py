@@ -15,10 +15,8 @@ from splitstream import (
     Assignment,
     FunctionKind,
     cloud_only,
-    cloud_time,
     cost_report,
     data_volume,
-    edge_time,
     effective_t_req,
     home_nodes,
     le_with_tol,
@@ -29,7 +27,6 @@ from splitstream import (
     propagate_composite_gamma,
     solve,
     total_objective,
-    trans_time,
     windows_in_horizon,
 )
 from splitstream import generate_profile, generate_reference_workload, topological_order
@@ -166,14 +163,14 @@ class TestLatency:
     def test_edge_terms_vanish_when_fully_offloaded(self, tiny_workload, tiny_profile):
         w, p = tiny_workload, tiny_profile
         a = Assignment.from_op_gamma(w, {1: 1.0})
-        assert edge_time(1, a, p, w) == 0.0
+        assert cost_report(w, p, a).per_operator[1].t_edge == 0.0
         assert node_cpu(1, 1, a, p, w) == 0.0
         assert node_mem(1, 1, a, p, w) == 0.0
 
     def test_cloud_terms_vanish_when_fully_edge(self, tiny_workload, tiny_profile):
         w, p = tiny_workload, tiny_profile
         a = Assignment.from_op_gamma(w, {1: 0.0})
-        assert cloud_time(1, a, p, w) == 0.0
+        assert cost_report(w, p, a).per_operator[1].t_cloud == 0.0
 
     def test_fixed_cloud_overhead_charged_once_offloading_starts(
         self, tiny_workload, tiny_profile
@@ -182,17 +179,18 @@ class TestLatency:
         a = Assignment.from_op_gamma(w, {1: 0.3})
         cycles = sum(p.cpu_cloud[(1, s)] for s in (1, 2))
         expect = (0.3 * cycles + p.cpu_res[1]) / p.cpu_unit_cloud
-        assert cloud_time(1, a, p, w) == pytest.approx(expect, rel=1e-12)
+        assert cost_report(w, p, a).per_operator[1].t_cloud == pytest.approx(
+            expect, rel=1e-12
+        )
 
     def test_literal_orientation_swaps_shares(self, tiny_workload, tiny_profile):
         w, p = tiny_workload, tiny_profile
         a = Assignment.from_op_gamma(w, {1: 0.0})
         cycles = sum(p.cpu_cloud[(1, s)] for s in (1, 2))
         expect = (1.0 * cycles + p.cpu_res[1]) / p.cpu_unit_cloud
-        assert cloud_time(1, a, p, w, orientation="literal") == pytest.approx(
-            expect, rel=1e-12
-        )
-        assert edge_time(1, a, p, w, orientation="literal") == 0.0
+        row = cost_report(w, p, a, orientation="literal").per_operator[1]
+        assert row.t_cloud == pytest.approx(expect, rel=1e-12)
+        assert row.t_edge == 0.0
 
     def test_trans_time_picks_worst_node(self):
         w = build_workload(
@@ -208,8 +206,10 @@ class TestLatency:
             w, propagate_composite_gamma(w, {1: 1.0, 2: 1.0})
         )
         per_node_1 = data_volume(1, 1, a, p, w) / p.bandwidth[1]
-        assert trans_time(1, a, p, w) == pytest.approx(per_node_1, rel=1e-12)
-        assert trans_time(1, a, p, w, node=2) == 0.0
+        assert cost_report(w, p, a).per_operator[1].t_trans == pytest.approx(
+            per_node_1, rel=1e-12
+        )
+        assert data_volume(1, 2, a, p, w) == 0.0
 
 
 class TestNodeUsage:

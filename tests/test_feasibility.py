@@ -1,6 +1,7 @@
 """Assignment checking: one crafted violation per constraint id, satisfying
 counterparts, and the propagation rules the solver leans on."""
 
+import math
 import random
 
 import pytest
@@ -63,6 +64,26 @@ class TestEachConstraint:
         w = one_op(iterative=False)
         a = Assignment.from_op_gamma(w, {1: 0.5})
         assert ids(check_assignment(w, bare_profile(w), a)) == ["C2"]
+
+    @pytest.mark.parametrize("g", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("iterative, want", [(True, "C1"), (False, "C2")])
+    def test_non_finite_ratio_is_out_of_range(self, g, iterative, want):
+        # C10 to C12 cannot price it, so they are skipped.
+        w = one_op(iterative=iterative)
+        a = Assignment.from_op_gamma(w, {1: g})
+        assert ids(check_assignment(w, bare_profile(w), a)) == [want]
+
+    @pytest.mark.parametrize("g", [math.nan, math.inf, -math.inf])
+    def test_non_finite_ratio_on_random_instances(self, g):
+        # Composites and deadlines included: every operator, set to g in
+        # turn, gets its C1 or C2 without raising.
+        for seed in range(60):
+            w, p = random_instance(seed)
+            base = propagate_composite_gamma(w, {op.id: 1.0 for op in w.operators if op.atomic})
+            for op in w.operators:
+                a = Assignment.from_op_gamma(w, {**base, op.id: g})
+                want = ("C1" if op.iterative else "C2", op.id)
+                assert want in {(v.constraint, v.op) for v in check_assignment(w, p, a)}
 
     def test_c3_every_operator_needs_a_ratio(self):
         w = one_op(sensors=(1, 2), wiring={1: 1, 2: 1})

@@ -465,6 +465,17 @@ class TestTraceBinary:
         with pytest.raises(ValueError, match="^sensor 1 appears twice$"):
             load_trace(str(path))
 
+    @pytest.mark.parametrize("sensor", [2**32, -1])
+    def test_a_sensor_outside_the_id_field_is_refused(self, tmp_path, sensor):
+        # The id field is u32; nothing is written, so the old file stays.
+        path = tmp_path / "t.bin"
+        save_trace(str(path), Trace(1.0, 1.0, {1: np.zeros(1)}))
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match=f"^sensor {sensor} is outside"):
+            save_trace(str(path), Trace(1.0, 1.0, {1: np.ones(1), sensor: np.zeros(1)}))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["t.bin"]
+
     def test_sample_count_rounds_like_generate_trace(self, tmp_path):
         trace = generate_trace(StreamConfig(duration_s=2.25, sample_rate_hz=10, seed=4), [1])
         path = str(tmp_path / "t.bin")

@@ -28,9 +28,9 @@ EXPORTS = (
     "SPLITTABLE", "SignalSpec", "SimReport", "Solution", "SolverConfig",
     "StreamConfig", "Topology", "Trace", "ValidationReport", "Violation",
     "Workload", "WorkloadViolation", "__version__", "brute_force",
-    "canonical_json", "check_assignment", "cloud_only", "cloud_time",
+    "canonical_json", "check_assignment", "cloud_only",
     "cost_report", "data_volume", "decode_frame", "dumps_profile",
-    "dumps_workload", "edge_only", "edge_time", "effective_t_req",
+    "dumps_workload", "edge_only", "effective_t_req",
     "encode_frame", "eval_function", "finalize", "forced_cloud", "gamma_grid",
     "gamma_record", "generate_profile", "generate_reference_workload",
     "generate_trace", "home_nodes", "is_splittable", "latency_rows",
@@ -41,7 +41,7 @@ EXPORTS = (
     "save_profile", "save_report", "save_trace", "save_workload",
     "sensor_clusters", "sensor_legend", "sha256_file", "solve",
     "state_length", "state_to_vector", "topological_order", "total_objective",
-    "trans_time", "transitive_sensors", "validate_profile",
+    "transitive_sensors", "validate_profile",
     "validate_workload", "windows_in_horizon",
 )
 

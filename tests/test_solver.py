@@ -15,6 +15,7 @@ from splitstream import (
     brute_force,
     check_assignment,
     cloud_only,
+    cost_report,
     gamma_grid,
     generate_profile,
     generate_reference_workload,
@@ -364,6 +365,39 @@ class TestPaperBound:
                 a = Assignment.from_op_gamma(w, {**state.gamma, **dict(zip(free, combo))})
                 assert bound <= total_objective(a, p, w, "paper", ops=ops), f"seed {seed}"
                 checked += 1
+        assert checked > 1_000
+
+
+class TestLatencyBound:
+    """The latency prune's bound for a decided operator, its latency_terms
+    under the partial state's volumes, never exceeds its t_total in any
+    completion, so a deadline it misses is missed in the whole subtree."""
+
+    @pytest.mark.parametrize("orientation", ["corrected", "literal"])
+    def test_bound_below_every_completion(self, orientation):
+        rng = random.Random(13)
+        grid = (0.0, 0.25, 0.5, 1.0)
+        checked = 0
+        for seed in range(100):
+            w, p = random_instance(seed)
+            inst = Instance.build(w, p)
+            ops = tuple(sorted(inst.ops))
+            state = SearchState(inst, orientation, "paper", cluster=ops)
+            for i in rng.sample(ops, rng.randint(1, len(ops))):
+                state.assign(i, rng.choice(grid))
+            bounds = {}
+            for i, g in state.gamma.items():
+                te, tt, tc = inst.ops[i].latency_terms(
+                    g, state.volumes[i].by_node, p, orientation
+                )
+                bounds[i] = te + tt + tc
+            free = [i for i in ops if i not in state.gamma]
+            for combo in itertools.product(grid, repeat=len(free)):
+                a = Assignment.from_op_gamma(w, {**state.gamma, **dict(zip(free, combo))})
+                rows = cost_report(w, p, a, orientation=orientation, inst=inst).per_operator
+                for i, bound in bounds.items():
+                    assert bound <= rows[i].t_total, f"seed {seed}, op {i}"
+                    checked += 1
         assert checked > 1_000
 
 
