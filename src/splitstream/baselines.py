@@ -27,7 +27,6 @@ def _evaluate(
     return Solution(
         feasible=not violations,
         assignment=a,
-        objective_bytes=report.objective_bytes,
         report=report,
         stats={
             "strategy": strategy,

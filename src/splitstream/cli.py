@@ -59,6 +59,14 @@ def _fail(message: str) -> None:
     sys.exit(EXIT_INPUT)
 
 
+def _save(save, out: str, data) -> None:
+    """Write `data` to `out` with `save`; an unwritable path exits 1."""
+    try:
+        save(out, data)
+    except OSError as exc:
+        _fail(f"cannot write {out}: {exc.strerror or exc}")
+
+
 def _load_workload(path: str):
     try:
         w = load_workload(path)
@@ -167,7 +175,7 @@ def main() -> None:
 def gen_workload(out: str) -> None:
     """Write the bundled 63-operator reference workload."""
     w = generate_reference_workload()
-    save_workload(out, w)
+    _save(save_workload, out, w)
     click.echo(
         f"wrote {out}: {len(w.operators)} operators, {len(w.sensors)} sensors, "
         f"{len(w.topology.nodes)} nodes"
@@ -202,7 +210,7 @@ def gen_profile(workload: str, out: str, bandwidth: float, rate: float,
         )
     except (ValueError, KeyError) as exc:
         _fail(str(exc))
-    save_profile(out, p)
+    _save(save_profile, out, p)
     click.echo(f"wrote {out}: {len(p.cpu_edge)} operator-sensor rows")
 
 
@@ -285,7 +293,7 @@ def solve_cmd(workload: str, profile: str, delta: float, time_budget: float | No
     _print_solution("solve", w, p, sol)
     click.echo(f"stats: {json.dumps(sol.stats, sort_keys=True)}")
     if out:
-        save_report(out, _solution_record(manifest, w, p, sol))
+        _save(save_report, out, _solution_record(manifest, w, p, sol))
         click.echo(f"report: {out}")
     sys.exit(EXIT_OK if sol.feasible else EXIT_INFEASIBLE)
 
@@ -313,7 +321,7 @@ def baseline(workload: str, profile: str, strategy: str,
     )
     _print_solution(f"baseline {strategy}", w, p, sol)
     if out:
-        save_report(out, _solution_record(manifest, w, p, sol))
+        _save(save_report, out, _solution_record(manifest, w, p, sol))
         click.echo(f"report: {out}")
     sys.exit(EXIT_OK if sol.feasible else EXIT_INFEASIBLE)
 
@@ -336,7 +344,7 @@ def gen_trace(workload: str, out: str, duration: float, rate: float, seed: int) 
         trace = generate_trace(cfg, w.sensors)
     except ValueError as exc:
         _fail(str(exc))
-    save_trace(out, trace)
+    _save(save_trace, out, trace)
     click.echo(f"wrote {out}: {len(trace.samples)} sensors x {duration}s @ {rate}Hz")
 
 
@@ -465,7 +473,7 @@ def simulate(workload: str, profile: str, assignment_path: str,
             },
             "warnings": report.warnings,
         }
-        save_report(out, record)
+        _save(save_report, out, record)
         click.echo(f"report: {out}")
     sys.exit(EXIT_OK)
 
@@ -527,7 +535,7 @@ def compare(reports: tuple[str, ...], out: str | None) -> None:
             "reduction_pct_vs_first": reductions,
             "per_operator": per_operator,
         }
-        save_report(out, record)
+        _save(save_report, out, record)
         click.echo(f"report: {out}")
     sys.exit(EXIT_OK)
 

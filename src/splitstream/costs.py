@@ -103,16 +103,16 @@ class Assignment:
         return self.gamma[op_id]
 
 
-def le_with_tol(x: float, bound: float, rel: float = REL_TOL) -> bool:
+def le_with_tol(x: float, bound: float) -> bool:
     """x <= bound, forgiving relative float noise at the boundary."""
-    if math.isclose(x, bound, rel_tol=rel, abs_tol=0.0):
+    if math.isclose(x, bound, rel_tol=REL_TOL, abs_tol=0.0):
         return True
     return x <= bound
 
 
-def lt_strict(x: float, bound: float, rel: float = REL_TOL) -> bool:
+def lt_strict(x: float, bound: float) -> bool:
     """x < bound, treating values within noise of the bound as equal (fails)."""
-    if math.isclose(x, bound, rel_tol=rel, abs_tol=0.0):
+    if math.isclose(x, bound, rel_tol=REL_TOL, abs_tol=0.0):
         return False
     return x < bound
 
@@ -143,10 +143,12 @@ def forced_cloud(w: Workload, op_id: OperatorId) -> bool:
 
 
 def int_res_bytes(gamma: float, d_int: float, d_res: float) -> float:
-    """Partial-aggregate and result uploads as a function of the ratio."""
-    term = (math.ceil(gamma) - math.floor(gamma)) * d_int
-    term += math.floor(1.0 - gamma) * d_res
-    return term
+    """Partial-aggregate and result uploads as a function of the ratio: the
+    result at ratio 0, the aggregate at a fractional ratio, nothing at ratio
+    1, each within GAMMA_TOL as the replay classifies it."""
+    if gamma <= GAMMA_TOL:
+        return d_res
+    return d_int if gamma < 1.0 - GAMMA_TOL else 0.0
 
 
 @dataclass(frozen=True)
@@ -336,6 +338,68 @@ class Instance:
         g, gs = a.gamma, a.gamma_sensor
         return {i: node_volumes(f.terms, g[i], gs) for i, f in self.ops.items()}
 
+    def usage(self, a: Assignment, orientation: str = "corrected") -> dict[NodeId, NodeUsage]:
+        """Per-node edge CPU and memory: each operator's load rows at its
+        edge share, summed per node, then over operators in workload order."""
+        nodes = sorted(self.w.topology.nodes)
+        cpu = dict.fromkeys(nodes, 0.0)
+        mem = dict.fromkeys(nodes, 0.0)
+        for i, f in self.ops.items():
+            share = edge_share(a.gamma[i], orientation)
+            op_cpu: dict[NodeId, float] = {}
+            op_mem: dict[NodeId, float] = {}
+            for k, c, m in f.loads:
+                op_cpu[k] = op_cpu.get(k, 0.0) + c * share
+                op_mem[k] = op_mem.get(k, 0.0) + m * share
+            for k in op_cpu.keys() & cpu.keys():
+                cpu[k] += op_cpu[k]
+                mem[k] += op_mem[k]
+        return {k: NodeUsage(node=k, cpu_cycles=cpu[k], mem_bytes=mem[k]) for k in nodes}
+
+    def objective(
+        self,
+        a: Assignment,
+        mode: str = "paper",
+        horizon_s: float | None = None,
+        ops: Iterable[OperatorId] | None = None,
+    ) -> float:
+        """Total uplink bytes under the assignment.
+
+        "paper" sums every operator's node_volumes total independently,
+        double-counting raw streams shared between operators. "dedup" counts
+        each sensor's upload once per (sensor, node) and keeps per-operator
+        aggregate/result terms (see dedup_bytes). Without a horizon the
+        figure is per window close; with one, per-operator terms scale by
+        their number of closes and dedup raw scales by stream rate. `ops`
+        limits the sum to those operator ids, in that order; by default
+        every operator counts, in workload order.
+        """
+        if mode not in OBJECTIVE_MODES:
+            raise ValueError(f"unknown objective mode {mode!r}")
+        facts = [self.ops[i] for i in (self.ops if ops is None else ops)]
+        g, gs = a.gamma, a.gamma_sensor
+        closes = [
+            1 if horizon_s is None else windows_in_horizon(f.spec.window_s, f.spec.step_s, horizon_s)
+            for f in facts
+        ]
+        if mode == "paper":
+            return fold_sum(
+                node_volumes(f.terms, g[f.spec.id], gs).total * n for f, n in zip(facts, closes)
+            )
+        raw_best: dict[tuple[SensorId, NodeId], float] = {}
+        for f in facts:
+            for k, raws, _home in f.terms.nodes:
+                for s, raw in raws:
+                    if horizon_s is not None:
+                        raw = raw / f.spec.window_s * horizon_s
+                    if raw > raw_best.get((s, k), 0.0):
+                        raw_best[(s, k)] = raw
+        terms = (
+            int_res_bytes(g[f.spec.id], f.terms.d_int, f.terms.d_res) * n
+            for f, n in zip(facts, closes)
+        )
+        return dedup_bytes(raw_best, gs, terms)
+
 
 def latency_rows(
     inst: Instance,
@@ -426,21 +490,8 @@ def node_usage(
     w: Workload,
     orientation: str = "corrected",
 ) -> dict[NodeId, NodeUsage]:
-    """Per-node edge CPU and memory: each operator's node_cpu and node_mem
-    share, summed over operators in workload order."""
-    nodes = sorted(w.topology.nodes)
-    cpu = dict.fromkeys(nodes, 0.0)
-    mem = dict.fromkeys(nodes, 0.0)
-    for op in w.operators:
-        op_cpu: dict[NodeId, float] = {}
-        op_mem: dict[NodeId, float] = {}
-        for k, c, m in edge_loads(op, a.gamma[op.id], p, w, orientation):
-            op_cpu[k] = op_cpu.get(k, 0.0) + c
-            op_mem[k] = op_mem.get(k, 0.0) + m
-        for k in op_cpu.keys() & cpu.keys():
-            cpu[k] += op_cpu[k]
-            mem[k] += op_mem[k]
-    return {k: NodeUsage(node=k, cpu_cycles=cpu[k], mem_bytes=mem[k]) for k in nodes}
+    """Per-node edge CPU and memory (see Instance.usage)."""
+    return Instance.build(w, p).usage(a, orientation)
 
 
 def windows_in_horizon(window_s: float, step_s: float, horizon_s: float) -> int:
@@ -458,55 +509,8 @@ def total_objective(
     horizon_s: float | None = None,
     ops: Iterable[OperatorId] | None = None,
 ) -> float:
-    """Total uplink bytes under the assignment.
-
-    "paper" sums every operator's volumes independently, double-counting raw
-    streams shared between operators. "dedup" counts each sensor's upload once per
-    (sensor, node) and keeps per-operator aggregate/result terms. Without a
-    horizon the figure is per window close; with one, per-operator terms scale
-    by their number of closes and dedup raw scales by stream rate. `ops`
-    limits the sum to those operator ids, in that order; by default every
-    operator counts, in workload order.
-    """
-    if mode not in OBJECTIVE_MODES:
-        raise ValueError(f"unknown objective mode {mode!r}")
-    specs = w.operators if ops is None else [w.operator(i) for i in ops]
-    total = 0.0
-    if mode == "paper":
-        for op in specs:
-            per_window = node_volumes(
-                volume_terms(w, p, op.id), a.gamma[op.id], a.gamma_sensor
-            ).total
-            if horizon_s is None:
-                total += per_window
-            else:
-                total += per_window * windows_in_horizon(
-                    op.window_s, op.step_s, horizon_s
-                )
-        return total
-
-    # dedup: raw once per (sensor, node), aggregate/result once per operator
-    raw_best: dict[tuple[SensorId, NodeId], float] = {}
-    for op in specs:
-        for s in op.sensors:
-            k = w.topology.sensor_node.get(s)
-            if k is None:
-                continue
-            raw = p.data_raw.get((op.id, s, k), 0.0)
-            if horizon_s is not None:
-                raw = raw / op.window_s * horizon_s
-            key = (s, k)
-            if raw > raw_best.get(key, 0.0):
-                raw_best[key] = raw
-    terms = []
-    for op in specs:
-        term = int_res_bytes(
-            a.gamma[op.id], p.data_int.get(op.id, 0.0), p.data_res.get(op.id, 0.0)
-        )
-        if horizon_s is not None:
-            term *= windows_in_horizon(op.window_s, op.step_s, horizon_s)
-        terms.append(term)
-    return dedup_bytes(raw_best, a.gamma_sensor, terms)
+    """Total uplink bytes under the assignment (see Instance.objective)."""
+    return Instance.build(w, p).objective(a, mode, horizon_s, ops)
 
 
 def dedup_bytes(
@@ -553,7 +557,7 @@ def cost_report(
     rows = {i: rows[i] for i in sorted(rows)}
     return CostReport(
         per_operator=rows,
-        per_node=node_usage(a, p, w, orientation),
-        objective_bytes=total_objective(a, p, w, mode),
+        per_node=inst.usage(a, orientation),
+        objective_bytes=inst.objective(a, mode),
         latency_sum=latency_sum({i: row.t_total for i, row in rows.items()}),
     )

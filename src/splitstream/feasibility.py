@@ -32,7 +32,6 @@ from .costs import (
     forced_cloud,
     latency_rows,
     lt_strict,
-    node_usage,
 )
 from .model import GAMMA_TOL, OperatorId, Workload, topological_order
 
@@ -160,7 +159,7 @@ def check_assignment(
                 )
 
         # C11/C12 strict capacity bounds per node.
-        for k, usage in node_usage(a, p, w, orientation).items():
+        for k, usage in inst.usage(a, orientation).items():
             cpu, mem = usage.cpu_cycles, usage.mem_bytes
             cap_c = p.cpu_cap.get(k)
             cap_m = p.mem_cap.get(k)

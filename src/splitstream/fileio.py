@@ -312,8 +312,10 @@ def parse_profile(text: str) -> Profile:
     for row in json_shaped(record["per_sensor"], list, "per_sensor"):
         row = json_shaped(row, dict, "a per_sensor row")
         key = tuple(json_id(row, name, "per_sensor") for name in ("op", "sensor", "node"))
-        if key in cpu_edge:
-            raise ValueError(f"per_sensor lists {key} twice")
+        # cpu_cloud is keyed (op, sensor): a second row for the pair, even at
+        # another node, would replace the operator's cloud cycles.
+        if key[:2] in cpu_cloud:
+            raise ValueError(f"per_sensor lists op {key[0]}, sensor {key[1]} twice")
         cpu_edge[key] = json_cost(row, "cpu_edge", key)
         cpu_cloud[key[:2]] = json_cost(row, "cpu_cloud", key)
         mem_edge[key] = json_cost(row, "mem_edge", key)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .costs import Assignment, Instance, Profile, latency_rows, node_usage
+from .costs import Assignment, Instance, Profile, latency_rows
 from .model import (
     FunctionContext,
     FunctionKind,
@@ -168,7 +168,7 @@ def sensor_legend() -> dict[SensorId, str]:
     return legend
 
 
-def _channel_count(w: Workload, op: OperatorSpec, arity: dict[OperatorId, int]) -> int:
+def _channel_count(op: OperatorSpec, arity: dict[OperatorId, int]) -> int:
     return len(op.sensors) + sum(arity[d] for d in op.deps)
 
 
@@ -210,7 +210,7 @@ def generate_profile(
     arity: dict[OperatorId, int] = {}
     for op_id in topological_order(w):
         op = w.operator(op_id)
-        channels = _channel_count(w, op, arity)
+        channels = _channel_count(op, arity)
         arity[op_id] = output_arity(op.func, channels)
         samples = op.window_s * sample_rate_hz
         coeff = CYCLES_PER_SAMPLE[op.func]
@@ -244,9 +244,11 @@ def generate_profile(
     )
 
     # Capacities: the all-edge placement is the heaviest the platform must
-    # carry; give each node that load times the headroom factor.
+    # carry; give each node that load times the headroom factor. Caps feed
+    # no OpFacts field, so one Instance serves caps and deadlines.
+    inst = Instance.build(w, profile)
     all_edge = Assignment.from_op_gamma(w, {op.id: 0.0 for op in w.operators})
-    usage = node_usage(all_edge, profile, w)
+    usage = inst.usage(all_edge)
     profile = replace(
         profile,
         cpu_cap={k: headroom * max(u.cpu_cycles, 1.0) for k, u in usage.items()},
@@ -255,7 +257,6 @@ def generate_profile(
 
     # Deadlines: slack over the all-cloud latency estimate per operator.
     all_cloud = Assignment.from_op_gamma(w, {op.id: 1.0 for op in w.operators})
-    inst = Instance.build(w, profile)
     rows = latency_rows(inst, all_cloud, inst.volumes(all_cloud), inst.order)
     t_req = {i: (1.0 + treq_slack) * t for i, _te, _tt, _tw, _tc, t in rows}
     return replace(profile, t_req_s=t_req)

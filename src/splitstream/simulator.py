@@ -294,13 +294,13 @@ def _percentiles(latencies: np.ndarray) -> tuple[float, float, float, float]:
     return float(latencies.mean()), p[0], p[1], float(latencies.max())
 
 
-def _deadline_misses(latency: np.ndarray, bound: float, rel: float = REL_TOL) -> int:
+def _deadline_misses(latency: np.ndarray, bound: float) -> int:
     """Windows whose latency fails le_with_tol(latency, bound), counted
     elementwise with math.isclose's symmetric test (not np.isclose)."""
     with np.errstate(invalid="ignore", over="ignore"):
         diff = np.abs(bound - latency)
     close = np.isfinite(latency) & math.isfinite(bound) & (
-        (diff <= abs(rel * bound)) | (diff <= np.abs(rel * latency))
+        (diff <= abs(REL_TOL * bound)) | (diff <= np.abs(REL_TOL * latency))
     )
     return int(np.count_nonzero(~(close | (latency <= bound))))
 

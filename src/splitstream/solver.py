@@ -44,7 +44,6 @@ from .costs import (
     latency_rows,
     latency_sum,
     lt_strict,
-    node_usage,
     node_volumes,
 )
 from .feasibility import (
@@ -98,12 +97,21 @@ class SolverConfig:
 
 @dataclass
 class Solution:
+    """A placement search's outcome. objective_bytes and budget_exceeded
+    are read from the report and the stats, which hold them."""
+
     feasible: bool
     assignment: Assignment | None
-    objective_bytes: float | None
     report: CostReport | None
     stats: dict
-    budget_exceeded: bool = False
+
+    @property
+    def objective_bytes(self) -> float | None:
+        return None if self.report is None else self.report.objective_bytes
+
+    @property
+    def budget_exceeded(self) -> bool:
+        return self.stats.get("budget_exceeded", False)
 
 
 def _grid_steps(delta: float) -> int:
@@ -268,9 +276,9 @@ class SearchState:
         at most the same term of objective(ops) at any leaf below, in floats
         too: sensor ratios only rise as decisions are added; products with a
         non-negative raw size and sums of non-negative terms are monotone
-        under rounding; int_res_bytes is never negative, as profiles hold
-        non-negative finite sizes. Folded in the same order, the bound is
-        therefore at most the leaf's objective.
+        under rounding; int_res_bytes is d_int, d_res or 0 at every ratio,
+        never negative, as profiles hold non-negative finite sizes. Folded in
+        the same order, the bound is therefore at most the leaf's objective.
         """
         if self.mode == "dedup":
             return self.objective(ops)
@@ -418,7 +426,7 @@ def _merge_capacity_coupled(
     w, p = inst.w, inst.p
     all_edge = Assignment.from_op_gamma(w, {op.id: 0.0 for op in w.operators})
     contended: set[NodeId] = set()
-    for k, worst in node_usage(all_edge, p, w).items():
+    for k, worst in inst.usage(all_edge).items():
         cap_c, cap_m = p.cpu_cap.get(k), p.mem_cap.get(k)
         if (cap_c is not None and not lt_strict(worst.cpu_cycles, cap_c)) or (
             cap_m is not None and not lt_strict(worst.mem_bytes, cap_m)
@@ -469,45 +477,27 @@ def solve(w: Workload, p: Profile, cfg: SolverConfig | None = None) -> Solution:
         lt_strict(0.0, caps[k]) for caps in (p.cpu_cap, p.mem_cap)
         for k in w.topology.nodes if k in caps
     )
-    budget_exceeded = False
     for cluster in clusters if feasible else ():
         gamma = None
-        if not budget_exceeded:
+        if "budget_exceeded" not in stats:
             try:
                 gamma = _solve_cluster(inst, cfg, cluster, grid, stats, deadline)
                 if gamma is None:
                     feasible = False
                     break
             except _BudgetExceeded:
-                budget_exceeded = True
+                stats["budget_exceeded"] = True
         per_op.update(dict.fromkeys(cluster, 1.0) if gamma is None else gamma)
-    if budget_exceeded:
-        stats["budget_exceeded"] = True
-    if not feasible:
-        return Solution(
-            feasible=False,
-            assignment=None,
-            objective_bytes=None,
-            report=None,
-            stats=stats,
-        )
-    assignment = Assignment.from_op_gamma(w, per_op)
-    ok = not budget_exceeded or not check_assignment(
-        w, p, assignment, cfg.cost_orientation, inst=inst
-    )
+    assignment = Assignment.from_op_gamma(w, per_op) if feasible else None
+    if "budget_exceeded" in stats:
+        # The cut clusters' full offload may miss a deadline or a cap.
+        feasible = not check_assignment(w, p, assignment, cfg.cost_orientation, inst=inst)
     report = (
         cost_report(w, p, assignment, cfg.objective_mode, cfg.cost_orientation, inst=inst)
-        if ok
+        if feasible
         else None
     )
-    return Solution(
-        feasible=ok,
-        assignment=assignment,
-        objective_bytes=report.objective_bytes if ok else None,
-        report=report,
-        stats=stats,
-        budget_exceeded=budget_exceeded,
-    )
+    return Solution(feasible=feasible, assignment=assignment, report=report, stats=stats)
 
 
 def brute_force(
@@ -530,8 +520,7 @@ def brute_force(
             f"{count} grid points exceed the enumeration cap of {cap}"
         )
     inst = Instance.build(w, p)
-    best: tuple | None = None
-    best_assignment: Assignment | None = None
+    best: tuple | None = None  # (objective, latency_sum, gamma_vector), assignment, report
     explored = 0
     for combo in itertools.product(*domains):
         explored += 1
@@ -543,24 +532,9 @@ def brute_force(
         report = cost_report(w, p, a, cfg.objective_mode, cfg.cost_orientation, inst=inst)
         gvec = tuple(full[i] for i in topo)
         candidate = (report.objective_bytes, report.latency_sum, gvec)
-        if best is None or candidate < best:
-            best = candidate
-            best_assignment = a
+        if best is None or candidate < best[0]:
+            best = (candidate, a, report)
     stats = {"nodes_explored": explored, "prunes": {"resource": 0, "bound": 0, "latency": 0}}
     if best is None:
-        return Solution(
-            feasible=False,
-            assignment=None,
-            objective_bytes=None,
-            report=None,
-            stats=stats,
-        )
-    return Solution(
-        feasible=True,
-        assignment=best_assignment,
-        objective_bytes=best[0],
-        report=cost_report(
-            w, p, best_assignment, cfg.objective_mode, cfg.cost_orientation, inst=inst
-        ),
-        stats=stats,
-    )
+        return Solution(feasible=False, assignment=None, report=None, stats=stats)
+    return Solution(feasible=True, assignment=best[1], report=best[2], stats=stats)

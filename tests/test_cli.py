@@ -192,6 +192,17 @@ class TestSolveAndBaseline:
         result = runner.invoke(main, ["solve", wpath, ppath])
         assert result.exit_code == 2
 
+    def test_a_second_row_for_one_op_and_sensor_is_an_input_error(self, runner, tmp_path):
+        _, wpath, ppath = write_inputs(tmp_path)
+        record = json.loads(open(ppath).read())
+        row = next(r for r in record["per_sensor"] if (r["op"], r["sensor"]) == (1, 1))
+        record["per_sensor"].append(dict(row, node=101, cpu_cloud=1000 * row["cpu_cloud"]))
+        open(ppath, "w").write(json.dumps(record))
+        result = runner.invoke(main, ["solve", wpath, ppath])
+        assert result.exit_code == 1, result.output
+        assert len(error_lines(result)) == 1
+        assert "op 1, sensor 1" in error_lines(result)[0]
+
     def test_missing_input_exits_1(self, runner, tmp_path):
         result = runner.invoke(
             main, ["solve", str(tmp_path / "none.txt"), str(tmp_path / "none.json")]
@@ -731,6 +742,40 @@ class TestSimulateAndCompare:
         _, wpath, ppath = write_inputs(tmp_path)
         result = runner.invoke(main, ["compare", str(tmp_path / "x.json")])
         assert result.exit_code != 0
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize(
+        "command",
+        ["gen-workload", "gen-profile", "gen-trace", "solve", "baseline", "simulate", "compare"],
+    )
+    def test_a_missing_directory_is_one_error_line(self, runner, tmp_path, command):
+        _, wpath, ppath = write_inputs(tmp_path)
+        gpath = tmp_path / "gamma.json"
+        gpath.write_text(json.dumps({"gamma": {"1": 1.0, "2": 1.0}}))
+        reports = []
+        for strategy in ("co", "eo"):
+            reports.append(str(tmp_path / f"{strategy}.json"))
+            runner.invoke(
+                main, ["baseline", wpath, ppath, "--strategy", strategy, "--out", reports[-1]]
+            )
+        args = {
+            "gen-workload": [],
+            "gen-profile": [wpath],
+            "gen-trace": [wpath, "--duration", "10"],
+            "solve": [wpath, ppath, "--delta", "0.5"],
+            "baseline": [wpath, ppath, "--strategy", "co"],
+            "simulate": [wpath, ppath, "--assignment", str(gpath), "--duration", "10"],
+            "compare": reports,
+        }[command]
+        out = tmp_path / "missing_dir" / "x"
+        result = runner.invoke(main, [command, *args, "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert len(error_lines(result)) == 1
+        assert str(out) in error_lines(result)[0]
+        assert not list(tmp_path.rglob("*.tmp"))
 
 
 class TestDeterminism:

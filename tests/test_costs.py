@@ -24,13 +24,16 @@ from splitstream import (
     node_cpu,
     node_mem,
     node_usage,
+    StreamConfig,
+    generate_trace,
     propagate_composite_gamma,
+    run_sim,
     solve,
     total_objective,
     windows_in_horizon,
 )
 from splitstream import generate_profile, generate_reference_workload, topological_order
-from splitstream.costs import Instance, edge_loads, volume_terms
+from splitstream.costs import Instance, edge_loads, int_res_bytes, volume_terms
 from splitstream.model import fold_sum
 
 from conftest import build_workload, random_instance
@@ -111,6 +114,86 @@ class TestObjective:
         a = Assignment.from_op_gamma(tiny_workload, {1: 1.0})
         with pytest.raises(ValueError):
             total_objective(a, tiny_profile, tiny_workload, mode="net")
+
+    # Ratios off the binary grid make the products inexact, so a change in
+    # summation order would show in the bit-for-bit comparisons below.
+    RATIOS = (0.0, 0.05, 0.35, 0.7, 1.0)
+
+    @pytest.mark.parametrize("horizon", [None, 3600.0])
+    def test_paper_folds_data_volume(self, horizon):
+        for seed in range(60):
+            w, p = random_instance(seed)
+            rng = random.Random(4000 + seed)
+            a = Assignment.from_op_gamma(w, {op.id: rng.choice(self.RATIOS) for op in w.operators})
+            nodes = sorted(w.topology.nodes)
+            closes = {
+                op.id: 1 if horizon is None else windows_in_horizon(op.window_s, op.step_s, horizon)
+                for op in w.operators
+            }
+            for ops in (w.operators, w.operators[::-1]):
+                want = fold_sum(
+                    fold_sum(data_volume(op.id, k, a, p, w) for k in nodes) * closes[op.id]
+                    for op in ops
+                )
+                ids = [op.id for op in ops]
+                assert total_objective(a, p, w, "paper", horizon, ids) == want, f"seed {seed}"
+
+    @pytest.mark.parametrize("horizon", [None, 3600.0])
+    def test_dedup_matches_a_longhand_oracle(self, horizon):
+        for seed in range(60):
+            w, p = random_instance(seed)
+            rng = random.Random(5000 + seed)
+            a = Assignment.from_op_gamma(w, {op.id: rng.choice(self.RATIOS) for op in w.operators})
+            raw_best = {}
+            for op in w.operators:
+                for s in op.sensors:
+                    k = w.topology.sensor_node[s]
+                    raw = p.data_raw[(op.id, s, k)]
+                    if horizon is not None:
+                        raw = raw / op.window_s * horizon
+                    raw_best[(s, k)] = max(raw_best.get((s, k), 0.0), raw)
+            want = 0.0
+            for s, k in sorted(raw_best):
+                want += raw_best[(s, k)] * a.gamma_sensor[s]
+            for op in w.operators:
+                g = a.gamma[op.id]
+                term = {0.0: p.data_res[op.id], 1.0: 0.0}.get(g, p.data_int[op.id])
+                if horizon is not None:
+                    term *= windows_in_horizon(op.window_s, op.step_s, horizon)
+                want += term
+            assert total_objective(a, p, w, "dedup", horizon_s=horizon) == want, f"seed {seed}"
+
+
+class TestIntResTolerance:
+    """Ratios within GAMMA_TOL of 0 or 1 pass check_assignment and are
+    replayed as 0 or 1, so they are priced as 0 or 1."""
+
+    NEAR_GRID = [(-1e-12, 0.0), (1e-12, 0.0), (1.0 - 1e-12, 1.0), (1.0 + 1e-10, 1.0)]
+
+    @pytest.mark.parametrize("gamma, like", NEAR_GRID)
+    def test_near_grid_ratio_prices_as_the_grid(self, gamma, like):
+        for d_int, d_res in ((100.0, 8.0), (8.0, 100.0)):
+            assert int_res_bytes(gamma, d_int, d_res) == int_res_bytes(like, d_int, d_res)
+        assert int_res_bytes(0.5, 100.0, 8.0) == 100.0
+
+    @pytest.mark.parametrize("gamma, like", NEAR_GRID)
+    def test_replay_sends_the_analytic_aggregate_and_result(self, gamma, like):
+        w = build_workload(
+            [
+                (1, (1,), (), F.MEAN, True, 5, 5, 5),
+                (2, (2,), (), F.STD, True, 2, 1, 1),
+            ],
+            {1: 1, 2: 2},
+        )
+        p = generate_profile(w)
+        a = Assignment.from_op_gamma(w, {1: gamma, 2: 0.5})
+        trace = generate_trace(StreamConfig(duration_s=10, sample_rate_hz=10, seed=1), [1, 2])
+        rep = run_sim(w, p, a, trace)
+        want = 0.0
+        for op in w.operators:
+            term = int_res_bytes(a.gamma[op.id], p.data_int[op.id], p.data_res[op.id])
+            want += term * windows_in_horizon(op.window_s, op.step_s, trace.duration_s)
+        assert rep.int_payload_bytes + rep.res_payload_bytes == want
 
 
 class TestWindowsInHorizon:

