@@ -17,13 +17,12 @@ def _evaluate(
     p: Profile,
     per_op: dict[OperatorId, float],
     mode: str,
-    orientation: str,
     strategy: str,
 ) -> Solution:
     a = Assignment.from_op_gamma(w, per_op)
     inst = Instance.build(w, p)
-    violations = check_assignment(w, p, a, orientation, inst=inst)
-    report = cost_report(w, p, a, mode, orientation, inst=inst)
+    violations = check_assignment(w, p, a, inst=inst)
+    report = cost_report(w, p, a, mode, inst=inst)
     return Solution(
         feasible=not violations,
         assignment=a,
@@ -38,23 +37,13 @@ def _evaluate(
     )
 
 
-def cloud_only(
-    w: Workload,
-    p: Profile,
-    mode: str = "paper",
-    orientation: str = "corrected",
-) -> Solution:
+def cloud_only(w: Workload, p: Profile, mode: str = "paper") -> Solution:
     """Every operator fully offloaded (ratio 1 everywhere)."""
     per_op = {op.id: 1.0 for op in w.operators}
-    return _evaluate(w, p, per_op, mode, orientation, "co")
+    return _evaluate(w, p, per_op, mode, "co")
 
 
-def edge_only(
-    w: Workload,
-    p: Profile,
-    mode: str = "paper",
-    orientation: str = "corrected",
-) -> Solution:
+def edge_only(w: Workload, p: Profile, mode: str = "paper") -> Solution:
     """Edge-resident wherever locality allows; forced-cloud operators get 1
     and composite ratios derive from their dependencies as usual."""
     per_op: dict[OperatorId, float] = {}
@@ -62,5 +51,5 @@ def edge_only(
         if op.atomic:
             per_op[op.id] = 1.0 if forced_cloud(w, op.id) else 0.0
     per_op = propagate_composite_gamma(w, per_op)
-    return _evaluate(w, p, per_op, mode, orientation, "eo")
+    return _evaluate(w, p, per_op, mode, "eo")
 

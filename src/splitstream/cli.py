@@ -6,7 +6,8 @@ digests, configuration, tool version) and contain no wall-clock timestamps,
 so equal inputs reproduce byte-identical files. Timing chatter goes to
 stderr only.
 
-Exit codes: 0 success, 2 infeasible placement, 1 bad input.
+Exit codes: 0 success, 2 infeasible placement, 1 bad input (a usage error
+among it).
 
 Only gen-trace and simulate import the replay engine (and numpy), inside
 the commands, so the planning commands start without it.
@@ -26,12 +27,12 @@ from .baselines import cloud_only, edge_only
 from .costs import Assignment, effective_t_req, validate_profile
 from .feasibility import check_assignment
 from .fileio import (
+    COST_MODEL,
     gamma_record,
     load_profile,
     load_trace,
     load_workload,
     parse_gamma,
-    recorded_orientation,
     report_bytes,
     save_profile,
     save_report,
@@ -164,7 +165,31 @@ def _print_solution(title: str, w, p, sol: Solution) -> None:
         click.echo(f"violations: {sol.stats['violations']}")
 
 
-@click.group()
+def _usage_error(exc: click.UsageError) -> None:
+    hint = f" (see '{exc.ctx.command_path} --help')" if exc.ctx else ""
+    _fail(" ".join(exc.format_message().split()) + hint)
+
+
+class _Main(click.Group):
+    """The command group. A usage error, such as an unknown option, a bad
+    option value or a missing argument, is bad input like any other: it
+    exits 1 with one error: line instead of click's usage block and exit 2,
+    the code for an infeasible placement."""
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as exc:
+            _usage_error(exc)
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            _usage_error(exc)
+
+
+@click.group(cls=_Main, no_args_is_help=False)
 @click.version_option(version=__version__, prog_name="splitstream")
 def main() -> None:
     """Edge-cloud stream operator placement toolkit."""
@@ -237,9 +262,6 @@ def validate(workload: str) -> None:
 _SOLVE_OPTIONS = (
     click.option("--objective-mode", default="paper", show_default=True,
                  type=click.Choice(["paper", "dedup"]), help="Byte objective form."),
-    click.option("--cost-orientation", default="corrected", show_default=True,
-                 type=click.Choice(["corrected", "literal"]),
-                 help="Edge/cloud share orientation in the cost model."),
     click.option("--out", default=None, type=click.Path(dir_okay=False),
                  help="Write a JSON report here."),
 )
@@ -262,16 +284,11 @@ def _with_options(options):
               help="Optional solve budget in seconds.")
 @_with_options(_SOLVE_OPTIONS)
 def solve_cmd(workload: str, profile: str, delta: float, time_budget: float | None,
-              objective_mode: str, cost_orientation: str, out: str | None) -> None:
+              objective_mode: str, out: str | None) -> None:
     """Search the ratio grid for the cheapest feasible placement."""
     w, p = _load_inputs(workload, profile)
     try:
-        cfg = SolverConfig(
-            delta=delta,
-            objective_mode=objective_mode,
-            cost_orientation=cost_orientation,
-            time_budget_s=time_budget,
-        )
+        cfg = SolverConfig(delta=delta, objective_mode=objective_mode, time_budget_s=time_budget)
     except ValueError as exc:
         _fail(str(exc))
     started = time.perf_counter()
@@ -286,7 +303,7 @@ def solve_cmd(workload: str, profile: str, delta: float, time_budget: float | No
         {
             "delta": delta,
             "objective_mode": objective_mode,
-            "cost_orientation": cost_orientation,
+            "cost_orientation": COST_MODEL,
             "time_budget_s": time_budget,
         },
     )
@@ -305,18 +322,18 @@ def solve_cmd(workload: str, profile: str, delta: float, time_budget: float | No
               help="co = all cloud, eo = edge wherever allowed.")
 @_with_options(_SOLVE_OPTIONS)
 def baseline(workload: str, profile: str, strategy: str,
-             objective_mode: str, cost_orientation: str, out: str | None) -> None:
+             objective_mode: str, out: str | None) -> None:
     """Price the all-cloud or all-edge reference placement."""
     w, p = _load_inputs(workload, profile)
     runner = cloud_only if strategy == "co" else edge_only
-    sol = runner(w, p, mode=objective_mode, orientation=cost_orientation)
+    sol = runner(w, p, mode=objective_mode)
     manifest = _manifest(
         "baseline",
         {"workload": workload, "profile": profile},
         {
             "strategy": strategy,
             "objective_mode": objective_mode,
-            "cost_orientation": cost_orientation,
+            "cost_orientation": COST_MODEL,
         },
     )
     _print_solution(f"baseline {strategy}", w, p, sol)
@@ -376,11 +393,9 @@ def simulate(workload: str, profile: str, assignment_path: str,
         with open(assignment_path, "r", encoding="utf-8") as fh:
             record = json.load(fh, object_pairs_hook=unique_keys)
         a = Assignment.from_op_gamma(w, parse_gamma(record))
-        orientation = recorded_orientation(record)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         _fail(f"assignment {assignment_path}: {exc}")
-    # A placement is feasible or not in the orientation it was solved in.
-    violations = check_assignment(w, p, a, orientation)
+    violations = check_assignment(w, p, a)
     if violations and not force:
         for v in violations:
             click.echo(f"infeasible: {v.constraint}: {v.detail}", err=True)

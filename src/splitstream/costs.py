@@ -5,10 +5,9 @@ edge node, 1 ships the raw window to the cloud, fractional values ship a raw
 share plus one partial-aggregate upload per window. A sensor's upload ratio
 is the max over the operators consuming it.
 
-Two orientations are supported. The default ("corrected") scales edge-side
-compute and usage by (1 - gamma) and cloud-side compute by gamma, charging
-the cloud merge cost only when gamma > 0. The "literal" orientation keeps the
-swapped scaling of the source formulas for side-by-side comparison.
+Edge-side compute and usage scale by (1 - gamma) and cloud-side compute by
+gamma, as the replay splits each window; the cloud merge cost is charged
+only when gamma > 0. (The source formulas swap the two scalings.)
 """
 
 from __future__ import annotations
@@ -29,8 +28,6 @@ from .model import (
     topological_order,
     transitive_sensors,
 )
-
-ORIENTATIONS = ("corrected", "literal")
 
 OBJECTIVE_MODES = ("paper", "dedup")
 
@@ -227,21 +224,12 @@ def data_volume(
     return 0.0
 
 
-def edge_share(gamma: float, orientation: str) -> float:
-    """The share of an operator's edge load its node carries at ratio gamma."""
-    return gamma if orientation == "literal" else 1.0 - gamma
-
-
 def edge_loads(
-    op: OperatorSpec,
-    gamma: float,
-    p: Profile,
-    w: Workload,
-    orientation: str = "corrected",
+    op: OperatorSpec, gamma: float, p: Profile, w: Workload
 ) -> Iterator[tuple[NodeId, float, float]]:
     """Yield (node, CPU cycles, memory bytes) that each wired sensor of the
-    operator puts on its edge node at ratio gamma."""
-    share = edge_share(gamma, orientation)
+    operator puts on its edge node at ratio gamma: its share 1 - gamma."""
+    share = 1.0 - gamma
     for s in op.sensors:
         k = w.topology.sensor_node.get(s)
         if k is None:
@@ -272,7 +260,7 @@ class OpFacts:
     @classmethod
     def build(cls, w: Workload, p: Profile, i: OperatorId) -> "OpFacts":
         op = w.operator(i)
-        loads = tuple(edge_loads(op, 0.0, p, w))  # corrected, ratio 0: share 1
+        loads = tuple(edge_loads(op, 0.0, p, w))  # ratio 0: share 1
         return cls(
             spec=op,
             terms=volume_terms(w, p, i),
@@ -285,17 +273,13 @@ class OpFacts:
         )
 
     def latency_terms(
-        self,
-        gamma: float,
-        by_node: Iterable[tuple[NodeId, float]],
-        p: Profile,
-        orientation: str,
+        self, gamma: float, by_node: Iterable[tuple[NodeId, float]], p: Profile
     ) -> tuple[float, float, float]:
         """The wait-free window latency terms at ratio gamma, in seconds:
         (edge, transfer, cloud). Transfer is the worst node's volume in
-        `by_node` (the operator's node_volumes) over its uplink; the corrected
-        orientation charges the result cycles only once offloading starts."""
-        share = edge_share(gamma, orientation)
+        `by_node` (the operator's node_volumes) over its uplink; the result
+        cycles are charged only once offloading starts."""
+        share = 1.0 - gamma
         per_node: dict[NodeId, float] = {}
         for k, cycles, _mem in self.loads:
             per_node[k] = per_node.get(k, 0.0) + cycles * share
@@ -304,13 +288,10 @@ class OpFacts:
         for k, vol in by_node:
             if vol > 0.0:
                 t_trans = max(t_trans, vol / p.bandwidth[k])
-        if orientation == "literal":
-            share, res = 1.0 - gamma, self.cpu_res
-        else:
-            share, res = gamma, self.cpu_res if gamma > GAMMA_TOL else 0.0
+        res = self.cpu_res if gamma > GAMMA_TOL else 0.0
         cycles = 0.0
         for c in self.cloud:
-            cycles += c * share
+            cycles += c * gamma
         return t_edge, t_trans, (cycles + res) / p.cpu_unit_cloud
 
     def meets_deadline(self, t: float) -> bool:
@@ -338,14 +319,14 @@ class Instance:
         g, gs = a.gamma, a.gamma_sensor
         return {i: node_volumes(f.terms, g[i], gs) for i, f in self.ops.items()}
 
-    def usage(self, a: Assignment, orientation: str = "corrected") -> dict[NodeId, NodeUsage]:
+    def usage(self, a: Assignment) -> dict[NodeId, NodeUsage]:
         """Per-node edge CPU and memory: each operator's load rows at its
         edge share, summed per node, then over operators in workload order."""
         nodes = sorted(self.w.topology.nodes)
         cpu = dict.fromkeys(nodes, 0.0)
         mem = dict.fromkeys(nodes, 0.0)
         for i, f in self.ops.items():
-            share = edge_share(a.gamma[i], orientation)
+            share = 1.0 - a.gamma[i]
             op_cpu: dict[NodeId, float] = {}
             op_mem: dict[NodeId, float] = {}
             for k, c, m in f.loads:
@@ -362,6 +343,7 @@ class Instance:
         mode: str = "paper",
         horizon_s: float | None = None,
         ops: Iterable[OperatorId] | None = None,
+        volumes: Mapping[OperatorId, OpVolumes] | None = None,
     ) -> float:
         """Total uplink bytes under the assignment.
 
@@ -372,7 +354,9 @@ class Instance:
         figure is per window close; with one, per-operator terms scale by
         their number of closes and dedup raw scales by stream rate. `ops`
         limits the sum to those operator ids, in that order; by default
-        every operator counts, in workload order.
+        every operator counts, in workload order. Paper mode reads each
+        operator's node_volumes from `volumes` when given, as
+        Instance.volumes prices them, instead of pricing them again.
         """
         if mode not in OBJECTIVE_MODES:
             raise ValueError(f"unknown objective mode {mode!r}")
@@ -383,9 +367,11 @@ class Instance:
             for f in facts
         ]
         if mode == "paper":
-            return fold_sum(
-                node_volumes(f.terms, g[f.spec.id], gs).total * n for f, n in zip(facts, closes)
+            vols = (
+                node_volumes(f.terms, g[f.spec.id], gs) if volumes is None else volumes[f.spec.id]
+                for f in facts
             )
+            return fold_sum(v.total * n for v, n in zip(vols, closes))
         raw_best: dict[tuple[SensorId, NodeId], float] = {}
         for f in facts:
             for k, raws, _home in f.terms.nodes:
@@ -406,7 +392,6 @@ def latency_rows(
     a: Assignment,
     volumes: Mapping[OperatorId, OpVolumes],
     order: Iterable[OperatorId],
-    orientation: str = "corrected",
 ) -> Iterator[tuple[OperatorId, float, float, float, float, float]]:
     """Yield (op, t_edge, t_trans, t_wait, t_cloud, t_total) for each operator
     of `order`, the window latency and its terms in seconds.
@@ -419,7 +404,7 @@ def latency_rows(
     totals: dict[OperatorId, float] = {}
     for i in order:
         f = inst.ops[i]
-        te, tt, tc = f.latency_terms(a.gamma[i], volumes[i].by_node, inst.p, orientation)
+        te, tt, tc = f.latency_terms(a.gamma[i], volumes[i].by_node, inst.p)
         dep_totals = [totals[d] for d in f.spec.deps]
         tw = max(dep_totals) - min(dep_totals) if dep_totals else 0.0
         totals[i] = te + tt + tw + tc
@@ -458,40 +443,21 @@ class CostReport:
     latency_sum: float
 
 
-def node_cpu(
-    i: OperatorId,
-    k: NodeId,
-    a: Assignment,
-    p: Profile,
-    w: Workload,
-    orientation: str = "corrected",
-) -> float:
+def node_cpu(i: OperatorId, k: NodeId, a: Assignment, p: Profile, w: Workload) -> float:
     """Edge CPU cycles operator i occupies on node k."""
-    loads = edge_loads(w.operator(i), a.gamma[i], p, w, orientation)
+    loads = edge_loads(w.operator(i), a.gamma[i], p, w)
     return fold_sum(cpu for node, cpu, _mem in loads if node == k)
 
 
-def node_mem(
-    i: OperatorId,
-    k: NodeId,
-    a: Assignment,
-    p: Profile,
-    w: Workload,
-    orientation: str = "corrected",
-) -> float:
+def node_mem(i: OperatorId, k: NodeId, a: Assignment, p: Profile, w: Workload) -> float:
     """Edge memory bytes operator i occupies on node k."""
-    loads = edge_loads(w.operator(i), a.gamma[i], p, w, orientation)
+    loads = edge_loads(w.operator(i), a.gamma[i], p, w)
     return fold_sum(mem for node, _cpu, mem in loads if node == k)
 
 
-def node_usage(
-    a: Assignment,
-    p: Profile,
-    w: Workload,
-    orientation: str = "corrected",
-) -> dict[NodeId, NodeUsage]:
+def node_usage(a: Assignment, p: Profile, w: Workload) -> dict[NodeId, NodeUsage]:
     """Per-node edge CPU and memory (see Instance.usage)."""
-    return Instance.build(w, p).usage(a, orientation)
+    return Instance.build(w, p).usage(a)
 
 
 def windows_in_horizon(window_s: float, step_s: float, horizon_s: float) -> int:
@@ -534,7 +500,6 @@ def cost_report(
     p: Profile,
     a: Assignment,
     mode: str = "paper",
-    orientation: str = "corrected",
     *,
     inst: Instance | None = None,
 ) -> CostReport:
@@ -543,7 +508,7 @@ def cost_report(
     inst = inst or Instance.build(w, p)
     volumes = inst.volumes(a)
     rows: dict[OperatorId, OperatorCost] = {}
-    for i, te, tt, tw, tc, t in latency_rows(inst, a, volumes, inst.order, orientation):
+    for i, te, tt, tw, tc, t in latency_rows(inst, a, volumes, inst.order):
         rows[i] = OperatorCost(
             op=i,
             gamma=a.gamma[i],
@@ -557,7 +522,7 @@ def cost_report(
     rows = {i: rows[i] for i in sorted(rows)}
     return CostReport(
         per_operator=rows,
-        per_node=inst.usage(a, orientation),
-        objective_bytes=inst.objective(a, mode),
+        per_node=inst.usage(a),
+        objective_bytes=inst.objective(a, mode, volumes=volumes),
         latency_sum=latency_sum({i: row.t_total for i, row in rows.items()}),
     )

@@ -85,7 +85,6 @@ def check_assignment(
     w: Workload,
     p: Profile,
     a: Assignment,
-    orientation: str = "corrected",
     *,
     inst: Instance | None = None,
 ) -> list[Violation]:
@@ -150,7 +149,7 @@ def check_assignment(
     # C10 deadlines, evaluated in dependency order so waits resolve.
     ratios = [a.gamma.get(op.id) for op in w.operators]
     if all(g is not None and math.isfinite(g) for g in ratios):
-        rows = latency_rows(inst, a, inst.volumes(a), inst.order, orientation)
+        rows = latency_rows(inst, a, inst.volumes(a), inst.order)
         for i, _te, _tt, _tw, _tc, t in rows:
             facts = inst.ops[i]
             if not facts.meets_deadline(t):
@@ -159,7 +158,7 @@ def check_assignment(
                 )
 
         # C11/C12 strict capacity bounds per node.
-        for k, usage in inst.usage(a, orientation).items():
+        for k, usage in inst.usage(a).items():
             cpu, mem = usage.cpu_cycles, usage.mem_bytes
             cap_c = p.cpu_cap.get(k)
             cap_m = p.mem_cap.get(k)

@@ -38,7 +38,7 @@ import os
 import struct
 from typing import TYPE_CHECKING, Iterable
 
-from .costs import ORIENTATIONS, Assignment, Profile
+from .costs import Assignment, Profile
 from .model import (
     FunctionKind,
     NodeId,
@@ -519,6 +519,10 @@ def sha256_file(path: str) -> str:
 # ---------------------------------------------------------------------------
 # Assignment records (solve reports embed these; simulate reads them back).
 
+# The cost model that solve and baseline manifests record as
+# "cost_orientation": the one the planner and the replay share.
+COST_MODEL = "corrected"
+
 
 def gamma_record(w: Workload, a: Assignment) -> dict[str, float]:
     """Per-operator ratios as a JSON-friendly map keyed by operator id."""
@@ -528,7 +532,13 @@ def gamma_record(w: Workload, a: Assignment) -> dict[str, float]:
 def parse_gamma(record: dict) -> dict[OperatorId, float]:
     """Per-operator ratios from a record's "gamma" member, or from the record
     itself when it has none. Raises ValueError unless they map operator ids
-    (keys in canonical decimal) to finite numbers."""
+    (keys in canonical decimal) to finite numbers, and for a report whose
+    manifest records a cost model other than COST_MODEL."""
+    manifest = record.get("manifest") if isinstance(record, dict) else None
+    config = manifest.get("config") if isinstance(manifest, dict) else None
+    model = config.get("cost_orientation", COST_MODEL) if isinstance(config, dict) else COST_MODEL
+    if model != COST_MODEL:
+        raise ValueError(f"priced in the {model!r:.60} cost model; only {COST_MODEL!r} replays")
     gamma = record.get("gamma", record) if isinstance(record, dict) else record
     if not isinstance(gamma, dict):
         raise ValueError(f"gamma must map operator ids to ratios, got {gamma!r}")
@@ -539,16 +549,3 @@ def parse_gamma(record: dict) -> dict[OperatorId, float]:
             raise ValueError(f"ratio of operator {key} is not a finite number: {value!r:.60}")
         out[json_key(key, "gamma")] = ratio
     return out
-
-
-def recorded_orientation(record: dict) -> str:
-    """The cost orientation in a report's manifest config, or "corrected"
-    for a record without one, such as a bare gamma map."""
-    manifest = record.get("manifest") if isinstance(record, dict) else None
-    config = manifest.get("config") if isinstance(manifest, dict) else None
-    if not isinstance(config, dict):
-        return "corrected"
-    orientation = config.get("cost_orientation", "corrected")
-    if orientation not in ORIENTATIONS:
-        raise ValueError(f"unknown cost orientation {orientation!r} in the manifest")
-    return orientation

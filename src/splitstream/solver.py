@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 
 from .costs import (
     OBJECTIVE_MODES,
-    ORIENTATIONS,
     Assignment,
     CostReport,
     Instance,
@@ -39,7 +38,6 @@ from .costs import (
     Profile,
     cost_report,
     dedup_bytes,
-    edge_share,
     int_res_bytes,
     latency_rows,
     latency_sum,
@@ -73,7 +71,6 @@ class EnumerationLimitError(ValueError):
 class SolverConfig:
     delta: float = 0.05
     objective_mode: str = "paper"
-    cost_orientation: str = "corrected"
     time_budget_s: float | None = None
 
     def __post_init__(self) -> None:
@@ -87,8 +84,6 @@ class SolverConfig:
             )
         if self.objective_mode not in OBJECTIVE_MODES:
             raise ValueError(f"unknown objective mode {self.objective_mode!r}")
-        if self.cost_orientation not in ORIENTATIONS:
-            raise ValueError(f"unknown orientation {self.cost_orientation!r}")
         budget = self.time_budget_s
         # NaN fails every comparison, so the test is for the good case.
         if budget is not None and not (math.isfinite(budget) and budget >= 0):
@@ -166,7 +161,6 @@ class SearchState:
     """
 
     inst: Instance
-    orientation: str
     mode: str
     cluster: tuple[OperatorId, ...]
     gamma: dict[OperatorId, float] = field(default_factory=dict)
@@ -224,7 +218,7 @@ class SearchState:
                     if raw > (old or 0.0):
                         trail.append((self.raw_best, (s, k), old))
                         self.raw_best[(s, k)] = raw
-        share = edge_share(gamma, self.orientation)
+        share = 1.0 - gamma
         cpu, mem = self.cpu_used, self.mem_used
         for k, c, m in facts.loads:
             dc, dm = c * share, m * share
@@ -318,9 +312,7 @@ def preflight_latency(state: SearchState, mark: int) -> OperatorId | None:
     changed = dict.fromkeys(key for table, key, _ in state.trail[mark:] if table is volumes)
     for i in changed:
         facts = state.inst.ops[i]
-        te, tt, tc = facts.latency_terms(
-            state.gamma[i], volumes[i].by_node, state.inst.p, state.orientation
-        )
+        te, tt, tc = facts.latency_terms(state.gamma[i], volumes[i].by_node, state.inst.p)
         if not facts.meets_deadline(te + tt + tc):
             return i
     return None
@@ -355,16 +347,14 @@ def _solve_cluster(
             ready[i] = max(ready[d] for d in inst.ops[i].spec.deps)
             comp_at.setdefault(ready[i], []).append(i)
 
-    state = SearchState(
-        inst=inst, orientation=cfg.cost_orientation, mode=cfg.objective_mode, cluster=cluster
-    )
+    state = SearchState(inst=inst, mode=cfg.objective_mode, cluster=cluster)
     best: list = [None]  # [ (objective, latency_sum, gamma_vector, gamma_dict) ]
 
     def leaf_eval() -> None:
         if preflight_resource(state) is not None:
             return
         totals: dict[OperatorId, float] = {}
-        rows = latency_rows(inst, state, state.volumes, topo, cfg.cost_orientation)
+        rows = latency_rows(inst, state, state.volumes, topo)
         for i, _te, _tt, _tw, _tc, t in rows:
             if not inst.ops[i].meets_deadline(t):
                 return
@@ -420,8 +410,7 @@ def _merge_capacity_coupled(
 ) -> list[tuple[OperatorId, ...]]:
     """Join clusters that share a node whose capacity could bind.
 
-    A node's worst case is its full edge load: the all-edge usage under the
-    corrected orientation, which the literal one reaches at ratio 1.
+    A node's worst case is its full edge load, the all-edge usage.
     """
     w, p = inst.w, inst.p
     all_edge = Assignment.from_op_gamma(w, {op.id: 0.0 for op in w.operators})
@@ -491,12 +480,8 @@ def solve(w: Workload, p: Profile, cfg: SolverConfig | None = None) -> Solution:
     assignment = Assignment.from_op_gamma(w, per_op) if feasible else None
     if "budget_exceeded" in stats:
         # The cut clusters' full offload may miss a deadline or a cap.
-        feasible = not check_assignment(w, p, assignment, cfg.cost_orientation, inst=inst)
-    report = (
-        cost_report(w, p, assignment, cfg.objective_mode, cfg.cost_orientation, inst=inst)
-        if feasible
-        else None
-    )
+        feasible = not check_assignment(w, p, assignment, inst=inst)
+    report = cost_report(w, p, assignment, cfg.objective_mode, inst=inst) if feasible else None
     return Solution(feasible=feasible, assignment=assignment, report=report, stats=stats)
 
 
@@ -527,9 +512,9 @@ def brute_force(
         per_op = dict(zip(atoms, combo))
         full = propagate_composite_gamma(w, per_op)
         a = Assignment.from_op_gamma(w, full)
-        if check_assignment(w, p, a, cfg.cost_orientation, inst=inst):
+        if check_assignment(w, p, a, inst=inst):
             continue
-        report = cost_report(w, p, a, cfg.objective_mode, cfg.cost_orientation, inst=inst)
+        report = cost_report(w, p, a, cfg.objective_mode, inst=inst)
         gvec = tuple(full[i] for i in topo)
         candidate = (report.objective_bytes, report.latency_sum, gvec)
         if best is None or candidate < best[0]:

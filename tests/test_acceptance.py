@@ -40,8 +40,10 @@ from splitstream import (
     solve,
     total_objective,
     transitive_sensors,
+    windows_in_horizon,
 )
 from splitstream.cli import main as cli_main
+from splitstream.costs import int_res_bytes
 from splitstream.functions import SPLITTABLE
 from splitstream.model import OperatorSpec
 from splitstream.simulator import StreamConfig
@@ -354,6 +356,34 @@ def test_criterion_6_simulator_matches_analytic_bytes(reference_solution):
         simulated = run_sim(w, p, a, trace).total_payload_bytes
         gap = abs(simulated - analytic) / analytic
         assert gap <= 0.05, f"{label}: sim {simulated} vs analytic {analytic} ({gap:.2%})"
+
+
+def test_criterion_6_daily_operators_over_a_day(reference_solution):
+    # The 13 one-day operators close no window in the hour above. Over a day
+    # at 1 Hz each closes every window the analytic model counts and uploads
+    # exactly its aggregate/result bytes per close.
+    w, p, sol, _ = reference_solution
+    horizon = 86_400.0
+    trace = generate_trace(
+        StreamConfig(duration_s=horizon, sample_rate_hz=1.0, seed=11),
+        sorted(w.topology.sensor_node),
+    )
+    daily = [op for op in w.operators if op.window_s == horizon]
+    assert len(daily) == 13
+    candidates = {
+        "full-offload": cloud_only(w, p).assignment,
+        "edge-resident": edge_only(w, p).assignment,
+        "solved": sol.assignment,
+    }
+    for label, a in candidates.items():
+        per_op = run_sim(w, p, a, trace).per_op
+        for op in daily:
+            closes = windows_in_horizon(op.window_s, op.step_s, horizon)
+            assert closes >= 1
+            got = per_op[op.id]
+            assert got.windows == closes, (label, op.id)
+            want = int_res_bytes(a.gamma[op.id], p.data_int[op.id], p.data_res[op.id]) * closes
+            assert got.int_payload_bytes + got.res_payload_bytes == want, (label, op.id)
 
 
 def test_criterion_7_full_catalog_solves_quickly(reference_solution):

@@ -18,7 +18,7 @@ from splitstream import (
 from splitstream.cli import main
 from splitstream.fileio import _TRACE_HEADER, _TRACE_SENSOR, dumps_profile, sha256_file
 
-from conftest import build_workload, capped_reference
+from conftest import build_workload
 
 F = FunctionKind
 
@@ -430,32 +430,30 @@ class TestSimulateAndCompare:
         assert result.exit_code == 1
         assert len(error_lines(result)) == 1
 
-    def test_simulate_checks_in_the_solved_orientation(self, runner, tmp_path):
-        # Under caps at 0.4x the all-edge usage, the literal optimum breaks
-        # C11/C12 when priced in the corrected orientation.
-        w, p = capped_reference(0.4)
-        wpath = str(tmp_path / "workload.txt")
-        ppath = str(tmp_path / "profile.json")
-        open(wpath, "w").write(dumps_workload(w))
-        open(ppath, "w").write(dumps_profile(p))
-        report = str(tmp_path / "literal.json")
-        solved = runner.invoke(
-            main,
-            ["solve", wpath, ppath, "--delta", "0.25", "--cost-orientation", "literal",
-             "--out", report],
-        )
+    def test_simulate_refuses_a_report_priced_in_another_cost_model(self, runner, tmp_path):
+        _, wpath, ppath = write_inputs(tmp_path)
+        report = str(tmp_path / "solve.json")
+        solved = runner.invoke(main, ["solve", wpath, ppath, "--delta", "0.5", "--out", report])
         assert solved.exit_code == 0, solved.output
-        result = runner.invoke(
-            main, ["simulate", wpath, ppath, "--assignment", report, "--duration", "10"]
-        )
-        assert result.exit_code == 0, result.output
-        # The bare gamma map carries no orientation, so it is checked corrected.
+        record = json.loads(open(report).read())
+        assert record["manifest"]["config"]["cost_orientation"] == "corrected"
         bare = str(tmp_path / "bare.json")
-        open(bare, "w").write(json.dumps({"gamma": json.loads(open(report).read())["gamma"]}))
+        open(bare, "w").write(json.dumps({"gamma": record["gamma"]}))
+        for path in (report, bare):
+            result = runner.invoke(
+                main, ["simulate", wpath, ppath, "--assignment", path, "--duration", "10"]
+            )
+            assert result.exit_code == 0, result.output
+        record["manifest"]["config"]["cost_orientation"] = "literal"
+        literal = str(tmp_path / "literal.json")
+        open(literal, "w").write(json.dumps(record))
         result = runner.invoke(
-            main, ["simulate", wpath, ppath, "--assignment", bare, "--duration", "10"]
+            main, ["simulate", wpath, ppath, "--assignment", literal, "--duration", "10"]
         )
-        assert result.exit_code == 2
+        assert result.exit_code == 1
+        assert "Traceback" not in result.output
+        assert len(error_lines(result)) == 1
+        assert "'literal' cost model" in error_lines(result)[0]
 
     def test_compare_reports_reductions(self, runner, tmp_path):
         _, wpath, ppath = write_inputs(tmp_path)
@@ -778,6 +776,49 @@ class TestUnwritableOut:
         assert not list(tmp_path.rglob("*.tmp"))
 
 
+class TestUsageErrors:
+    """A usage error is bad input: exit 1 and one error: line, not click's
+    usage block and exit 2, which means an infeasible placement."""
+
+    @pytest.mark.parametrize(
+        "args, needle",
+        [
+            (["solve", "{w}", "{p}", "--cost-orientation", "literal"], "--cost-orientation"),
+            (["baseline", "{w}", "{p}", "--strategy", "co", "--cost-orientation", "literal"],
+             "--cost-orientation"),
+            (["solve", "{w}", "{p}", "--delta", "abc"], "--delta"),
+            (["solve", "{w}", "{p}", "--bogus"], "--bogus"),
+            (["baseline", "{w}", "{p}", "--strategy", "zz"], "--strategy"),
+            (["solve", "{w}"], "PROFILE"),
+            (["no-such-command"], "no-such-command"),
+            ([], "Missing command"),
+        ],
+        ids=["solve-cost-orientation", "baseline-cost-orientation", "bad-delta",
+             "unknown-option", "bad-strategy", "missing-argument", "unknown-command",
+             "no-command"],
+    )
+    def test_exits_1_with_one_error_line(self, runner, tmp_path, args, needle):
+        _, wpath, ppath = write_inputs(tmp_path)
+        result = runner.invoke(main, [a.format(w=wpath, p=ppath) for a in args])
+        assert result.exit_code == 1, result.output
+        assert "Traceback" not in result.output
+        assert "Usage:" not in result.output
+        lines = error_lines(result)
+        assert len(lines) == 1
+        assert needle in lines[0]
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--help"], ["--version"], ["solve", "--help"], ["baseline", "--help"]],
+        ids=["help", "version", "solve-help", "baseline-help"],
+    )
+    def test_help_and_version_exit_0(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert not error_lines(result)
+        assert "--cost-orientation" not in result.output
+
+
 class TestDeterminism:
     def test_solve_reports_are_byte_identical(self, runner, tmp_path):
         _, wpath, ppath = write_inputs(tmp_path)
@@ -799,7 +840,6 @@ _REFERENCE_STEPS = [
     ["gen-profile", "w.txt", "--out", "p.json"],
     ["solve", "w.txt", "p.json", "--out", "solve.json"],
     ["solve", "w.txt", "p.json", "--objective-mode", "dedup", "--out", "dedup.json"],
-    ["solve", "w.txt", "p.json", "--cost-orientation", "literal", "--out", "literal.json"],
     ["solve", "w.txt", "p.json", "--delta", "0.01", "--out", "solve01.json"],
     ["baseline", "w.txt", "p.json", "--strategy", "co", "--out", "co.json"],
     ["baseline", "w.txt", "p.json", "--strategy", "eo", "--out", "eo.json"],
@@ -810,7 +850,6 @@ _REFERENCE_DIGESTS = {
     "p.json": "f73ce94056571cf4de44f25dece79539dfa5e76196eabda0d1f9e0a35190c2f0",
     "solve.json": "d07dd336ed2272d27d97566f48e878a26ddff13bb68c72e1b0fb32b4613b5dad",
     "dedup.json": "8e4d8a3766d64dfa2d38ec264be6bfa56cf75d46f302c83dfc294f9c46c659b7",
-    "literal.json": "0ff29e8ad200df92fbca17658a8befb34d8bcdf45643a97bbf0002c7384b6448",
     "solve01.json": "dc6635540a782d36494380ce037166fc671ba3044280a3d59e43752a6a609337",
     "co.json": "f287c006fa8363d16ea06007662310da0b084b40340591a1ec63eb5c77a7de23",
     "eo.json": "3eff51b180a8db099ec3da4d2c1ddb92fce54c058acc993037390b9611f07423",

@@ -266,15 +266,6 @@ class TestLatency:
             expect, rel=1e-12
         )
 
-    def test_literal_orientation_swaps_shares(self, tiny_workload, tiny_profile):
-        w, p = tiny_workload, tiny_profile
-        a = Assignment.from_op_gamma(w, {1: 0.0})
-        cycles = sum(p.cpu_cloud[(1, s)] for s in (1, 2))
-        expect = (1.0 * cycles + p.cpu_res[1]) / p.cpu_unit_cloud
-        row = cost_report(w, p, a, orientation="literal").per_operator[1]
-        assert row.t_cloud == pytest.approx(expect, rel=1e-12)
-        assert row.t_edge == 0.0
-
     def test_trans_time_picks_worst_node(self):
         w = build_workload(
             [
@@ -296,8 +287,7 @@ class TestLatency:
 
 
 class TestNodeUsage:
-    @pytest.mark.parametrize("orientation", ["corrected", "literal"])
-    def test_equals_per_operator_sums(self, orientation):
+    def test_equals_per_operator_sums(self):
         # Ratios off the binary grid make the products inexact, so a change
         # in summation order would show here.
         for seed in range(40):
@@ -306,18 +296,17 @@ class TestNodeUsage:
             a = Assignment.from_op_gamma(
                 w, {op.id: rng.choice((0.0, 0.05, 0.35, 0.7, 1.0)) for op in w.operators}
             )
-            usage = node_usage(a, p, w, orientation)
+            usage = node_usage(a, p, w)
             assert list(usage) == sorted(w.topology.nodes)
             for k, u in usage.items():
                 ops = w.operators
-                cpu = fold_sum(node_cpu(op.id, k, a, p, w, orientation) for op in ops)
-                mem = fold_sum(node_mem(op.id, k, a, p, w, orientation) for op in ops)
+                cpu = fold_sum(node_cpu(op.id, k, a, p, w) for op in ops)
+                mem = fold_sum(node_mem(op.id, k, a, p, w) for op in ops)
                 assert (u.cpu_cycles, u.mem_bytes) == (cpu, mem)
 
 
 class TestInstance:
-    @pytest.mark.parametrize("orientation", ["corrected", "literal"])
-    def test_facts_repeat_the_narrow_builders(self, orientation):
+    def test_facts_repeat_the_narrow_builders(self):
         # Load rows at share 1, scaled by a share, repeat edge_loads' rows
         # bit for bit; ratios off the binary grid make the products inexact.
         for seed in range(30):
@@ -331,9 +320,9 @@ class TestInstance:
                 assert facts.nodes == {w.topology.sensor_node[s] for s in op.sensors}
                 assert facts.t_req == effective_t_req(op, p)
                 for g in (0.0, 0.05, 0.35, 0.7, 1.0):
-                    share = g if orientation == "literal" else 1.0 - g
+                    share = 1.0 - g
                     rows = [(k, c * share, m * share) for k, c, m in facts.loads]
-                    assert rows == list(edge_loads(op, g, p, w, orientation))
+                    assert rows == list(edge_loads(op, g, p, w))
 
 
 class TestFloatFolds:

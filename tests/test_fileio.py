@@ -46,7 +46,6 @@ from splitstream.fileio import (
     _TRACE_HEADER,
     _TRACE_SENSOR,
     TRACE_MAGIC,
-    recorded_orientation,
     report_bytes,
     unique_keys,
 )
@@ -371,7 +370,7 @@ def cli_reports(tmp_path_factory):
 
 class TestGammaFuzz:
     """What `simulate --assignment` reads of a solve report (parse_gamma,
-    Assignment.from_op_gamma, recorded_orientation, then check_assignment)
+    Assignment.from_op_gamma, then check_assignment)
     on the report with one member replaced or added, or on any JSON value:
     they return or raise ValueError or KeyError, and nothing else."""
 
@@ -385,7 +384,7 @@ class TestGammaFuzz:
         w = sample_workload()
         try:
             a = Assignment.from_op_gamma(w, parse_gamma(record))
-            check_assignment(w, generate_profile(w), a, recorded_orientation(record))
+            check_assignment(w, generate_profile(w), a)
         except (ValueError, KeyError):
             pass
 
@@ -659,22 +658,24 @@ class TestReports:
             parse_gamma(record)
 
     @pytest.mark.parametrize(
-        "record, want",
+        "record",
         [
-            ({"manifest": {"config": {"cost_orientation": "literal"}}}, "literal"),
-            ({"manifest": {"config": {"cost_orientation": "corrected"}}}, "corrected"),
-            ({"manifest": {"config": {"duration_s": 10}}}, "corrected"),
-            ({"gamma": {"1": 0.5}}, "corrected"),
-            ({"1": 0.5}, "corrected"),
+            {"manifest": {"config": {"cost_orientation": "corrected"}}, "gamma": {"1": 0.5}},
+            {"manifest": {"config": {"duration_s": 10}}, "gamma": {"1": 0.5}},
+            {"manifest": None, "gamma": {"1": 0.5}},
+            {"gamma": {"1": 0.5}},
+            {"1": 0.5},
         ],
-        ids=["literal", "corrected", "no-orientation", "no-manifest", "bare-map"],
+        ids=["corrected", "no-cost-model", "no-config", "no-manifest", "bare-map"],
     )
-    def test_recorded_orientation(self, record, want):
-        assert recorded_orientation(record) == want
+    def test_parse_gamma_reads_corrected_and_unrecorded_reports(self, record):
+        assert parse_gamma(record) == {1: 0.5}
 
-    def test_recorded_orientation_rejects_unknown_values(self):
-        with pytest.raises(ValueError, match="orientation"):
-            recorded_orientation({"manifest": {"config": {"cost_orientation": "sideways"}}})
+    @pytest.mark.parametrize("model", ["literal", "sideways", None, ["corrected"]])
+    def test_parse_gamma_refuses_another_cost_model(self, model):
+        record = {"manifest": {"config": {"cost_orientation": model}}, "gamma": {"1": 0.5}}
+        with pytest.raises(ValueError, match="cost model"):
+            parse_gamma(record)
 
     def test_digests_are_stable(self, tmp_path):
         path = str(tmp_path / "f.bin")

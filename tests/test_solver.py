@@ -55,24 +55,20 @@ class TestGrid:
             with pytest.raises(ValueError, match="grid points"):
                 SolverConfig(delta=delta)
 
-    def test_bad_mode_and_orientation_rejected(self):
+    def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             SolverConfig(objective_mode="bytes")
-        with pytest.raises(ValueError):
-            SolverConfig(cost_orientation="sideways")
 
 
 class TestAgainstBruteForce:
     def test_matches_exhaustive_enumeration(self):
         # The acceptance suite runs the full 200-instance sweep; this is the
-        # fast smoke version exercising both objective modes and both cost
-        # orientations.
+        # fast smoke version exercising both objective modes.
         for seed in range(40):
             w, p = random_instance(seed)
             cfg = SolverConfig(
                 delta=0.5 if seed % 2 else 0.25,
                 objective_mode="dedup" if seed % 3 == 0 else "paper",
-                cost_orientation="literal" if seed % 4 >= 2 else "corrected",
             )
             got = solve(w, p, cfg)
             want = brute_force(w, p, cfg)
@@ -193,9 +189,8 @@ class TestEdgeCases:
 
 
 # The contended reference instances at delta = 0.25: ratios of the optimum
-# (operators not listed stay at 0), then per (caps, mode, orientation) the
-# nodes explored, prunes by kind and objective. The literal orientation's
-# optimum is all-edge. Paper mode's shared-sensor floor (SearchState.bound)
+# (operators not listed stay at 0), then per (caps, mode) the nodes
+# explored, prunes by kind and objective. Paper mode's shared-sensor floor (SearchState.bound)
 # prunes more than dedup mode's decided-only bound, so it visits fewer nodes.
 # The uncapped reference (caps None) is solved at delta 0.05 and 0.01; its
 # optimum is all-edge. Every instance has 14 clusters.
@@ -212,16 +207,12 @@ _CONTENDED_GAMMA = {
     },
 }
 _CONTENDED_COUNTERS = [
-    (0.9, 0.25, "paper", "corrected", 414, (43, 260, 0), 548392360.0),
-    (0.9, 0.25, "dedup", "corrected", 4839, (793, 3026, 0), 522661960.0),
-    (0.4, 0.25, "paper", "corrected", 1509, (562, 605, 0), 753288360.0),
-    (0.4, 0.25, "dedup", "corrected", 4839, (2153, 1654, 0), 717930360.0),
-    (0.9, 0.25, "paper", "literal", 169, (14, 108, 0), 4280.0),
-    (0.9, 0.25, "dedup", "literal", 169, (14, 108, 0), 4280.0),
-    (0.4, 0.25, "paper", "literal", 169, (29, 93, 0), 4280.0),
-    (0.4, 0.25, "dedup", "literal", 169, (29, 93, 0), 4280.0),
-    (None, 0.05, "paper", "corrected", 569, (0, 522, 0), 4280.0),
-    (None, 0.01, "paper", "corrected", 2569, (0, 2522, 0), 4280.0),
+    (0.9, 0.25, "paper", 414, (43, 260, 0), 548392360.0),
+    (0.9, 0.25, "dedup", 4839, (793, 3026, 0), 522661960.0),
+    (0.4, 0.25, "paper", 1509, (562, 605, 0), 753288360.0),
+    (0.4, 0.25, "dedup", 4839, (2153, 1654, 0), 717930360.0),
+    (None, 0.05, "paper", 569, (0, 522, 0), 4280.0),
+    (None, 0.01, "paper", 2569, (0, 2522, 0), 4280.0),
 ]
 
 
@@ -240,49 +231,40 @@ class TestContendedCounters:
     shows up here."""
 
     @pytest.mark.parametrize(
-        "factor, delta, mode, orientation, nodes, prunes, objective", _CONTENDED_COUNTERS
+        "factor, delta, mode, nodes, prunes, objective", _CONTENDED_COUNTERS
     )
-    def test_counters_and_optimum(
-        self, contended, factor, delta, mode, orientation, nodes, prunes, objective
-    ):
+    def test_counters_and_optimum(self, contended, factor, delta, mode, nodes, prunes, objective):
         w, p = contended[factor]
-        sol = solve(
-            w, p,
-            SolverConfig(delta=delta, objective_mode=mode, cost_orientation=orientation),
-        )
+        sol = solve(w, p, SolverConfig(delta=delta, objective_mode=mode))
         assert sol.feasible
         assert sol.stats["nodes_explored"] == nodes
         assert sol.stats["prunes"] == dict(zip(("resource", "bound", "latency"), prunes))
         assert sol.stats["clusters"] == 14
         assert sol.objective_bytes == objective
-        want = _CONTENDED_GAMMA.get(factor, {}) if orientation == "corrected" else {}
+        want = _CONTENDED_GAMMA.get(factor, {})
         got = {op.id: sol.assignment.op_gamma(w, op.id) for op in w.operators}
         assert got == {op.id: want.get(op.id, 0.0) for op in w.operators}
 
 
 # Random instances at delta = 0.25 with every profile deadline scaled by a
 # factor, where the latency prune cuts branches (no contended row does): per
-# (seed, factor, mode, orientation) the nodes explored, prunes by kind,
-# objective and optimal ratios.
+# (seed, factor, mode) the nodes explored, prunes by kind, objective and
+# optimal ratios.
 _LATENCY_PRUNED = [
-    (25, 0.9, "dedup", "corrected", 70, (0, 43, 13), 57644.5, {1: 0.0, 2: 0.0, 3: 0.5, 4: 0.0}),
-    (54, 1.0, "dedup", "corrected", 364, (0, 158, 69), 63668.0, {1: 1.0, 2: 1.0, 3: 1.0, 4: 1.0}),
-    (162, 0.5, "paper", "literal", 120, (0, 21, 74), 189111.0, {1: 0.0, 2: 1.0, 3: 0.0, 4: 1.0}),
-    (239, 1.0, "paper", "corrected", 75, (0, 28, 29), 182968.5,
-     {1: 0.75, 2: 1.0, 3: 0.0, 4: 0.75}),
-    (273, 0.7, "paper", "corrected", 30, (4, 17, 3), 46608.25, {1: 0.0, 2: 0.25, 3: 0.25}),
+    (25, 0.9, "dedup", 70, (0, 43, 13), 57644.5, {1: 0.0, 2: 0.0, 3: 0.5, 4: 0.0}),
+    (54, 1.0, "dedup", 364, (0, 158, 69), 63668.0, {1: 1.0, 2: 1.0, 3: 1.0, 4: 1.0}),
+    (239, 1.0, "paper", 75, (0, 28, 29), 182968.5, {1: 0.75, 2: 1.0, 3: 0.0, 4: 0.75}),
+    (273, 0.7, "paper", 30, (4, 17, 3), 46608.25, {1: 0.0, 2: 0.25, 3: 0.25}),
 ]
 
 
 @pytest.mark.parametrize(
-    "seed, factor, mode, orientation, nodes, prunes, objective, gamma", _LATENCY_PRUNED
+    "seed, factor, mode, nodes, prunes, objective, gamma", _LATENCY_PRUNED
 )
-def test_latency_prune_counters(seed, factor, mode, orientation, nodes, prunes, objective, gamma):
+def test_latency_prune_counters(seed, factor, mode, nodes, prunes, objective, gamma):
     w, p = random_instance(seed)
     p = dataclasses.replace(p, t_req_s={i: t * factor for i, t in p.t_req_s.items()})
-    sol = solve(
-        w, p, SolverConfig(delta=0.25, objective_mode=mode, cost_orientation=orientation)
-    )
+    sol = solve(w, p, SolverConfig(delta=0.25, objective_mode=mode))
     assert sol.feasible
     assert sol.stats["nodes_explored"] == nodes
     assert sol.stats["prunes"] == dict(zip(("resource", "bound", "latency"), prunes))
@@ -299,10 +281,10 @@ class TestSearchState:
     CARRIED = ("gamma", "gamma_sensor", "cpu_used", "mem_used", "volumes", "raw_best", "floor")
 
     @classmethod
-    def walk(cls, w, p, mode, orientation, rng, steps):
+    def walk(cls, w, p, mode, rng, steps):
         inst = Instance.build(w, p)
         terms = {op.id: volume_terms(w, p, op.id) for op in w.operators}
-        state = SearchState(inst, orientation, mode, cluster=tuple(terms))
+        state = SearchState(inst, mode, cluster=tuple(terms))
         ops = tuple(sorted(op.id for op in w.operators))
         stack = []  # (operator, ratio, trail length before its decision)
         for _ in range(steps):
@@ -313,7 +295,7 @@ class TestSearchState:
                 state.assign(op, gamma)
             else:
                 state.undo(stack.pop()[2])
-            fresh = SearchState(inst, orientation, mode, cluster=tuple(terms))
+            fresh = SearchState(inst, mode, cluster=tuple(terms))
             for op, gamma, _mark in stack:
                 fresh.assign(op, gamma)
             for table in cls.CARRIED:
@@ -336,12 +318,12 @@ class TestSearchState:
         rng = random.Random(5)
         for seed in range(30):
             w, p = random_instance(seed, max_ops=6)
-            self.walk(w, p, mode, "corrected", rng, 40)
+            self.walk(w, p, mode, rng, 40)
 
     @pytest.mark.parametrize("mode", ["paper", "dedup"])
     def test_contended_reference(self, contended, mode):
         w, p = contended[0.4]
-        self.walk(w, p, mode, "corrected", random.Random(7), 200)
+        self.walk(w, p, mode, random.Random(7), 200)
 
 
 class TestPaperBound:
@@ -355,7 +337,7 @@ class TestPaperBound:
         for seed in range(40):
             w, p = random_instance(seed)
             terms = {op.id: volume_terms(w, p, op.id) for op in w.operators}
-            state = SearchState(Instance.build(w, p), "corrected", "paper", cluster=tuple(terms))
+            state = SearchState(Instance.build(w, p), "paper", cluster=tuple(terms))
             ops = tuple(sorted(op.id for op in w.operators))
             for i in rng.sample(ops, rng.randint(0, len(ops))):
                 state.assign(i, rng.choice(grid))
@@ -373,8 +355,7 @@ class TestLatencyBound:
     under the partial state's volumes, never exceeds its t_total in any
     completion, so a deadline it misses is missed in the whole subtree."""
 
-    @pytest.mark.parametrize("orientation", ["corrected", "literal"])
-    def test_bound_below_every_completion(self, orientation):
+    def test_bound_below_every_completion(self):
         rng = random.Random(13)
         grid = (0.0, 0.25, 0.5, 1.0)
         checked = 0
@@ -382,19 +363,17 @@ class TestLatencyBound:
             w, p = random_instance(seed)
             inst = Instance.build(w, p)
             ops = tuple(sorted(inst.ops))
-            state = SearchState(inst, orientation, "paper", cluster=ops)
+            state = SearchState(inst, "paper", cluster=ops)
             for i in rng.sample(ops, rng.randint(1, len(ops))):
                 state.assign(i, rng.choice(grid))
             bounds = {}
             for i, g in state.gamma.items():
-                te, tt, tc = inst.ops[i].latency_terms(
-                    g, state.volumes[i].by_node, p, orientation
-                )
+                te, tt, tc = inst.ops[i].latency_terms(g, state.volumes[i].by_node, p)
                 bounds[i] = te + tt + tc
             free = [i for i in ops if i not in state.gamma]
             for combo in itertools.product(grid, repeat=len(free)):
                 a = Assignment.from_op_gamma(w, {**state.gamma, **dict(zip(free, combo))})
-                rows = cost_report(w, p, a, orientation=orientation, inst=inst).per_operator
+                rows = cost_report(w, p, a, inst=inst).per_operator
                 for i, bound in bounds.items():
                     assert bound <= rows[i].t_total, f"seed {seed}, op {i}"
                     checked += 1
