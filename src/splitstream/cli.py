@@ -15,6 +15,7 @@ the commands, so the planning commands start without it.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import sys
@@ -24,7 +25,7 @@ import click
 
 from . import __version__
 from .baselines import cloud_only, edge_only
-from .costs import Assignment, effective_t_req, validate_profile
+from .costs import Assignment, validate_profile
 from .feasibility import check_assignment
 from .fileio import (
     COST_MODEL,
@@ -41,7 +42,7 @@ from .fileio import (
     sha256_file,
     unique_keys,
 )
-from .model import fold_sum, validate_workload
+from .model import validate_workload
 from .reference import (
     REFERENCE_BANDWIDTH_BPS,
     REFERENCE_SAMPLE_RATE_HZ,
@@ -66,6 +67,31 @@ def _save(save, out: str, data) -> None:
         save(out, data)
     except OSError as exc:
         _fail(f"cannot write {out}: {exc.strerror or exc}")
+
+
+def _report(out: str, record: dict) -> None:
+    """Write a JSON report to `out` and say so."""
+    _save(save_report, out, record)
+    click.echo(f"report: {out}")
+
+
+def _fields(row, *skip: str) -> dict:
+    """A replay record's fields but `skip`, its ratio rounded to 12 places."""
+    fields = {f.name: getattr(row, f.name) for f in dataclasses.fields(row) if f.name not in skip}
+    for name in fields.keys() & {"gamma", "share"}:
+        fields[name] = round(fields[name], 12)
+    return fields
+
+
+def _generate_trace(w, duration: float, rate: float, seed: int):
+    """A synthetic trace of `w`'s sensors; bad settings exit 1."""
+    from .simulator import StreamConfig, generate_trace
+
+    try:
+        return generate_trace(StreamConfig(duration_s=duration, sample_rate_hz=rate, seed=seed),
+                              w.sensors)
+    except ValueError as exc:
+        _fail(str(exc))
 
 
 def _load_workload(path: str):
@@ -105,7 +131,7 @@ def _manifest(command: str, inputs: dict[str, str], config: dict) -> dict:
     }
 
 
-def _solution_record(manifest: dict, w, p, sol: Solution) -> dict:
+def _solution_record(manifest: dict, w, sol: Solution) -> dict:
     if sol.report is None:
         return {
             "manifest": manifest,
@@ -117,19 +143,19 @@ def _solution_record(manifest: dict, w, p, sol: Solution) -> dict:
             "per_node": {},
             "stats": sol.stats,
         }
-    per_operator = {}
-    for op in w.operators:
-        cost = sol.report.per_operator[op.id]
-        per_operator[str(op.id)] = {
+    per_operator = {
+        str(i): {
             "gamma": round(cost.gamma, 12),
             "t_edge_s": cost.t_edge,
             "t_trans_s": cost.t_trans,
             "t_wait_s": cost.t_wait,
             "t_cloud_s": cost.t_cloud,
             "t_total_s": cost.t_total,
-            "t_req_s": effective_t_req(op, p),
-            "data_bytes": fold_sum(cost.data_bytes_by_node.values()),
+            "t_req_s": cost.t_req,
+            "data_bytes": cost.data_bytes,
         }
+        for i, cost in sol.report.per_operator.items()
+    }
     return {
         "manifest": manifest,
         "feasible": sol.feasible,
@@ -145,7 +171,7 @@ def _solution_record(manifest: dict, w, p, sol: Solution) -> dict:
     }
 
 
-def _print_solution(title: str, w, p, sol: Solution) -> None:
+def _print_solution(title: str, w, sol: Solution) -> None:
     click.echo(f"{title}: {'feasible' if sol.feasible else 'INFEASIBLE'}")
     if sol.report is None:
         click.echo("no feasible placement on the searched grid")
@@ -155,11 +181,10 @@ def _print_solution(title: str, w, p, sol: Solution) -> None:
     click.echo("  op  gamma    t_total_s      t_req_s  bytes")
     for op in w.operators:
         cost = sol.report.per_operator[op.id]
-        treq = effective_t_req(op, p)
-        treq_text = f"{treq:.6f}" if treq is not None else "-"
+        treq_text = f"{cost.t_req:.6f}" if cost.t_req is not None else "-"
         click.echo(
             f"  {op.id:>3} {cost.gamma:>6.3f} {cost.t_total:>12.6f} {treq_text:>12} "
-            f"{fold_sum(cost.data_bytes_by_node.values()):>10.0f}"
+            f"{cost.data_bytes:>10.0f}"
         )
     if sol.stats.get("violations"):
         click.echo(f"violations: {sol.stats['violations']}")
@@ -259,22 +284,6 @@ def validate(workload: str) -> None:
     sys.exit(EXIT_INPUT)
 
 
-_SOLVE_OPTIONS = (
-    click.option("--objective-mode", default="paper", show_default=True,
-                 type=click.Choice(["paper", "dedup"]), help="Byte objective form."),
-    click.option("--out", default=None, type=click.Path(dir_okay=False),
-                 help="Write a JSON report here."),
-)
-
-
-def _with_options(options):
-    def wrap(fn):
-        for option in reversed(options):
-            fn = option(fn)
-        return fn
-    return wrap
-
-
 @main.command("solve")
 @click.argument("workload", type=click.Path(dir_okay=False))
 @click.argument("profile", type=click.Path(dir_okay=False))
@@ -282,7 +291,10 @@ def _with_options(options):
               help="Offload ratio grid step.")
 @click.option("--time-budget", default=None, type=float,
               help="Optional solve budget in seconds.")
-@_with_options(_SOLVE_OPTIONS)
+@click.option("--objective-mode", default="paper", show_default=True,
+              type=click.Choice(["paper", "dedup"]), help="Byte objective form.")
+@click.option("--out", default=None, type=click.Path(dir_okay=False),
+              help="Write a JSON report here.")
 def solve_cmd(workload: str, profile: str, delta: float, time_budget: float | None,
               objective_mode: str, out: str | None) -> None:
     """Search the ratio grid for the cheapest feasible placement."""
@@ -307,11 +319,10 @@ def solve_cmd(workload: str, profile: str, delta: float, time_budget: float | No
             "time_budget_s": time_budget,
         },
     )
-    _print_solution("solve", w, p, sol)
+    _print_solution("solve", w, sol)
     click.echo(f"stats: {json.dumps(sol.stats, sort_keys=True)}")
     if out:
-        _save(save_report, out, _solution_record(manifest, w, p, sol))
-        click.echo(f"report: {out}")
+        _report(out, _solution_record(manifest, w, sol))
     sys.exit(EXIT_OK if sol.feasible else EXIT_INFEASIBLE)
 
 
@@ -320,7 +331,10 @@ def solve_cmd(workload: str, profile: str, delta: float, time_budget: float | No
 @click.argument("profile", type=click.Path(dir_okay=False))
 @click.option("--strategy", required=True, type=click.Choice(["co", "eo"]),
               help="co = all cloud, eo = edge wherever allowed.")
-@_with_options(_SOLVE_OPTIONS)
+@click.option("--objective-mode", default="paper", show_default=True,
+              type=click.Choice(["paper", "dedup"]), help="Byte objective form.")
+@click.option("--out", default=None, type=click.Path(dir_okay=False),
+              help="Write a JSON report here.")
 def baseline(workload: str, profile: str, strategy: str,
              objective_mode: str, out: str | None) -> None:
     """Price the all-cloud or all-edge reference placement."""
@@ -336,10 +350,9 @@ def baseline(workload: str, profile: str, strategy: str,
             "cost_orientation": COST_MODEL,
         },
     )
-    _print_solution(f"baseline {strategy}", w, p, sol)
+    _print_solution(f"baseline {strategy}", w, sol)
     if out:
-        _save(save_report, out, _solution_record(manifest, w, p, sol))
-        click.echo(f"report: {out}")
+        _report(out, _solution_record(manifest, w, sol))
     sys.exit(EXIT_OK if sol.feasible else EXIT_INFEASIBLE)
 
 
@@ -353,14 +366,7 @@ def baseline(workload: str, profile: str, strategy: str,
 @click.option("--seed", default=0, show_default=True, type=int, help="Trace seed.")
 def gen_trace(workload: str, out: str, duration: float, rate: float, seed: int) -> None:
     """Generate a synthetic trace covering WORKLOAD's sensors."""
-    from .simulator import StreamConfig, generate_trace
-
-    w = _load_workload(workload)
-    cfg = StreamConfig(duration_s=duration, sample_rate_hz=rate, seed=seed)
-    try:
-        trace = generate_trace(cfg, w.sensors)
-    except ValueError as exc:
-        _fail(str(exc))
+    trace = _generate_trace(_load_workload(workload), duration, rate, seed)
     _save(save_trace, out, trace)
     click.echo(f"wrote {out}: {len(trace.samples)} sensors x {duration}s @ {rate}Hz")
 
@@ -386,7 +392,7 @@ def simulate(workload: str, profile: str, assignment_path: str,
              trace_path: str | None, duration: float, seed: int, rate: float,
              force: bool, out: str | None) -> None:
     """Replay a trace through a placed workload and count every byte."""
-    from .simulator import StreamConfig, generate_trace, run_sim
+    from .simulator import run_sim
 
     w, p = _load_inputs(workload, profile)
     try:
@@ -409,11 +415,7 @@ def simulate(workload: str, profile: str, assignment_path: str,
         if missing:
             _fail(f"trace {trace_path}: no samples for workload sensors {missing}")
     else:
-        cfg = StreamConfig(duration_s=duration, sample_rate_hz=rate, seed=seed)
-        try:
-            trace = generate_trace(cfg, w.sensors)
-        except ValueError as exc:
-            _fail(str(exc))
+        trace = _generate_trace(w, duration, rate, seed)
     started = time.perf_counter()
     report = run_sim(w, p, a, trace)
     click.echo(f"simulated in {time.perf_counter() - started:.2f}s", err=True)
@@ -448,48 +450,19 @@ def simulate(workload: str, profile: str, assignment_path: str,
         )
         record = {
             "manifest": manifest,
-            "duration_s": trace.duration_s,
-            "sample_rate_hz": trace.sample_rate_hz,
+            **_fields(report, "per_op", "per_sensor_raw", "frames"),
             "total_payload_bytes": report.total_payload_bytes,
             "total_wire_bytes": report.total_wire_bytes,
-            "raw_payload_bytes": report.raw_payload_bytes,
-            "raw_wire_bytes": report.raw_wire_bytes,
-            "int_payload_bytes": report.int_payload_bytes,
-            "int_wire_bytes": report.int_wire_bytes,
-            "res_payload_bytes": report.res_payload_bytes,
-            "res_wire_bytes": report.res_wire_bytes,
             "t_req_violations": total_viol,
             "per_operator": {
-                str(op): {
-                    "gamma": round(s.gamma, 12),
-                    "windows": s.windows,
-                    "emissions": s.emissions,
-                    "int_payload_bytes": s.int_payload_bytes,
-                    "res_payload_bytes": s.res_payload_bytes,
-                    "latency_mean_s": s.latency_mean_s,
-                    "latency_p50_s": s.latency_p50_s,
-                    "latency_p95_s": s.latency_p95_s,
-                    "latency_max_s": s.latency_max_s,
-                    "t_req_s": s.t_req_s,
-                    "t_req_violations": s.t_req_violations,
-                }
+                str(op): _fields(s, "op_id", "int_frames", "res_frames")
                 for op, s in sorted(report.per_op.items())
             },
             "per_sensor_raw": {
-                str(sid): {
-                    "node": r.node,
-                    "share": round(r.share, 12),
-                    "samples_sent": r.samples_sent,
-                    "frames": r.frames,
-                    "payload_bytes": r.payload_bytes,
-                    "wire_bytes": r.wire_bytes,
-                }
-                for sid, r in sorted(report.per_sensor_raw.items())
+                str(sid): _fields(r, "sensor_id") for sid, r in sorted(report.per_sensor_raw.items())
             },
-            "warnings": report.warnings,
         }
-        _save(save_report, out, record)
-        click.echo(f"report: {out}")
+        _report(out, record)
     sys.exit(EXIT_OK)
 
 
@@ -550,8 +523,7 @@ def compare(reports: tuple[str, ...], out: str | None) -> None:
             "reduction_pct_vs_first": reductions,
             "per_operator": per_operator,
         }
-        _save(save_report, out, record)
-        click.echo(f"report: {out}")
+        _report(out, record)
     sys.exit(EXIT_OK)
 
 

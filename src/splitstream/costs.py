@@ -86,9 +86,12 @@ class Assignment:
 
     @classmethod
     def from_op_gamma(cls, w: Workload, per_op: dict[OperatorId, float]) -> "Assignment":
-        """Take one ratio per workload operator. A sensor's ratio is the max
-        over the operators consuming it, 0 for none."""
+        """Take one ratio per workload operator, and no other. A sensor's
+        ratio is the max over the operators consuming it, 0 for none."""
         gamma = {op.id: per_op[op.id] for op in w.operators}
+        extra = sorted(per_op.keys() - gamma.keys())
+        if extra:
+            raise ValueError(f"a ratio for operator {extra[0]}, which the workload lacks")
         gamma_sensor: dict[SensorId, float] = {s: 0.0 for s in sorted(w.sensors)}
         for op in w.operators:
             for s in op.sensors:
@@ -224,33 +227,41 @@ def data_volume(
     return 0.0
 
 
-def edge_loads(
-    op: OperatorSpec, gamma: float, p: Profile, w: Workload
-) -> Iterator[tuple[NodeId, float, float]]:
-    """Yield (node, CPU cycles, memory bytes) that each wired sensor of the
-    operator puts on its edge node at ratio gamma: its share 1 - gamma."""
-    share = 1.0 - gamma
+def fold_at(values: Iterable[float], share: float) -> float:
+    """Each value times `share`, added left to right (see fold_sum)."""
+    total = 0.0
+    for v in values:
+        total += v * share
+    return total
+
+
+LoadRow = tuple[NodeId, tuple[float, ...], tuple[float, ...]]
+
+
+def load_rows(op: OperatorSpec, p: Profile, w: Workload) -> tuple[LoadRow, ...]:
+    """One row per node holding wired sensors of the operator, in ascending
+    node order: the node, then those sensors' edge CPU cycles and memory
+    bytes at share 1, in the operator's sensor order."""
+    cpu: dict[NodeId, list[float]] = {}
+    mem: dict[NodeId, list[float]] = {}
     for s in op.sensors:
         k = w.topology.sensor_node.get(s)
-        if k is None:
-            continue
-        yield (
-            k,
-            p.cpu_edge.get((op.id, s, k), 0.0) * share,
-            p.mem_edge.get((op.id, s, k), 0.0) * share,
-        )
+        if k is not None:
+            cpu.setdefault(k, []).append(p.cpu_edge.get((op.id, s, k), 0.0))
+            mem.setdefault(k, []).append(p.mem_edge.get((op.id, s, k), 0.0))
+    return tuple((k, tuple(cpu[k]), tuple(mem[k])) for k in sorted(cpu))
 
 
 @dataclass(frozen=True)
 class OpFacts:
-    """What pricing and the checks read of one operator. Its edge_loads rows
-    at share 1 and its cloud cycles per own sensor keep sensor order, so
-    scaled by a share they repeat edge_loads' products, and latency_terms
-    folds them in that order."""
+    """What pricing and the checks read of one operator. Its edge load is
+    one load_rows row per node; at ratio gamma a node carries each row's
+    values folded at the share 1 - gamma (fold_at). Its cloud cycles per
+    own sensor keep sensor order and fold at gamma."""
 
     spec: OperatorSpec
     terms: VolumeTerms
-    loads: tuple[tuple[NodeId, float, float], ...]
+    loads: tuple[LoadRow, ...]
     cloud: tuple[float, ...]
     cpu_res: float
     t_req: float | None
@@ -260,7 +271,7 @@ class OpFacts:
     @classmethod
     def build(cls, w: Workload, p: Profile, i: OperatorId) -> "OpFacts":
         op = w.operator(i)
-        loads = tuple(edge_loads(op, 0.0, p, w))  # ratio 0: share 1
+        loads = load_rows(op, p, w)
         return cls(
             spec=op,
             terms=volume_terms(w, p, i),
@@ -276,23 +287,21 @@ class OpFacts:
         self, gamma: float, by_node: Iterable[tuple[NodeId, float]], p: Profile
     ) -> tuple[float, float, float]:
         """The wait-free window latency terms at ratio gamma, in seconds:
-        (edge, transfer, cloud). Transfer is the worst node's volume in
-        `by_node` (the operator's node_volumes) over its uplink; the result
-        cycles are charged only once offloading starts."""
+        (edge, transfer, cloud). Edge is the slowest node's cycles; transfer
+        is the worst node's volume in `by_node` (the operator's
+        node_volumes) over its uplink; the result cycles are charged only
+        once offloading starts."""
         share = 1.0 - gamma
-        per_node: dict[NodeId, float] = {}
-        for k, cycles, _mem in self.loads:
-            per_node[k] = per_node.get(k, 0.0) + cycles * share
-        t_edge = max((t / p.cpu_unit_edge[k] for k, t in per_node.items()), default=0.0)
+        t_edge = max(
+            (fold_at(cpu, share) / p.cpu_unit_edge[k] for k, cpu, _mem in self.loads),
+            default=0.0,
+        )
         t_trans = 0.0
         for k, vol in by_node:
             if vol > 0.0:
                 t_trans = max(t_trans, vol / p.bandwidth[k])
         res = self.cpu_res if gamma > GAMMA_TOL else 0.0
-        cycles = 0.0
-        for c in self.cloud:
-            cycles += c * gamma
-        return t_edge, t_trans, (cycles + res) / p.cpu_unit_cloud
+        return t_edge, t_trans, (fold_at(self.cloud, gamma) + res) / p.cpu_unit_cloud
 
     def meets_deadline(self, t: float) -> bool:
         """True when the operator has no deadline or latency t meets it."""
@@ -320,21 +329,17 @@ class Instance:
         return {i: node_volumes(f.terms, g[i], gs) for i, f in self.ops.items()}
 
     def usage(self, a: Assignment) -> dict[NodeId, NodeUsage]:
-        """Per-node edge CPU and memory: each operator's load rows at its
-        edge share, summed per node, then over operators in workload order."""
+        """Per-node edge CPU and memory: each operator's load rows folded at
+        its edge share, summed per node over operators in workload order."""
         nodes = sorted(self.w.topology.nodes)
         cpu = dict.fromkeys(nodes, 0.0)
         mem = dict.fromkeys(nodes, 0.0)
         for i, f in self.ops.items():
             share = 1.0 - a.gamma[i]
-            op_cpu: dict[NodeId, float] = {}
-            op_mem: dict[NodeId, float] = {}
-            for k, c, m in f.loads:
-                op_cpu[k] = op_cpu.get(k, 0.0) + c * share
-                op_mem[k] = op_mem.get(k, 0.0) + m * share
-            for k in op_cpu.keys() & cpu.keys():
-                cpu[k] += op_cpu[k]
-                mem[k] += op_mem[k]
+            for k, cycles, nbytes in f.loads:
+                if k in cpu:
+                    cpu[k] += fold_at(cycles, share)
+                    mem[k] += fold_at(nbytes, share)
         return {k: NodeUsage(node=k, cpu_cycles=cpu[k], mem_bytes=mem[k]) for k in nodes}
 
     def objective(
@@ -420,7 +425,8 @@ def latency_sum(totals: Mapping[OperatorId, float]) -> float:
 class OperatorCost:
     op: OperatorId
     gamma: float
-    data_bytes_by_node: dict[NodeId, float]
+    data_bytes: float
+    t_req: float | None
     t_edge: float
     t_trans: float
     t_wait: float
@@ -444,15 +450,16 @@ class CostReport:
 
 
 def node_cpu(i: OperatorId, k: NodeId, a: Assignment, p: Profile, w: Workload) -> float:
-    """Edge CPU cycles operator i occupies on node k."""
-    loads = edge_loads(w.operator(i), a.gamma[i], p, w)
-    return fold_sum(cpu for node, cpu, _mem in loads if node == k)
+    """Edge CPU cycles operator i occupies on node k: its load row there
+    folded at its edge share."""
+    rows = load_rows(w.operator(i), p, w)
+    return fold_at((c for node, cpu, _mem in rows if node == k for c in cpu), 1.0 - a.gamma[i])
 
 
 def node_mem(i: OperatorId, k: NodeId, a: Assignment, p: Profile, w: Workload) -> float:
-    """Edge memory bytes operator i occupies on node k."""
-    loads = edge_loads(w.operator(i), a.gamma[i], p, w)
-    return fold_sum(mem for node, _cpu, mem in loads if node == k)
+    """Edge memory bytes operator i occupies on node k (see node_cpu)."""
+    rows = load_rows(w.operator(i), p, w)
+    return fold_at((m for node, _cpu, mem in rows if node == k for m in mem), 1.0 - a.gamma[i])
 
 
 def node_usage(a: Assignment, p: Profile, w: Workload) -> dict[NodeId, NodeUsage]:
@@ -512,7 +519,8 @@ def cost_report(
         rows[i] = OperatorCost(
             op=i,
             gamma=a.gamma[i],
-            data_bytes_by_node={k: vol for k, vol in volumes[i].by_node if vol > 0.0},
+            data_bytes=volumes[i].total,
+            t_req=inst.ops[i].t_req,
             t_edge=te,
             t_trans=tt,
             t_wait=tw,

@@ -190,9 +190,10 @@ def generate_profile(
     `headroom`, and deadlines are (1 + treq_slack) times the all-cloud
     latency estimate.
     """
-    # The all-edge placement must fit under headroom x its usage, and the
-    # deadlines are (1 + treq_slack) x positive latencies.
-    check_positive("headroom - 1", headroom - 1.0)
+    # Caps are headroom x the all-edge usage: above 1 all-edge fits, below 1
+    # the instance is contended. Deadlines are (1 + treq_slack) x positive
+    # latencies.
+    check_positive("headroom", headroom)
     check_positive("1 + treq_slack", 1.0 + treq_slack)
     check_positive("sample rate", sample_rate_hz)
     check_positive("bandwidth", bandwidth_bps)

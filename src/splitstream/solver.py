@@ -38,6 +38,7 @@ from .costs import (
     Profile,
     cost_report,
     dedup_bytes,
+    fold_at,
     int_res_bytes,
     latency_rows,
     latency_sum,
@@ -157,7 +158,8 @@ class SearchState:
     `cluster` lists the operators it may decide, which must include every
     reader of their sensors; `readers` lists, per sensor, the operators
     whose volumes read its ratio. Everything static, the VolumeTerms and
-    the edge_loads rows at share 1 among it, is read from `inst`.
+    the per-node load rows among it, is read from `inst`; a decision adds
+    one CPU and one memory entry per loaded node.
     """
 
     inst: Instance
@@ -220,16 +222,12 @@ class SearchState:
                         self.raw_best[(s, k)] = raw
         share = 1.0 - gamma
         cpu, mem = self.cpu_used, self.mem_used
-        for k, c, m in facts.loads:
-            dc, dm = c * share, m * share
-            if dc:
-                old = cpu.get(k)
-                trail.append((cpu, k, old))
-                cpu[k] = (old or 0.0) + dc
-            if dm:
-                old = mem.get(k)
-                trail.append((mem, k, old))
-                mem[k] = (old or 0.0) + dm
+        for k, cycles, nbytes in facts.loads:
+            for table, load in ((cpu, fold_at(cycles, share)), (mem, fold_at(nbytes, share))):
+                if load:
+                    old = table.get(k)
+                    trail.append((table, k, old))
+                    table[k] = (old or 0.0) + load
 
     def undo(self, mark: int) -> None:
         """Restore, newest first, every entry logged since the trail held

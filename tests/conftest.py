@@ -12,7 +12,6 @@ import random
 import pytest
 
 from splitstream import (
-    Assignment,
     FunctionKind,
     OperatorSpec,
     Profile,
@@ -22,8 +21,6 @@ from splitstream import (
     edge_only,
     generate_profile,
     generate_reference_workload,
-    node_cpu,
-    node_mem,
 )
 
 F = FunctionKind
@@ -132,17 +129,10 @@ def random_instance(seed: int, *, max_ops: int = 4) -> tuple[Workload, Profile]:
 
 
 def capped_reference(factor: float) -> tuple[Workload, Profile]:
-    """The bundled workload with its default profile's cpu_cap and mem_cap at
-    `factor` times each node's all-edge usage. generate_profile rejects
-    headroom <= 1, so caps below the all-edge load are set here."""
+    """The bundled workload with its profile's cpu_cap and mem_cap at
+    `factor` times each node's all-edge usage (`gen-profile --headroom`)."""
     w = generate_reference_workload()
-    p = generate_profile(w)
-    all_edge = Assignment.from_op_gamma(w, {op.id: 0.0 for op in w.operators})
-    cpu_cap, mem_cap = {}, {}
-    for k in sorted(w.topology.nodes):
-        cpu_cap[k] = factor * sum(node_cpu(op.id, k, all_edge, p, w) for op in w.operators)
-        mem_cap[k] = factor * sum(node_mem(op.id, k, all_edge, p, w) for op in w.operators)
-    return w, dataclasses.replace(p, cpu_cap=cpu_cap, mem_cap=mem_cap)
+    return w, generate_profile(w, headroom=factor)
 
 
 @pytest.fixture

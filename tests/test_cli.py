@@ -121,8 +121,8 @@ class TestGenerators:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [("--headroom", "nan"), ("--headroom", "inf"),
-                                             ("--headroom", "1"), ("--treq-slack", "nan"),
-                                             ("--treq-slack", "-2")])
+                                             ("--headroom", "0"), ("--headroom", "-1"),
+                                             ("--treq-slack", "nan"), ("--treq-slack", "-2")])
     def test_gen_profile_rejects_bad_headroom_and_slack(self, runner, tmp_path, flag, value):
         _, wpath, _ = write_inputs(tmp_path)
         out = tmp_path / "prof.json"
@@ -131,6 +131,18 @@ class TestGenerators:
         assert len(error_lines(result)) == 1
         assert "positive and finite" in error_lines(result)[0]
         assert not out.exists()
+
+    def test_gen_profile_headroom_below_one_writes_a_contended_profile(self, runner, tmp_path):
+        w, wpath, ppath = write_inputs(tmp_path)
+        out = tmp_path / "p90.json"
+        result = runner.invoke(main, ["gen-profile", wpath, "--headroom", "0.9",
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        wide, tight = json.loads(open(ppath).read()), json.loads(out.read_text())
+        for table in ("cpu_cap", "mem_cap"):
+            for k, cap in tight[table].items():
+                all_edge = wide[table][k] / 2.0  # the default headroom is 2
+                assert cap == 0.9 * all_edge < all_edge
 
     @pytest.mark.parametrize("flags", [["--duration", "nan"], ["--duration", "-5"],
                                        ["--rate", "0"]])
@@ -670,9 +682,9 @@ class TestSimulateAndCompare:
         "text",
         ['{"gamma": {"1": 1.0, "01": 0.5, "2": 1.0}}', '{"1": 1' + "0" * 400 + ', "2": 1.0}',
          '{"1": 1.0, "2": 1.0, "+3": 1.0}', b"\xff{}", '{"1": 0.0, "1": 1.0, "2": 1.0}',
-         '{"gamma": {}, "gamma": {"1": 1.0, "2": 1.0}}'],
+         '{"gamma": {}, "gamma": {"1": 1.0, "2": 1.0}}', '{"1": 0.0, "2": 0.0, "999": 0.5}'],
         ids=["aliased-key", "huge-int", "signed-key", "not-utf8", "repeated-key",
-             "repeated-member"],
+             "repeated-member", "unknown-operator"],
     )
     def test_simulate_refuses_a_malformed_assignment(self, runner, tmp_path, text):
         _, wpath, ppath = write_inputs(tmp_path)
@@ -844,6 +856,15 @@ _REFERENCE_STEPS = [
     ["baseline", "w.txt", "p.json", "--strategy", "co", "--out", "co.json"],
     ["baseline", "w.txt", "p.json", "--strategy", "eo", "--out", "eo.json"],
     ["compare", "co.json", "solve.json", "--out", "cmp.json"],
+    ["gen-trace", "w.txt", "--duration", "600", "--seed", "3", "--out", "t.bin"],
+    ["simulate", "w.txt", "p.json", "--assignment", "solve.json", "--trace", "t.bin",
+     "--out", "sim.json"],
+    ["simulate", "w.txt", "p.json", "--assignment", "co.json", "--trace", "t.bin",
+     "--out", "sim_co.json"],
+    ["gen-profile", "w.txt", "--headroom", "0.9", "--out", "p90.json"],
+    ["solve", "w.txt", "p90.json", "--delta", "0.1", "--out", "s90.json"],
+    ["simulate", "w.txt", "p90.json", "--assignment", "s90.json", "--trace", "t.bin",
+     "--out", "sim90.json"],
 ]
 _REFERENCE_DIGESTS = {
     "w.txt": "c68153ed4ef9bc2bb58d73a691196786e341a2726bd8a5373288bd5b7d48cdbe",
@@ -854,6 +875,12 @@ _REFERENCE_DIGESTS = {
     "co.json": "f287c006fa8363d16ea06007662310da0b084b40340591a1ec63eb5c77a7de23",
     "eo.json": "3eff51b180a8db099ec3da4d2c1ddb92fce54c058acc993037390b9611f07423",
     "cmp.json": "641189499604474109c5691b537b8f006bb3e56af3a7048fdf5e53788ba4a989",
+    "t.bin": "95792c9c883ce1f5c7f928f9981410eced7b3564abf96c2ce0d6c8ed8e2328d3",
+    "sim.json": "02b8ab15aa250ba27088e848633f1593d1c368087ba951e509ab5ae9e6fc1362",
+    "sim_co.json": "b28b89665ff4baed8362985670ebdd241b3d70cb8b4d522275ef97a8000b1270",
+    "p90.json": "b5a2012edb66cb7e38d1ecb778461ae0a75ddf6b6ae5f524e2014c6dcb4e61b8",
+    "s90.json": "08032a1b46f18598c404920bb2cacf65b7dc9ea2430cacf609e4953b7beeac85",
+    "sim90.json": "de3bef76fed8a44a23e09e2e4294aa8fe6fdc7224d409eec3524a820d3ab1902",
 }
 
 

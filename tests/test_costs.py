@@ -33,7 +33,7 @@ from splitstream import (
     windows_in_horizon,
 )
 from splitstream import generate_profile, generate_reference_workload, topological_order
-from splitstream.costs import Instance, edge_loads, int_res_bytes, volume_terms
+from splitstream.costs import Instance, fold_at, int_res_bytes, volume_terms
 from splitstream.model import fold_sum
 
 from conftest import build_workload, random_instance
@@ -43,6 +43,12 @@ F = FunctionKind
 
 def gam(w, g):
     return Assignment.from_op_gamma(w, {op.id: g for op in w.operators})
+
+
+class TestAssignment:
+    def test_refuses_a_ratio_for_an_unknown_operator(self, tiny_workload):
+        with pytest.raises(ValueError, match="operator 999"):
+            Assignment.from_op_gamma(tiny_workload, {1: 0.0, 999: 0.5})
 
 
 class TestDataVolume:
@@ -307,8 +313,9 @@ class TestNodeUsage:
 
 class TestInstance:
     def test_facts_repeat_the_narrow_builders(self):
-        # Load rows at share 1, scaled by a share, repeat edge_loads' rows
-        # bit for bit; ratios off the binary grid make the products inexact.
+        # Each node's load row folded at a share repeats node_cpu and
+        # node_mem bit for bit; ratios off the binary grid make the products
+        # inexact, so a change in summation order would show here.
         for seed in range(30):
             w, p = random_instance(seed)
             inst = Instance.build(w, p)
@@ -319,10 +326,15 @@ class TestInstance:
                 assert facts.terms == volume_terms(w, p, op.id)
                 assert facts.nodes == {w.topology.sensor_node[s] for s in op.sensors}
                 assert facts.t_req == effective_t_req(op, p)
+                assert [k for k, _cpu, _mem in facts.loads] == sorted(facts.nodes)
                 for g in (0.0, 0.05, 0.35, 0.7, 1.0):
-                    share = 1.0 - g
-                    rows = [(k, c * share, m * share) for k, c, m in facts.loads]
-                    assert rows == list(edge_loads(op, g, p, w))
+                    a = Assignment.from_op_gamma(w, {j.id: g for j in w.operators})
+                    for k, cpu, mem in facts.loads:
+                        assert len(cpu) == len(mem) == sum(
+                            w.topology.sensor_node[s] == k for s in op.sensors
+                        )
+                        assert fold_at(cpu, 1.0 - g) == node_cpu(op.id, k, a, p, w)
+                        assert fold_at(mem, 1.0 - g) == node_mem(op.id, k, a, p, w)
 
 
 class TestFloatFolds:

@@ -11,8 +11,10 @@ import math
 import pytest
 
 from splitstream import (
+    Assignment,
     FunctionKind,
     cloud_only,
+    cost_report,
     generate_profile,
     generate_reference_workload,
     sensor_clusters,
@@ -92,8 +94,6 @@ class TestProfileSynthesis:
 
     def test_capacity_headroom_above_all_edge_usage(self, reference):
         w, p = reference
-        from splitstream import Assignment, cost_report
-
         all_edge = Assignment.from_op_gamma(w, {op.id: 0.0 for op in w.operators})
         rep = cost_report(w, p, all_edge)
         for k, usage in rep.per_node.items():
@@ -101,10 +101,20 @@ class TestProfileSynthesis:
             assert usage.mem_bytes < p.mem_cap[k]
             assert p.cpu_cap[k] == pytest.approx(2.0 * max(usage.cpu_cycles, 1.0))
 
-    def test_headroom_must_exceed_one(self, reference):
+    @pytest.mark.parametrize("headroom", [0.0, -1.0, math.nan, math.inf])
+    def test_headroom_must_be_positive_and_finite(self, reference, headroom):
         w, _ = reference
-        with pytest.raises(ValueError):
-            generate_profile(w, headroom=1.0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            generate_profile(w, headroom=headroom)
+
+    def test_headroom_below_one_caps_under_all_edge_usage(self, reference):
+        w, p = reference
+        q = generate_profile(w, headroom=0.9)
+        all_edge = Assignment.from_op_gamma(w, {op.id: 0.0 for op in w.operators})
+        for k, usage in cost_report(w, p, all_edge).per_node.items():
+            assert q.cpu_cap[k] == 0.9 * max(usage.cpu_cycles, 1.0) < usage.cpu_cycles
+            assert q.mem_cap[k] == 0.9 * max(usage.mem_bytes, 1.0) < usage.mem_bytes
+        assert q.t_req_s == p.t_req_s
 
     def test_byte_fields_are_integral(self, reference):
         _, p = reference
