@@ -29,7 +29,6 @@ from .costs import (
     lt_strict,
     node_cpu,
     node_mem,
-    node_usage,
     total_objective,
     validate_profile,
     windows_in_horizon,

@@ -34,13 +34,13 @@ from .fileio import (
     load_trace,
     load_workload,
     parse_gamma,
+    parse_json,
     report_bytes,
     save_profile,
     save_report,
     save_trace,
     save_workload,
     sha256_file,
-    unique_keys,
 )
 from .model import validate_workload
 from .reference import (
@@ -132,40 +132,31 @@ def _manifest(command: str, inputs: dict[str, str], config: dict) -> dict:
 
 
 def _solution_record(manifest: dict, w, sol: Solution) -> dict:
-    if sol.report is None:
-        return {
-            "manifest": manifest,
-            "feasible": sol.feasible,
-            "objective_bytes": None,
-            "latency_sum_s": None,
-            "gamma": None,
-            "per_operator": {},
-            "per_node": {},
-            "stats": sol.stats,
-        }
-    per_operator = {
-        str(i): {
-            "gamma": round(cost.gamma, 12),
-            "t_edge_s": cost.t_edge,
-            "t_trans_s": cost.t_trans,
-            "t_wait_s": cost.t_wait,
-            "t_cloud_s": cost.t_cloud,
-            "t_total_s": cost.t_total,
-            "t_req_s": cost.t_req,
-            "data_bytes": cost.data_bytes,
-        }
-        for i, cost in sol.report.per_operator.items()
-    }
+    """A solve or baseline report. Without a cost report (no feasible
+    placement) its figures are null and its tables empty."""
+    rep = sol.report
     return {
         "manifest": manifest,
         "feasible": sol.feasible,
         "objective_bytes": sol.objective_bytes,
-        "latency_sum_s": sol.report.latency_sum,
-        "gamma": gamma_record(w, sol.assignment),
-        "per_operator": per_operator,
+        "latency_sum_s": None if rep is None else rep.latency_sum,
+        "gamma": None if rep is None else gamma_record(w, sol.assignment),
+        "per_operator": {
+            str(i): {
+                "gamma": round(cost.gamma, 12),
+                "t_edge_s": cost.t_edge,
+                "t_trans_s": cost.t_trans,
+                "t_wait_s": cost.t_wait,
+                "t_cloud_s": cost.t_cloud,
+                "t_total_s": cost.t_total,
+                "t_req_s": cost.t_req,
+                "data_bytes": cost.data_bytes,
+            }
+            for i, cost in (rep.per_operator.items() if rep else ())
+        },
         "per_node": {
             str(k): {"cpu_cycles": u.cpu_cycles, "mem_bytes": u.mem_bytes}
-            for k, u in sol.report.per_node.items()
+            for k, u in (rep.per_node.items() if rep else ())
         },
         "stats": sol.stats,
     }
@@ -394,12 +385,17 @@ def simulate(workload: str, profile: str, assignment_path: str,
     """Replay a trace through a placed workload and count every byte."""
     from .simulator import run_sim
 
+    ctx = click.get_current_context()
+    given = [f"--{name}" for name in ("duration", "seed", "rate")
+             if ctx.get_parameter_source(name) is not click.core.ParameterSource.DEFAULT]
+    if trace_path and given:
+        _fail(f"{given[0]} sets the generated trace and cannot be given with --trace")
     w, p = _load_inputs(workload, profile)
     try:
         with open(assignment_path, "r", encoding="utf-8") as fh:
-            record = json.load(fh, object_pairs_hook=unique_keys)
+            record = parse_json(fh.read())
         a = Assignment.from_op_gamma(w, parse_gamma(record))
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         _fail(f"assignment {assignment_path}: {exc}")
     violations = check_assignment(w, p, a)
     if violations and not force:
@@ -479,7 +475,7 @@ def compare(reports: tuple[str, ...], out: str | None) -> None:
     for path in reports:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                records.append(json.load(fh, object_pairs_hook=unique_keys))
+                records.append(parse_json(fh.read()))
             command, total, per_op = report_bytes(records[-1])
         except (OSError, ValueError, KeyError) as exc:
             _fail(f"report {path}: {exc}")

@@ -117,6 +117,13 @@ def lt_strict(x: float, bound: float) -> bool:
     return x < bound
 
 
+def under_cap(x: float, cap: float | None) -> bool:
+    """True when usage x stays strictly under a node's cap (lt_strict); a
+    missing cap never binds. The one capacity test of the search and the
+    checks."""
+    return cap is None or lt_strict(x, cap)
+
+
 def effective_t_req(op: OperatorSpec, p: Profile) -> float | None:
     """Deadline for one operator: the workload value, else the profile's."""
     if op.t_req_s is not None:
@@ -173,24 +180,6 @@ class OpVolumes(NamedTuple):
     by_node: tuple[tuple[NodeId, float], ...]
 
 
-def volume_terms(w: Workload, p: Profile, i: OperatorId) -> VolumeTerms:
-    """Build operator i's VolumeTerms from the workload and profile."""
-    op = w.operator(i)
-    raws: dict[NodeId, list[tuple[SensorId, float]]] = {}
-    for s in op.sensors:
-        k = w.topology.sensor_node.get(s)
-        if k is not None:
-            raws.setdefault(k, []).append((s, p.data_raw.get((i, s, k), 0.0)))
-    homes = home_nodes(w, i)
-    return VolumeTerms(
-        nodes=tuple(
-            (k, tuple(raws.get(k, ())), k in homes) for k in sorted(raws.keys() | homes)
-        ),
-        d_int=p.data_int.get(i, 0.0),
-        d_res=p.data_res.get(i, 0.0),
-    )
-
-
 def node_volumes(
     terms: VolumeTerms, gamma: float, gamma_sensor: Mapping[SensorId, float]
 ) -> OpVolumes:
@@ -221,10 +210,8 @@ def data_volume(
     i: OperatorId, k: NodeId, a: Assignment, p: Profile, w: Workload
 ) -> float:
     """Bytes uplinked from node k per window of operator i (see node_volumes)."""
-    for node, vol in node_volumes(volume_terms(w, p, i), a.gamma[i], a.gamma_sensor).by_node:
-        if node == k:
-            return vol
-    return 0.0
+    terms = OpFacts.build(w, p, i).terms
+    return dict(node_volumes(terms, a.gamma[i], a.gamma_sensor).by_node).get(k, 0.0)
 
 
 def fold_at(values: Iterable[float], share: float) -> float:
@@ -238,26 +225,13 @@ def fold_at(values: Iterable[float], share: float) -> float:
 LoadRow = tuple[NodeId, tuple[float, ...], tuple[float, ...]]
 
 
-def load_rows(op: OperatorSpec, p: Profile, w: Workload) -> tuple[LoadRow, ...]:
-    """One row per node holding wired sensors of the operator, in ascending
-    node order: the node, then those sensors' edge CPU cycles and memory
-    bytes at share 1, in the operator's sensor order."""
-    cpu: dict[NodeId, list[float]] = {}
-    mem: dict[NodeId, list[float]] = {}
-    for s in op.sensors:
-        k = w.topology.sensor_node.get(s)
-        if k is not None:
-            cpu.setdefault(k, []).append(p.cpu_edge.get((op.id, s, k), 0.0))
-            mem.setdefault(k, []).append(p.mem_edge.get((op.id, s, k), 0.0))
-    return tuple((k, tuple(cpu[k]), tuple(mem[k])) for k in sorted(cpu))
-
-
 @dataclass(frozen=True)
 class OpFacts:
-    """What pricing and the checks read of one operator. Its edge load is
-    one load_rows row per node; at ratio gamma a node carries each row's
-    values folded at the share 1 - gamma (fold_at). Its cloud cycles per
-    own sensor keep sensor order and fold at gamma."""
+    """What pricing and the checks read of one operator, compiled in one
+    pass over its sensors' profile rows. `loads` holds a row per node with
+    wired sensors, nodes ascending: the node, then those sensors' edge CPU
+    cycles and memory bytes in sensor order, folded at the edge share
+    1 - gamma (fold_at). The cloud cycles per own sensor fold at gamma."""
 
     spec: OperatorSpec
     terms: VolumeTerms
@@ -271,15 +245,31 @@ class OpFacts:
     @classmethod
     def build(cls, w: Workload, p: Profile, i: OperatorId) -> "OpFacts":
         op = w.operator(i)
-        loads = load_rows(op, p, w)
+        cloud = []
+        cpu: dict[NodeId, list[float]] = {}
+        mem: dict[NodeId, list[float]] = {}
+        raws: dict[NodeId, list[tuple[SensorId, float]]] = {}
+        for s in op.sensors:
+            cloud.append(p.cpu_cloud.get((i, s), 0.0))
+            k = w.topology.sensor_node.get(s)
+            if k is not None:
+                key = (i, s, k)
+                cpu.setdefault(k, []).append(p.cpu_edge.get(key, 0.0))
+                mem.setdefault(k, []).append(p.mem_edge.get(key, 0.0))
+                raws.setdefault(k, []).append((s, p.data_raw.get(key, 0.0)))
+        homes = home_nodes(w, i)
         return cls(
             spec=op,
-            terms=volume_terms(w, p, i),
-            loads=loads,
-            cloud=tuple(p.cpu_cloud.get((i, s), 0.0) for s in op.sensors),
+            terms=VolumeTerms(
+                tuple((k, tuple(raws.get(k, ())), k in homes) for k in sorted(raws.keys() | homes)),
+                d_int=p.data_int.get(i, 0.0),
+                d_res=p.data_res.get(i, 0.0),
+            ),
+            loads=tuple((k, tuple(cpu[k]), tuple(mem[k])) for k in sorted(cpu)),
+            cloud=tuple(cloud),
             cpu_res=p.cpu_res.get(i, 0.0),
             t_req=effective_t_req(op, p),
-            nodes=frozenset(k for k, _cpu, _mem in loads),
+            nodes=frozenset(cpu),
             forced_cloud=forced_cloud(w, i),
         )
 
@@ -452,19 +442,14 @@ class CostReport:
 def node_cpu(i: OperatorId, k: NodeId, a: Assignment, p: Profile, w: Workload) -> float:
     """Edge CPU cycles operator i occupies on node k: its load row there
     folded at its edge share."""
-    rows = load_rows(w.operator(i), p, w)
+    rows = OpFacts.build(w, p, i).loads
     return fold_at((c for node, cpu, _mem in rows if node == k for c in cpu), 1.0 - a.gamma[i])
 
 
 def node_mem(i: OperatorId, k: NodeId, a: Assignment, p: Profile, w: Workload) -> float:
     """Edge memory bytes operator i occupies on node k (see node_cpu)."""
-    rows = load_rows(w.operator(i), p, w)
+    rows = OpFacts.build(w, p, i).loads
     return fold_at((m for node, _cpu, mem in rows if node == k for m in mem), 1.0 - a.gamma[i])
-
-
-def node_usage(a: Assignment, p: Profile, w: Workload) -> dict[NodeId, NodeUsage]:
-    """Per-node edge CPU and memory (see Instance.usage)."""
-    return Instance.build(w, p).usage(a)
 
 
 def windows_in_horizon(window_s: float, step_s: float, horizon_s: float) -> int:

@@ -31,7 +31,7 @@ from .costs import (
     Profile,
     forced_cloud,
     latency_rows,
-    lt_strict,
+    under_cap,
 )
 from .model import GAMMA_TOL, OperatorId, Workload, topological_order
 
@@ -159,15 +159,10 @@ def check_assignment(
 
         # C11/C12 strict capacity bounds per node.
         for k, usage in inst.usage(a).items():
-            cpu, mem = usage.cpu_cycles, usage.mem_bytes
-            cap_c = p.cpu_cap.get(k)
-            cap_m = p.mem_cap.get(k)
-            if cap_c is not None and not lt_strict(cpu, cap_c):
-                out.append(
-                    Violation("C11", None, f"node {k} cpu {cpu:.6g} >= cap {cap_c:.6g}")
-                )
-            if cap_m is not None and not lt_strict(mem, cap_m):
-                out.append(
-                    Violation("C12", None, f"node {k} mem {mem:.6g} >= cap {cap_m:.6g}")
-                )
+            for cid, name, used, cap in (
+                ("C11", "cpu", usage.cpu_cycles, p.cpu_cap.get(k)),
+                ("C12", "mem", usage.mem_bytes, p.mem_cap.get(k)),
+            ):
+                if not under_cap(used, cap):
+                    out.append(Violation(cid, None, f"node {k} {name} {used:.6g} >= cap {cap:.6g}"))
     return out

@@ -293,8 +293,8 @@ def json_key(key: str, what: str) -> int:
 
 def unique_keys(pairs: list[tuple[str, object]]) -> dict:
     """The members of one JSON object, refusing a key named twice, which
-    json would otherwise read last-wins. The object_pairs_hook of every
-    JSON reader here."""
+    json would otherwise read last-wins. The object_pairs_hook of
+    parse_json."""
     record = {}
     for key, value in pairs:
         if key in record:
@@ -303,8 +303,17 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return record
 
 
+def parse_json(text: str):
+    """JSON text read with unique_keys: the one JSON reader here. Nesting
+    deeper than json can recurse is a ValueError, not a RecursionError."""
+    try:
+        return json.loads(text, object_pairs_hook=unique_keys)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to read") from None
+
+
 def parse_profile(text: str) -> Profile:
-    record = json_shaped(json.loads(text, object_pairs_hook=unique_keys), dict, "a profile")
+    record = json_shaped(parse_json(text), dict, "a profile")
     cpu_edge = {}
     cpu_cloud = {}
     mem_edge = {}

@@ -42,8 +42,8 @@ from .costs import (
     int_res_bytes,
     latency_rows,
     latency_sum,
-    lt_strict,
     node_volumes,
+    under_cap,
 )
 from .feasibility import (
     check_assignment,
@@ -282,14 +282,11 @@ class SearchState:
 
 def preflight_resource(state: SearchState) -> NodeId | None:
     """First node whose partial CPU or memory sum already meets its cap."""
-    for k in state.cpu_used:
-        cap = state.inst.p.cpu_cap.get(k)
-        if cap is not None and not lt_strict(state.cpu_used[k], cap):
-            return k
-    for k in state.mem_used:
-        cap = state.inst.p.mem_cap.get(k)
-        if cap is not None and not lt_strict(state.mem_used[k], cap):
-            return k
+    p = state.inst.p
+    for used, caps in ((state.cpu_used, p.cpu_cap), (state.mem_used, p.mem_cap)):
+        for k, x in used.items():
+            if not under_cap(x, caps.get(k)):
+                return k
     return None
 
 
@@ -412,13 +409,11 @@ def _merge_capacity_coupled(
     """
     w, p = inst.w, inst.p
     all_edge = Assignment.from_op_gamma(w, {op.id: 0.0 for op in w.operators})
-    contended: set[NodeId] = set()
-    for k, worst in inst.usage(all_edge).items():
-        cap_c, cap_m = p.cpu_cap.get(k), p.mem_cap.get(k)
-        if (cap_c is not None and not lt_strict(worst.cpu_cycles, cap_c)) or (
-            cap_m is not None and not lt_strict(worst.mem_bytes, cap_m)
-        ):
-            contended.add(k)
+    contended = {
+        k for k, worst in inst.usage(all_edge).items()
+        if not under_cap(worst.cpu_cycles, p.cpu_cap.get(k))
+        or not under_cap(worst.mem_bytes, p.mem_cap.get(k))
+    }
     if not contended:
         return clusters
 
@@ -461,8 +456,7 @@ def solve(w: Workload, p: Profile, cfg: SolverConfig | None = None) -> Solution:
     # holds every node under its caps, unloaded ones at usage 0: a cap that
     # 0 does not stay under rules out every placement.
     feasible = all(
-        lt_strict(0.0, caps[k]) for caps in (p.cpu_cap, p.mem_cap)
-        for k in w.topology.nodes if k in caps
+        under_cap(0.0, caps.get(k)) for caps in (p.cpu_cap, p.mem_cap) for k in w.topology.nodes
     )
     for cluster in clusters if feasible else ():
         gamma = None

@@ -48,6 +48,10 @@ def error_lines(result):
     return [line for line in result.output.splitlines() if line.startswith("error:")]
 
 
+# JSON nested deeper than json's recursion reaches.
+DEEP = "[" * 100_000
+
+
 class TestValidate:
     def test_ok(self, runner, tmp_path):
         _, wpath, _ = write_inputs(tmp_path)
@@ -201,8 +205,15 @@ class TestSolveAndBaseline:
 
         p = dataclasses.replace(generate_profile(w), t_req_s={1: 1e-15, 2: 1e-15})
         open(ppath, "w").write(dumps_profile(p))
-        result = runner.invoke(main, ["solve", wpath, ppath])
+        out = tmp_path / "solve.json"
+        result = runner.invoke(main, ["solve", wpath, ppath, "--out", str(out)])
         assert result.exit_code == 2
+        # Without a placement the report's figures are null, its tables empty.
+        record = json.loads(out.read_text())
+        assert {k: v for k, v in record.items() if k not in ("manifest", "stats")} == {
+            "feasible": False, "objective_bytes": None, "latency_sum_s": None,
+            "gamma": None, "per_operator": {}, "per_node": {},
+        }
 
     def test_a_second_row_for_one_op_and_sensor_is_an_input_error(self, runner, tmp_path):
         _, wpath, ppath = write_inputs(tmp_path)
@@ -682,9 +693,10 @@ class TestSimulateAndCompare:
         "text",
         ['{"gamma": {"1": 1.0, "01": 0.5, "2": 1.0}}', '{"1": 1' + "0" * 400 + ', "2": 1.0}',
          '{"1": 1.0, "2": 1.0, "+3": 1.0}', b"\xff{}", '{"1": 0.0, "1": 1.0, "2": 1.0}',
-         '{"gamma": {}, "gamma": {"1": 1.0, "2": 1.0}}', '{"1": 0.0, "2": 0.0, "999": 0.5}'],
+         '{"gamma": {}, "gamma": {"1": 1.0, "2": 1.0}}', '{"1": 0.0, "2": 0.0, "999": 0.5}',
+         DEEP],
         ids=["aliased-key", "huge-int", "signed-key", "not-utf8", "repeated-key",
-             "repeated-member", "unknown-operator"],
+             "repeated-member", "unknown-operator", "nested-too-deeply"],
     )
     def test_simulate_refuses_a_malformed_assignment(self, runner, tmp_path, text):
         _, wpath, ppath = write_inputs(tmp_path)
@@ -707,13 +719,35 @@ class TestSimulateAndCompare:
             main, ["baseline", wpath, ppath, "--strategy", "co", "--out", co]
         )
         assert result.exit_code == 0, result.output
-        bad = tmp_path / "bytes.json"
-        bad.write_bytes(b"\xff\xfe{}")
-        for pair in ((co, str(bad)), (str(bad), co)):
-            result = runner.invoke(main, ["compare", *pair])
-            assert result.exit_code == 1, result.output
-            assert len(error_lines(result)) == 1
-            assert "bytes.json" in error_lines(result)[0]
+        (tmp_path / "bytes.json").write_bytes(b"\xff\xfe{}")
+        (tmp_path / "deep.json").write_text(DEEP)
+        for name in ("bytes.json", "deep.json"):
+            bad = str(tmp_path / name)
+            for pair in ((co, bad), (bad, co)):
+                result = runner.invoke(main, ["compare", *pair])
+                assert result.exit_code == 1, result.output
+                assert len(error_lines(result)) == 1
+                assert name in error_lines(result)[0]
+
+    @pytest.mark.parametrize(
+        "flags", [["--duration", "5"], ["--duration", "600"], ["--seed", "9"], ["--rate", "1"]]
+    )
+    def test_simulate_refuses_trace_settings_with_a_trace(self, runner, tmp_path, flags):
+        # The settings shape a generated trace only; given beside --trace,
+        # even at their defaults, they would be ignored without a word.
+        _, wpath, ppath = write_inputs(tmp_path)
+        gpath = self.solve_gamma_file(runner, tmp_path, wpath, ppath)
+        tpath = str(tmp_path / "trace.bin")
+        save_trace(tpath, Trace(10.0, 10.0, {1: np.ones(100), 2: np.ones(100)}))
+        out = tmp_path / "sim.json"
+        args = ["simulate", wpath, ppath, "--assignment", gpath, "--out", str(out)]
+        assert runner.invoke(main, [*args, "--trace", tpath]).exit_code == 0
+        out.unlink()
+        result = runner.invoke(main, [*args, "--trace", tpath, *flags])
+        assert result.exit_code == 1, result.output
+        assert len(error_lines(result)) == 1
+        assert flags[0] in error_lines(result)[0]
+        assert not out.exists()
 
     def test_compare_refuses_a_repeated_key(self, runner, tmp_path):
         _, wpath, ppath = write_inputs(tmp_path)

@@ -23,7 +23,6 @@ from splitstream import (
     lt_strict,
     node_cpu,
     node_mem,
-    node_usage,
     StreamConfig,
     generate_trace,
     propagate_composite_gamma,
@@ -33,8 +32,8 @@ from splitstream import (
     windows_in_horizon,
 )
 from splitstream import generate_profile, generate_reference_workload, topological_order
-from splitstream.costs import Instance, fold_at, int_res_bytes, volume_terms
-from splitstream.model import fold_sum
+from splitstream.costs import Instance, fold_at, int_res_bytes, node_volumes, under_cap
+from splitstream.model import fold_sum, transitive_sensors
 
 from conftest import build_workload, random_instance
 
@@ -231,6 +230,12 @@ class TestTolerances:
         assert not lt_strict(1.0 - 1e-12, 1.0)
         assert not lt_strict(1.0 + 1e-12, 1.0)
 
+    def test_under_cap_is_strict_and_a_missing_cap_never_binds(self):
+        assert under_cap(0.9, 1.0)
+        assert not under_cap(1.0 - 1e-12, 1.0)
+        assert not under_cap(2.0, 1.0)
+        assert under_cap(math.inf, None)
+
 
 class TestLatency:
     def test_decomposition_sums_exactly(self):
@@ -292,6 +297,16 @@ class TestLatency:
         assert data_volume(1, 2, a, p, w) == 0.0
 
 
+def fold_rows(w, p, table, i, k, share):
+    """Longhand: operator i's rows of `table` at node k, each times `share`,
+    added in the operator's sensor order."""
+    total = 0.0
+    for s in w.operator(i).sensors:
+        if w.topology.sensor_node.get(s) == k:
+            total += table.get((i, s, k), 0.0) * share
+    return total
+
+
 class TestNodeUsage:
     def test_equals_per_operator_sums(self):
         # Ratios off the binary grid make the products inexact, so a change
@@ -302,39 +317,60 @@ class TestNodeUsage:
             a = Assignment.from_op_gamma(
                 w, {op.id: rng.choice((0.0, 0.05, 0.35, 0.7, 1.0)) for op in w.operators}
             )
-            usage = node_usage(a, p, w)
+            usage = Instance.build(w, p).usage(a)
             assert list(usage) == sorted(w.topology.nodes)
             for k, u in usage.items():
-                ops = w.operators
-                cpu = fold_sum(node_cpu(op.id, k, a, p, w) for op in ops)
-                mem = fold_sum(node_mem(op.id, k, a, p, w) for op in ops)
+                shares = [(op.id, 1.0 - a.gamma[op.id]) for op in w.operators]
+                cpu = fold_sum(fold_rows(w, p, p.cpu_edge, i, k, g) for i, g in shares)
+                mem = fold_sum(fold_rows(w, p, p.mem_edge, i, k, g) for i, g in shares)
                 assert (u.cpu_cycles, u.mem_bytes) == (cpu, mem)
 
 
 class TestInstance:
-    def test_facts_repeat_the_narrow_builders(self):
-        # Each node's load row folded at a share repeats node_cpu and
-        # node_mem bit for bit; ratios off the binary grid make the products
-        # inexact, so a change in summation order would show here.
+    def test_facts_repeat_a_longhand_fold_of_the_rows(self):
+        # Each operator's compiled rows, and the narrow builders that read
+        # them, repeat a longhand fold of the profile's rows bit for bit, as
+        # the acceptance oracle folds volumes; ratios off the binary grid
+        # make the products inexact, so a change in summation order would
+        # show here.
         for seed in range(30):
             w, p = random_instance(seed)
             inst = Instance.build(w, p)
             assert list(inst.order) == topological_order(w)
             for op in w.operators:
-                facts = inst.ops[op.id]
+                i, facts = op.id, inst.ops[op.id]
                 assert facts.spec is op
-                assert facts.terms == volume_terms(w, p, op.id)
                 assert facts.nodes == {w.topology.sensor_node[s] for s in op.sensors}
                 assert facts.t_req == effective_t_req(op, p)
+                assert facts.cpu_res == p.cpu_res.get(i, 0.0)
                 assert [k for k, _cpu, _mem in facts.loads] == sorted(facts.nodes)
+                homes = {
+                    w.topology.sensor_node[s]
+                    for s in op.sensors or transitive_sensors(w, i)
+                    if s in w.topology.sensor_node
+                }
+                loads = {k: (cpu, mem) for k, cpu, mem in facts.loads}
                 for g in (0.0, 0.05, 0.35, 0.7, 1.0):
                     a = Assignment.from_op_gamma(w, {j.id: g for j in w.operators})
-                    for k, cpu, mem in facts.loads:
-                        assert len(cpu) == len(mem) == sum(
-                            w.topology.sensor_node[s] == k for s in op.sensors
-                        )
-                        assert fold_at(cpu, 1.0 - g) == node_cpu(op.id, k, a, p, w)
-                        assert fold_at(mem, 1.0 - g) == node_mem(op.id, k, a, p, w)
+                    cloud = 0.0
+                    for s in op.sensors:
+                        cloud += p.cpu_cloud.get((i, s), 0.0) * g
+                    assert fold_at(facts.cloud, g) == cloud
+                    volumes = dict(node_volumes(facts.terms, g, a.gamma_sensor).by_node)
+                    for k in sorted(w.topology.nodes):
+                        cpu = fold_rows(w, p, p.cpu_edge, i, k, 1.0 - g)
+                        mem = fold_rows(w, p, p.mem_edge, i, k, 1.0 - g)
+                        if k in loads:
+                            assert fold_at(loads[k][0], 1.0 - g) == cpu
+                            assert fold_at(loads[k][1], 1.0 - g) == mem
+                        assert node_cpu(i, k, a, p, w) == cpu
+                        assert node_mem(i, k, a, p, w) == mem
+                        vol = fold_rows(w, p, p.data_raw, i, k, g)
+                        if k in homes:
+                            vol += (math.ceil(g) - math.floor(g)) * p.data_int.get(i, 0.0)
+                            vol += math.floor(1.0 - g) * p.data_res.get(i, 0.0)
+                        assert volumes.get(k, 0.0) == vol
+                        assert data_volume(i, k, a, p, w) == vol
 
 
 class TestFloatFolds:

@@ -188,6 +188,10 @@ class TestProfileJson:
         with pytest.raises(ValueError, match=f"{table} lists .* twice"):
             parse_profile(json.dumps(record))
 
+    def test_nesting_too_deep_is_a_value_error(self):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            parse_profile("[" * 100_000)
+
     def test_a_second_row_for_one_op_and_sensor_is_refused(self):
         # cpu_cloud is keyed (op, sensor): a row at another node would
         # silently replace the operator's cloud cycles.

@@ -35,7 +35,7 @@ EXPORTS = (
     "gamma_record", "generate_profile", "generate_reference_workload",
     "generate_trace", "home_nodes", "is_splittable", "latency_rows",
     "le_with_tol", "load_profile", "load_trace", "load_workload", "lt_strict",
-    "merge", "merge_states", "node_cpu", "node_mem", "node_usage",
+    "merge", "merge_states", "node_cpu", "node_mem",
     "operator_domain", "output_arity", "parse_gamma", "parse_profile",
     "parse_workload", "partial_eval", "propagate_composite_gamma", "run_sim",
     "save_profile", "save_report", "save_trace", "save_workload",

@@ -21,7 +21,7 @@ from splitstream import (
     generate_reference_workload,
     solve,
 )
-from splitstream.costs import Instance, node_volumes, total_objective, volume_terms
+from splitstream.costs import Instance, node_volumes, total_objective
 from splitstream.solver import SearchState
 
 from conftest import build_workload, capped_reference, random_instance
@@ -283,7 +283,7 @@ class TestSearchState:
     @classmethod
     def walk(cls, w, p, mode, rng, steps):
         inst = Instance.build(w, p)
-        terms = {op.id: volume_terms(w, p, op.id) for op in w.operators}
+        terms = {i: f.terms for i, f in inst.ops.items()}
         state = SearchState(inst, mode, cluster=tuple(terms))
         ops = tuple(sorted(op.id for op in w.operators))
         stack = []  # (operator, ratio, trail length before its decision)
@@ -336,8 +336,8 @@ class TestPaperBound:
         checked = 0
         for seed in range(40):
             w, p = random_instance(seed)
-            terms = {op.id: volume_terms(w, p, op.id) for op in w.operators}
-            state = SearchState(Instance.build(w, p), "paper", cluster=tuple(terms))
+            inst = Instance.build(w, p)
+            state = SearchState(inst, "paper", cluster=tuple(inst.ops))
             ops = tuple(sorted(op.id for op in w.operators))
             for i in rng.sample(ops, rng.randint(0, len(ops))):
                 state.assign(i, rng.choice(grid))
