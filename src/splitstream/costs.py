@@ -88,6 +88,9 @@ class Assignment:
     def from_op_gamma(cls, w: Workload, per_op: dict[OperatorId, float]) -> "Assignment":
         """Take one ratio per workload operator, and no other. A sensor's
         ratio is the max over the operators consuming it, 0 for none."""
+        missing = [op.id for op in w.operators if op.id not in per_op]
+        if missing:
+            raise ValueError(f"no ratio for operator {missing[0]}")
         gamma = {op.id: per_op[op.id] for op in w.operators}
         extra = sorted(per_op.keys() - gamma.keys())
         if extra:

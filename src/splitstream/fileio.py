@@ -264,19 +264,25 @@ def json_number(value, name: str, key: object) -> float:
         return math.inf
 
 
+def json_member(record: dict, name: str, where: object):
+    """record[name], or ValueError naming the member and where it is missing."""
+    if name not in record:
+        raise ValueError(f"no {name} for {where}")
+    return record[name]
+
+
 def json_cost(row: dict, name: str, key: object) -> float:
     """row[name] as a float, if it is a finite non-negative JSON number."""
-    number = json_number(row[name], name, key)
+    value = json_member(row, name, key)
+    number = json_number(value, name, key)
     if not (math.isfinite(number) and number >= 0):
-        raise ValueError(
-            f"{name} must be a non-negative finite number for {key}, got {row[name]!r}"
-        )
+        raise ValueError(f"{name} must be a non-negative finite number for {key}, got {value!r}")
     return number
 
 
 def json_id(row: dict, name: str, table: str) -> int:
     """row[name], if it is a JSON integer (a bool is not)."""
-    value = row[name]
+    value = json_member(row, name, f"a {table} row")
     if type(value) is not int:
         raise ValueError(f"{name} of a {table} row must be an integer id, got {value!r:.60}")
     return value
@@ -318,7 +324,11 @@ def parse_profile(text: str) -> Profile:
     cpu_cloud = {}
     mem_edge = {}
     data_raw = {}
-    for row in json_shaped(record["per_sensor"], list, "per_sensor"):
+
+    def member(name: str):
+        return json_member(record, name, "the profile")
+
+    for row in json_shaped(member("per_sensor"), list, "per_sensor"):
         row = json_shaped(row, dict, "a per_sensor row")
         key = tuple(json_id(row, name, "per_sensor") for name in ("op", "sensor", "node"))
         # cpu_cloud is keyed (op, sensor): a second row for the pair, even at
@@ -333,7 +343,7 @@ def parse_profile(text: str) -> Profile:
     data_int = {}
     data_res = {}
     t_req_s = {}
-    for row in json_shaped(record["per_operator"], list, "per_operator"):
+    for row in json_shaped(member("per_operator"), list, "per_operator"):
         row = json_shaped(row, dict, "a per_operator row")
         op = json_id(row, "op", "per_operator")
         if op in cpu_res:
@@ -347,12 +357,12 @@ def parse_profile(text: str) -> Profile:
     cpu_unit_edge, bandwidth, cpu_cap, mem_cap = (
         {
             json_key(k, name): json_number(v, name, f"node {k}")
-            for k, v in json_shaped(record[name], dict, name).items()
+            for k, v in json_shaped(member(name), dict, name).items()
         }
         for name in ("cpu_unit_edge", "bandwidth", "cpu_cap", "mem_cap")
     )
     cpu_unit_cloud = check_positive(
-        "cpu_unit_cloud", json_number(record["cpu_unit_cloud"], "cpu_unit_cloud", "the cloud")
+        "cpu_unit_cloud", json_number(member("cpu_unit_cloud"), "cpu_unit_cloud", "the cloud")
     )
     # Rates divide volumes and cycles; caps and deadlines are strict bounds.
     for name, where, table in (

@@ -9,9 +9,10 @@ the same registry serves raw windows and derived series.
 Splittable functions (the catalog's iterative ones) additionally support
 partial_eval/merge: the edge evaluates a prefix into a PartialState, the
 cloud folds in the remaining samples, and the merged result must match a
-monolithic evaluation to 1e-9 relative. Partial states carry moments shifted
-to a per-part reference where naive running sums would lose precision
-(std/var/cov/trend at large sample magnitudes).
+monolithic evaluation to 1e-9 relative. Each has one partial form, one
+merge and one finalize, whatever channel shape feeds it. Partial states
+carry moments shifted to a per-part reference where naive running sums
+would lose precision (std/var/cov/trend at large sample magnitudes).
 
 Every kernel works on a batch: a (windows x samples) matrix whose rows are
 windows of one length. eval_windows and split_windows take each channel's
@@ -97,15 +98,16 @@ def _as_arrays(
     return chans, ts
 
 
-def _pair(chans: list[np.ndarray], ts: list[np.ndarray]):
+def _pair_channels(channels: Sequence):
+    """The two channels a cross-channel function pairs; one pairs with itself."""
+    return channels[0], channels[1] if len(channels) > 1 else channels[0]
+
+
+def _pair(chans: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """First two channels aligned on their most recent samples."""
-    if not chans:
-        return None
-    x = chans[0]
-    y = chans[1] if len(chans) > 1 else chans[0]
-    tx = ts[0]
+    x, y = _pair_channels(chans)
     m = min(len(x), len(y))
-    return x[len(x) - m:], y[len(y) - m:], tx[len(tx) - m:]
+    return x[len(x) - m:], y[len(y) - m:]
 
 
 # Samples gathered into one matrix at most. Overlapping windows are copied
@@ -249,7 +251,7 @@ def eval_function(
         return np.concatenate(
             [_eval_channel(func, x[None], t[None], ctx) for x, t in zip(chans, ts)]
         )
-    x, y, _t = _pair(chans, ts)
+    x, y = _pair(chans)
     return _eval_cross(func, x[None], y[None])
 
 
@@ -266,34 +268,49 @@ def _padded(x: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _partial_channel(func: FunctionKind, x: np.ndarray, t: np.ndarray | None,
-                     ctx: FunctionContext) -> tuple:
+def _partial(func: FunctionKind, x: np.ndarray, y: np.ndarray | None,
+             ctx: FunctionContext) -> tuple:
+    """The batch state of the rows of x (windows x samples). y holds the
+    paired channel's rows for a cross-channel function, and the sample
+    times of x for a per-channel one (None if it reads no times)."""
     rows, n = x.shape
     if func in (F.MEAN, F.DISP):
         return (n, x.sum(axis=1))
     if func is F.MSQRT:
         return (n, np.square(x).sum(axis=1))
+    if func is F.AVGWS:
+        return (n, np.hypot(x, y).sum(axis=1))
+    if func in (F.AOA, F.AWD):
+        return (n, x.sum(axis=1), y.sum(axis=1))
     if func in (F.STD, F.VAR):
         if n == 0:
             return (0, np.zeros(rows), np.zeros(rows), np.zeros(rows))
         x0 = x[:, 0]
         d = x - x0[:, None]
         return (n, d.sum(axis=1), _rowdot(d, d), x0)
+    if func is F.COV:
+        if n == 0:
+            return (0, *(np.zeros(rows) for _ in range(5)))
+        x0, y0 = x[:, 0], y[:, 0]
+        dx = x - x0[:, None]
+        dy = y - y0[:, None]
+        return (n, dx.sum(axis=1), dy.sum(axis=1), _rowdot(dx, dy), x0, y0)
     if func is F.SURGE:
         if n == 0:
             return (0, np.zeros(rows), np.full(rows, _NAN))
         return (n, x.sum(axis=1), x[:, -1])
+    # SPEED, ACC and TREND read the sample times in y.
     if func in (F.SPEED, F.ACC):
         if n == 0:
             return (0, *(np.full(rows, _NAN) for _ in range(4)))
         if n == 1:
-            return (1, np.full(rows, _NAN), np.full(rows, _NAN), t[:, 0], x[:, 0])
-        return (n, t[:, -2], x[:, -2], t[:, -1], x[:, -1])
+            return (1, np.full(rows, _NAN), np.full(rows, _NAN), y[:, 0], x[:, 0])
+        return (n, y[:, -2], x[:, -2], y[:, -1], x[:, -1])
     if func is F.TREND:
         if n == 0:
             return (0, *(np.zeros(rows) for _ in range(5)))
-        t0 = t[:, 0]
-        dt = t - t0[:, None]
+        t0 = y[:, 0]
+        dt = y - t0[:, None]
         return (n, t0, dt.sum(axis=1), x.sum(axis=1), _rowdot(dt, dt), _rowdot(dt, x))
     if func is F.GF:
         k = ctx.gf_k()
@@ -302,23 +319,7 @@ def _partial_channel(func: FunctionKind, x: np.ndarray, t: np.ndarray | None,
         head = _padded(x[:, :keep], keep)
         tail = _padded(x[:, max(0, n - keep):], keep)
         return (n, x.sum(axis=1), best, head, tail)
-    raise ValueError(f"{func.value} has no per-channel partial form")
-
-
-def _partial_cross(func: FunctionKind, x: np.ndarray, y: np.ndarray) -> tuple:
-    rows, n = x.shape
-    if func is F.COV:
-        if n == 0:
-            return (0, *(np.zeros(rows) for _ in range(5)))
-        x0, y0 = x[:, 0], y[:, 0]
-        dx = x - x0[:, None]
-        dy = y - y0[:, None]
-        return (n, dx.sum(axis=1), dy.sum(axis=1), _rowdot(dx, dy), x0, y0)
-    if func is F.AVGWS:
-        return (n, np.hypot(x, y).sum(axis=1))
-    if func in (F.AOA, F.AWD):
-        return (n, x.sum(axis=1), y.sum(axis=1))
-    raise ValueError(f"{func.value} has no cross-channel partial form")
+    raise ValueError(f"{func.value} has no partial form")
 
 
 def partial_eval(
@@ -331,26 +332,24 @@ def partial_eval(
     if func not in SPLITTABLE:
         raise ValueError(f"{func.value} is not splittable")
     chans, ts = _as_arrays(channels, times, ctx)
-    # States may keep views of their rows; copies keep them off the caller's arrays.
     if func in PER_CHANNEL:
-        parts = tuple(
-            _partial_channel(func, x[None].copy(), t[None].copy(), ctx) for x, t in zip(chans, ts)
-        )
-        return PartialState(func, len(chans), parts)
-    paired = _pair(chans, ts)
-    if paired is None:
-        return PartialState(func, 0, ())
-    x, y, _t = paired
-    return PartialState(func, len(chans), (_partial_cross(func, x[None].copy(), y[None].copy()),))
+        pairs = list(zip(chans, ts))
+    else:
+        pairs = [_pair(chans)] if chans else []
+    # States may keep views of their rows; copies keep them off the caller's arrays.
+    parts = tuple(_partial(func, x[None].copy(), y[None].copy(), ctx) for x, y in pairs)
+    return PartialState(func, len(chans), parts)
 
 
-def _merge_channel(func: FunctionKind, a: tuple, b: tuple, ctx: FunctionContext) -> tuple:
+def _merge(func: FunctionKind, a: tuple, b: tuple, ctx: FunctionContext) -> tuple:
+    """The batch state of each row's samples in a followed by those in b."""
     if a[0] == 0:
         return b
     if b[0] == 0:
         return a
-    if func in (F.MEAN, F.DISP, F.MSQRT):
-        return (a[0] + b[0], a[1] + b[1])
+    if func in (F.MEAN, F.DISP, F.MSQRT, F.AVGWS, F.AOA, F.AWD):
+        # Every field is a sample count or a sum over the samples.
+        return tuple(u + v for u, v in zip(a, b))
     if func in (F.STD, F.VAR):
         na, da, d2a, x0a = a
         nb, db, d2b, x0b = b
@@ -358,6 +357,15 @@ def _merge_channel(func: FunctionKind, a: tuple, b: tuple, ctx: FunctionContext)
         db2 = db + nb * shift
         d2b2 = d2b + 2.0 * shift * db + nb * shift * shift
         return (na + nb, da + db2, d2a + d2b2, x0a)
+    if func is F.COV:
+        na, dxa, dya, dxya, x0a, y0a = a
+        nb, dxb, dyb, dxyb, x0b, y0b = b
+        sx = x0b - x0a
+        sy = y0b - y0a
+        dxb2 = dxb + nb * sx
+        dyb2 = dyb + nb * sy
+        dxyb2 = dxyb + sx * dyb + sy * dxb + nb * sx * sy
+        return (na + nb, dxa + dxb2, dya + dyb2, dxya + dxyb2, x0a, y0a)
     if func is F.SURGE:
         return (a[0] + b[0], a[1] + b[1], b[2])
     if func in (F.SPEED, F.ACC):
@@ -389,28 +397,7 @@ def _merge_channel(func: FunctionKind, a: tuple, b: tuple, ctx: FunctionContext)
         head = _padded(heads[:, :keep], keep)
         tail = _padded(tails[:, max(0, tails.shape[1] - keep):], keep)
         return (na + nb, sa + sb, best, head, tail)
-    raise ValueError(f"{func.value} has no per-channel merge")
-
-
-def _merge_cross(func: FunctionKind, a: tuple, b: tuple) -> tuple:
-    if a[0] == 0:
-        return b
-    if b[0] == 0:
-        return a
-    if func is F.COV:
-        na, dxa, dya, dxya, x0a, y0a = a
-        nb, dxb, dyb, dxyb, x0b, y0b = b
-        sx = x0b - x0a
-        sy = y0b - y0a
-        dxb2 = dxb + nb * sx
-        dyb2 = dyb + nb * sy
-        dxyb2 = dxyb + sx * dyb + sy * dxb + nb * sx * sy
-        return (na + nb, dxa + dxb2, dya + dyb2, dxya + dxyb2, x0a, y0a)
-    if func is F.AVGWS:
-        return (a[0] + b[0], a[1] + b[1])
-    if func in (F.AOA, F.AWD):
-        return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-    raise ValueError(f"{func.value} has no cross merge")
+    raise ValueError(f"{func.value} has no merge")
 
 
 def merge_states(a: PartialState, b: PartialState, ctx: FunctionContext = DEFAULT_CONTEXT) -> PartialState:
@@ -422,20 +409,16 @@ def merge_states(a: PartialState, b: PartialState, ctx: FunctionContext = DEFAUL
         return a
     if len(a.parts) != len(b.parts):
         raise ValueError("partial states cover different channel counts")
-    if a.func in PER_CHANNEL:
-        parts = tuple(
-            _merge_channel(a.func, pa, pb, ctx) for pa, pb in zip(a.parts, b.parts)
-        )
-    else:
-        parts = (_merge_cross(a.func, a.parts[0], b.parts[0]),)
+    parts = tuple(_merge(a.func, pa, pb, ctx) for pa, pb in zip(a.parts, b.parts))
     return PartialState(a.func, a.n_channels, parts)
 
 
-def _finalize_channel(func: FunctionKind, s: tuple, ctx: FunctionContext) -> np.ndarray:
+def _finalize(func: FunctionKind, s: tuple, ctx: FunctionContext) -> np.ndarray:
+    """The value of each row of a batch state."""
     n = s[0]
     if n == 0:
         return np.zeros(len(s[1]))
-    if func is F.MEAN:
+    if func in (F.MEAN, F.AVGWS):
         return s[1] / n
     if func is F.DISP:
         return s[1] / n - ctx.disp_baseline
@@ -445,6 +428,9 @@ def _finalize_channel(func: FunctionKind, s: tuple, ctx: FunctionContext) -> np.
         _n, d, d2, _x0 = s
         var = np.maximum((d2 - d * d / n) / n, 0.0)
         return np.sqrt(var) if func is F.STD else var
+    if func is F.COV:
+        _n, dx, dy, dxy, _x0, _y0 = s
+        return (dxy - dx * dy / n) / n
     if func is F.SURGE:
         return _safe_div(s[2], s[1] / n)
     if func in (F.SPEED, F.ACC):
@@ -460,31 +446,17 @@ def _finalize_channel(func: FunctionKind, s: tuple, ctx: FunctionContext) -> np.
         mean = total / n
         ratio = np.where(np.isnan(best), 1.0, _safe_div(best, mean))
         return np.where(mean != 0.0, ratio, 0.0)
-    raise ValueError(f"{func.value} has no per-channel finalize")
-
-
-def _finalize_cross(func: FunctionKind, s: tuple) -> np.ndarray:
-    n = s[0]
-    if n == 0:
-        return np.zeros(len(s[1]))
-    if func is F.COV:
-        _n, dx, dy, dxy, _x0, _y0 = s
-        return (dxy - dx * dy / n) / n
-    if func is F.AVGWS:
-        return s[1] / n
     if func is F.AOA:
         return np.arctan2(s[2] / n, s[1] / n)
     if func is F.AWD:
         return _awd(s[1] / n, s[2] / n)
-    raise ValueError(f"{func.value} has no cross finalize")
+    raise ValueError(f"{func.value} has no finalize")
 
 
 def finalize(state: PartialState, ctx: FunctionContext = DEFAULT_CONTEXT) -> np.ndarray:
     if state.n_channels == 0:
         return np.zeros(0, dtype=np.float64)
-    if state.func in PER_CHANNEL:
-        return np.concatenate([_finalize_channel(state.func, s, ctx) for s in state.parts])
-    return _finalize_cross(state.func, state.parts[0])
+    return np.concatenate([_finalize(state.func, s, ctx) for s in state.parts])
 
 
 def merge(
@@ -526,11 +498,6 @@ def state_to_vector(state: PartialState, ctx: FunctionContext = DEFAULT_CONTEXT)
 
 # ---------------------------------------------------------------------------
 # Every window of an operator at once.
-
-
-def _pair_channels(channels: Sequence[Channel]) -> tuple[Channel, Channel]:
-    """The two channels a cross-channel function pairs (see _pair)."""
-    return channels[0], channels[1] if len(channels) > 1 else channels[0]
 
 
 def eval_windows(
@@ -578,9 +545,9 @@ def split_windows(
             for (n,), rows in _groups(ch.hi - ch.lo):
                 cut = int(round(edge_share * n))
                 x, t = ch.take(ch.lo[rows], n, timed)
-                edge = _partial_channel(func, x[:, :cut], None if t is None else t[:, :cut], ctx)
-                cloud = _partial_channel(func, x[:, cut:], None if t is None else t[:, cut:], ctx)
-                out[rows, c] = _finalize_channel(func, _merge_channel(func, edge, cloud, ctx), ctx)
+                edge = _partial(func, x[:, :cut], None if t is None else t[:, :cut], ctx)
+                cloud = _partial(func, x[:, cut:], None if t is None else t[:, cut:], ctx)
+                out[rows, c] = _finalize(func, _merge(func, edge, cloud, ctx), ctx)
                 states[rows, c * width:(c + 1) * width] = _state_rows(func, edge, ctx)
     elif channels:
         cx, cy = _pair_channels(channels)
@@ -589,10 +556,10 @@ def split_windows(
             m = min(cut_x, cut_y)
             x, _ = cx.take(cx.lo[rows] + cut_x - m, m, False)
             y, _ = cy.take(cy.lo[rows] + cut_y - m, m, False)
-            edge = _partial_cross(func, x, y)
+            edge = _partial(func, x, y, ctx)
             m = min(nx - cut_x, ny - cut_y)
             x, _ = cx.take(cx.hi[rows] - m, m, False)
             y, _ = cy.take(cy.hi[rows] - m, m, False)
-            out[rows, 0] = _finalize_cross(func, _merge_cross(func, edge, _partial_cross(func, x, y)))
+            out[rows, 0] = _finalize(func, _merge(func, edge, _partial(func, x, y, ctx), ctx), ctx)
             states[rows] = _state_rows(func, edge, ctx)
     return out, states

@@ -83,10 +83,16 @@ PER_CHANNEL = {
 
 CROSS_CHANNEL = {F.COV, F.CC, F.AVGWS, F.AVGWA, F.AOA, F.AWD, F.FWS, F.TI}
 
-SPLITTABLE = {
-    F.MEAN, F.MSQRT, F.STD, F.VAR, F.COV, F.SPEED, F.ACC, F.DISP, F.TREND,
-    F.SURGE, F.AVGWS, F.GF, F.AOA, F.AWD,
+# The 8-byte values in one channel's partial state (per-channel functions)
+# or in the whole state (cross-channel ones): the one home of which
+# functions split. GF's size follows the context (see state_length).
+_STATE_LEN = {
+    F.MEAN: 2, F.DISP: 2, F.MSQRT: 2, F.STD: 4, F.VAR: 4, F.SURGE: 3,
+    F.SPEED: 5, F.ACC: 5, F.TREND: 6, F.GF: None,
+    F.COV: 6, F.AVGWS: 2, F.AOA: 3, F.AWD: 3,
 }
+
+SPLITTABLE = frozenset(_STATE_LEN)
 
 
 @dataclass(frozen=True)
@@ -115,25 +121,12 @@ def is_splittable(func: FunctionKind) -> bool:
     return func in SPLITTABLE
 
 
-# Serialized state size, for partial-aggregate payloads and profiles.
-
-_CHANNEL_STATE_LEN = {
-    F.MEAN: 2, F.DISP: 2, F.MSQRT: 2, F.STD: 4, F.VAR: 4, F.SURGE: 3,
-    F.SPEED: 5, F.ACC: 5, F.TREND: 6,
-}
-
-_CROSS_STATE_LEN = {F.COV: 6, F.AVGWS: 2, F.AOA: 3, F.AWD: 3}
-
-
 def state_length(func: FunctionKind, n_channels: int, ctx: FunctionContext = DEFAULT_CONTEXT) -> int:
     """Number of 8-byte values in a serialized partial state."""
     if func not in SPLITTABLE or n_channels <= 0:
         return 0
-    if func is F.GF:
-        return (2 * ctx.gf_k() + 3) * n_channels
-    if func in _CHANNEL_STATE_LEN:
-        return _CHANNEL_STATE_LEN[func] * n_channels
-    return _CROSS_STATE_LEN[func]
+    size = 2 * ctx.gf_k() + 3 if func is F.GF else _STATE_LEN[func]
+    return size * n_channels if func in PER_CHANNEL else size
 
 
 @dataclass(frozen=True)

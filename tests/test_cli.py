@@ -353,6 +353,26 @@ class TestSolveAndBaseline:
         assert "Traceback" not in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "path, named",
+        [(("cpu_cap",), "cpu_cap for the profile"), (("per_sensor",), "per_sensor for the profile"),
+         (("per_sensor", 0, "cpu_edge"), "cpu_edge for (1, 1, 1)"),
+         (("per_sensor", 0, "node"), "node for a per_sensor row"),
+         (("per_operator", 0, "data_res"), "data_res for op 1")],
+    )
+    def test_a_missing_member_is_named(self, runner, tmp_path, path, named):
+        _, wpath, ppath = write_inputs(tmp_path)
+        record = json.loads(open(ppath).read())
+        *where, last = path
+        parent = record
+        for step in where:
+            parent = parent[step]
+        del parent[last]
+        open(ppath, "w").write(json.dumps(record))
+        result = runner.invoke(main, ["solve", wpath, ppath])
+        assert result.exit_code == 1, result.output
+        assert error_lines(result) == [f"error: profile {ppath}: no {named}"]
+
     @pytest.mark.parametrize("edit", ["bandwidth", "per_sensor", "per_operator"])
     def test_an_id_named_twice_is_an_input_error(self, runner, tmp_path, edit):
         _, wpath, ppath = write_inputs(tmp_path)
@@ -711,6 +731,32 @@ class TestSimulateAndCompare:
         assert result.exit_code == 1, result.output
         assert len(error_lines(result)) == 1
         assert "gamma.json" in error_lines(result)[0]
+
+    def test_simulate_names_a_missing_ratio(self, runner, tmp_path):
+        _, wpath, ppath = write_inputs(tmp_path)
+        gpath = tmp_path / "gamma.json"
+        gpath.write_text('{"gamma": {"1": 0.0}}')
+        result = runner.invoke(
+            main, ["simulate", wpath, ppath, "--assignment", str(gpath), "--duration", "5"]
+        )
+        assert result.exit_code == 1, result.output
+        assert error_lines(result) == [f"error: assignment {gpath}: no ratio for operator 2"]
+
+    def test_compare_names_a_missing_payload_figure(self, runner, tmp_path):
+        _, wpath, ppath = write_inputs(tmp_path)
+        gpath = self.solve_gamma_file(runner, tmp_path, wpath, ppath)
+        sim = str(tmp_path / "sim.json")
+        result = runner.invoke(
+            main, ["simulate", wpath, ppath, "--assignment", gpath, "--duration", "10", "--out", sim]
+        )
+        assert result.exit_code == 0, result.output
+        record = json.loads(open(sim).read())
+        del record["per_operator"]["1"]["res_payload_bytes"]
+        bad = tmp_path / "r.json"
+        bad.write_text(json.dumps(record))
+        result = runner.invoke(main, ["compare", sim, str(bad)])
+        assert result.exit_code == 1, result.output
+        assert error_lines(result) == [f"error: report {bad}: no res_payload_bytes for op 1"]
 
     def test_compare_refuses_an_undecodable_report(self, runner, tmp_path):
         _, wpath, ppath = write_inputs(tmp_path)
