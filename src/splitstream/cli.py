@@ -62,11 +62,14 @@ def _fail(message: str) -> None:
 
 
 def _save(save, out: str, data) -> None:
-    """Write `data` to `out` with `save`; an unwritable path exits 1."""
+    """Write `data` to `out` with `save`; an unwritable path, or data its
+    format cannot hold, exits 1."""
     try:
         save(out, data)
     except OSError as exc:
         _fail(f"cannot write {out}: {exc.strerror or exc}")
+    except ValueError as exc:
+        _fail(f"cannot write {out}: {exc}")
 
 
 def _report(out: str, record: dict) -> None:
@@ -259,20 +262,11 @@ def gen_profile(workload: str, out: str, bandwidth: float, rate: float,
 @click.argument("workload", type=click.Path(dir_okay=False))
 def validate(workload: str) -> None:
     """Check WORKLOAD for structural problems."""
-    try:
-        w = load_workload(workload)
-    except (OSError, ValueError) as exc:
-        _fail(f"workload {workload}: {exc}")
-    report = validate_workload(w)
-    if report.ok:
-        click.echo(
-            f"ok: {len(w.operators)} operators, {len(w.sensors)} sensors, "
-            f"{len(w.topology.nodes)} nodes"
-        )
-        return
-    for v in report.violations:
-        click.echo(f"{v.category}: {v.detail}")
-    sys.exit(EXIT_INPUT)
+    w = _load_workload(workload)
+    click.echo(
+        f"ok: {len(w.operators)} operators, {len(w.sensors)} sensors, "
+        f"{len(w.topology.nodes)} nodes"
+    )
 
 
 @main.command("solve")

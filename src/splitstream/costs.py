@@ -24,6 +24,8 @@ from .model import (
     OperatorSpec,
     SensorId,
     Workload,
+    check_cost,
+    check_positive,
     fold_sum,
     topological_order,
     transitive_sensors,
@@ -54,6 +56,25 @@ class Profile:
     cpu_cap: dict[NodeId, float]
     mem_cap: dict[NodeId, float]
     t_req_s: dict[OperatorId, float] = field(default_factory=dict)
+
+
+def check_profile(p: Profile) -> Profile:
+    """p, or ValueError naming the first figure that breaks a profile's value
+    rules: costs finite and non-negative; clock rates and bandwidths, which
+    divide, and caps and deadlines, which are strict bounds, positive and
+    finite. The reader and generate_profile both apply it."""
+    for key in p.cpu_edge:
+        for name in ("cpu_edge", "cpu_cloud", "mem_edge", "data_raw"):
+            check_cost(name, key, getattr(p, name)[key[:2] if name == "cpu_cloud" else key])
+    for op in p.cpu_res:
+        for name in ("cpu_res", "data_int", "data_res"):
+            check_cost(name, f"op {op}", getattr(p, name)[op])
+    check_positive("cpu_unit_cloud", p.cpu_unit_cloud)
+    for name in ("cpu_unit_edge", "bandwidth", "cpu_cap", "mem_cap", "t_req_s"):
+        where = "op" if name == "t_req_s" else "node"
+        for k, value in getattr(p, name).items():
+            check_positive(f"{name} of {where} {k}", value)
+    return p
 
 
 def validate_profile(w: Workload, p: Profile) -> None:

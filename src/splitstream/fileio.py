@@ -38,7 +38,7 @@ import os
 import struct
 from typing import TYPE_CHECKING, Iterable
 
-from .costs import Assignment, Profile
+from .costs import Assignment, Profile, check_profile
 from .model import (
     FunctionKind,
     NodeId,
@@ -47,7 +47,7 @@ from .model import (
     SensorId,
     Topology,
     Workload,
-    check_positive,
+    check_cost,
 )
 
 if TYPE_CHECKING:
@@ -273,11 +273,12 @@ def json_member(record: dict, name: str, where: object):
 
 def json_cost(row: dict, name: str, key: object) -> float:
     """row[name] as a float, if it is a finite non-negative JSON number."""
-    value = json_member(row, name, key)
-    number = json_number(value, name, key)
-    if not (math.isfinite(number) and number >= 0):
-        raise ValueError(f"{name} must be a non-negative finite number for {key}, got {value!r}")
-    return number
+    return check_cost(name, key, json_figure(row, name, key))
+
+
+def json_figure(row: dict, name: str, key: object) -> float:
+    """row[name] as a float, if it is a JSON number."""
+    return json_number(json_member(row, name, key), name, key)
 
 
 def json_id(row: dict, name: str, table: str) -> int:
@@ -320,10 +321,7 @@ def parse_json(text: str):
 
 def parse_profile(text: str) -> Profile:
     record = json_shaped(parse_json(text), dict, "a profile")
-    cpu_edge = {}
-    cpu_cloud = {}
-    mem_edge = {}
-    data_raw = {}
+    cpu_edge, cpu_cloud, mem_edge, data_raw = {}, {}, {}, {}
 
     def member(name: str):
         return json_member(record, name, "the profile")
@@ -335,23 +333,20 @@ def parse_profile(text: str) -> Profile:
         # another node, would replace the operator's cloud cycles.
         if key[:2] in cpu_cloud:
             raise ValueError(f"per_sensor lists op {key[0]}, sensor {key[1]} twice")
-        cpu_edge[key] = json_cost(row, "cpu_edge", key)
-        cpu_cloud[key[:2]] = json_cost(row, "cpu_cloud", key)
-        mem_edge[key] = json_cost(row, "mem_edge", key)
-        data_raw[key] = json_cost(row, "data_raw", key)
-    cpu_res = {}
-    data_int = {}
-    data_res = {}
-    t_req_s = {}
+        cpu_edge[key] = json_figure(row, "cpu_edge", key)
+        cpu_cloud[key[:2]] = json_figure(row, "cpu_cloud", key)
+        mem_edge[key] = json_figure(row, "mem_edge", key)
+        data_raw[key] = json_figure(row, "data_raw", key)
+    cpu_res, data_int, data_res, t_req_s = {}, {}, {}, {}
     for row in json_shaped(member("per_operator"), list, "per_operator"):
         row = json_shaped(row, dict, "a per_operator row")
         op = json_id(row, "op", "per_operator")
         if op in cpu_res:
             raise ValueError(f"per_operator lists op {op} twice")
         key = f"op {op}"
-        cpu_res[op] = json_cost(row, "cpu_res", key)
-        data_int[op] = json_cost(row, "data_int", key)
-        data_res[op] = json_cost(row, "data_res", key)
+        cpu_res[op] = json_figure(row, "cpu_res", key)
+        data_int[op] = json_figure(row, "data_int", key)
+        data_res[op] = json_figure(row, "data_res", key)
         if "t_req_s" in row and row["t_req_s"] is not None:
             t_req_s[op] = json_number(row["t_req_s"], "t_req_s", key)
     cpu_unit_edge, bandwidth, cpu_cap, mem_cap = (
@@ -361,20 +356,8 @@ def parse_profile(text: str) -> Profile:
         }
         for name in ("cpu_unit_edge", "bandwidth", "cpu_cap", "mem_cap")
     )
-    cpu_unit_cloud = check_positive(
-        "cpu_unit_cloud", json_number(member("cpu_unit_cloud"), "cpu_unit_cloud", "the cloud")
-    )
-    # Rates divide volumes and cycles; caps and deadlines are strict bounds.
-    for name, where, table in (
-        ("cpu_unit_edge", "node", cpu_unit_edge),
-        ("bandwidth", "node", bandwidth),
-        ("cpu_cap", "node", cpu_cap),
-        ("mem_cap", "node", mem_cap),
-        ("t_req_s", "op", t_req_s),
-    ):
-        for k, value in table.items():
-            check_positive(f"{name} of {where} {k}", value)
-    return Profile(
+    cpu_unit_cloud = json_number(member("cpu_unit_cloud"), "cpu_unit_cloud", "the cloud")
+    return check_profile(Profile(
         cpu_edge=cpu_edge,
         cpu_cloud=cpu_cloud,
         cpu_res=cpu_res,
@@ -388,7 +371,7 @@ def parse_profile(text: str) -> Profile:
         cpu_cap=cpu_cap,
         mem_cap=mem_cap,
         t_req_s=t_req_s,
-    )
+    ))
 
 
 def save_profile(path: str, p: Profile) -> None:

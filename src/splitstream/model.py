@@ -33,6 +33,13 @@ def check_positive(name: str, value: float) -> float:
     return value
 
 
+def check_cost(name: str, key: object, value: float) -> float:
+    """The value, or ValueError unless it is finite and non-negative."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be a non-negative finite number for {key}, got {value}")
+    return value
+
+
 def fold_sum(values: Iterable[float]) -> float:
     """The floats added left to right, as `sum` did before Python 3.12 began
     compensating float rounding, so the result is the same on every Python."""

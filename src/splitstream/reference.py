@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .costs import Assignment, Instance, Profile, latency_rows
+from .costs import Assignment, Instance, Profile, check_profile, latency_rows
 from .model import (
     FunctionContext,
     FunctionKind,
@@ -188,7 +188,8 @@ def generate_profile(
     come from the serialized state layout of the operator's function over
     its actual channel count. Node capacities are the all-edge usage times
     `headroom`, and deadlines are (1 + treq_slack) times the all-cloud
-    latency estimate.
+    latency estimate. Raises ValueError naming the first figure that is
+    not finite, or that breaks another value rule of a profile.
     """
     # Caps are headroom x the all-edge usage: above 1 all-edge fits, below 1
     # the instance is contended. Deadlines are (1 + treq_slack) x positive
@@ -199,6 +200,7 @@ def generate_profile(
     check_positive("bandwidth", bandwidth_bps)
     check_positive("cloud_speedup", cloud_speedup)
     ctx = FunctionContext(sample_rate_hz=sample_rate_hz)
+    check_positive("samples per GF sub-window", ctx.gf_subwindow_s * sample_rate_hz)
 
     cpu_edge: dict[tuple[OperatorId, SensorId, NodeId], float] = {}
     cpu_cloud: dict[tuple[OperatorId, SensorId], float] = {}
@@ -260,4 +262,4 @@ def generate_profile(
     all_cloud = Assignment.from_op_gamma(w, {op.id: 1.0 for op in w.operators})
     rows = latency_rows(inst, all_cloud, inst.volumes(all_cloud), inst.order)
     t_req = {i: (1.0 + treq_slack) * t for i, _te, _tt, _tw, _tc, t in rows}
-    return replace(profile, t_req_s=t_req)
+    return check_profile(replace(profile, t_req_s=t_req))

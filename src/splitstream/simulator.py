@@ -18,6 +18,12 @@ cost model:
 * Links have latency = bytes / bandwidth and no queueing; compute runs
   unqueued at each site. Cloud-to-edge delivery of finished values is not
   charged, mirroring the cost model's uplink-only accounting.
+* Each window is timed as an edge share and a cloud share. The edge share
+  runs from the window's close, or from its inputs' arrival if later, and
+  uplinks one frame: the result when the edge finishes the window, its
+  partial state when the cloud does. The cloud share starts once that
+  frame (or the close, when the edge has no share), its inputs and its
+  sensors' raw batches have landed.
 * Split windows are evaluated as a prefix/suffix split of the window's
   samples (edge aggregates the prefix share, the cloud folds in the rest),
   while the uplink traffic for the cloud share is modeled as the streamed
@@ -342,8 +348,9 @@ def run_sim(
     schedules: dict[tuple[int, float, float], tuple] = {}
     raw_stats: dict[SensorId, RawUplinkStats] = {}
     raw_ready: dict[SensorId, np.ndarray] = {}
+    sensor_node = workload.topology.sensor_node
     for sid in sorted(workload.sensors):
-        node = workload.topology.sensor_node[sid]
+        node = sensor_node[sid]
         share = assignment.gamma_sensor.get(sid, 0.0)
         x = trace.samples[sid]
         stats = raw_stats[sid] = RawUplinkStats(sid, node, share)
@@ -365,16 +372,13 @@ def run_sim(
 
     per_op: dict[OperatorId, OpSimStats] = {}
     series: dict[OperatorId, _OpSeries] = {}
-    int_payload = int_wire = res_payload = res_wire = 0
 
     for op_id in topological_order(workload):
         op = workload.operator(op_id)
         gamma = assignment.gamma[op_id]
         at_edge = gamma <= GAMMA_TOL
         at_cloud = gamma >= 1.0 - GAMMA_TOL
-        stats = OpSimStats(op_id, gamma)
-        stats.t_req_s = effective_t_req(op, profile)
-        per_op[op_id] = stats
+        stats = per_op[op_id] = OpSimStats(op_id, gamma, t_req_s=effective_t_req(op, profile))
 
         if op.window_s > duration + 1e-9:
             warnings.append(
@@ -390,32 +394,7 @@ def run_sim(
 
         dep_series = [series[d] for d in op.deps]
         n_channels = len(op.sensors) + sum(s.arity for s in dep_series)
-
-        # Compute-time coefficients under the assignment's split.
-        edge_share = 1.0 - gamma
-        edge_time = 0.0
-        if edge_share > GAMMA_TOL:
-            for j in op.sensors:
-                k = workload.topology.sensor_node[j]
-                edge_time += (
-                    profile.cpu_edge[(op_id, j, k)] / profile.cpu_unit_edge[k]
-                )
-            edge_time *= edge_share
-        cloud_cycles = 0.0
-        if gamma > GAMMA_TOL:
-            cloud_cycles = gamma * fold_sum(
-                profile.cpu_cloud[(op_id, j)] for j in op.sensors
-            ) + profile.cpu_res[op_id]
-        cloud_time = cloud_cycles / profile.cpu_unit_cloud
-
-        home = sorted(
-            {workload.topology.sensor_node[j] for j in transitive_sensors(workload, op_id)}
-        )
-        uplink_bw = (
-            profile.bandwidth[home[0]]
-            if home
-            else max(profile.bandwidth.values(), default=1.0)
-        )
+        arity = output_arity(op.func, n_channels)
 
         t_close = _window_closes(op.window_s, op.step_s, duration)
         t_open = t_close - op.window_s
@@ -448,50 +427,45 @@ def run_sim(
         if frames is not None and (at_edge or at_cloud or not is_splittable(op.func)):
             values, states = eval_windows(op.func, channels, ctx), np.zeros((n_windows, 0))
         elif frames is not None:
-            values, states = split_windows(op.func, channels, edge_share, ctx)
+            values, states = split_windows(op.func, channels, 1.0 - gamma, ctx)
 
+        # The edge share runs from the close once its inputs are in, then
+        # uplinks one frame per window from the operator's home node: the
+        # result when the edge finishes the window, else its partial state.
+        arrival = t_close
+        if not at_cloud:
+            edge_time = fold_sum(
+                profile.cpu_edge[(op_id, j, sensor_node[j])] / profile.cpu_unit_edge[sensor_node[j]]
+                for j in op.sensors
+            ) * (1.0 - gamma)
+            home = {sensor_node[j] for j in transitive_sensors(workload, op_id)}
+            uplink_bw = (profile.bandwidth[min(home)] if home
+                         else max(profile.bandwidth.values(), default=1.0))
+            payload_len = arity if at_edge else state_length(op.func, n_channels, ctx)
+            avail_edge = np.maximum(t_close, input_edge) + edge_time
+            arrival = avail_cloud = avail_edge + (FRAME_HEADER.size + 8 * payload_len) / uplink_bw
+            counts = n_windows, 8 * payload_len * n_windows
+            if at_edge:
+                stats.res_frames, stats.res_payload_bytes = counts
+            else:
+                stats.int_frames, stats.int_payload_bytes = counts
+            if frames is not None:
+                kind, payload = (KIND_RESULT, values) if at_edge else (KIND_INTERMEDIATE, states)
+                frames.extend(Frame(kind, op_id, 0, m, payload[m]) for m in range(n_windows))
+
+        # The cloud share starts once the edge's frame, the inputs and the
+        # raw batches of the operator's sensors (once per distinct schedule,
+        # as sensors may share one) have landed.
         if not at_edge:
-            # Raw batches that landed by each close, over the op's sensors:
-            # once per distinct schedule, as sensors may share one.
             second = np.minimum(n_seconds, np.ceil(t_close - 1e-9).astype(np.int64))
             raw_in = np.zeros(n_windows)
             for ready in {id(r): r for r in (raw_ready[j] for j in op.sensors)}.values():
                 np.maximum(raw_in, ready[second], out=raw_in)
-
-        if at_edge:
-            start = np.maximum(t_close, input_edge)
-            avail_edge = start + edge_time
-            payload_len = output_arity(op.func, n_channels)
-            wire_bytes = FRAME_HEADER.size + 8 * payload_len
-            avail_cloud = avail_edge + wire_bytes / uplink_bw
-            stats.res_frames = n_windows
-            stats.res_payload_bytes = 8 * payload_len * n_windows
-            res_payload += stats.res_payload_bytes
-            res_wire += wire_bytes * n_windows
-            if frames is not None:
-                frames.extend(
-                    Frame(KIND_RESULT, op_id, 0, m, values[m]) for m in range(n_windows)
-                )
-        elif at_cloud:
-            start = np.maximum(np.maximum(t_close, input_cloud), raw_in)
-            avail_cloud = start + cloud_time
-            avail_edge = avail_cloud
-        else:
-            start = np.maximum(t_close, input_edge)
-            state_len = state_length(op.func, n_channels, ctx)
-            wire_bytes = FRAME_HEADER.size + 8 * state_len
-            int_arrive = start + edge_time + wire_bytes / uplink_bw
-            cloud_start = np.maximum(np.maximum(int_arrive, input_cloud), raw_in)
-            avail_cloud = cloud_start + cloud_time
-            avail_edge = avail_cloud
-            stats.int_frames = n_windows
-            stats.int_payload_bytes = 8 * state_len * n_windows
-            int_payload += stats.int_payload_bytes
-            int_wire += wire_bytes * n_windows
-            if frames is not None:
-                frames.extend(
-                    Frame(KIND_INTERMEDIATE, op_id, 0, m, states[m]) for m in range(n_windows)
-                )
+            cloud_cycles = gamma * fold_sum(
+                profile.cpu_cloud[(op_id, j)] for j in op.sensors
+            ) + profile.cpu_res[op_id]
+            start = np.maximum(np.maximum(arrival, input_cloud), raw_in)
+            avail_cloud = avail_edge = start + cloud_cycles / profile.cpu_unit_cloud
 
         latency = avail_cloud - t_close
         if stats.t_req_s is not None:
@@ -503,15 +477,10 @@ def run_sim(
             warnings.append(
                 f"operator {op_id}: closed {stats.windows} windows, expected {expected}"
             )
-        (
-            stats.latency_mean_s,
-            stats.latency_p50_s,
-            stats.latency_p95_s,
-            stats.latency_max_s,
-        ) = _percentiles(latency)
+        (stats.latency_mean_s, stats.latency_p50_s,
+         stats.latency_p95_s, stats.latency_max_s) = _percentiles(latency)
 
         # Emission series: every freq_s, repeating the latest closed window.
-        arity = output_arity(op.func, n_channels)
         emits = np.arange(1, max(0, math.floor(duration / op.freq_s) + 3)) * op.freq_s
         emits = emits[emits <= duration + 1e-9]
         w_idx = np.searchsorted(t_close, emits + 1e-9, side="left") - 1
@@ -525,6 +494,7 @@ def run_sim(
             arity=arity,
         )
 
+    ops = per_op.values()
     return SimReport(
         duration_s=duration,
         sample_rate_hz=rate,
@@ -532,10 +502,10 @@ def run_sim(
         per_sensor_raw=raw_stats,
         raw_payload_bytes=sum(s.payload_bytes for s in raw_stats.values()),
         raw_wire_bytes=sum(s.wire_bytes for s in raw_stats.values()),
-        int_payload_bytes=int_payload,
-        int_wire_bytes=int_wire,
-        res_payload_bytes=res_payload,
-        res_wire_bytes=res_wire,
+        int_payload_bytes=sum(s.int_payload_bytes for s in ops),
+        int_wire_bytes=sum(s.int_payload_bytes + FRAME_HEADER.size * s.int_frames for s in ops),
+        res_payload_bytes=sum(s.res_payload_bytes for s in ops),
+        res_wire_bytes=sum(s.res_payload_bytes + FRAME_HEADER.size * s.res_frames for s in ops),
         warnings=warnings,
         frames=frames,
     )

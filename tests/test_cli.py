@@ -71,6 +71,7 @@ class TestValidate:
         open(path, "w").write(text)
         result = runner.invoke(main, ["validate", path])
         assert result.exit_code == 1
+        assert error_lines(result) == ["error: unwired-sensor: sensor 7 of op 1 has no node"]
 
     @pytest.mark.parametrize(
         "text",
@@ -134,6 +135,32 @@ class TestGenerators:
         assert result.exit_code == 1, result.output
         assert len(error_lines(result)) == 1
         assert "positive and finite" in error_lines(result)[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, needle",
+        [("--headroom", "1e308", "cpu_cap of node 1"),
+         ("--treq-slack", "1e308", "t_req_s of op"),
+         ("--bandwidth", "1e-320", "t_req_s of op"),
+         ("--cloud-speedup", "1e-320", "t_req_s of op"),
+         ("--rate", "1e305", "cpu_edge must be a non-negative finite number"),
+         ("--rate", "1e308", "samples per GF sub-window"),
+         ("--rate", "0.1", "must be integral")],
+        ids=["headroom", "treq-slack", "bandwidth", "cloud-speedup", "rate-1e305", "rate-1e308",
+             "rate-0.1"],
+    )
+    def test_gen_profile_names_a_figure_it_cannot_write(self, runner, tmp_path, flag, value,
+                                                        needle):
+        # Each setting is finite, but a figure the bundled workload's profile
+        # derives from it is not, or is not the integer the file holds.
+        wpath = str(tmp_path / "w.txt")
+        assert runner.invoke(main, ["gen-workload", "--out", wpath]).exit_code == 0
+        out = tmp_path / "prof.json"
+        result = runner.invoke(main, ["gen-profile", wpath, flag, value, "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert "Traceback" not in result.output
+        assert len(error_lines(result)) == 1
+        assert needle in error_lines(result)[0]
         assert not out.exists()
 
     def test_gen_profile_headroom_below_one_writes_a_contended_profile(self, runner, tmp_path):

@@ -1,5 +1,6 @@
 """Package surface: the exported names, and what each command imports."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -127,3 +128,14 @@ def test_only_the_replay_commands_import_numpy(reference_dir, args, loads_numpy)
     )
     assert proc.returncode == 0, proc.stderr
     assert f"numpy imported: {loads_numpy}" in proc.stderr.splitlines()
+
+
+def test_libcst_imports_under_the_suite_warning_filters(monkeypatch):
+    # hypothesis imports libcst to explain a failing example; an import that
+    # raised under the suite's filters would end the run in INTERNALERROR
+    # instead of reporting the failure. importorskip imports with every
+    # warning ignored, so libcst is imported afresh under the suite's own.
+    pytest.importorskip("libcst")
+    for name in [m for m in sys.modules if m.partition(".")[0] == "libcst"]:
+        monkeypatch.delitem(sys.modules, name)
+    importlib.import_module("libcst")

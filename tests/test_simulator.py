@@ -326,6 +326,28 @@ class TestFramesLeaveTheReport:
         assert frame_fields(read) == frame_fields(kept)
         assert report_fields(read) == report_fields(kept)
 
+    @pytest.mark.parametrize("placement", ["co", "eo", "ref05", "cap90", "all035"])
+    def test_totals_are_the_frames(self, reference, placement):
+        # The report's per-operator counts and its byte totals agree with the
+        # frames themselves, kind by kind.
+        w, trace, placements = reference
+        p, a = placements[placement]
+        rep = run_sim(w, p, a, trace, collect_frames=True)
+        for kind, frames, payload, wire in (
+            (KIND_RESULT, "res_frames", rep.res_payload_bytes, rep.res_wire_bytes),
+            (KIND_INTERMEDIATE, "int_frames", rep.int_payload_bytes, rep.int_wire_bytes),
+            (KIND_RAW, None, rep.raw_payload_bytes, rep.raw_wire_bytes),
+        ):
+            sent = [f for f in rep.frames if f.kind == kind]
+            if frames is not None:
+                per_op = dict.fromkeys(rep.per_op, 0)
+                for f in sent:
+                    per_op[f.op_id] += 1
+                assert per_op == {i: getattr(s, frames) for i, s in rep.per_op.items()}
+            assert sum(8 * len(f.payload) for f in sent) == payload
+            assert sum(f.wire_size for f in sent) == wire
+        assert rep.total_wire_bytes == sum(f.wire_size for f in rep.frames)
+
     @pytest.mark.parametrize("placement", ["co", "eo", "ref05", "cap90"])
     def test_reference(self, reference, placement):
         w, trace, placements = reference
