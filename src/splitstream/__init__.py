@@ -60,7 +60,6 @@ from .model import (
     CROSS_CHANNEL,
     PER_CHANNEL,
     SPLITTABLE,
-    FunctionContext,
     FunctionKind,
     OperatorSpec,
     Topology,

@@ -205,6 +205,8 @@ def _int_or_fail(x: float, what: str) -> int:
         raise ValueError(f"{what} must be non-negative, got {x}")
     if abs(v - x) > 1e-6:
         raise ValueError(f"{what} must be integral, got {x}")
+    if v == 0 and x != 0:
+        raise ValueError(f"{what} rounds to 0 from {x}; the file would price it free")
     return v
 
 

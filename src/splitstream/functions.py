@@ -17,8 +17,10 @@ would lose precision (std/var/cov/trend at large sample magnitudes).
 Every kernel works on a batch: a (windows x samples) matrix whose rows are
 windows of one length. eval_windows and split_windows take each channel's
 windows as index ranges into a sample source, group the windows by length
-and evaluate each group as one matrix; eval_function, partial_eval, merge
-and state_to_vector are the one-row case of the same kernels. A batch
+and evaluate each group as one matrix; eval_function, partial_eval and
+merge run the same driver on one window. Only evaluating samples takes the
+sample rate (GF's sub-window is GF_SUBWINDOW_S long); a GF state carries
+its sub-window, so merging and finalizing states needs no rate. A batch
 partial state is a tuple whose first item is the sample count its rows
 share and whose other items hold one value (or, for GF's boundary buffers,
 one NaN-padded row) per window.
@@ -37,11 +39,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 # is_splittable are imported for callers that read them from here.
 from .model import (
     CROSS_CHANNEL,
-    DEFAULT_CONTEXT,
+    FILTER_LEN,
     PER_CHANNEL,
+    REFERENCE_SAMPLE_RATE_HZ,
     SPLITTABLE,
-    FunctionContext,
     FunctionKind,
+    gf_k,
     is_splittable,
     output_arity,
     state_length,
@@ -87,27 +90,18 @@ class Channel:
         return x, (start[:, None] + np.arange(n)) / self.rate
 
 
-def _as_arrays(
-    channels: Sequence[np.ndarray], times: Sequence[np.ndarray] | None, ctx: FunctionContext
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    chans = [np.asarray(c, dtype=np.float64) for c in channels]
-    if times is None:
-        ts = [np.arange(len(c), dtype=np.float64) / ctx.sample_rate_hz for c in chans]
-    else:
-        ts = [np.asarray(t, dtype=np.float64) for t in times]
-    return chans, ts
+def _one_window(channels: Sequence[np.ndarray], times: Sequence[np.ndarray] | None,
+                rate: float) -> list[Channel]:
+    """Each channel's samples as its one window."""
+    xs = [np.asarray(c, dtype=np.float64) for c in channels]
+    ts = [None] * len(xs) if times is None else [np.asarray(t, dtype=np.float64) for t in times]
+    return [Channel(x, np.zeros(1, dtype=np.int64), np.full(1, len(x)), t, rate)
+            for x, t in zip(xs, ts)]
 
 
 def _pair_channels(channels: Sequence):
     """The two channels a cross-channel function pairs; one pairs with itself."""
     return channels[0], channels[1] if len(channels) > 1 else channels[0]
-
-
-def _pair(chans: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """First two channels aligned on their most recent samples."""
-    x, y = _pair_channels(chans)
-    m = min(len(x), len(y))
-    return x[len(x) - m:], y[len(y) - m:]
 
 
 # Samples gathered into one matrix at most. Overlapping windows are copied
@@ -163,13 +157,13 @@ def _awd(mx: np.ndarray, my: np.ndarray) -> np.ndarray:
 
 
 def _eval_channel(func: FunctionKind, x: np.ndarray, t: np.ndarray | None,
-                  ctx: FunctionContext) -> np.ndarray:
+                  rate: float) -> np.ndarray:
     """Value of each row of x (windows x samples); t holds the sample times
     of the TIMED functions."""
     rows, n = x.shape
     if n == 0:
         return np.zeros(rows)
-    if func is F.MEAN:
+    if func in (F.MEAN, F.DISP):
         return x.mean(axis=1)
     if func is F.MSQRT:
         return np.sqrt(np.square(x).mean(axis=1))
@@ -187,15 +181,13 @@ def _eval_channel(func: FunctionKind, x: np.ndarray, t: np.ndarray | None,
         return x.std(axis=1)
     if func is F.VAR:
         return x.var(axis=1)
-    if func is F.DISP:
-        return x.mean(axis=1) - ctx.disp_baseline
     if func is F.FILTER:
-        m = min(ctx.filter_len, n)
+        m = min(FILTER_LEN, n)
         return x[:, n - m:].mean(axis=1)
     if func is F.SURGE:
         return _safe_div(x[:, -1], x.mean(axis=1))
     if func is F.GF:
-        k = ctx.gf_k()
+        k = gf_k(rate)
         mean = x.mean(axis=1)
         if n < k:
             return np.where(mean != 0.0, 1.0, 0.0)
@@ -240,19 +232,13 @@ def eval_function(
     func: FunctionKind,
     channels: Sequence[np.ndarray],
     times: Sequence[np.ndarray] | None = None,
-    ctx: FunctionContext = DEFAULT_CONTEXT,
+    rate: float = REFERENCE_SAMPLE_RATE_HZ,
 ) -> np.ndarray:
     """Evaluate one window; returns one value per channel (per-channel
-    functions) or a single value (cross-channel functions)."""
-    chans, ts = _as_arrays(channels, times, ctx)
-    if not chans:
-        return np.zeros(0, dtype=np.float64)
-    if func in PER_CHANNEL:
-        return np.concatenate(
-            [_eval_channel(func, x[None], t[None], ctx) for x, t in zip(chans, ts)]
-        )
-    x, y = _pair(chans)
-    return _eval_cross(func, x[None], y[None])
+    functions) or a single value (cross-channel functions). Sample j is
+    taken at times[c][j], or at j / rate when times is None."""
+    # The one window's row; no channels make no window and no values.
+    return eval_windows(func, _one_window(channels, times, rate), rate).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +254,7 @@ def _padded(x: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _partial(func: FunctionKind, x: np.ndarray, y: np.ndarray | None,
-             ctx: FunctionContext) -> tuple:
+def _partial(func: FunctionKind, x: np.ndarray, y: np.ndarray | None, rate: float) -> tuple:
     """The batch state of the rows of x (windows x samples). y holds the
     paired channel's rows for a cross-channel function, and the sample
     times of x for a per-channel one (None if it reads no times)."""
@@ -313,7 +298,7 @@ def _partial(func: FunctionKind, x: np.ndarray, y: np.ndarray | None,
         dt = y - t0[:, None]
         return (n, t0, dt.sum(axis=1), x.sum(axis=1), _rowdot(dt, dt), _rowdot(dt, x))
     if func is F.GF:
-        k = ctx.gf_k()
+        k = gf_k(rate)
         keep = k - 1
         best = _rolling_max(x, k) if n >= k else np.full(rows, _NAN)
         head = _padded(x[:, :keep], keep)
@@ -326,22 +311,15 @@ def partial_eval(
     func: FunctionKind,
     channels: Sequence[np.ndarray],
     times: Sequence[np.ndarray] | None = None,
-    ctx: FunctionContext = DEFAULT_CONTEXT,
+    rate: float = REFERENCE_SAMPLE_RATE_HZ,
 ) -> PartialState:
     """Aggregate a sample prefix; rejected for non-splittable functions."""
-    if func not in SPLITTABLE:
-        raise ValueError(f"{func.value} is not splittable")
-    chans, ts = _as_arrays(channels, times, ctx)
-    if func in PER_CHANNEL:
-        pairs = list(zip(chans, ts))
-    else:
-        pairs = [_pair(chans)] if chans else []
-    # States may keep views of their rows; copies keep them off the caller's arrays.
-    parts = tuple(_partial(func, x[None].copy(), y[None].copy(), ctx) for x, y in pairs)
+    chans = _one_window(channels, times, rate)
+    parts = tuple(edge for _c, _rows, edge, _cloud in _split(func, chans, 1.0, rate))
     return PartialState(func, len(chans), parts)
 
 
-def _merge(func: FunctionKind, a: tuple, b: tuple, ctx: FunctionContext) -> tuple:
+def _merge(func: FunctionKind, a: tuple, b: tuple) -> tuple:
     """The batch state of each row's samples in a followed by those in b."""
     if a[0] == 0:
         return b
@@ -384,8 +362,8 @@ def _merge(func: FunctionKind, a: tuple, b: tuple, ctx: FunctionContext) -> tupl
         return (na + nb, t0a, sta + stb2, sya + syb, stta + sttb2, stya + styb2)
     if func is F.GF:
         # Head and tail hold the first and last min(n, k - 1) samples.
-        k = ctx.gf_k()
-        keep = k - 1
+        keep = a[3].shape[1]
+        k = keep + 1
         na, sa, besta, heada, taila = a
         nb, sb, bestb, headb, tailb = b
         best = np.fmax(besta, bestb)
@@ -400,7 +378,7 @@ def _merge(func: FunctionKind, a: tuple, b: tuple, ctx: FunctionContext) -> tupl
     raise ValueError(f"{func.value} has no merge")
 
 
-def merge_states(a: PartialState, b: PartialState, ctx: FunctionContext = DEFAULT_CONTEXT) -> PartialState:
+def merge_states(a: PartialState, b: PartialState) -> PartialState:
     if a.func is not b.func:
         raise ValueError(f"cannot merge {a.func.value} with {b.func.value}")
     if a.n_channels == 0:
@@ -409,19 +387,19 @@ def merge_states(a: PartialState, b: PartialState, ctx: FunctionContext = DEFAUL
         return a
     if len(a.parts) != len(b.parts):
         raise ValueError("partial states cover different channel counts")
-    parts = tuple(_merge(a.func, pa, pb, ctx) for pa, pb in zip(a.parts, b.parts))
+    if a.func is F.GF and a.parts[0][3].shape[1] != b.parts[0][3].shape[1]:
+        raise ValueError("GF states cover different sub-windows")
+    parts = tuple(_merge(a.func, pa, pb) for pa, pb in zip(a.parts, b.parts))
     return PartialState(a.func, a.n_channels, parts)
 
 
-def _finalize(func: FunctionKind, s: tuple, ctx: FunctionContext) -> np.ndarray:
+def _finalize(func: FunctionKind, s: tuple) -> np.ndarray:
     """The value of each row of a batch state."""
     n = s[0]
     if n == 0:
         return np.zeros(len(s[1]))
-    if func in (F.MEAN, F.AVGWS):
+    if func in (F.MEAN, F.DISP, F.AVGWS):
         return s[1] / n
-    if func is F.DISP:
-        return s[1] / n - ctx.disp_baseline
     if func is F.MSQRT:
         return np.sqrt(s[1] / n)
     if func in (F.STD, F.VAR):
@@ -453,10 +431,10 @@ def _finalize(func: FunctionKind, s: tuple, ctx: FunctionContext) -> np.ndarray:
     raise ValueError(f"{func.value} has no finalize")
 
 
-def finalize(state: PartialState, ctx: FunctionContext = DEFAULT_CONTEXT) -> np.ndarray:
+def finalize(state: PartialState) -> np.ndarray:
     if state.n_channels == 0:
         return np.zeros(0, dtype=np.float64)
-    return np.concatenate([_finalize(state.func, s, ctx) for s in state.parts])
+    return np.concatenate([_finalize(state.func, s) for s in state.parts])
 
 
 def merge(
@@ -464,19 +442,18 @@ def merge(
     edge_state: PartialState,
     cloud: Sequence[np.ndarray],
     times: Sequence[np.ndarray] | None = None,
-    ctx: FunctionContext = DEFAULT_CONTEXT,
+    rate: float = REFERENCE_SAMPLE_RATE_HZ,
 ) -> np.ndarray:
     """Fold the cloud-side samples into the edge state and finalize to the
     window's value(s)."""
-    cloud_state = partial_eval(func, cloud, times, ctx)
-    return finalize(merge_states(edge_state, cloud_state, ctx), ctx)
+    return finalize(merge_states(edge_state, partial_eval(func, cloud, times, rate)))
 
 
 # ---------------------------------------------------------------------------
 # Serialized partial states.
 
 
-def _state_rows(func: FunctionKind, s: tuple, ctx: FunctionContext) -> np.ndarray:
+def _state_rows(func: FunctionKind, s: tuple) -> np.ndarray:
     """One batch state in the fixed-size f64 layout, one row per window. GF
     writes its head and tail as a length followed by the values, NaN-padded
     to k - 1."""
@@ -484,16 +461,16 @@ def _state_rows(func: FunctionKind, s: tuple, ctx: FunctionContext) -> np.ndarra
     rows = len(fields[0])
     if func is F.GF:
         total, best, head, tail = fields
-        used = np.full(rows, float(min(n, ctx.gf_k() - 1)))
+        used = np.full(rows, float(min(n, head.shape[1])))
         return np.column_stack([np.full(rows, float(n)), total, best, used, head, used, tail])
     return np.column_stack([np.full(rows, float(n)), *fields])
 
 
-def state_to_vector(state: PartialState, ctx: FunctionContext = DEFAULT_CONTEXT) -> np.ndarray:
+def state_to_vector(state: PartialState) -> np.ndarray:
     """Flatten a partial state into the fixed-size f64 layout."""
     if not state.parts:
         return np.zeros(0, dtype=np.float64)
-    return np.concatenate([_state_rows(state.func, part, ctx)[0] for part in state.parts])
+    return np.concatenate([_state_rows(state.func, part)[0] for part in state.parts])
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +478,7 @@ def state_to_vector(state: PartialState, ctx: FunctionContext = DEFAULT_CONTEXT)
 
 
 def eval_windows(
-    func: FunctionKind, channels: Sequence[Channel], ctx: FunctionContext = DEFAULT_CONTEXT
+    func: FunctionKind, channels: Sequence[Channel], rate: float = REFERENCE_SAMPLE_RATE_HZ
 ) -> np.ndarray:
     """Evaluate every window of the channels whole; row i holds what
     eval_function returns for window i."""
@@ -512,7 +489,7 @@ def eval_windows(
         for c, ch in enumerate(channels):
             for (n,), rows in _groups(ch.hi - ch.lo):
                 x, t = ch.take(ch.lo[rows], n, timed)
-                out[rows, c] = _eval_channel(func, x, t, ctx)
+                out[rows, c] = _eval_channel(func, x, t, rate)
     elif channels:
         cx, cy = _pair_channels(channels)
         for (m,), rows in _groups(np.minimum(cx.hi - cx.lo, cy.hi - cy.lo)):
@@ -522,33 +499,22 @@ def eval_windows(
     return out
 
 
-def split_windows(
-    func: FunctionKind,
-    channels: Sequence[Channel],
-    edge_share: float,
-    ctx: FunctionContext = DEFAULT_CONTEXT,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate every window split between edge and cloud: in each channel
-    the edge aggregates the first round(edge_share * n) samples into a
-    partial state and the cloud merges in the rest. Returns the values, as
-    eval_windows does, and the edge states, one state_to_vector row per
-    window."""
+def _split(func: FunctionKind, channels: Sequence[Channel], edge_share: float,
+           rate: float) -> Iterator[tuple[int, np.ndarray, tuple, tuple]]:
+    """(channel, window rows, edge state, cloud state) for each group of
+    windows, cut as split_windows describes. A cross-channel function
+    yields channel 0 and pairs each part's channels on their last samples."""
     if func not in SPLITTABLE:
         raise ValueError(f"{func.value} is not splittable")
-    n_windows = len(channels[0].lo) if channels else 0
-    out = np.zeros((n_windows, output_arity(func, len(channels))))
-    states = np.zeros((n_windows, state_length(func, len(channels), ctx)))
     timed = func in TIMED
     if func in PER_CHANNEL:
-        width = state_length(func, 1, ctx)
         for c, ch in enumerate(channels):
             for (n,), rows in _groups(ch.hi - ch.lo):
                 cut = int(round(edge_share * n))
                 x, t = ch.take(ch.lo[rows], n, timed)
-                edge = _partial(func, x[:, :cut], None if t is None else t[:, :cut], ctx)
-                cloud = _partial(func, x[:, cut:], None if t is None else t[:, cut:], ctx)
-                out[rows, c] = _finalize(func, _merge(func, edge, cloud, ctx), ctx)
-                states[rows, c * width:(c + 1) * width] = _state_rows(func, edge, ctx)
+                edge = _partial(func, x[:, :cut], None if t is None else t[:, :cut], rate)
+                cloud = _partial(func, x[:, cut:], None if t is None else t[:, cut:], rate)
+                yield c, rows, edge, cloud
     elif channels:
         cx, cy = _pair_channels(channels)
         for (nx, ny), rows in _groups(cx.hi - cx.lo, cy.hi - cy.lo):
@@ -556,10 +522,29 @@ def split_windows(
             m = min(cut_x, cut_y)
             x, _ = cx.take(cx.lo[rows] + cut_x - m, m, False)
             y, _ = cy.take(cy.lo[rows] + cut_y - m, m, False)
-            edge = _partial(func, x, y, ctx)
+            edge = _partial(func, x, y, rate)
             m = min(nx - cut_x, ny - cut_y)
             x, _ = cx.take(cx.hi[rows] - m, m, False)
             y, _ = cy.take(cy.hi[rows] - m, m, False)
-            out[rows, 0] = _finalize(func, _merge(func, edge, _partial(func, x, y, ctx), ctx), ctx)
-            states[rows] = _state_rows(func, edge, ctx)
+            yield 0, rows, edge, _partial(func, x, y, rate)
+
+
+def split_windows(
+    func: FunctionKind,
+    channels: Sequence[Channel],
+    edge_share: float,
+    rate: float = REFERENCE_SAMPLE_RATE_HZ,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate every window split between edge and cloud: in each channel
+    the edge aggregates the first round(edge_share * n) samples into a
+    partial state and the cloud merges in the rest. Returns the values, as
+    eval_windows does, and the edge states, one state_to_vector row per
+    window."""
+    n_windows = len(channels[0].lo) if channels else 0
+    out = np.zeros((n_windows, output_arity(func, len(channels))))
+    states = np.zeros((n_windows, state_length(func, len(channels), rate)))
+    width = state_length(func, 1, rate)
+    for c, rows, edge, cloud in _split(func, channels, edge_share, rate):
+        out[rows, c] = _finalize(func, _merge(func, edge, cloud))
+        states[rows, c * width:(c + 1) * width] = _state_rows(func, edge)
     return out, states

@@ -92,7 +92,7 @@ CROSS_CHANNEL = {F.COV, F.CC, F.AVGWS, F.AVGWA, F.AOA, F.AWD, F.FWS, F.TI}
 
 # The 8-byte values in one channel's partial state (per-channel functions)
 # or in the whole state (cross-channel ones): the one home of which
-# functions split. GF's size follows the context (see state_length).
+# functions split. GF's size follows the sample rate (see state_length).
 _STATE_LEN = {
     F.MEAN: 2, F.DISP: 2, F.MSQRT: 2, F.STD: 4, F.VAR: 4, F.SURGE: 3,
     F.SPEED: 5, F.ACC: 5, F.TREND: 6, F.GF: None,
@@ -101,21 +101,17 @@ _STATE_LEN = {
 
 SPLITTABLE = frozenset(_STATE_LEN)
 
-
-@dataclass(frozen=True)
-class FunctionContext:
-    """Knobs the window functions need beyond the samples themselves."""
-
-    sample_rate_hz: float = 10.0
-    disp_baseline: float = 0.0
-    filter_len: int = 5
-    gf_subwindow_s: float = 3.0
-
-    def gf_k(self) -> int:
-        return max(1, int(round(self.gf_subwindow_s * self.sample_rate_hz)))
+# The sample rate of the reference traces and profiles, and the one default
+# rate. FILTER averages a window's last FILTER_LEN samples; GF compares the
+# best GF_SUBWINDOW_S-long run's mean with the window's. DISP's baseline is 0.
+REFERENCE_SAMPLE_RATE_HZ = 10.0
+FILTER_LEN = 5
+GF_SUBWINDOW_S = 3.0
 
 
-DEFAULT_CONTEXT = FunctionContext()
+def gf_k(rate: float) -> int:
+    """GF's sub-window in samples at `rate` Hz."""
+    return max(1, int(round(GF_SUBWINDOW_S * rate)))
 
 
 def output_arity(func: FunctionKind, n_channels: int) -> int:
@@ -128,11 +124,12 @@ def is_splittable(func: FunctionKind) -> bool:
     return func in SPLITTABLE
 
 
-def state_length(func: FunctionKind, n_channels: int, ctx: FunctionContext = DEFAULT_CONTEXT) -> int:
+def state_length(func: FunctionKind, n_channels: int,
+                 rate: float = REFERENCE_SAMPLE_RATE_HZ) -> int:
     """Number of 8-byte values in a serialized partial state."""
     if func not in SPLITTABLE or n_channels <= 0:
         return 0
-    size = 2 * ctx.gf_k() + 3 if func is F.GF else _STATE_LEN[func]
+    size = 2 * gf_k(rate) + 3 if func is F.GF else _STATE_LEN[func]
     return size * n_channels if func in PER_CHANNEL else size
 
 

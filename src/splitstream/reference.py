@@ -16,11 +16,13 @@ factor over the all-cloud latency estimate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 from .costs import Assignment, Instance, Profile, check_profile, latency_rows
 from .model import (
-    FunctionContext,
+    GF_SUBWINDOW_S,
+    REFERENCE_SAMPLE_RATE_HZ,
     FunctionKind,
     NodeId,
     OperatorId,
@@ -87,7 +89,6 @@ CYCLES_PER_SAMPLE = {
     F.FWS: 4.0, F.TI: 10.0, F.AOA: 8.0, F.AWD: 6.0,
 }
 
-REFERENCE_SAMPLE_RATE_HZ = 10.0
 REFERENCE_BANDWIDTH_BPS = 1_560_000.0
 REFERENCE_EDGE_HZ = 1.5e9
 REFERENCE_CLOUD_HZ = 3.2e9
@@ -199,8 +200,7 @@ def generate_profile(
     check_positive("sample rate", sample_rate_hz)
     check_positive("bandwidth", bandwidth_bps)
     check_positive("cloud_speedup", cloud_speedup)
-    ctx = FunctionContext(sample_rate_hz=sample_rate_hz)
-    check_positive("samples per GF sub-window", ctx.gf_subwindow_s * sample_rate_hz)
+    check_positive("samples per GF sub-window", GF_SUBWINDOW_S * sample_rate_hz)
 
     cpu_edge: dict[tuple[OperatorId, SensorId, NodeId], float] = {}
     cpu_cloud: dict[tuple[OperatorId, SensorId], float] = {}
@@ -224,7 +224,10 @@ def generate_profile(
             mem_edge[(op_id, j, k)] = 8.0 * samples + REFERENCE_MEM_OVERHEAD_BYTES
             data_raw[(op_id, j, k)] = 8.0 * samples
         cpu_res[op_id] = 400.0 + 100.0 * arity[op_id]
-        data_int[op_id] = 8.0 * state_length(op.func, channels, ctx)
+        try:
+            data_int[op_id] = 8.0 * state_length(op.func, channels, sample_rate_hz)
+        except OverflowError:  # a GF state too large for a float; check_profile refuses it
+            data_int[op_id] = math.inf
         data_res[op_id] = 8.0 * arity[op_id]
 
     nodes = sorted(w.topology.nodes)

@@ -52,8 +52,8 @@ from .fileio import check_trace_sensor
 from .functions import Channel, eval_windows, split_windows
 from .model import (
     GAMMA_TOL,
+    REFERENCE_SAMPLE_RATE_HZ,
     REL_TOL,
-    FunctionContext,
     FunctionKind,
     NodeId,
     OperatorId,
@@ -86,7 +86,7 @@ class SignalSpec:
 @dataclass(frozen=True)
 class StreamConfig:
     duration_s: float = 600.0
-    sample_rate_hz: float = 10.0
+    sample_rate_hz: float = REFERENCE_SAMPLE_RATE_HZ
     seed: int = 0
     signals: dict[SensorId, SignalSpec] = field(default_factory=dict)
 
@@ -329,7 +329,6 @@ def run_sim(
     """Replay the trace through the placed operator graph. Each operator's
     windows are timed together, as arrays; their values are evaluated only
     for the frames, when collect_frames is set."""
-    ctx = FunctionContext(sample_rate_hz=trace.sample_rate_hz)
     missing = [j for j in workload.sensors if j not in trace.samples]
     if missing:
         raise ValueError(f"trace lacks sensors {sorted(missing)}")
@@ -420,14 +419,14 @@ def run_sim(
                 channels.extend(Channel(s.values[:, c], dep_lo, dep_hi, times=s.times)
                                 for c in range(s.arity))
             for avail, latest in ((s.avail_edge, input_edge), (s.avail_cloud, input_cloud)):
-                window_max = eval_windows(FunctionKind.MAX, [Channel(avail, dep_lo, dep_hi)], ctx)[:, 0]
+                window_max = eval_windows(FunctionKind.MAX, [Channel(avail, dep_lo, dep_hi)])[:, 0]
                 np.maximum(latest, window_max, out=latest)
 
         values = states = None
         if frames is not None and (at_edge or at_cloud or not is_splittable(op.func)):
-            values, states = eval_windows(op.func, channels, ctx), np.zeros((n_windows, 0))
+            values, states = eval_windows(op.func, channels, rate), np.zeros((n_windows, 0))
         elif frames is not None:
-            values, states = split_windows(op.func, channels, 1.0 - gamma, ctx)
+            values, states = split_windows(op.func, channels, 1.0 - gamma, rate)
 
         # The edge share runs from the close once its inputs are in, then
         # uplinks one frame per window from the operator's home node: the
@@ -441,7 +440,7 @@ def run_sim(
             home = {sensor_node[j] for j in transitive_sensors(workload, op_id)}
             uplink_bw = (profile.bandwidth[min(home)] if home
                          else max(profile.bandwidth.values(), default=1.0))
-            payload_len = arity if at_edge else state_length(op.func, n_channels, ctx)
+            payload_len = arity if at_edge else state_length(op.func, n_channels, rate)
             avail_edge = np.maximum(t_close, input_edge) + edge_time
             arrival = avail_cloud = avail_edge + (FRAME_HEADER.size + 8 * payload_len) / uplink_bw
             counts = n_windows, 8 * payload_len * n_windows

@@ -6,12 +6,17 @@ import math
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitstream import (
     FunctionKind,
     Trace,
+    cloud_only,
     dumps_workload,
     generate_profile,
+    is_splittable,
+    load_profile,
     load_workload,
     save_trace,
 )
@@ -145,9 +150,13 @@ class TestGenerators:
          ("--cloud-speedup", "1e-320", "t_req_s of op"),
          ("--rate", "1e305", "cpu_edge must be a non-negative finite number"),
          ("--rate", "1e308", "samples per GF sub-window"),
-         ("--rate", "0.1", "must be integral")],
+         ("--rate", "0.1", "must be integral"),
+         ("--rate", "1e-300", "cpu_edge rounds to 0"),
+         ("--rate", "5e-324", "cpu_edge rounds to 0"),
+         ("--rate", "1e307", "cpu_edge must be a non-negative finite number"),
+         ("--rate", "5e307", "cpu_edge must be a non-negative finite number")],
         ids=["headroom", "treq-slack", "bandwidth", "cloud-speedup", "rate-1e305", "rate-1e308",
-             "rate-0.1"],
+             "rate-0.1", "rate-1e-300", "rate-5e-324", "rate-1e307", "rate-5e307"],
     )
     def test_gen_profile_names_a_figure_it_cannot_write(self, runner, tmp_path, flag, value,
                                                         needle):
@@ -162,6 +171,45 @@ class TestGenerators:
         assert len(error_lines(result)) == 1
         assert needle in error_lines(result)[0]
         assert not out.exists()
+
+    # Figures from 1e-320 to 1e308, and the edges of a float.
+    FIGURE = st.one_of(
+        st.floats(-320.0, 308.25).map(lambda e: 10.0 ** e),
+        st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1.8e308, 1.0]),
+    )
+
+    @pytest.fixture(scope="class")
+    def bundled(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("bundled") / "w.txt"
+        assert CliRunner().invoke(main, ["gen-workload", "--out", str(path)]).exit_code == 0
+        return load_workload(str(path)), path
+
+    @settings(max_examples=100, deadline=None)
+    @given(rate=FIGURE, bandwidth=FIGURE, headroom=FIGURE, speedup=FIGURE,
+           slack=st.tuples(FIGURE, st.booleans()).map(lambda s: -s[0] if s[1] else s[0]))
+    def test_gen_profile_refuses_or_writes_a_priced_profile(self, bundled, rate, bandwidth,
+                                                            headroom, speedup, slack):
+        # One error line and no file, or a profile whose every cost is
+        # positive and whose all-cloud placement moves bytes.
+        w, wpath = bundled
+        out = wpath.parent / "p.json"
+        out.unlink(missing_ok=True)
+        result = CliRunner().invoke(main, [
+            "gen-profile", str(wpath), "--rate", repr(rate), "--bandwidth", repr(bandwidth),
+            "--headroom", repr(headroom), "--cloud-speedup", repr(speedup),
+            "--treq-slack", repr(slack), "--out", str(out),
+        ])
+        if result.exit_code != 0:
+            assert result.exit_code == 1, result.output
+            assert len(error_lines(result)) == 1, result.output
+            assert not out.exists()
+            return
+        p = load_profile(str(out))
+        for table in (p.cpu_edge, p.cpu_cloud, p.mem_edge, p.data_raw, p.cpu_res, p.data_res):
+            assert min(table.values()) > 0
+        for op in w.operators:
+            assert (p.data_int[op.id] > 0) == is_splittable(op.func)
+        assert cloud_only(w, p).objective_bytes > 0
 
     def test_gen_profile_headroom_below_one_writes_a_contended_profile(self, runner, tmp_path):
         w, wpath, ppath = write_inputs(tmp_path)

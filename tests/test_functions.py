@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitstream import (
-    FunctionContext,
+    REFERENCE_SAMPLE_RATE_HZ,
     FunctionKind,
     eval_function,
     is_splittable,
@@ -35,16 +35,16 @@ from splitstream.functions import (
 )
 
 F = FunctionKind
-CTX = FunctionContext()
+RATE = REFERENCE_SAMPLE_RATE_HZ
 
 
 def make_window(rng, n, offset=0.0):
     x = rng.normal(loc=3.0, scale=2.0, size=n)
-    t = offset + np.arange(n) / CTX.sample_rate_hz
+    t = offset + np.arange(n) / RATE
     return x, t
 
 
-def oracle_channel(func, x, t, ctx=CTX):
+def oracle_channel(func, x, t, rate=RATE):
     n = len(x)
     if n == 0:
         return 0.0
@@ -66,15 +66,15 @@ def oracle_channel(func, x, t, ctx=CTX):
         return np.std(x)
     if func is F.VAR:
         return np.var(x)
-    if func is F.DISP:
-        return np.mean(x) - ctx.disp_baseline
-    if func is F.FILTER:
-        return np.mean(x[-min(ctx.filter_len, n):])
+    if func is F.DISP:  # displacement from a zero baseline
+        return np.mean(x)
+    if func is F.FILTER:  # the last five samples
+        return np.mean(x[-min(5, n):])
     if func is F.SURGE:
         m = np.mean(x)
         return x[-1] / m if m != 0 else 0.0
     if func is F.GF:
-        k = ctx.gf_k()
+        k = max(1, round(3.0 * rate))  # a 3 s sub-window
         m = np.mean(x)
         if m == 0:
             return 0.0
@@ -94,7 +94,7 @@ def oracle_channel(func, x, t, ctx=CTX):
     raise AssertionError(func)
 
 
-def oracle_cross(func, x, y, ctx=CTX):
+def oracle_cross(func, x, y):
     if len(x) == 0:
         return 0.0
     if func is F.COV:
@@ -189,16 +189,16 @@ class TestMonolithic:
         assert eval_function(F.COV, [empty, empty]).tolist() == [0.0]
         assert eval_function(F.MEAN, []).shape == (0,)
 
-    def test_filter_and_disp_honor_context(self):
+    def test_filter_averages_five_samples_and_disp_has_no_baseline(self):
         x = np.arange(10, dtype=float)
-        ctx = FunctionContext(filter_len=3, disp_baseline=2.5)
-        assert eval_function(F.FILTER, [x], ctx=ctx)[0] == pytest.approx(8.0)
-        assert eval_function(F.DISP, [x], ctx=ctx)[0] == pytest.approx(4.5 - 2.5)
+        assert eval_function(F.FILTER, [x])[0] == pytest.approx(7.0)
+        assert eval_function(F.DISP, [x])[0] == pytest.approx(4.5)
 
     def test_default_times_use_sample_rate(self):
         x = np.array([0.0, 1.0, 3.0])
         got = eval_function(F.SPEED, [x])  # dt = 1/rate
-        assert got[0] == pytest.approx(2.0 * CTX.sample_rate_hz, rel=1e-12)
+        assert got[0] == pytest.approx(2.0 * RATE, rel=1e-12)
+        assert eval_function(F.SPEED, [x], rate=4.0)[0] == pytest.approx(8.0, rel=1e-12)
 
 
 class TestSplitMerge:
@@ -238,15 +238,14 @@ class TestSplitMerge:
 
     def test_gf_peak_straddling_the_cut_is_found(self):
         # The best sub-window overlaps the split point; the boundary buffers
-        # must reconstruct it exactly.
-        ctx = FunctionContext(gf_subwindow_s=3.0)  # k = 30 samples at 10 Hz
+        # must reconstruct it exactly. k = 30 samples at 10 Hz.
         x = np.full(100, 1.0)
         x[40:60] = 9.0
         t = np.arange(100) / 10.0
-        whole = eval_function(F.GF, [x], [t], ctx=ctx)
+        whole = eval_function(F.GF, [x], [t])
         for cut in (35, 50, 65):
-            state = partial_eval(F.GF, [x[:cut]], [t[:cut]], ctx=ctx)
-            got = merge(F.GF, state, [x[cut:]], [t[cut:]], ctx=ctx)
+            state = partial_eval(F.GF, [x[:cut]], [t[:cut]])
+            got = merge(F.GF, state, [x[cut:]], [t[cut:]])
             np.testing.assert_allclose(got, whole, rtol=1e-12)
 
     def test_speed_uses_last_two_points_across_the_cut(self):
@@ -286,13 +285,26 @@ class TestStateVectors:
         with pytest.raises(ValueError):
             merge_states(a, b)
 
+    def test_merging_gf_states_of_different_sub_windows_rejected(self):
+        # A GF state carries its sub-window: 30 samples at 10 Hz, 4 at 4/3 Hz.
+        x = np.arange(40, dtype=float)
+        a = partial_eval(F.GF, [x[:20]], rate=10.0)
+        b = partial_eval(F.GF, [x[20:]], rate=4.0 / 3.0)
+        with pytest.raises(ValueError, match="sub-windows"):
+            merge_states(a, b)
+        with pytest.raises(ValueError, match="sub-windows"):
+            merge(F.GF, a, [x[20:]], rate=4.0 / 3.0)
+        np.testing.assert_allclose(
+            merge(F.GF, a, [x[20:]], rate=10.0), eval_function(F.GF, [x], rate=10.0), rtol=1e-12
+        )
+
 
 class TestBatchEqualsRows:
     """eval_windows and split_windows over a ragged window set against one
     eval_function / partial_eval + merge call per window."""
 
     @staticmethod
-    def ragged(seed, spans, timed):
+    def ragged(seed, spans, timed, rate):
         rng = np.random.default_rng(seed)
         channels = []
         for c, windows in enumerate(spans):
@@ -304,7 +316,7 @@ class TestBatchEqualsRows:
                 times = 17.0 + np.cumsum(rng.uniform(0.05, 0.2, size=size))
                 channels.append(Channel(values, lo, hi, times=times))
             else:
-                channels.append(Channel(values, lo, hi, rate=CTX.sample_rate_hz))
+                channels.append(Channel(values, lo, hi, rate=rate))
         return channels
 
     @staticmethod
@@ -319,19 +331,19 @@ class TestBatchEqualsRows:
         n_windows=st.integers(0, 8),
         n_channels=st.integers(1, 3),
         data=st.data(),
-        ctx=st.sampled_from([CTX, FunctionContext(gf_subwindow_s=0.4)]),
+        rate=st.sampled_from([RATE, 4.0 / 3.0]),  # GF's k is 30, then 4
         edge_share=st.sampled_from([0.0, 0.3, 0.5, 0.77, 1.0]),
         seed=st.integers(0, 2**32 - 1),
         block=st.sampled_from([functions._BLOCK_SAMPLES, 7]),
     )
     def test_one_batch_call_matches_per_row_calls(
-        self, func, n_windows, n_channels, data, ctx, edge_share, seed, block
+        self, func, n_windows, n_channels, data, rate, edge_share, seed, block
     ):
         # A small block splits a length group over several matrices.
         with mock.patch.object(functions, "_BLOCK_SAMPLES", block):
-            self.check(func, n_windows, n_channels, data, ctx, edge_share, seed)
+            self.check(func, n_windows, n_channels, data, rate, edge_share, seed)
 
-    def check(self, func, n_windows, n_channels, data, ctx, edge_share, seed):
+    def check(self, func, n_windows, n_channels, data, rate, edge_share, seed):
         # Lengths run from empty through shorter than k to several k, and
         # differ between channels so cross-channel tails are aligned.
         window = st.tuples(st.integers(0, 30), st.integers(0, 40))
@@ -340,31 +352,31 @@ class TestBatchEqualsRows:
             for _ in range(n_channels)
         ]
         timed = data.draw(st.lists(st.booleans(), min_size=n_channels, max_size=n_channels))
-        channels = self.ragged(seed, spans, timed)
-        whole = eval_windows(func, channels, ctx)
+        channels = self.ragged(seed, spans, timed, rate)
+        whole = eval_windows(func, channels, rate)
         assert whole.shape == (n_windows, output_arity(func, n_channels))
         for i in range(n_windows):
             chans, ts = zip(*(self.window(ch, i) for ch in channels))
             np.testing.assert_allclose(
-                whole[i], eval_function(func, chans, ts, ctx), rtol=1e-9, atol=1e-12
+                whole[i], eval_function(func, chans, ts, rate), rtol=1e-9, atol=1e-12
             )
         if func not in SPLITTABLE:
             with pytest.raises(ValueError):
-                split_windows(func, channels, edge_share, ctx)
+                split_windows(func, channels, edge_share, rate)
             return
-        split, states = split_windows(func, channels, edge_share, ctx)
-        assert states.shape == (n_windows, state_length(func, n_channels, ctx))
+        split, states = split_windows(func, channels, edge_share, rate)
+        assert states.shape == (n_windows, state_length(func, n_channels, rate))
         for i in range(n_windows):
             chans, ts = zip(*(self.window(ch, i) for ch in channels))
             cuts = [int(round(edge_share * len(x))) for x in chans]
             state = partial_eval(
-                func, [x[:c] for x, c in zip(chans, cuts)], [t[:c] for t, c in zip(ts, cuts)], ctx
+                func, [x[:c] for x, c in zip(chans, cuts)], [t[:c] for t, c in zip(ts, cuts)], rate
             )
             merged = merge(
                 func, state, [x[c:] for x, c in zip(chans, cuts)],
-                [t[c:] for t, c in zip(ts, cuts)], ctx,
+                [t[c:] for t, c in zip(ts, cuts)], rate,
             )
             np.testing.assert_allclose(split[i], merged, rtol=1e-9, atol=1e-12)
             np.testing.assert_allclose(
-                states[i], state_to_vector(state, ctx), rtol=1e-9, atol=1e-12
+                states[i], state_to_vector(state), rtol=1e-9, atol=1e-12
             )

@@ -23,7 +23,7 @@ from splitstream.cli import main
 # the package's lazy map in step with its eager imports.
 EXPORTS = (
     "Assignment", "CROSS_CHANNEL", "CostReport", "ENUMERATION_CAP",
-    "EnumerationLimitError", "Frame", "FunctionContext", "FunctionKind",
+    "EnumerationLimitError", "Frame", "FunctionKind",
     "NodeUsage", "OperatorCost", "OperatorSpec", "PER_CHANNEL", "PartialState",
     "Profile", "REFERENCE_BANDWIDTH_BPS", "REFERENCE_SAMPLE_RATE_HZ",
     "SPLITTABLE", "SignalSpec", "SimReport", "Solution", "SolverConfig",
