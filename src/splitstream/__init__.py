@@ -98,8 +98,8 @@ _LAZY = dict.fromkeys(
     ("PartialState", "eval_function", "finalize", "merge", "merge_states", "partial_eval",
      "state_to_vector"), "functions",
 ) | dict.fromkeys(
-    ("Frame", "SignalSpec", "SimReport", "StreamConfig", "Trace", "decode_frame",
-     "encode_frame", "generate_trace", "run_sim"), "simulator",
+    ("Frame", "SimReport", "StreamConfig", "Trace", "decode_frame", "encode_frame",
+     "generate_trace", "run_sim"), "simulator",
 )
 
 

@@ -182,21 +182,6 @@ def int_res_bytes(gamma: float, d_int: float, d_res: float) -> float:
     return d_int if gamma < 1.0 - GAMMA_TOL else 0.0
 
 
-@dataclass(frozen=True)
-class VolumeTerms:
-    """The ratio-independent inputs of one operator's uplink volumes.
-
-    `nodes` lists, in ascending node order, every node the operator can
-    uplink from: its wired sensors' (sensor, data_raw) pairs there, in the
-    operator's sensor order, and whether the node is a home node (where the
-    aggregate/result terms are charged). Other nodes carry nothing.
-    """
-
-    nodes: tuple[tuple[NodeId, tuple[tuple[SensorId, float], ...], bool], ...]
-    d_int: float
-    d_res: float
-
-
 class OpVolumes(NamedTuple):
     """An operator's bytes per window: the total and each node's share."""
 
@@ -204,38 +189,11 @@ class OpVolumes(NamedTuple):
     by_node: tuple[tuple[NodeId, float], ...]
 
 
-def node_volumes(
-    terms: VolumeTerms, gamma: float, gamma_sensor: Mapping[SensorId, float]
-) -> OpVolumes:
-    """Bytes uplinked per window of one operator, per node and in total.
-
-    Raw samples leave at the sensor-level ratio; a fractional operator adds
-    one partial aggregate per window; a fully edge-resident operator uploads
-    only its result. The aggregate/result terms are charged at the operator's
-    home nodes (they vanish unless gamma is fractional or zero, and such
-    operators are single-homed in any feasible assignment). The total folds
-    the nodes in ascending order.
-    """
-    extra = int_res_bytes(gamma, terms.d_int, terms.d_res)
-    total = 0.0
-    by_node = []
-    for k, raws, home in terms.nodes:
-        vol = 0.0
-        for s, raw in raws:
-            vol += raw * gamma_sensor.get(s, 0.0)
-        if home:
-            vol += extra
-        by_node.append((k, vol))
-        total += vol
-    return OpVolumes(total, tuple(by_node))
-
-
 def data_volume(
     i: OperatorId, k: NodeId, a: Assignment, p: Profile, w: Workload
 ) -> float:
-    """Bytes uplinked from node k per window of operator i (see node_volumes)."""
-    terms = OpFacts.build(w, p, i).terms
-    return dict(node_volumes(terms, a.gamma[i], a.gamma_sensor).by_node).get(k, 0.0)
+    """Bytes uplinked from node k per window of operator i (see OpFacts.volumes)."""
+    return dict(OpFacts.build(w, p, i).volumes(a.gamma[i], a.gamma_sensor).by_node).get(k, 0.0)
 
 
 def fold_at(values: Iterable[float], share: float) -> float:
@@ -246,20 +204,32 @@ def fold_at(values: Iterable[float], share: float) -> float:
     return total
 
 
-LoadRow = tuple[NodeId, tuple[float, ...], tuple[float, ...]]
+class NodeRow(NamedTuple):
+    """What one operator reads of one node: its wired sensors' (sensor,
+    data_raw) pairs there, in the operator's sensor order, with those
+    sensors' edge CPU cycles and memory bytes, and whether the node is a
+    home node, where the aggregate/result terms are charged. A home node
+    without wired sensors has empty tuples."""
+
+    node: NodeId
+    raws: tuple[tuple[SensorId, float], ...]
+    cpu: tuple[float, ...]
+    mem: tuple[float, ...]
+    home: bool
 
 
 @dataclass(frozen=True)
 class OpFacts:
     """What pricing and the checks read of one operator, compiled in one
-    pass over its sensors' profile rows. `loads` holds a row per node with
-    wired sensors, nodes ascending: the node, then those sensors' edge CPU
-    cycles and memory bytes in sensor order, folded at the edge share
-    1 - gamma (fold_at). The cloud cycles per own sensor fold at gamma."""
+    pass over its sensors' profile rows: a NodeRow per node with wired
+    sensors or home to the operator, nodes ascending. Edge cycles and bytes
+    fold at the edge share 1 - gamma (fold_at), the cloud cycles per own
+    sensor at gamma."""
 
     spec: OperatorSpec
-    terms: VolumeTerms
-    loads: tuple[LoadRow, ...]
+    rows: tuple[NodeRow, ...]
+    d_int: float
+    d_res: float
     cloud: tuple[float, ...]
     cpu_res: float
     t_req: float | None
@@ -270,44 +240,67 @@ class OpFacts:
     def build(cls, w: Workload, p: Profile, i: OperatorId) -> "OpFacts":
         op = w.operator(i)
         cloud = []
-        cpu: dict[NodeId, list[float]] = {}
-        mem: dict[NodeId, list[float]] = {}
-        raws: dict[NodeId, list[tuple[SensorId, float]]] = {}
+        wired: dict[NodeId, tuple[list, list, list]] = {}
         for s in op.sensors:
             cloud.append(p.cpu_cloud.get((i, s), 0.0))
             k = w.topology.sensor_node.get(s)
             if k is not None:
                 key = (i, s, k)
-                cpu.setdefault(k, []).append(p.cpu_edge.get(key, 0.0))
-                mem.setdefault(k, []).append(p.mem_edge.get(key, 0.0))
-                raws.setdefault(k, []).append((s, p.data_raw.get(key, 0.0)))
+                raws, cpu, mem = wired.setdefault(k, ([], [], []))
+                raws.append((s, p.data_raw.get(key, 0.0)))
+                cpu.append(p.cpu_edge.get(key, 0.0))
+                mem.append(p.mem_edge.get(key, 0.0))
         homes = home_nodes(w, i)
+        rows = []
+        for k in sorted(wired.keys() | homes):
+            raws, cpu, mem = wired.get(k, ((), (), ()))
+            rows.append(NodeRow(k, tuple(raws), tuple(cpu), tuple(mem), k in homes))
         return cls(
             spec=op,
-            terms=VolumeTerms(
-                tuple((k, tuple(raws.get(k, ())), k in homes) for k in sorted(raws.keys() | homes)),
-                d_int=p.data_int.get(i, 0.0),
-                d_res=p.data_res.get(i, 0.0),
-            ),
-            loads=tuple((k, tuple(cpu[k]), tuple(mem[k])) for k in sorted(cpu)),
+            rows=tuple(rows),
+            d_int=p.data_int.get(i, 0.0),
+            d_res=p.data_res.get(i, 0.0),
             cloud=tuple(cloud),
             cpu_res=p.cpu_res.get(i, 0.0),
             t_req=effective_t_req(op, p),
-            nodes=frozenset(cpu),
+            nodes=frozenset(wired),
             forced_cloud=forced_cloud(w, i),
         )
+
+    def volumes(self, gamma: float, gamma_sensor: Mapping[SensorId, float]) -> OpVolumes:
+        """Bytes uplinked per window, per node and in total.
+
+        Raw samples leave at the sensor-level ratio; a fractional operator
+        adds one partial aggregate per window; a fully edge-resident operator
+        uploads only its result. The aggregate/result terms are charged at
+        the home nodes (they vanish unless gamma is fractional or zero, and
+        such operators are single-homed in any feasible assignment). The
+        total folds the rows in order.
+        """
+        extra = int_res_bytes(gamma, self.d_int, self.d_res)
+        total = 0.0
+        by_node = []
+        for k, raws, _cpu, _mem, home in self.rows:
+            vol = 0.0
+            for s, raw in raws:
+                vol += raw * gamma_sensor.get(s, 0.0)
+            if home:
+                vol += extra
+            by_node.append((k, vol))
+            total += vol
+        return OpVolumes(total, tuple(by_node))
 
     def latency_terms(
         self, gamma: float, by_node: Iterable[tuple[NodeId, float]], p: Profile
     ) -> tuple[float, float, float]:
         """The wait-free window latency terms at ratio gamma, in seconds:
-        (edge, transfer, cloud). Edge is the slowest node's cycles; transfer
-        is the worst node's volume in `by_node` (the operator's
-        node_volumes) over its uplink; the result cycles are charged only
-        once offloading starts."""
+        (edge, transfer, cloud). Edge is the slowest wired node's cycles;
+        transfer is the worst node's volume in `by_node` (the operator's
+        volumes) over its uplink; the result cycles are charged only once
+        offloading starts."""
         share = 1.0 - gamma
         t_edge = max(
-            (fold_at(cpu, share) / p.cpu_unit_edge[k] for k, cpu, _mem in self.loads),
+            (fold_at(r.cpu, share) / p.cpu_unit_edge[r.node] for r in self.rows if r.raws),
             default=0.0,
         )
         t_trans = 0.0
@@ -338,19 +331,19 @@ class Instance:
         return cls(w, p, tuple(topological_order(w)), ops)
 
     def volumes(self, a: Assignment) -> dict[OperatorId, OpVolumes]:
-        """Every operator's node_volumes under the assignment."""
+        """Every operator's OpFacts.volumes under the assignment."""
         g, gs = a.gamma, a.gamma_sensor
-        return {i: node_volumes(f.terms, g[i], gs) for i, f in self.ops.items()}
+        return {i: f.volumes(g[i], gs) for i, f in self.ops.items()}
 
     def usage(self, a: Assignment) -> dict[NodeId, NodeUsage]:
-        """Per-node edge CPU and memory: each operator's load rows folded at
+        """Per-node edge CPU and memory: each operator's node rows folded at
         its edge share, summed per node over operators in workload order."""
         nodes = sorted(self.w.topology.nodes)
         cpu = dict.fromkeys(nodes, 0.0)
         mem = dict.fromkeys(nodes, 0.0)
         for i, f in self.ops.items():
             share = 1.0 - a.gamma[i]
-            for k, cycles, nbytes in f.loads:
+            for k, _raws, cycles, nbytes, _home in f.rows:
                 if k in cpu:
                     cpu[k] += fold_at(cycles, share)
                     mem[k] += fold_at(nbytes, share)
@@ -362,20 +355,17 @@ class Instance:
         mode: str = "paper",
         horizon_s: float | None = None,
         ops: Iterable[OperatorId] | None = None,
-        volumes: Mapping[OperatorId, OpVolumes] | None = None,
     ) -> float:
         """Total uplink bytes under the assignment.
 
-        "paper" sums every operator's node_volumes total independently,
+        "paper" sums every operator's volumes total independently,
         double-counting raw streams shared between operators. "dedup" counts
         each sensor's upload once per (sensor, node) and keeps per-operator
         aggregate/result terms (see dedup_bytes). Without a horizon the
         figure is per window close; with one, per-operator terms scale by
         their number of closes and dedup raw scales by stream rate. `ops`
         limits the sum to those operator ids, in that order; by default
-        every operator counts, in workload order. Paper mode reads each
-        operator's node_volumes from `volumes` when given, as
-        Instance.volumes prices them, instead of pricing them again.
+        every operator counts, in workload order.
         """
         if mode not in OBJECTIVE_MODES:
             raise ValueError(f"unknown objective mode {mode!r}")
@@ -386,21 +376,18 @@ class Instance:
             for f in facts
         ]
         if mode == "paper":
-            vols = (
-                node_volumes(f.terms, g[f.spec.id], gs) if volumes is None else volumes[f.spec.id]
-                for f in facts
-            )
+            vols = (f.volumes(g[f.spec.id], gs) for f in facts)
             return fold_sum(v.total * n for v, n in zip(vols, closes))
         raw_best: dict[tuple[SensorId, NodeId], float] = {}
         for f in facts:
-            for k, raws, _home in f.terms.nodes:
+            for k, raws, _cpu, _mem, _home in f.rows:
                 for s, raw in raws:
                     if horizon_s is not None:
                         raw = raw / f.spec.window_s * horizon_s
                     if raw > raw_best.get((s, k), 0.0):
                         raw_best[(s, k)] = raw
         terms = (
-            int_res_bytes(g[f.spec.id], f.terms.d_int, f.terms.d_res) * n
+            int_res_bytes(g[f.spec.id], f.d_int, f.d_res) * n
             for f, n in zip(facts, closes)
         )
         return dedup_bytes(raw_best, gs, terms)
@@ -416,7 +403,7 @@ def latency_rows(
     of `order`, the window latency and its terms in seconds.
 
     The edge, transfer and cloud terms are the operator's latency_terms,
-    its transfer read from its node_volumes under `a` in `volumes`. The
+    its transfer read from its OpFacts.volumes under `a` in `volumes`. The
     wait is the skew between the totals of the operator's deps, so `order`
     must list every dep ahead of its consumers.
     """
@@ -464,16 +451,16 @@ class CostReport:
 
 
 def node_cpu(i: OperatorId, k: NodeId, a: Assignment, p: Profile, w: Workload) -> float:
-    """Edge CPU cycles operator i occupies on node k: its load row there
+    """Edge CPU cycles operator i occupies on node k: its node row there
     folded at its edge share."""
-    rows = OpFacts.build(w, p, i).loads
-    return fold_at((c for node, cpu, _mem in rows if node == k for c in cpu), 1.0 - a.gamma[i])
+    rows = OpFacts.build(w, p, i).rows
+    return fold_at((c for row in rows if row.node == k for c in row.cpu), 1.0 - a.gamma[i])
 
 
 def node_mem(i: OperatorId, k: NodeId, a: Assignment, p: Profile, w: Workload) -> float:
     """Edge memory bytes operator i occupies on node k (see node_cpu)."""
-    rows = OpFacts.build(w, p, i).loads
-    return fold_at((m for node, _cpu, mem in rows if node == k for m in mem), 1.0 - a.gamma[i])
+    rows = OpFacts.build(w, p, i).rows
+    return fold_at((m for row in rows if row.node == k for m in row.mem), 1.0 - a.gamma[i])
 
 
 def windows_in_horizon(window_s: float, step_s: float, horizon_s: float) -> int:
@@ -540,6 +527,6 @@ def cost_report(
     return CostReport(
         per_operator=rows,
         per_node=inst.usage(a),
-        objective_bytes=inst.objective(a, mode, volumes=volumes),
+        objective_bytes=inst.objective(a, mode),
         latency_sum=latency_sum({i: row.t_total for i, row in rows.items()}),
     )

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,22 +73,10 @@ from .model import (
 
 
 @dataclass(frozen=True)
-class SignalSpec:
-    """Sinusoid-plus-noise generator parameters for one sensor."""
-
-    offset: float = 0.0
-    amplitude: float = 1.0
-    period_s: float = 120.0
-    phase: float = 0.0
-    noise_std: float = 0.1
-
-
-@dataclass(frozen=True)
 class StreamConfig:
     duration_s: float = 600.0
     sample_rate_hz: float = REFERENCE_SAMPLE_RATE_HZ
     seed: int = 0
-    signals: dict[SensorId, SignalSpec] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -115,28 +103,24 @@ def sample_count(duration_s: float, sample_rate_hz: float) -> int:
 
 
 def generate_trace(config: StreamConfig, sensors) -> Trace:
-    """Deterministic per-sensor streams; each sensor is seeded independently
-    so traces are stable under any sensor ordering. Raises ValueError for a
-    sensor id that a trace file's unsigned 32-bit id field cannot hold."""
+    """Deterministic per-sensor streams, each a sinusoid plus Gaussian noise
+    whose offset, amplitude, period, phase and noise level are drawn from
+    the sensor's own seed, so traces are stable under any sensor ordering.
+    Raises ValueError for a sensor id that a trace file's unsigned 32-bit id
+    field cannot hold."""
     n = sample_count(config.duration_s, config.sample_rate_hz)
     t = np.arange(n, dtype=np.float64) / config.sample_rate_hz
     samples: dict[SensorId, np.ndarray] = {}
     for sid in sorted(sensors):
         check_trace_sensor(sid)
         rng = np.random.default_rng([config.seed, sid])
-        spec = config.signals.get(sid)
-        if spec is None:
-            spec = SignalSpec(
-                offset=rng.uniform(-5.0, 5.0),
-                amplitude=rng.uniform(0.5, 3.0),
-                period_s=rng.uniform(30.0, 900.0),
-                phase=rng.uniform(0.0, 2.0 * math.pi),
-                noise_std=rng.uniform(0.01, 0.3),
-            )
-        wave = spec.offset + spec.amplitude * np.sin(
-            2.0 * math.pi * t / spec.period_s + spec.phase
-        )
-        samples[sid] = wave + rng.normal(0.0, spec.noise_std, n)
+        offset = rng.uniform(-5.0, 5.0)
+        amplitude = rng.uniform(0.5, 3.0)
+        period_s = rng.uniform(30.0, 900.0)
+        phase = rng.uniform(0.0, 2.0 * math.pi)
+        noise_std = rng.uniform(0.01, 0.3)
+        wave = offset + amplitude * np.sin(2.0 * math.pi * t / period_s + phase)
+        samples[sid] = wave + rng.normal(0.0, noise_std, n)
     return Trace(config.duration_s, config.sample_rate_hz, samples)
 
 

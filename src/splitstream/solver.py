@@ -42,7 +42,6 @@ from .costs import (
     int_res_bytes,
     latency_rows,
     latency_sum,
-    node_volumes,
     under_cap,
 )
 from .feasibility import (
@@ -75,14 +74,7 @@ class SolverConfig:
     time_budget_s: float | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.delta <= 1.0:
-            raise ValueError(f"delta must be in (0, 1], got {self.delta}")
-        points = _grid_steps(self.delta) + 1
-        if points > ENUMERATION_CAP:
-            raise ValueError(
-                f"delta {self.delta} gives {points} grid points, over the cap of "
-                f"{ENUMERATION_CAP}"
-            )
+        _grid_steps(self.delta)
         if self.objective_mode not in OBJECTIVE_MODES:
             raise ValueError(f"unknown objective mode {self.objective_mode!r}")
         budget = self.time_budget_s
@@ -113,7 +105,19 @@ class Solution:
 def _grid_steps(delta: float) -> int:
     """How many multiples of delta the grid keeps below 1: the first k whose
     k * delta, rounded to 12 places, reaches 1. The rounded multiples never
-    decrease with k, so the search starts next to 1 / delta."""
+    decrease with k, so the search starts next to 1 / delta. Raises
+    ValueError for a delta outside (0, 1] or a grid over ENUMERATION_CAP
+    points."""
+    if not 0.0 < delta <= 1.0:
+        raise ValueError(f"delta must be in (0, 1], got {delta}")
+    # Below 1 / (2 * cap) the grid holds over 2 * cap points. Such a delta is
+    # refused before counting: for a tiny one the count steps k through every
+    # multiple that rounds to 1, and for a subnormal one 1 / delta is inf.
+    if delta < 0.5 / ENUMERATION_CAP:
+        raise ValueError(
+            f"delta {delta} gives over {2 * ENUMERATION_CAP} grid points, over the cap of "
+            f"{ENUMERATION_CAP}"
+        )
 
     def below_one(k: int) -> bool:
         return round(k * delta, 12) < 1.0 - 1e-12
@@ -123,13 +127,16 @@ def _grid_steps(delta: float) -> int:
         k += 1
     while k > 0 and not below_one(k - 1):
         k -= 1
+    if k + 1 > ENUMERATION_CAP:
+        raise ValueError(
+            f"delta {delta} gives {k + 1} grid points, over the cap of {ENUMERATION_CAP}"
+        )
     return k
 
 
 def gamma_grid(delta: float) -> tuple[float, ...]:
-    """Offload-ratio grid: multiples of delta below 1, then 1 itself."""
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must be in (0, 1], got {delta}")
+    """Offload-ratio grid: multiples of delta below 1, then 1 itself (see
+    _grid_steps for the deltas it refuses)."""
     return tuple(round(k * delta, 12) for k in range(_grid_steps(delta))) + (1.0,)
 
 
@@ -150,16 +157,16 @@ class SearchState:
 
     It has an Assignment's two fields, gamma and gamma_sensor, over the
     decided operators, so the cost functions price it directly. Besides the
-    node CPU and memory sums it carries each decided operator's node_volumes
-    in `volumes` and, for the dedup objective, the largest raw size per
-    (sensor, node) in `raw_best`; in paper mode, each undecided operator's
+    node CPU and memory sums it carries each decided operator's
+    OpFacts.volumes in `volumes` and, for the dedup objective, the largest
+    raw size per (sensor, node) in `raw_best`; in paper mode, each undecided operator's
     `floor` (see bound). `trail` logs every entry a decision overwrote, so
     that undo restores earlier states by value.
     `cluster` lists the operators it may decide, which must include every
     reader of their sensors; `readers` lists, per sensor, the operators
-    whose volumes read its ratio. Everything static, the VolumeTerms and
-    the per-node load rows among it, is read from `inst`; a decision adds
-    one CPU and one memory entry per loaded node.
+    whose volumes read its ratio. Everything static, each operator's node
+    rows among it, is read from `inst`; a decision adds one CPU and one
+    memory entry per loaded node.
     """
 
     inst: Instance
@@ -179,10 +186,10 @@ class SearchState:
         self.readers = {}
         self.floor = {}
         for i in self.cluster:
-            t = self.inst.ops[i].terms
-            self.floor[i] = node_volumes(t, 1.0, self.gamma_sensor).total
-            for _k, raws, _home in t.nodes:
-                for s, _raw in raws:
+            facts = self.inst.ops[i]
+            self.floor[i] = facts.volumes(1.0, self.gamma_sensor).total
+            for row in facts.rows:
+                for s, _raw in row.raws:
                     self.readers.setdefault(s, []).append(i)
 
     def assign(self, op_id: OperatorId, gamma: float) -> None:
@@ -206,15 +213,14 @@ class SearchState:
                 self.gamma_sensor[s] = gamma
                 stale.update(self.readers.get(s, ()))
         for j in stale:
-            terms = self.inst.ops[j].terms
             if j in self.gamma:
                 trail.append((self.volumes, j, self.volumes.get(j)))
-                self.volumes[j] = node_volumes(terms, self.gamma[j], self.gamma_sensor)
+                self.volumes[j] = self.inst.ops[j].volumes(self.gamma[j], self.gamma_sensor)
             elif self.mode == "paper":
                 trail.append((self.floor, j, self.floor[j]))
-                self.floor[j] = node_volumes(terms, 1.0, self.gamma_sensor).total
+                self.floor[j] = self.inst.ops[j].volumes(1.0, self.gamma_sensor).total
         if self.mode == "dedup":
-            for k, raws, _home in facts.terms.nodes:
+            for k, raws, _cpu, _mem, _home in facts.rows:
                 for s, raw in raws:
                     old = self.raw_best.get((s, k))
                     if raw > (old or 0.0):
@@ -222,7 +228,7 @@ class SearchState:
                         self.raw_best[(s, k)] = raw
         share = 1.0 - gamma
         cpu, mem = self.cpu_used, self.mem_used
-        for k, cycles, nbytes in facts.loads:
+        for k, _raws, cycles, nbytes, _home in facts.rows:
             for table, load in ((cpu, fold_at(cycles, share)), (mem, fold_at(nbytes, share))):
                 if load:
                     old = table.get(k)
@@ -247,12 +253,9 @@ class SearchState:
         from the carried terms; the same value bit for bit."""
         decided = [i for i in ops if i in self.gamma]
         if self.mode == "dedup":
-            terms = [(self.gamma[i], self.inst.ops[i].terms) for i in decided]
-            return dedup_bytes(
-                self.raw_best,
-                self.gamma_sensor,
-                (int_res_bytes(g, t.d_int, t.d_res) for g, t in terms),
-            )
+            facts = self.inst.ops
+            terms = (int_res_bytes(self.gamma[i], facts[i].d_int, facts[i].d_res) for i in decided)
+            return dedup_bytes(self.raw_best, self.gamma_sensor, terms)
         total = 0.0
         for i in decided:
             total += self.volumes[i].total
@@ -263,7 +266,7 @@ class SearchState:
 
         Dedup mode returns the decided operators' objective. Paper mode folds
         `ops` in order, a decided operator adding its volumes' total and an
-        undecided one its floor: node_volumes at ratio 1 under the current
+        undecided one its floor: its volumes at ratio 1 under the current
         sensor ratios, which at ratio 1 is its raw bytes alone. Each term is
         at most the same term of objective(ops) at any leaf below, in floats
         too: sensor ratios only rise as decisions are added; products with a

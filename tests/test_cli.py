@@ -56,6 +56,14 @@ def error_lines(result):
 # JSON nested deeper than json's recursion reaches.
 DEEP = "[" * 100_000
 
+# Figures from 1e-320 to 1e308, and the edges of a float; SIGNED adds their
+# negatives.
+FIGURE = st.one_of(
+    st.floats(-320.0, 308.25).map(lambda e: 10.0 ** e),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1.8e308, 1.0]),
+)
+SIGNED = st.tuples(FIGURE, st.booleans()).map(lambda s: -s[0] if s[1] else s[0])
+
 
 class TestValidate:
     def test_ok(self, runner, tmp_path):
@@ -172,12 +180,6 @@ class TestGenerators:
         assert needle in error_lines(result)[0]
         assert not out.exists()
 
-    # Figures from 1e-320 to 1e308, and the edges of a float.
-    FIGURE = st.one_of(
-        st.floats(-320.0, 308.25).map(lambda e: 10.0 ** e),
-        st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1.8e308, 1.0]),
-    )
-
     @pytest.fixture(scope="class")
     def bundled(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("bundled") / "w.txt"
@@ -186,7 +188,7 @@ class TestGenerators:
 
     @settings(max_examples=100, deadline=None)
     @given(rate=FIGURE, bandwidth=FIGURE, headroom=FIGURE, speedup=FIGURE,
-           slack=st.tuples(FIGURE, st.booleans()).map(lambda s: -s[0] if s[1] else s[0]))
+           slack=SIGNED)
     def test_gen_profile_refuses_or_writes_a_priced_profile(self, bundled, rate, bandwidth,
                                                             headroom, speedup, slack):
         # One error line and no file, or a profile whose every cost is
@@ -390,12 +392,41 @@ class TestSolveAndBaseline:
         assert "time budget" in warnings[0]
         assert json.loads(out.read_text())["stats"]["budget_exceeded"] is True
 
-    def test_grid_over_the_cap_is_an_input_error(self, runner, tmp_path):
+    @pytest.mark.parametrize("delta", ["1e-7", "1e-300", "1e-310", "5e-324"])
+    def test_grid_over_the_cap_is_an_input_error(self, runner, tmp_path, delta):
         _, wpath, ppath = write_inputs(tmp_path)
-        result = runner.invoke(main, ["solve", wpath, ppath, "--delta", "1e-7"])
+        out = tmp_path / "r.json"
+        result = runner.invoke(main, ["solve", wpath, ppath, "--delta", delta, "--out", str(out)])
         assert result.exit_code == 1
         assert len(error_lines(result)) == 1
         assert "grid points" in error_lines(result)[0]
+        assert not out.exists()
+
+    @pytest.fixture(scope="class")
+    def one_choice(self, tmp_path_factory):
+        # One non-iterative operator: its domain is {0, 1} at every delta.
+        tmp = tmp_path_factory.mktemp("one-choice")
+        _, wpath, ppath = write_inputs(tmp, rows=[(1, (1,), (), F.MEAN, False, 5, 5, 5)])
+        return wpath, ppath, tmp / "r.json"
+
+    @settings(max_examples=100, deadline=None)
+    @given(delta=SIGNED, budget=st.none() | SIGNED)
+    def test_solve_refuses_or_records_its_options(self, one_choice, delta, budget):
+        # One error line and no report, or a report whose manifest records
+        # the delta and budget given.
+        wpath, ppath, out = one_choice
+        out.unlink(missing_ok=True)
+        args = ["solve", wpath, ppath, "--delta", repr(delta), "--out", str(out)]
+        if budget is not None:
+            args += ["--time-budget", repr(budget)]
+        result = CliRunner().invoke(main, args)
+        if result.exit_code == 1:
+            assert len(error_lines(result)) == 1, result.output
+            assert not out.exists()
+            return
+        assert result.exit_code in (0, 2), result.output
+        config = json.loads(out.read_text())["manifest"]["config"]
+        assert (config["delta"], config["time_budget_s"]) == (delta, budget)
 
     @pytest.mark.parametrize("command", ["solve", "baseline", "simulate"])
     @pytest.mark.parametrize(
@@ -497,6 +528,15 @@ class TestSolveAndBaseline:
         record = json.loads(open(out).read())
         gammas = set(record["gamma"].values())
         assert gammas == ({1.0} if strategy == "co" else {0.0})
+
+    def test_a_baseline_over_the_caps_exits_2_and_names_its_violations(self, runner, tmp_path):
+        w, wpath, ppath = write_inputs(tmp_path)
+        open(ppath, "w").write(dumps_profile(generate_profile(w, headroom=0.4)))
+        result = runner.invoke(main, ["baseline", wpath, ppath, "--strategy", "eo"])
+        assert result.exit_code == 2, result.output
+        lines = [line for line in result.output.splitlines() if line.startswith("violations:")]
+        assert len(lines) == 1
+        assert "node 1 cpu" in lines[0]
 
 
 class TestSimulateAndCompare:
@@ -958,11 +998,12 @@ class TestUsageErrors:
             (["baseline", "{w}", "{p}", "--strategy", "zz"], "--strategy"),
             (["solve", "{w}"], "PROFILE"),
             (["no-such-command"], "no-such-command"),
+            (["--no-such-option"], "--no-such-option"),
             ([], "Missing command"),
         ],
         ids=["solve-cost-orientation", "baseline-cost-orientation", "bad-delta",
              "unknown-option", "bad-strategy", "missing-argument", "unknown-command",
-             "no-command"],
+             "group-option", "no-command"],
     )
     def test_exits_1_with_one_error_line(self, runner, tmp_path, args, needle):
         _, wpath, ppath = write_inputs(tmp_path)

@@ -32,7 +32,7 @@ from splitstream import (
     windows_in_horizon,
 )
 from splitstream import generate_profile, generate_reference_workload, topological_order
-from splitstream.costs import Instance, fold_at, int_res_bytes, node_volumes, under_cap
+from splitstream.costs import Instance, fold_at, int_res_bytes, under_cap
 from splitstream.model import fold_sum, transitive_sensors
 
 from conftest import build_workload, random_instance
@@ -343,26 +343,29 @@ class TestInstance:
                 assert facts.nodes == {w.topology.sensor_node[s] for s in op.sensors}
                 assert facts.t_req == effective_t_req(op, p)
                 assert facts.cpu_res == p.cpu_res.get(i, 0.0)
-                assert [k for k, _cpu, _mem in facts.loads] == sorted(facts.nodes)
                 homes = {
                     w.topology.sensor_node[s]
                     for s in op.sensors or transitive_sensors(w, i)
                     if s in w.topology.sensor_node
                 }
-                loads = {k: (cpu, mem) for k, cpu, mem in facts.loads}
+                assert [row.node for row in facts.rows] == sorted(facts.nodes | homes)
+                assert [row.node for row in facts.rows if row.home] == sorted(homes)
+                assert [row.node for row in facts.rows if row.raws] == sorted(facts.nodes)
+                assert all(len(r.raws) == len(r.cpu) == len(r.mem) for r in facts.rows)
+                rows = {row.node: row for row in facts.rows}
                 for g in (0.0, 0.05, 0.35, 0.7, 1.0):
                     a = Assignment.from_op_gamma(w, {j.id: g for j in w.operators})
                     cloud = 0.0
                     for s in op.sensors:
                         cloud += p.cpu_cloud.get((i, s), 0.0) * g
                     assert fold_at(facts.cloud, g) == cloud
-                    volumes = dict(node_volumes(facts.terms, g, a.gamma_sensor).by_node)
+                    volumes = dict(facts.volumes(g, a.gamma_sensor).by_node)
                     for k in sorted(w.topology.nodes):
                         cpu = fold_rows(w, p, p.cpu_edge, i, k, 1.0 - g)
                         mem = fold_rows(w, p, p.mem_edge, i, k, 1.0 - g)
-                        if k in loads:
-                            assert fold_at(loads[k][0], 1.0 - g) == cpu
-                            assert fold_at(loads[k][1], 1.0 - g) == mem
+                        if k in rows:
+                            assert fold_at(rows[k].cpu, 1.0 - g) == cpu
+                            assert fold_at(rows[k].mem, 1.0 - g) == mem
                         assert node_cpu(i, k, a, p, w) == cpu
                         assert node_mem(i, k, a, p, w) == mem
                         vol = fold_rows(w, p, p.data_raw, i, k, g)

@@ -519,6 +519,17 @@ class TestTraceBinary:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["t.bin"]
 
+    def test_a_failed_write_leaves_the_old_file_whole(self, tmp_path):
+        # Samples that are not numbers fail after the header is written to
+        # the temporary file; it goes, and the old trace stays byte for byte.
+        path = tmp_path / "t.bin"
+        save_trace(str(path), Trace(1.0, 1.0, {1: np.zeros(1)}))
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            save_trace(str(path), Trace(1.0, 1.0, {1: np.ones(1), 2: np.array(["x"])}))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["t.bin"]
+
     def test_sample_count_rounds_like_generate_trace(self, tmp_path):
         trace = generate_trace(StreamConfig(duration_s=2.25, sample_rate_hz=10, seed=4), [1])
         path = str(tmp_path / "t.bin")

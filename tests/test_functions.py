@@ -285,6 +285,13 @@ class TestStateVectors:
         with pytest.raises(ValueError):
             merge_states(a, b)
 
+    def test_merging_states_of_different_channel_counts_rejected(self):
+        x = np.arange(20, dtype=float)
+        one, two = partial_eval(F.MEAN, [x]), partial_eval(F.MEAN, [x, x])
+        for a, b in ((one, two), (two, one)):
+            with pytest.raises(ValueError, match="different channel counts"):
+                merge_states(a, b)
+
     def test_merging_gf_states_of_different_sub_windows_rejected(self):
         # A GF state carries its sub-window: 30 samples at 10 Hz, 4 at 4/3 Hz.
         x = np.arange(40, dtype=float)

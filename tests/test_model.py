@@ -110,6 +110,22 @@ def test_dependency_cycle_flagged():
     assert V_CYCLE in cats
 
 
+@pytest.mark.parametrize(
+    "deps, needle",
+    [(((9,), ()), "operator 1 depends on unknown operator 9"),
+     (((2,), (1,)), "dependency cycle involving operators [1, 2]")],
+    ids=["unknown-dep", "cycle"],
+)
+def test_topological_order_refuses_an_unordered_graph(deps, needle):
+    w = build_workload(
+        [(1, (1,), deps[0], F.MEAN, True, 4, 4, 4), (2, (1,), deps[1], F.MEAN, True, 4, 4, 4)],
+        {1: 1},
+    )
+    with pytest.raises(ValueError) as err:
+        topological_order(w)
+    assert str(err.value) == needle
+
+
 def test_a_long_chain_declared_backwards_validates():
     # Each operator is declared before the one it depends on, so the cycle
     # search walks the whole chain in one descent.

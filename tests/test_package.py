@@ -26,7 +26,7 @@ EXPORTS = (
     "EnumerationLimitError", "Frame", "FunctionKind",
     "NodeUsage", "OperatorCost", "OperatorSpec", "PER_CHANNEL", "PartialState",
     "Profile", "REFERENCE_BANDWIDTH_BPS", "REFERENCE_SAMPLE_RATE_HZ",
-    "SPLITTABLE", "SignalSpec", "SimReport", "Solution", "SolverConfig",
+    "SPLITTABLE", "SimReport", "Solution", "SolverConfig",
     "StreamConfig", "Topology", "Trace", "ValidationReport", "Violation",
     "Workload", "WorkloadViolation", "__version__", "brute_force",
     "canonical_json", "check_assignment", "cloud_only",

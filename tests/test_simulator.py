@@ -23,7 +23,6 @@ from splitstream import (
     Assignment,
     Frame,
     FunctionKind,
-    SignalSpec,
     SolverConfig,
     StreamConfig,
     cloud_only,
@@ -138,6 +137,12 @@ class TestLatencyAndDeadlines:
         s = run_sim(w, p, a, trace).per_op[1]
         assert 0 < s.latency_p50_s <= s.latency_p95_s <= s.latency_max_s
         assert s.t_req_violations == 0
+
+    def test_a_trace_without_a_workload_sensor_is_refused(self):
+        w, p, a, trace = tiny_setup(0.5)
+        other = generate_trace(StreamConfig(duration_s=10, sample_rate_hz=10, seed=1), [2])
+        with pytest.raises(ValueError, match=r"^trace lacks sensors \[1\]$"):
+            run_sim(w, p, a, other)
 
     def test_deadline_violations_counted_per_window(self):
         w, p, a, trace = tiny_setup(1.0)
@@ -469,11 +474,3 @@ class TestDeterminism:
         t1 = generate_trace(cfg, [1, 2])
         t2 = generate_trace(cfg, [2, 1])
         assert np.array_equal(t1.samples[1], t2.samples[1])
-
-    def test_explicit_signal_spec_is_honored(self):
-        spec = SignalSpec(offset=5.0, amplitude=0.0, period_s=10.0, phase=0.0,
-                          noise_std=0.0)
-        cfg = StreamConfig(duration_s=2, sample_rate_hz=10, seed=0,
-                           signals={1: spec})
-        trace = generate_trace(cfg, [1])
-        assert np.allclose(trace.samples[1], 5.0)

@@ -21,7 +21,7 @@ from splitstream import (
     generate_reference_workload,
     solve,
 )
-from splitstream.costs import Instance, node_volumes, total_objective
+from splitstream.costs import Instance, total_objective
 from splitstream.solver import SearchState
 
 from conftest import build_workload, capped_reference, random_instance
@@ -48,12 +48,16 @@ class TestGrid:
                 SolverConfig(delta=delta)
 
     def test_grid_over_the_enumeration_cap_rejected(self):
-        # Checked from the grid's size alone: neither grid gets built.
+        # Checked from the grid's size alone: no grid gets built, and one far
+        # over the cap (to subnormal deltas, whose 1 / delta is inf) is not
+        # counted either.
         assert len(gamma_grid(1 / 999)) == 1_000
         SolverConfig(delta=1 / 999_999)  # exactly ENUMERATION_CAP points
-        for delta in (1e-6, 1e-7):
+        for delta in (1e-6, 1e-7, 1e-300, 1e-310, 5e-324):
             with pytest.raises(ValueError, match="grid points"):
                 SolverConfig(delta=delta)
+            with pytest.raises(ValueError, match="grid points"):
+                gamma_grid(delta)
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -283,8 +287,8 @@ class TestSearchState:
     @classmethod
     def walk(cls, w, p, mode, rng, steps):
         inst = Instance.build(w, p)
-        terms = {i: f.terms for i, f in inst.ops.items()}
-        state = SearchState(inst, mode, cluster=tuple(terms))
+        facts = inst.ops
+        state = SearchState(inst, mode, cluster=tuple(facts))
         ops = tuple(sorted(op.id for op in w.operators))
         stack = []  # (operator, ratio, trail length before its decision)
         for _ in range(steps):
@@ -295,21 +299,21 @@ class TestSearchState:
                 state.assign(op, gamma)
             else:
                 state.undo(stack.pop()[2])
-            fresh = SearchState(inst, mode, cluster=tuple(terms))
+            fresh = SearchState(inst, mode, cluster=tuple(facts))
             for op, gamma, _mark in stack:
                 fresh.assign(op, gamma)
             for table in cls.CARRIED:
                 assert getattr(state, table) == getattr(fresh, table), table
             decided = [i for i in ops if i in state.gamma]
             assert state.volumes == {
-                i: node_volumes(terms[i], state.gamma[i], state.gamma_sensor)
+                i: facts[i].volumes(state.gamma[i], state.gamma_sensor)
                 for i in decided
             }
             assert state.objective(ops) == total_objective(state, p, w, mode, ops=decided)
             if mode == "paper":
                 undecided = [j for j in ops if j not in state.gamma]
                 assert {j: state.floor[j] for j in undecided} == {
-                    j: node_volumes(terms[j], 1.0, state.gamma_sensor).total
+                    j: facts[j].volumes(1.0, state.gamma_sensor).total
                     for j in undecided
                 }
 
