@@ -218,13 +218,32 @@ class NodeRow(NamedTuple):
     home: bool
 
 
+def node_rows(w: Workload, p: Profile, i: OperatorId) -> tuple[NodeRow, ...]:
+    """Operator i's NodeRows, read in one pass over its sensors' profile
+    rows: one per node with wired sensors or home to it, nodes ascending."""
+    wired: dict[NodeId, tuple[list, list, list]] = {}
+    for s in w.operator(i).sensors:
+        k = w.topology.sensor_node.get(s)
+        if k is not None:
+            key = (i, s, k)
+            raws, cpu, mem = wired.setdefault(k, ([], [], []))
+            raws.append((s, p.data_raw.get(key, 0.0)))
+            cpu.append(p.cpu_edge.get(key, 0.0))
+            mem.append(p.mem_edge.get(key, 0.0))
+    homes = home_nodes(w, i)
+    rows = []
+    for k in sorted(wired.keys() | homes):
+        raws, cpu, mem = wired.get(k, ((), (), ()))
+        rows.append(NodeRow(k, tuple(raws), tuple(cpu), tuple(mem), k in homes))
+    return tuple(rows)
+
+
 @dataclass(frozen=True)
 class OpFacts:
-    """What pricing and the checks read of one operator, compiled in one
-    pass over its sensors' profile rows: a NodeRow per node with wired
-    sensors or home to the operator, nodes ascending. Edge cycles and bytes
-    fold at the edge share 1 - gamma (fold_at), the cloud cycles per own
-    sensor at gamma."""
+    """What pricing and the checks read of one operator, compiled once:
+    its node_rows, per-operator sizes and cloud cycles per own sensor. Edge
+    cycles and bytes fold at the edge share 1 - gamma (fold_at), the cloud
+    cycles at gamma."""
 
     spec: OperatorSpec
     rows: tuple[NodeRow, ...]
@@ -239,31 +258,16 @@ class OpFacts:
     @classmethod
     def build(cls, w: Workload, p: Profile, i: OperatorId) -> "OpFacts":
         op = w.operator(i)
-        cloud = []
-        wired: dict[NodeId, tuple[list, list, list]] = {}
-        for s in op.sensors:
-            cloud.append(p.cpu_cloud.get((i, s), 0.0))
-            k = w.topology.sensor_node.get(s)
-            if k is not None:
-                key = (i, s, k)
-                raws, cpu, mem = wired.setdefault(k, ([], [], []))
-                raws.append((s, p.data_raw.get(key, 0.0)))
-                cpu.append(p.cpu_edge.get(key, 0.0))
-                mem.append(p.mem_edge.get(key, 0.0))
-        homes = home_nodes(w, i)
-        rows = []
-        for k in sorted(wired.keys() | homes):
-            raws, cpu, mem = wired.get(k, ((), (), ()))
-            rows.append(NodeRow(k, tuple(raws), tuple(cpu), tuple(mem), k in homes))
+        rows = node_rows(w, p, i)
         return cls(
             spec=op,
-            rows=tuple(rows),
+            rows=rows,
             d_int=p.data_int.get(i, 0.0),
             d_res=p.data_res.get(i, 0.0),
-            cloud=tuple(cloud),
+            cloud=tuple(p.cpu_cloud.get((i, s), 0.0) for s in op.sensors),
             cpu_res=p.cpu_res.get(i, 0.0),
             t_req=effective_t_req(op, p),
-            nodes=frozenset(wired),
+            nodes=frozenset(r.node for r in rows if r.raws),
             forced_cloud=forced_cloud(w, i),
         )
 
@@ -453,13 +457,13 @@ class CostReport:
 def node_cpu(i: OperatorId, k: NodeId, a: Assignment, p: Profile, w: Workload) -> float:
     """Edge CPU cycles operator i occupies on node k: its node row there
     folded at its edge share."""
-    rows = OpFacts.build(w, p, i).rows
+    rows = node_rows(w, p, i)
     return fold_at((c for row in rows if row.node == k for c in row.cpu), 1.0 - a.gamma[i])
 
 
 def node_mem(i: OperatorId, k: NodeId, a: Assignment, p: Profile, w: Workload) -> float:
     """Edge memory bytes operator i occupies on node k (see node_cpu)."""
-    rows = OpFacts.build(w, p, i).rows
+    rows = node_rows(w, p, i)
     return fold_at((m for row in rows if row.node == k for m in row.mem), 1.0 - a.gamma[i])
 
 

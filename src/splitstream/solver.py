@@ -20,6 +20,21 @@ parent). A branch is pruned on the bound check only when it is strictly worse
 than the incumbent, so equal-objective leaves survive to the deterministic
 tie-break: smaller latency sum, then lexicographically smallest ratio vector
 in topological order.
+
+Fractional tail rule: once a fractional ratio (strictly between GAMMA_TOL
+and 1 - GAMMA_TOL, the class of feasibility._is_fractional and
+int_res_bytes) of an atom is bound-pruned, every larger fractional point of
+its ascending domain is pruned with it, and the search goes on with the next
+non-fractional point, 1 on every grid. At every fractional point the atom's own aggregate term is d_int
+and each composite derived with it takes the same ratio (1 when a dep is
+fractional, C8); raw_best does not depend on the ratio, and each sensor
+ratio max(old, gamma) only rises with it. So every term of the bound rises
+or stays, in floats too (see SearchState.bound), in both modes, and the
+larger point is cut as well. It also passes the resource check, which comes
+first, as every CPU and memory sum only falls as the edge share shrinks; and
+no point in between descends, so the incumbent stays. nodes_explored and
+the bound prunes count the grid points the search rules out, some of them
+in bulk, so they read as if each point were tried.
 """
 
 from __future__ import annotations
@@ -45,6 +60,7 @@ from .costs import (
     under_cap,
 )
 from .feasibility import (
+    _is_fractional,
     check_assignment,
     composite_gamma,
     forced_cloud,
@@ -333,6 +349,11 @@ def _solve_cluster(
     topo = [i for i in inst.order if i in members]
     atoms = [i for i in topo if inst.ops[i].spec.atomic]
     domains = [operator_domain(inst.w, i, grid) for i in atoms]
+    # Index just past each domain's fractional points, which are contiguous
+    # as a domain ascends.
+    frac_end = [
+        max((j + 1 for j, g in enumerate(d) if _is_fractional(g)), default=0) for d in domains
+    ]
 
     # Depth at which each composite becomes fully derived: one past its
     # deepest atomic ancestor. A composite shares its deps' cluster and
@@ -376,7 +397,11 @@ def _solve_cluster(
             leaf_eval()
             return
         mark = len(state.trail)
-        for gamma in domains[depth]:
+        domain = domains[depth]
+        j = 0
+        while j < len(domain):
+            gamma = domain[j]
+            j += 1
             stats["nodes_explored"] += 1
             state.assign(atoms[depth], gamma)
             propagate_depth(depth + 1)
@@ -386,6 +411,13 @@ def _solve_cluster(
             # win the tie-break.
             elif best[0] is not None and state.bound(cluster) > best[0][0]:
                 stats["prunes"]["bound"] += 1
+                if _is_fractional(gamma):
+                    # The fractional tail rule (module docstring): every
+                    # larger fractional point is cut here too.
+                    skipped = frac_end[depth] - j
+                    stats["nodes_explored"] += skipped
+                    stats["prunes"]["bound"] += skipped
+                    j = frac_end[depth]
             elif preflight_latency(state, mark) is not None:
                 stats["prunes"]["latency"] += 1
             else:

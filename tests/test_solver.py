@@ -21,8 +21,9 @@ from splitstream import (
     generate_reference_workload,
     solve,
 )
-from splitstream.costs import Instance, total_objective
-from splitstream.solver import SearchState
+from splitstream.costs import Instance, int_res_bytes, total_objective
+from splitstream.feasibility import _is_fractional, composite_gamma
+from splitstream.solver import SearchState, operator_domain
 
 from conftest import build_workload, capped_reference, random_instance
 
@@ -250,6 +251,25 @@ class TestContendedCounters:
         assert got == {op.id: want.get(op.id, 0.0) for op in w.operators}
 
 
+# The contended reference at delta = 0.1 in paper mode, where resource and
+# bound prunes meet the fractional tail rule: per caps the nodes explored,
+# prunes by kind and objective.
+_CONTENDED_TENTH = [
+    (0.9, 1471, (131, 1169, 0), 517972968.0),
+    (0.4, 23746, (12505, 9004, 0), 721781136.0),
+]
+
+
+@pytest.mark.parametrize("factor, nodes, prunes, objective", _CONTENDED_TENTH)
+def test_contended_counters_at_a_tenth(contended, factor, nodes, prunes, objective):
+    w, p = contended[factor]
+    sol = solve(w, p, SolverConfig(delta=0.1))
+    assert sol.feasible
+    assert sol.stats["nodes_explored"] == nodes
+    assert sol.stats["prunes"] == dict(zip(("resource", "bound", "latency"), prunes))
+    assert sol.objective_bytes == objective
+
+
 # Random instances at delta = 0.25 with every profile deadline scaled by a
 # factor, where the latency prune cuts branches (no contended row does): per
 # (seed, factor, mode) the nodes explored, prunes by kind, objective and
@@ -352,6 +372,58 @@ class TestPaperBound:
                 assert bound <= total_objective(a, p, w, "paper", ops=ops), f"seed {seed}"
                 checked += 1
         assert checked > 1_000
+
+
+class TestFractionalTail:
+    """The premise of the search's fractional tail rule: with everything
+    else fixed, raising a free splittable atom through its fractional grid
+    points, and deriving each composite whose deps are all decided, never
+    lowers the bound and never raises a node's CPU or memory sum. So once
+    one fractional point is bound-pruned, every larger one is too."""
+
+    @pytest.mark.parametrize("mode", ["paper", "dedup"])
+    def test_bound_rises_and_loads_fall_along_the_fractions(self, mode):
+        rng = random.Random(11)
+        grid = gamma_grid(0.1)
+        checked = 0
+        for seed in range(40):
+            w, p = random_instance(seed)
+            inst = Instance.build(w, p)
+            ops = tuple(sorted(op.id for op in w.operators))
+            splittable = [
+                i for i in ops
+                if inst.ops[i].spec.atomic and len(operator_domain(w, i, grid)) > 2
+            ]
+            if not splittable:
+                continue
+            atom = rng.choice(splittable)
+            state = SearchState(inst, mode, cluster=ops)
+            rest = [i for i in ops if i != atom]
+            for i in rng.sample(rest, rng.randint(0, len(rest))):
+                state.assign(i, rng.choice((0.0, 0.3, 0.5, 1.0)))
+            seen = []
+            for g in (g for g in grid if _is_fractional(g)):
+                mark = len(state.trail)
+                state.assign(atom, g)
+                for i in inst.order:
+                    deps = inst.ops[i].spec.deps
+                    if i not in state.gamma and deps and all(d in state.gamma for d in deps):
+                        dep_gammas = [state.gamma[d] for d in deps]
+                        state.assign(i, composite_gamma(inst.ops[i].forced_cloud, dep_gammas))
+                seen.append((state.bound(ops), dict(state.cpu_used), dict(state.mem_used)))
+                state.undo(mark)
+            for (b0, cpu0, mem0), (b1, cpu1, mem1) in zip(seen, seen[1:]):
+                assert b0 <= b1, f"seed {seed}"
+                for used0, used1 in ((cpu0, cpu1), (mem0, mem1)):
+                    for k in used0.keys() | used1.keys():
+                        assert used1.get(k, 0.0) <= used0.get(k, 0.0), f"seed {seed}, node {k}"
+                checked += 1
+        assert checked > 100
+
+    @pytest.mark.parametrize("delta", [0.25, 0.1, 1 / 3, 0.01])
+    def test_fractional_is_the_aggregate_class(self, delta):
+        for g in gamma_grid(delta):
+            assert _is_fractional(g) == (int_res_bytes(g, 1.0, 2.0) == 1.0), g
 
 
 class TestLatencyBound:
