@@ -512,11 +512,23 @@ def save_report(path: str, record) -> None:
     _replace_with(path, [canonical_json(record).encode("utf-8")])
 
 
+# Bytes of a file mapped at a time while it is hashed: a multiple of every
+# platform's mapping granularity. Mapping the whole file would leave all of
+# it resident in the process until the map closes.
+_HASH_WINDOW = 1 << 20
+
+
 def sha256_file(path: str) -> str:
+    """Hex sha256 of a file, hashed through read-only maps of it, one window
+    at a time, without copying. An empty file maps nothing and hashes as
+    b"" (a map of length 0 is refused)."""
     h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
+        size = os.fstat(fh.fileno()).st_size
+        for offset in range(0, size, _HASH_WINDOW):
+            length = min(_HASH_WINDOW, size - offset)
+            with mmap.mmap(fh.fileno(), length, offset=offset, access=mmap.ACCESS_READ) as window:
+                h.update(window)
     return h.hexdigest()
 
 

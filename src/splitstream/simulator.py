@@ -24,6 +24,14 @@ cost model:
   partial state when the cloud does. The cloud share starts once that
   frame (or the close, when the edge has no share), its inputs and its
   sensors' raw batches have landed.
+* A window's inputs have arrived at the site once the latest availability
+  there among the dependency emissions the window holds has passed (0 when
+  it holds none). That is an exact windowed max of the dependency's
+  availability series, which need not rise from one emission to the next.
+* The close, open and emission times, the second by which each close's raw
+  batches must land, and the emissions of a dependency that each window of
+  its consumer holds depend on window shapes alone, so a replay computes
+  them once per distinct shape and shares them read-only between operators.
 * Split windows are evaluated as a prefix/suffix split of the window's
   samples (edge aggregates the prefix share, the cloud folds in the rest),
   while the uplink traffic for the cloud share is modeled as the streamed
@@ -54,9 +62,9 @@ from .model import (
     GAMMA_TOL,
     REFERENCE_SAMPLE_RATE_HZ,
     REL_TOL,
-    FunctionKind,
     NodeId,
     OperatorId,
+    OperatorSpec,
     SensorId,
     Workload,
     check_positive,
@@ -65,7 +73,6 @@ from .model import (
     output_arity,
     state_length,
     topological_order,
-    transitive_sensors,
 )
 
 # ---------------------------------------------------------------------------
@@ -286,7 +293,10 @@ def _percentiles(latencies: np.ndarray) -> tuple[float, float, float, float]:
 
 def _deadline_misses(latency: np.ndarray, bound: float) -> int:
     """Windows whose latency fails le_with_tol(latency, bound), counted
-    elementwise with math.isclose's symmetric test (not np.isclose)."""
+    elementwise with math.isclose's symmetric test (not np.isclose). When
+    no latency exceeds the bound (a NaN max fails that test), none misses."""
+    if latency.max(initial=-math.inf) <= bound:
+        return 0
     with np.errstate(invalid="ignore", over="ignore"):
         diff = np.abs(bound - latency)
     close = np.isfinite(latency) & math.isfinite(bound) & (
@@ -295,11 +305,89 @@ def _deadline_misses(latency: np.ndarray, bound: float) -> int:
     return int(np.count_nonzero(~(close | (latency <= bound))))
 
 
-def _window_closes(window_s: float, step_s: float, duration: float) -> np.ndarray:
-    """Close times window_s + m * step_s of the windows inside the trace."""
-    count = max(0, math.floor((duration - window_s) / step_s) + 3)
-    closes = window_s + np.arange(count) * step_s
-    return closes[closes <= duration + 1e-9]
+def _window_max(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """max(x[lo[m]:hi[m]]) for each window m, or 0 for an empty window, as
+    eval_windows(MAX, [Channel(x, lo, hi)]) returns. Row k of a table of
+    doubling maxima holds the max of each x[i:i + 2**k], so a window of n
+    samples is the larger of the two row-k entries at its ends, for
+    k = floor(log2 n). max never rounds, so this is exact for any series.
+    np.maximum keeps its second argument of two equal values, so each
+    window keeps its first maximum, as Python's max does."""
+    n = hi - lo
+    out = np.zeros(len(n))
+    full = n > 0
+    if not full.any():
+        return out
+    n, lo, hi = n[full], lo[full], hi[full]
+    k = np.frexp(n)[1].astype(np.int64) - 1
+    table = np.zeros((int(k.max()) + 1, len(x)))
+    table[0] = x
+    for j in range(1, len(table)):
+        half = 1 << (j - 1)
+        size = len(x) - 2 * half + 1
+        np.maximum(table[j - 1, half:half + size], table[j - 1, :size], out=table[j, :size])
+    out[full] = np.maximum(table[k, hi - (1 << k)], table[k, lo])
+    return out
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only so that operators can share them."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+class _Schedules:
+    """The times of a replay that depend only on window shapes, computed once
+    per distinct shape and shared read-only by every operator that has it:
+    window closes and opens, and the whole second by which a close's raw
+    batches must land, per (window_s, step_s); emission times and the window
+    each repeats, per (window_s, step_s, freq_s); and the emissions of a
+    dependency inside each window of its consumer, per pair of those."""
+
+    def __init__(self, duration: float, n_seconds: int):
+        self.duration = duration
+        self.n_seconds = n_seconds
+        self._windows: dict[tuple[float, ...], tuple[np.ndarray, ...]] = {}
+        self._emissions: dict[tuple[float, ...], tuple[np.ndarray, ...]] = {}
+        self._spans: dict[tuple[float, ...], tuple[np.ndarray, ...]] = {}
+
+    def windows(self, op: OperatorSpec) -> tuple[np.ndarray, ...]:
+        """Close times window_s + m * step_s of the windows inside the trace,
+        their open times, and for each close the whole second whose raw
+        batches must have landed."""
+        key = op.window_s, op.step_s
+        if key not in self._windows:
+            count = max(0, math.floor((self.duration - op.window_s) / op.step_s) + 3)
+            t_close = op.window_s + np.arange(count) * op.step_s
+            t_close = t_close[t_close <= self.duration + 1e-9]
+            second = np.minimum(self.n_seconds, np.ceil(t_close - 1e-9).astype(np.int64))
+            self._windows[key] = _frozen(t_close, t_close - op.window_s, second)
+        return self._windows[key]
+
+    def emissions(self, op: OperatorSpec) -> tuple[np.ndarray, ...]:
+        """Emission times, every freq_s from the first close on, and the
+        index of the latest closed window each repeats."""
+        key = op.window_s, op.step_s, op.freq_s
+        if key not in self._emissions:
+            t_close = self.windows(op)[0]
+            emits = np.arange(1, max(0, math.floor(self.duration / op.freq_s) + 3)) * op.freq_s
+            emits = emits[emits <= self.duration + 1e-9]
+            w_idx = np.searchsorted(t_close, emits + 1e-9, side="left") - 1
+            self._emissions[key] = _frozen(emits[w_idx >= 0], w_idx[w_idx >= 0])
+        return self._emissions[key]
+
+    def span(self, dep: OperatorSpec, op: OperatorSpec) -> tuple[np.ndarray, ...]:
+        """Window m of op holds emissions dep_lo[m]:dep_hi[m] of dep."""
+        key = dep.window_s, dep.step_s, dep.freq_s, op.window_s, op.step_s
+        if key not in self._spans:
+            times = self.emissions(dep)[0]
+            t_close, t_open, _ = self.windows(op)
+            self._spans[key] = _frozen(
+                np.searchsorted(times, t_open + 1e-9, side="left"),
+                np.searchsorted(times, t_close + 1e-9, side="left"),
+            )
+        return self._spans[key]
 
 
 def run_sim(
@@ -355,6 +443,8 @@ def run_sim(
 
     per_op: dict[OperatorId, OpSimStats] = {}
     series: dict[OperatorId, _OpSeries] = {}
+    home: dict[OperatorId, set[NodeId]] = {}
+    times = _Schedules(duration, n_seconds)
 
     for op_id in topological_order(workload):
         op = workload.operator(op_id)
@@ -362,6 +452,8 @@ def run_sim(
         at_edge = gamma <= GAMMA_TOL
         at_cloud = gamma >= 1.0 - GAMMA_TOL
         stats = per_op[op_id] = OpSimStats(op_id, gamma, t_req_s=effective_t_req(op, profile))
+        # The nodes of the operator's sensors and its dependencies' sensors.
+        home[op_id] = {sensor_node[j] for j in op.sensors}.union(*(home[d] for d in op.deps))
 
         if op.window_s > duration + 1e-9:
             warnings.append(
@@ -379,8 +471,7 @@ def run_sim(
         n_channels = len(op.sensors) + sum(s.arity for s in dep_series)
         arity = output_arity(op.func, n_channels)
 
-        t_close = _window_closes(op.window_s, op.step_s, duration)
-        t_open = t_close - op.window_s
+        t_close, t_open, second = times.windows(op)
         n_windows = len(t_close)
 
         # Input channels, own sensors first, then dependency outputs; window
@@ -394,17 +485,20 @@ def run_sim(
                 x = trace.samples[j]
                 start = np.minimum(lo, len(x))
                 channels.append(Channel(x, start, np.clip(hi, start, len(x)), rate=rate))
+        # A window's inputs are in once the latest of the dependency
+        # emissions it holds is available.
         input_edge = np.zeros(n_windows)
         input_cloud = np.zeros(n_windows)
-        for s in dep_series:
-            dep_lo = np.searchsorted(s.times, t_open + 1e-9, side="left")
-            dep_hi = np.searchsorted(s.times, t_close + 1e-9, side="left")
+        for d, s in zip(op.deps, dep_series):
+            dep_lo, dep_hi = times.span(workload.operator(d), op)
             if frames is not None:
                 channels.extend(Channel(s.values[:, c], dep_lo, dep_hi, times=s.times)
                                 for c in range(s.arity))
-            for avail, latest in ((s.avail_edge, input_edge), (s.avail_cloud, input_cloud)):
-                window_max = eval_windows(FunctionKind.MAX, [Channel(avail, dep_lo, dep_hi)])[:, 0]
-                np.maximum(latest, window_max, out=latest)
+            latest = _window_max(s.avail_edge, dep_lo, dep_hi)
+            np.maximum(input_edge, latest, out=input_edge)
+            if s.avail_cloud is not s.avail_edge:
+                latest = _window_max(s.avail_cloud, dep_lo, dep_hi)
+            np.maximum(input_cloud, latest, out=input_cloud)
 
         values = states = None
         if frames is not None and (at_edge or at_cloud or not is_splittable(op.func)):
@@ -421,8 +515,7 @@ def run_sim(
                 profile.cpu_edge[(op_id, j, sensor_node[j])] / profile.cpu_unit_edge[sensor_node[j]]
                 for j in op.sensors
             ) * (1.0 - gamma)
-            home = {sensor_node[j] for j in transitive_sensors(workload, op_id)}
-            uplink_bw = (profile.bandwidth[min(home)] if home
+            uplink_bw = (profile.bandwidth[min(home[op_id])] if home[op_id]
                          else max(profile.bandwidth.values(), default=1.0))
             payload_len = arity if at_edge else state_length(op.func, n_channels, rate)
             avail_edge = np.maximum(t_close, input_edge) + edge_time
@@ -440,7 +533,6 @@ def run_sim(
         # raw batches of the operator's sensors (once per distinct schedule,
         # as sensors may share one) have landed.
         if not at_edge:
-            second = np.minimum(n_seconds, np.ceil(t_close - 1e-9).astype(np.int64))
             raw_in = np.zeros(n_windows)
             for ready in {id(r): r for r in (raw_ready[j] for j in op.sensors)}.values():
                 np.maximum(raw_in, ready[second], out=raw_in)
@@ -464,16 +556,17 @@ def run_sim(
          stats.latency_p95_s, stats.latency_max_s) = _percentiles(latency)
 
         # Emission series: every freq_s, repeating the latest closed window.
-        emits = np.arange(1, max(0, math.floor(duration / op.freq_s) + 3)) * op.freq_s
-        emits = emits[emits <= duration + 1e-9]
-        w_idx = np.searchsorted(t_close, emits + 1e-9, side="left") - 1
-        emits, w_idx = emits[w_idx >= 0], w_idx[w_idx >= 0]
+        # Where one share finishes the window last, the edge and the cloud
+        # get it at once and share one series.
+        emits, w_idx = times.emissions(op)
         stats.emissions = len(emits)
+        edge_series = np.maximum(emits, avail_edge[w_idx])
         series[op_id] = _OpSeries(
             times=emits,
             values=None if values is None else values[w_idx],
-            avail_edge=np.maximum(emits, avail_edge[w_idx]),
-            avail_cloud=np.maximum(emits, avail_cloud[w_idx]),
+            avail_edge=edge_series,
+            avail_cloud=(edge_series if avail_cloud is avail_edge
+                         else np.maximum(emits, avail_cloud[w_idx])),
             arity=arity,
         )
 

@@ -2,6 +2,7 @@
 
 import copy
 import functools
+import hashlib
 import json
 import math
 import operator
@@ -729,3 +730,17 @@ class TestReports:
         assert sha256_file(path) == (
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
         )
+
+    def test_an_empty_file_digests_as_no_bytes(self, tmp_path):
+        # A map of length 0 is refused, so an empty file maps nothing.
+        path = tmp_path / "empty.bin"
+        path.write_bytes(b"")
+        assert sha256_file(str(path)) == hashlib.sha256(b"").hexdigest() == (
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+        )
+
+    def test_a_multi_mib_file_digests_as_its_bytes(self, tmp_path):
+        # Five whole windows and a part of one.
+        path = tmp_path / "big.bin"
+        path.write_bytes(np.random.default_rng(5).bytes(5 * (1 << 20) + 12345))
+        assert sha256_file(str(path)) == hashlib.sha256(path.read_bytes()).hexdigest()

@@ -38,12 +38,15 @@ from splitstream import (
     save_trace,
     solve,
 )
+from splitstream import simulator
+from splitstream.functions import Channel, eval_windows
 from splitstream.simulator import (
     KIND_INTERMEDIATE,
     KIND_RAW,
     KIND_RESULT,
     _deadline_misses,
     _percentiles,
+    _window_max,
 )
 
 from conftest import (
@@ -206,6 +209,42 @@ class TestPercentiles:
             want = (x.mean(), *np.percentile(x, (50, 95)), x.max())
             got = _percentiles(x)
         assert packed(got) == packed(float(v) for v in want)
+
+
+@st.composite
+def series_and_windows(draw):
+    """A float series with ties, zeros of both signs and descents, and
+    windows lo[m]:hi[m] of it with lo and hi non-decreasing, some empty."""
+    x = draw(st.lists(st.one_of(
+        st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1.0, 2.0, -1.0, math.inf, -math.inf)),
+        st.floats(allow_nan=False),
+    ), max_size=70))
+    bound = st.integers(0, len(x))
+    pairs = draw(st.lists(st.tuples(bound, bound), max_size=40))
+    # Sorting the lower and the upper ends apart keeps each lo[m] <= hi[m].
+    lo = sorted(min(pair) for pair in pairs)
+    hi = sorted(max(pair) for pair in pairs)
+    return (np.array(x, dtype=np.float64), np.array(lo, dtype=np.int64),
+            np.array(hi, dtype=np.int64))
+
+
+class TestWindowMax:
+    """The latest input time of each window is an exact windowed max."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(series_and_windows())
+    @example((np.array([5.0, 4.0, 3.0, 2.0, 1.0, 0.5, 0.25]),
+              np.array([0, 0, 1, 2, 3, 7]), np.array([0, 3, 5, 7, 7, 7])))
+    @example((np.array([-0.0, 0.0, -0.0, 0.0, 0.0]), np.array([0, 1, 1, 2]), np.array([2, 3, 5, 5])))
+    @example((np.array([]), np.array([0, 0]), np.array([0, 0])))
+    def test_matches_python_max_and_eval_windows(self, case):
+        x, lo, hi = case
+        got = _window_max(x, lo, hi)
+        want = [max(x[a:b].tolist()) if b > a else 0.0 for a, b in zip(lo.tolist(), hi.tolist())]
+        assert packed(got.tolist()) == packed(want)
+        # numpy's max reduction may return either zero of a tie between
+        # -0.0 and 0.0, so eval_windows is matched by value.
+        assert np.array_equal(got, eval_windows(F.MAX, [Channel(x, lo, hi)])[:, 0])
 
 
 class TestReplayPin:
@@ -381,6 +420,88 @@ class TestFramesLeaveTheReport:
         bare = run_sim(w, p, a, trace)
         framed = run_sim(w, p, a, trace, collect_frames=True)
         assert report_fields(framed) == report_fields(bare)
+
+
+class TestDecreasingAvailability:
+    """An input whose availability falls from one emission to the next. Op 2
+    takes the last of op 1's 7 s emissions each second, and its 15 B/s link
+    makes op 1 late, so op 2's windows that hold an emission of op 1 are
+    available seconds after those that hold none. Op 3's inputs are in at the
+    latest availability among the emissions in its window, not at the last
+    emission's: taking the last gives op 3 a mean latency of 0.862 s. Pinned
+    at the replay that took that maximum through eval_windows(MAX)."""
+
+    FIELDS = ("windows", "emissions", "latency_mean_s", "latency_p50_s", "latency_p95_s",
+              "latency_max_s", "t_req_s", "t_req_violations")
+    PINNED = {
+        1: (42, 42, 6.466666910416664, 6.46666691041667, 6.466666910416677,
+            6.466666910416677, 41.06666693479168, 0),
+        2: (300, 300, 0.9053335237083301, 1.56249996052793e-07, 6.466667066666673,
+            6.466667066666673, 1.7187500000000002e-07, 42),
+        3: (30, 30, 3.366667222916658, 3.4666672229166604, 6.466667222916663,
+            6.466667222916669, 1.7187500000000002e-07, 30),
+    }
+
+    def test_matches_the_pinned_figures(self):
+        w = build_workload(
+            [
+                (1, (1,), (), F.MEAN, True, 7, 7, 7),
+                (2, (), (1,), F.LAST, True, 1, 1, 1),
+                (3, (), (2,), F.MAX, True, 10, 10, 10),
+            ],
+            {1: 1},
+        )
+        p = generate_profile(w, bandwidth_bps=15.0)
+        a = Assignment.from_op_gamma(w, {1: 1.0, 2: 1.0, 3: 1.0})
+        trace = generate_trace(StreamConfig(duration_s=300.0, sample_rate_hz=10.0, seed=1), [1])
+        rep = run_sim(w, p, a, trace)
+        for op, row in self.PINNED.items():
+            stats = rep.per_op[op]
+            assert tuple(getattr(stats, f) for f in self.FIELDS) == row, f"operator {op}"
+            assert (stats.int_frames, stats.res_frames) == (0, 0)
+        assert (rep.raw_payload_bytes, rep.total_wire_bytes, rep.warnings) == (24000, 29100, [])
+
+
+class TestNoWindowValuesWithoutFrames:
+    """Window values reach only frame payloads: a replay that collects no
+    frames evaluates no window function."""
+
+    @pytest.fixture
+    def refused(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a window function ran without frames")
+
+        monkeypatch.setattr(simulator, "eval_windows", refuse)
+        monkeypatch.setattr(simulator, "split_windows", refuse)
+
+    def test_reference(self, refused):
+        w = generate_reference_workload()
+        p = generate_profile(w)
+        wq, q = capped_reference(0.9)
+        trace = generate_trace(
+            StreamConfig(duration_s=600.0, sample_rate_hz=10.0, seed=11), w.sensors
+        )
+        placements = {
+            "co": (p, cloud_only(w, p).assignment),
+            "eo": (p, edge_only(w, p).assignment),
+            "cap90": (q, solve(wq, q, SolverConfig(delta=0.25)).assignment),
+        }
+        for pp, a in placements.values():
+            assert run_sim(w, pp, a, trace).frames is None
+        # The refusal is in place: collecting frames reaches it.
+        with pytest.raises(AssertionError, match="without frames"):
+            run_sim(w, p, placements["co"][1], trace, collect_frames=True)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_workloads(self, refused, seed):
+        rng = random.Random(seed)
+        w = random_workload(rng, max_ops=6)
+        p = random_profile(w, rng)
+        a = Assignment.from_op_gamma(
+            w, {op.id: rng.choice((0.0, 0.35, 1.0, rng.random())) for op in w.operators}
+        )
+        trace = generate_trace(StreamConfig(duration_s=30.0, sample_rate_hz=7.5, seed=seed), w.sensors)
+        assert run_sim(w, p, a, trace).frames is None
 
 
 class TestEmissions:
