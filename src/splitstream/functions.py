@@ -156,6 +156,14 @@ def _awd(mx: np.ndarray, my: np.ndarray) -> np.ndarray:
 # Monolithic evaluation (independent of the partial/merge machinery).
 
 
+def _first_at(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """x[r, idx[r]] for each row r. With argmax or argmin this is the row's
+    first extreme, as Python's max and min keep, so a tie of -0.0 and 0.0
+    gives the first zero, where numpy's max and min reductions may give
+    either; a row with NaN gives its first NaN, as they do."""
+    return np.take_along_axis(x, idx[:, None], axis=1)[:, 0]
+
+
 def _eval_channel(func: FunctionKind, x: np.ndarray, t: np.ndarray | None,
                   rate: float) -> np.ndarray:
     """Value of each row of x (windows x samples); t holds the sample times
@@ -168,15 +176,15 @@ def _eval_channel(func: FunctionKind, x: np.ndarray, t: np.ndarray | None,
     if func is F.MSQRT:
         return np.sqrt(np.square(x).mean(axis=1))
     if func is F.MAX:
-        return x.max(axis=1)
+        return _first_at(x, x.argmax(axis=1))
     if func is F.MIN:
-        return x.min(axis=1)
+        return _first_at(x, x.argmin(axis=1))
     if func is F.FIRST:
         return x[:, 0]
     if func is F.LAST:
         return x[:, -1]
     if func is F.RANGE:
-        return x.max(axis=1) - x.min(axis=1)
+        return _first_at(x, x.argmax(axis=1)) - _first_at(x, x.argmin(axis=1))
     if func is F.STD:
         return x.std(axis=1)
     if func is F.VAR:

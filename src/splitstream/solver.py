@@ -21,20 +21,42 @@ than the incumbent, so equal-objective leaves survive to the deterministic
 tie-break: smaller latency sum, then lexicographically smallest ratio vector
 in topological order.
 
-Fractional tail rule: once a fractional ratio (strictly between GAMMA_TOL
-and 1 - GAMMA_TOL, the class of feasibility._is_fractional and
-int_res_bytes) of an atom is bound-pruned, every larger fractional point of
-its ascending domain is pruned with it, and the search goes on with the next
-non-fractional point, 1 on every grid. At every fractional point the atom's own aggregate term is d_int
-and each composite derived with it takes the same ratio (1 when a dep is
-fractional, C8); raw_best does not depend on the ratio, and each sensor
-ratio max(old, gamma) only rises with it. So every term of the bound rises
-or stays, in floats too (see SearchState.bound), in both modes, and the
-larger point is cut as well. It also passes the resource check, which comes
-first, as every CPU and memory sum only falls as the edge share shrinks; and
-no point in between descends, so the incumbent stays. nodes_explored and
-the bound prunes count the grid points the search rules out, some of them
-in bulk, so they read as if each point were tried.
+The resource check reads only ratios and loads, so a branch is placed (its
+atom's ratio, the composites it completes and their node loads), checked
+against the caps on the nodes it loaded, and priced (sensor ratios, volumes,
+floors, raw maxima) only once it fits; every other node kept the sum that
+passed at the parent. A leaf is reached only through points that fit.
+
+Fractional prefix rule: the points of an atom's fractional run (its ratios
+strictly between GAMMA_TOL and 1 - GAMMA_TOL, the class of
+feasibility._is_fractional and int_res_bytes, contiguous as its domain
+ascends) that fail the resource check come first. Across the run each
+composite derived with the atom takes the same ratio (1 when a dep is
+fractional, C8, else the min of deps that do not change), so its loads stay;
+the atom's own loads fold its non-negative cycles and bytes at the edge
+share 1 - gamma, and products and sums of non-negative floats are monotone
+under rounding, so they only fall as gamma rises. Folded in the same
+placement order, every node's CPU and memory sum is non-increasing along the
+run, in floats too; and under_cap is monotone: a non-negative sum below one
+that stays under a cap, outside lt_strict's relative tolerance, is outside
+it as well. So once a fractional point fails, the first point of the run
+that fits is found by bisection over the rest. Ratio 1 lies outside the run:
+there a composite takes the min of its deps and can load the edge again.
+
+Fractional tail rule: once a fractional ratio of an atom is bound-pruned,
+every larger fractional point of its ascending domain is pruned with it, and
+the search goes on with the next non-fractional point, 1 on every grid. At
+every fractional point the atom's own aggregate term is d_int and each
+composite derived with it takes the same ratio; raw_best does not depend on
+the ratio, and each sensor ratio max(old, gamma) only rises with it. So
+every term of the bound rises or stays, in floats too (see
+SearchState.bound), in both modes, and the larger point is cut as well. By
+the prefix rule it also passes the resource check, which comes first; and no
+point in between descends, so the incumbent stays.
+
+nodes_explored and the resource and bound prunes count the grid points the
+search rules out, some of them in bulk, so they read as if each point were
+tried.
 """
 
 from __future__ import annotations
@@ -42,6 +64,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 from .costs import (
@@ -182,7 +205,9 @@ class SearchState:
     reader of their sensors; `readers` lists, per sensor, the operators
     whose volumes read its ratio. Everything static, each operator's node
     rows among it, is read from `inst`; a decision adds one CPU and one
-    memory entry per loaded node.
+    memory entry per loaded node, folded once per (operator, ratio) into
+    `loads`. A decision is placed (ratio and loads, all the resource check
+    reads), then priced (everything else); assign does both.
     """
 
     inst: Instance
@@ -196,11 +221,13 @@ class SearchState:
     raw_best: dict[tuple[SensorId, NodeId], float] = field(default_factory=dict)
     readers: dict[SensorId, list[OperatorId]] = field(init=False, repr=False)
     floor: dict[OperatorId, float] = field(init=False, repr=False)
+    loads: dict[tuple[OperatorId, float], list[tuple]] = field(init=False, repr=False)
     trail: list[tuple] = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.readers = {}
         self.floor = {}
+        self.loads = {}
         for i in self.cluster:
             facts = self.inst.ops[i]
             self.floor[i] = facts.volumes(1.0, self.gamma_sensor).total
@@ -208,48 +235,74 @@ class SearchState:
                 for s, _raw in row.raws:
                     self.readers.setdefault(s, []).append(i)
 
-    def assign(self, op_id: OperatorId, gamma: float) -> None:
-        """Record one decided operator.
+    def place(self, op_id: OperatorId, gamma: float) -> None:
+        """Record one decided operator's ratio and node loads, all the
+        resource check reads; price does the rest.
 
-        Volumes are recomputed for this operator and for every decided
-        operator reading a sensor whose ratio this decision raised; in paper
-        mode the floors of the undecided readers are refreshed too. Every
-        entry written is first logged on `trail` as (table, key, previous
-        value or None when absent), for undo.
+        Each entry written is first logged on `trail` as (table, key,
+        previous value or None when absent), for undo. The loads are the
+        operator's node rows folded at its edge share, once per (operator,
+        ratio) in `loads`; a fold is pure, so the sums equal fresh folds.
         """
-        facts = self.inst.ops[op_id]
         trail = self.trail
         trail.append((self.gamma, op_id, self.gamma.get(op_id)))
         self.gamma[op_id] = gamma
-        stale = {op_id}
-        for s in facts.spec.sensors:
-            old = self.gamma_sensor.get(s)
-            if gamma > (old or 0.0):
-                trail.append((self.gamma_sensor, s, old))
-                self.gamma_sensor[s] = gamma
-                stale.update(self.readers.get(s, ()))
+        loads = self.loads.get((op_id, gamma))
+        if loads is None:
+            share = 1.0 - gamma
+            loads = self.loads[op_id, gamma] = []
+            for k, _raws, cycles, nbytes, _home in self.inst.ops[op_id].rows:
+                for table, load in ((self.cpu_used, fold_at(cycles, share)),
+                                    (self.mem_used, fold_at(nbytes, share))):
+                    if load:
+                        loads.append((table, k, load))
+        for table, k, load in loads:
+            old = table.get(k)
+            trail.append((table, k, old))
+            table[k] = (old or 0.0) + load
+
+    def price(self, placed: Sequence[OperatorId]) -> None:
+        """Price the placed operators, logging on `trail` as place does.
+
+        Each raises its sensors' ratios to its own. Volumes are then
+        recomputed for the placed operators and for every decided operator
+        reading a raised sensor; in paper mode the floors of the undecided
+        readers are refreshed too, and in dedup mode the placed operators'
+        raw sizes enter `raw_best`. Each is a pure function of the final
+        ratios, so pricing several placements at once gives the values of
+        pricing after each.
+        """
+        trail, facts, ratio, sensor_ratio = self.trail, self.inst.ops, self.gamma, self.gamma_sensor
+        stale = set(placed)
+        for i in placed:
+            gamma = ratio[i]
+            for s in facts[i].spec.sensors:
+                old = sensor_ratio.get(s)
+                if gamma > (old or 0.0):
+                    trail.append((sensor_ratio, s, old))
+                    sensor_ratio[s] = gamma
+                    stale.update(self.readers.get(s, ()))
+        volumes, floor, paper = self.volumes, self.floor, self.mode == "paper"
         for j in stale:
-            if j in self.gamma:
-                trail.append((self.volumes, j, self.volumes.get(j)))
-                self.volumes[j] = self.inst.ops[j].volumes(self.gamma[j], self.gamma_sensor)
-            elif self.mode == "paper":
-                trail.append((self.floor, j, self.floor[j]))
-                self.floor[j] = self.inst.ops[j].volumes(1.0, self.gamma_sensor).total
+            if j in ratio:
+                trail.append((volumes, j, volumes.get(j)))
+                volumes[j] = facts[j].volumes(ratio[j], sensor_ratio)
+            elif paper:
+                trail.append((floor, j, floor[j]))
+                floor[j] = facts[j].volumes(1.0, sensor_ratio).total
         if self.mode == "dedup":
-            for k, raws, _cpu, _mem, _home in facts.rows:
-                for s, raw in raws:
-                    old = self.raw_best.get((s, k))
-                    if raw > (old or 0.0):
-                        trail.append((self.raw_best, (s, k), old))
-                        self.raw_best[(s, k)] = raw
-        share = 1.0 - gamma
-        cpu, mem = self.cpu_used, self.mem_used
-        for k, _raws, cycles, nbytes, _home in facts.rows:
-            for table, load in ((cpu, fold_at(cycles, share)), (mem, fold_at(nbytes, share))):
-                if load:
-                    old = table.get(k)
-                    trail.append((table, k, old))
-                    table[k] = (old or 0.0) + load
+            for i in placed:
+                for k, raws, _cpu, _mem, _home in facts[i].rows:
+                    for s, raw in raws:
+                        old = self.raw_best.get((s, k))
+                        if raw > (old or 0.0):
+                            trail.append((self.raw_best, (s, k), old))
+                            self.raw_best[(s, k)] = raw
+
+    def assign(self, op_id: OperatorId, gamma: float) -> None:
+        """Record and price one decided operator: place, then price."""
+        self.place(op_id, gamma)
+        self.price((op_id,))
 
     def undo(self, mark: int) -> None:
         """Restore, newest first, every entry logged since the trail held
@@ -299,13 +352,20 @@ class SearchState:
         return total
 
 
-def preflight_resource(state: SearchState) -> NodeId | None:
-    """First node whose partial CPU or memory sum already meets its cap."""
+def preflight_resource(state: SearchState, mark: int = 0) -> NodeId | None:
+    """First node whose CPU or memory sum, written since the trail held
+    `mark` entries, already meets its cap. A node not written since then
+    holds the sum that passed at the parent node, so only the written ones
+    are checked; from mark 0, a state built empty checks every loaded node.
+    """
     p = state.inst.p
-    for used, caps in ((state.cpu_used, p.cpu_cap), (state.mem_used, p.mem_cap)):
-        for k, x in used.items():
-            if not under_cap(x, caps.get(k)):
+    cpu, mem = state.cpu_used, state.mem_used
+    for table, k, _old in state.trail[mark:]:
+        if table is cpu:
+            if not under_cap(cpu[k], p.cpu_cap.get(k)):
                 return k
+        elif table is mem and not under_cap(mem[k], p.mem_cap.get(k)):
+            return k
     return None
 
 
@@ -330,6 +390,18 @@ def preflight_latency(state: SearchState, mark: int) -> OperatorId | None:
         if not facts.meets_deadline(te + tt + tc):
             return i
     return None
+
+
+def first_fit(fits: Callable[[int], bool], lo: int, hi: int) -> int:
+    """The first index in [lo, hi) where `fits` holds, or hi, by bisection;
+    `fits` must hold at every index after one where it holds."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 class _BudgetExceeded(Exception):
@@ -370,8 +442,6 @@ def _solve_cluster(
     best: list = [None]  # [ (objective, latency_sum, gamma_vector, gamma_dict) ]
 
     def leaf_eval() -> None:
-        if preflight_resource(state) is not None:
-            return
         totals: dict[OperatorId, float] = {}
         rows = latency_rows(inst, state, state.volumes, topo)
         for i, _te, _tt, _tw, _tc, t in rows:
@@ -384,16 +454,27 @@ def _solve_cluster(
         if best[0] is None or candidate < best[0][:3]:
             best[0] = (*candidate, dict(state.gamma))
 
-    def propagate_depth(depth: int) -> None:
-        for i in comp_at.get(depth, ()):
+    # The operators each depth places: its atom and the composites it completes.
+    placed_at = [(i, *comp_at.get(d + 1, ())) for d, i in enumerate(atoms)]
+
+    def place(depth: int, gamma: float) -> None:
+        state.place(atoms[depth], gamma)
+        for i in comp_at.get(depth + 1, ()):
             facts = inst.ops[i]
             dep_gammas = [state.gamma[d] for d in facts.spec.deps]
-            state.assign(i, composite_gamma(facts.forced_cloud, dep_gammas))
+            state.place(i, composite_gamma(facts.forced_cloud, dep_gammas))
+
+    def fits(depth: int, gamma: float, mark: int) -> bool:
+        place(depth, gamma)
+        ok = preflight_resource(state, mark) is None
+        state.undo(mark)
+        return ok
 
     def descend(depth: int) -> None:
         if deadline is not None and time.monotonic() > deadline:
             raise _BudgetExceeded
         if depth == len(atoms):
+            # Every point on the way down passed the caps.
             leaf_eval()
             return
         mark = len(state.trail)
@@ -403,13 +484,22 @@ def _solve_cluster(
             gamma = domain[j]
             j += 1
             stats["nodes_explored"] += 1
-            state.assign(atoms[depth], gamma)
-            propagate_depth(depth + 1)
-            if preflight_resource(state) is not None:
+            place(depth, gamma)
+            if preflight_resource(state, mark) is not None:
+                state.undo(mark)
                 stats["prunes"]["resource"] += 1
+                if _is_fractional(gamma):
+                    # The fractional prefix rule (module docstring): the
+                    # points before the first that fits fail too.
+                    fit = first_fit(lambda k: fits(depth, domain[k], mark), j, frac_end[depth])
+                    stats["nodes_explored"] += fit - j
+                    stats["prunes"]["resource"] += fit - j
+                    j = fit
+                continue
+            state.price(placed_at[depth])
             # Only a strictly worse partial is cut: an equal one may still
             # win the tie-break.
-            elif best[0] is not None and state.bound(cluster) > best[0][0]:
+            if best[0] is not None and state.bound(cluster) > best[0][0]:
                 stats["prunes"]["bound"] += 1
                 if _is_fractional(gamma):
                     # The fractional tail rule (module docstring): every
@@ -425,10 +515,11 @@ def _solve_cluster(
             state.undo(mark)
 
     # Cloud-only incumbent: a feasible all-ones leaf seeds the bound check.
-    for d, i in enumerate(atoms):
-        state.assign(i, 1.0)
-        propagate_depth(d + 1)
-    leaf_eval()
+    for d in range(len(atoms)):
+        place(d, 1.0)
+    if preflight_resource(state) is None:
+        state.price([i for ops in placed_at for i in ops])
+        leaf_eval()
     state.undo(0)
     descend(0)
 

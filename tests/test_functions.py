@@ -189,6 +189,25 @@ class TestMonolithic:
         assert eval_function(F.COV, [empty, empty]).tolist() == [0.0]
         assert eval_function(F.MEAN, []).shape == (0,)
 
+    def test_extremes_keep_the_first_of_tied_zeros(self):
+        # Python's max and min keep the first of equal values, so a window
+        # whose extreme ties -0.0 and 0.0 has one answer, sign included.
+        rng = np.random.default_rng(3)
+        zeros = np.where(rng.random((2_000, 9)) < 0.5, -0.0, 0.0)
+        zeros[:, 4] = rng.choice([-1.0, 1.0, 0.0], size=len(zeros))
+        rows = np.concatenate([zeros, rng.normal(size=(500, 9))])
+        rows[-20:, 3] = np.nan
+        lo = np.arange(len(rows)) * rows.shape[1]
+        channel = Channel(rows.ravel(), lo, lo + rows.shape[1])
+        got = {f: eval_windows(f, [channel])[:, 0] for f in (F.MAX, F.MIN, F.RANGE)}
+        for r, row in enumerate(rows[:len(zeros)].tolist()):
+            for f, want in ((F.MAX, max(row)), (F.MIN, min(row)), (F.RANGE, max(row) - min(row))):
+                assert got[f][r] == want and math.copysign(1.0, got[f][r]) == math.copysign(1.0, want)
+        # By value, NaN included: the first NaN, as numpy's reductions give.
+        np.testing.assert_array_equal(got[F.MAX], rows.max(axis=1))
+        np.testing.assert_array_equal(got[F.MIN], rows.min(axis=1))
+        np.testing.assert_array_equal(got[F.RANGE], rows.max(axis=1) - rows.min(axis=1))
+
     def test_filter_averages_five_samples_and_disp_has_no_baseline(self):
         x = np.arange(10, dtype=float)
         assert eval_function(F.FILTER, [x])[0] == pytest.approx(7.0)

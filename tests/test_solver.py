@@ -23,7 +23,7 @@ from splitstream import (
 )
 from splitstream.costs import Instance, int_res_bytes, total_objective
 from splitstream.feasibility import _is_fractional, composite_gamma
-from splitstream.solver import SearchState, operator_domain
+from splitstream.solver import SearchState, first_fit, operator_domain, preflight_resource
 
 from conftest import build_workload, capped_reference, random_instance
 
@@ -420,6 +420,74 @@ class TestFractionalTail:
                 checked += 1
         assert checked > 100
 
+    @pytest.mark.parametrize("mode", ["paper", "dedup"])
+    def test_points_that_fail_the_caps_come_first(self, mode):
+        # The premise of the fractional prefix rule: placed along the
+        # fractions with their derived composites, no node's sum rises, so
+        # under any caps the points that fail the resource check precede
+        # those that pass and bisection finds the first that passes.
+        rng = random.Random(17)
+        fractions = [g for g in gamma_grid(0.1) if _is_fractional(g)]
+        checked = 0
+        for seed in range(40):
+            w, p = random_instance(seed)
+            ops = tuple(sorted(op.id for op in w.operators))
+            inst = Instance.build(w, p)
+            splittable = [
+                i for i in ops
+                if inst.ops[i].spec.atomic and len(operator_domain(w, i, gamma_grid(0.1))) > 2
+            ]
+            if not splittable:
+                continue
+            atom = rng.choice(splittable)
+            rest = [i for i in ops if i != atom]
+            decided = [(i, rng.choice((0.0, 0.3, 0.5, 1.0)))
+                       for i in rng.sample(rest, rng.randint(0, len(rest)))]
+
+            def partial(inst):
+                state = SearchState(inst, mode, cluster=ops)
+                for i, g in decided:
+                    state.assign(i, g)
+                return state, len(state.trail)
+
+            def place(state, g):
+                state.place(atom, g)
+                for i in inst.order:
+                    deps = inst.ops[i].spec.deps
+                    if i not in state.gamma and deps and all(d in state.gamma for d in deps):
+                        dep_gammas = [state.gamma[d] for d in deps]
+                        state.place(i, composite_gamma(inst.ops[i].forced_cloud, dep_gammas))
+
+            state, mark = partial(inst)
+            seen = []
+            for g in fractions:
+                place(state, g)
+                seen.append((dict(state.cpu_used), dict(state.mem_used)))
+                state.undo(mark)
+            for (cpu0, mem0), (cpu1, mem1) in zip(seen, seen[1:]):
+                for used0, used1 in ((cpu0, cpu1), (mem0, mem1)):
+                    for k in used0.keys() | used1.keys():
+                        assert used1.get(k, 0.0) <= used0.get(k, 0.0), f"seed {seed}, node {k}"
+            for _ in range(5):
+                caps = [{}, {}]
+                for table, used in zip(caps, zip(*seen)):
+                    for k in set().union(*used):
+                        sums = [u.get(k, 0.0) for u in used]
+                        table[k] = rng.uniform(0.9 * min(sums), 1.1 * max(sums))
+                state, mark = partial(Instance.build(w, dataclasses.replace(
+                    p, cpu_cap={**p.cpu_cap, **caps[0]}, mem_cap={**p.mem_cap, **caps[1]})))
+
+                def fits(j):
+                    place(state, fractions[j])
+                    ok = preflight_resource(state, mark) is None
+                    state.undo(mark)
+                    return ok
+
+                linear = next((j for j in range(len(fractions)) if fits(j)), len(fractions))
+                assert first_fit(fits, 0, len(fractions)) == linear, f"seed {seed}"
+                checked += 0 < linear < len(fractions)
+        assert checked > 100
+
     @pytest.mark.parametrize("delta", [0.25, 0.1, 1 / 3, 0.01])
     def test_fractional_is_the_aggregate_class(self, delta):
         for g in gamma_grid(delta):
@@ -464,6 +532,9 @@ class TestFineGridOptimum:
         sol = solve(w, p, SolverConfig(delta=0.05))
         assert sol.feasible
         assert sol.objective_bytes == 500928448.0
+        # The search effort, where the fractional prefix rule cuts.
+        assert sol.stats["nodes_explored"] == 5534
+        assert sol.stats["prunes"] == {"resource": 482, "bound": 4747, "latency": 0}
         want = {
             **dict.fromkeys((49, 50, 51, 52), 0.05),
             **dict.fromkeys((2, 4), 0.1),
