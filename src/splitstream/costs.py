@@ -13,7 +13,7 @@ only when gamma > 0. (The source formulas swap the two scalings.)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .model import (
@@ -254,12 +254,17 @@ class OpFacts:
     t_req: float | None
     nodes: frozenset[NodeId]
     forced_cloud: bool
+    may_miss: bool
 
     @classmethod
     def build(cls, w: Workload, p: Profile, i: OperatorId) -> "OpFacts":
+        """Compile operator i. may_miss is False when the deadline holds the
+        sum of latency_terms' terms each at its worst, which no ratio or
+        sensor ratios exceed, in floats too: edge at ratio 0, cloud at ratio
+        1, transfer at sensor ratios 1 and the larger of d_int and d_res."""
         op = w.operator(i)
         rows = node_rows(w, p, i)
-        return cls(
+        facts = cls(
             spec=op,
             rows=rows,
             d_int=p.data_int.get(i, 0.0),
@@ -269,7 +274,16 @@ class OpFacts:
             t_req=effective_t_req(op, p),
             nodes=frozenset(r.node for r in rows if r.raws),
             forced_cloud=forced_cloud(w, i),
+            may_miss=False,
         )
+        if facts.t_req is None:
+            return facts
+        ones = dict.fromkeys(op.sensors, 1.0)
+        # Ratio 0 uplinks d_res at home, a fractional ratio d_int.
+        by_node = facts.volumes(0.0 if facts.d_res >= facts.d_int else 0.5, ones).by_node
+        t_edge, t_trans, _ = facts.latency_terms(0.0, by_node, p)
+        worst = t_edge + t_trans + facts.latency_terms(1.0, (), p)[2]
+        return facts if worst <= facts.t_req else replace(facts, may_miss=True)
 
     def volumes(self, gamma: float, gamma_sensor: Mapping[SensorId, float]) -> OpVolumes:
         """Bytes uplinked per window, per node and in total.
@@ -293,6 +307,17 @@ class OpFacts:
             by_node.append((k, vol))
             total += vol
         return OpVolumes(total, tuple(by_node))
+
+    def raw_bytes(self, gamma_sensor: Mapping[SensorId, float]) -> float:
+        """volumes(1.0, gamma_sensor).total, bit for bit: at ratio 1 only the
+        raw sizes count, folded row by row in volumes' order."""
+        total = 0.0
+        for row in self.rows:
+            vol = 0.0
+            for s, raw in row.raws:
+                vol += raw * gamma_sensor.get(s, 0.0)
+            total += vol
+        return total
 
     def latency_terms(
         self, gamma: float, by_node: Iterable[tuple[NodeId, float]], p: Profile

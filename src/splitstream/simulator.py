@@ -78,6 +78,9 @@ from .model import (
 # ---------------------------------------------------------------------------
 # Synthetic traces.
 
+# The most samples a generated trace may hold over all sensors (2 GiB).
+TRACE_SAMPLE_CAP = 2**28
+
 
 @dataclass(frozen=True)
 class StreamConfig:
@@ -113,12 +116,17 @@ def generate_trace(config: StreamConfig, sensors) -> Trace:
     """Deterministic per-sensor streams, each a sinusoid plus Gaussian noise
     whose offset, amplitude, period, phase and noise level are drawn from
     the sensor's own seed, so traces are stable under any sensor ordering.
-    Raises ValueError for a sensor id that a trace file's unsigned 32-bit id
+    Raises ValueError, before allocating, for a trace over TRACE_SAMPLE_CAP
+    samples, and for a sensor id that a trace file's unsigned 32-bit id
     field cannot hold."""
     n = sample_count(config.duration_s, config.sample_rate_hz)
+    sensors = sorted(sensors)
+    if n * len(sensors) > TRACE_SAMPLE_CAP:
+        raise ValueError(f"{len(sensors)} sensors x {n} samples is over the trace cap of "
+                         f"{TRACE_SAMPLE_CAP} samples")
     t = np.arange(n, dtype=np.float64) / config.sample_rate_hz
     samples: dict[SensorId, np.ndarray] = {}
-    for sid in sorted(sensors):
+    for sid in sensors:
         check_trace_sensor(sid)
         rng = np.random.default_rng([config.seed, sid])
         offset = rng.uniform(-5.0, 5.0)

@@ -15,9 +15,11 @@ sums, from each operator's static load rows, against capacity), incumbent
 bound (against the best complete solution; in paper mode the decided
 operators' bytes plus a carried floor for each undecided one, see
 SearchState.bound), latency (deadline check on a lower bound of the total of
-each operator the branch's decisions changed; the others passed at the
-parent). A branch is pruned on the bound check only when it is strictly worse
-than the incumbent, so equal-objective leaves survive to the deterministic
+each operator the branch's decisions changed that can miss it at all,
+OpFacts.may_miss; the others passed at the parent or pass at every ratio,
+and a cluster without such an operator skips it). A branch is pruned on the
+bound check only when it is strictly worse than the incumbent, so
+equal-objective leaves survive to the deterministic
 tie-break: smaller latency sum, then lexicographically smallest ratio vector
 in topological order.
 
@@ -39,9 +41,11 @@ under rounding, so they only fall as gamma rises. Folded in the same
 placement order, every node's CPU and memory sum is non-increasing along the
 run, in floats too; and under_cap is monotone: a non-negative sum below one
 that stays under a cap, outside lt_strict's relative tolerance, is outside
-it as well. So once a fractional point fails, the first point of the run
-that fits is found by bisection over the rest. Ratio 1 lies outside the run:
-there a composite takes the min of its deps and can load the edge again.
+it as well. So once a fractional point fails, first_fit finds the first
+point of the run that fits, probing first where this depth found it last
+in the cluster, and that point is priced without a second check. Ratio 1
+lies outside the run: there a composite takes the min of its deps and can
+load the edge again.
 
 Fractional tail rule: once a fractional ratio of an atom is bound-pruned,
 every larger fractional point of its ascending domain is pruned with it, and
@@ -230,7 +234,7 @@ class SearchState:
         self.loads = {}
         for i in self.cluster:
             facts = self.inst.ops[i]
-            self.floor[i] = facts.volumes(1.0, self.gamma_sensor).total
+            self.floor[i] = facts.raw_bytes(self.gamma_sensor)
             for row in facts.rows:
                 for s, _raw in row.raws:
                     self.readers.setdefault(s, []).append(i)
@@ -289,7 +293,7 @@ class SearchState:
                 volumes[j] = facts[j].volumes(ratio[j], sensor_ratio)
             elif paper:
                 trail.append((floor, j, floor[j]))
-                floor[j] = facts[j].volumes(1.0, sensor_ratio).total
+                floor[j] = facts[j].raw_bytes(sensor_ratio)
         if self.mode == "dedup":
             for i in placed:
                 for k, raws, _cpu, _mem, _home in facts[i].rows:
@@ -371,7 +375,8 @@ def preflight_resource(state: SearchState, mark: int = 0) -> NodeId | None:
 
 def preflight_latency(state: SearchState, mark: int) -> OperatorId | None:
     """First operator changed since the trail held `mark` entries whose
-    latency lower bound misses its deadline.
+    latency lower bound misses its deadline; operators that cannot miss it
+    at any ratio (OpFacts.may_miss false) are passed over.
 
     The bound is the sum of its latency_terms under the carried volumes. It
     leaves out the wait, which can shrink as later decisions raise the
@@ -386,15 +391,41 @@ def preflight_latency(state: SearchState, mark: int) -> OperatorId | None:
     changed = dict.fromkeys(key for table, key, _ in state.trail[mark:] if table is volumes)
     for i in changed:
         facts = state.inst.ops[i]
+        if not facts.may_miss:
+            continue
         te, tt, tc = facts.latency_terms(state.gamma[i], volumes[i].by_node, state.inst.p)
         if not facts.meets_deadline(te + tt + tc):
             return i
     return None
 
 
-def first_fit(fits: Callable[[int], bool], lo: int, hi: int) -> int:
-    """The first index in [lo, hi) where `fits` holds, or hi, by bisection;
-    `fits` must hold at every index after one where it holds."""
+def first_fit(fits: Callable[[int], bool], lo: int, hi: int, hint: int | None = None) -> int:
+    """The first index in [lo, hi) where `fits` holds, or hi; `fits` must
+    hold at every index after one where it holds. The first probe goes at
+    `hint` (lo by default), moved into [lo, hi); the search then gallops
+    away from it in doubling steps and bisects the bracket it finds. Every
+    probe lies in [lo, hi), an index below hi is returned only once probed,
+    and a hint that is the answer costs at most two probes."""
+    if lo >= hi:
+        return lo
+    probe = min(max(lo if hint is None else hint, lo), hi - 1)
+    step = 1
+    if fits(probe):
+        hi = probe
+        while lo < hi:
+            probe = max(lo, hi - step)
+            if not fits(probe):
+                lo = probe + 1
+                break
+            hi, step = probe, 2 * step
+    else:
+        lo = probe + 1
+        while lo < hi:
+            probe = min(hi - 1, lo + step - 1)
+            if fits(probe):
+                hi = probe
+                break
+            lo, step = probe + 1, 2 * step
     while lo < hi:
         mid = (lo + hi) // 2
         if fits(mid):
@@ -422,10 +453,14 @@ def _solve_cluster(
     atoms = [i for i in topo if inst.ops[i].spec.atomic]
     domains = [operator_domain(inst.w, i, grid) for i in atoms]
     # Index just past each domain's fractional points, which are contiguous
-    # as a domain ascends.
-    frac_end = [
-        max((j + 1 for j, g in enumerate(d) if _is_fractional(g)), default=0) for d in domains
-    ]
+    # as a domain ascends; found once per distinct domain.
+    ends = {d: max((j + 1 for j, g in enumerate(d) if _is_fractional(g)), default=0)
+            for d in set(domains)}
+    frac_end = [ends[d] for d in domains]
+    # Per depth, the first fitting fractional point found last: sibling
+    # subtrees mostly load the same nodes, so it is the next first probe.
+    hints: list[int | None] = [None] * len(atoms)
+    check_latency = any(inst.ops[i].may_miss for i in cluster)
 
     # Depth at which each composite becomes fully derived: one past its
     # deepest atomic ancestor. A composite shares its deps' cluster and
@@ -488,14 +523,23 @@ def _solve_cluster(
             if preflight_resource(state, mark) is not None:
                 state.undo(mark)
                 stats["prunes"]["resource"] += 1
-                if _is_fractional(gamma):
-                    # The fractional prefix rule (module docstring): the
-                    # points before the first that fits fail too.
-                    fit = first_fit(lambda k: fits(depth, domain[k], mark), j, frac_end[depth])
-                    stats["nodes_explored"] += fit - j
-                    stats["prunes"]["resource"] += fit - j
-                    j = fit
-                continue
+                if not _is_fractional(gamma):
+                    continue
+                # The fractional prefix rule (module docstring): the points
+                # before the first that fits fail too.
+                fit = first_fit(
+                    lambda k: fits(depth, domain[k], mark), j, frac_end[depth], hints[depth]
+                )
+                hints[depth] = fit
+                stats["nodes_explored"] += fit - j
+                stats["prunes"]["resource"] += fit - j
+                j = fit
+                if j == frac_end[depth]:
+                    continue
+                # first_fit checked the found point: place it unchecked.
+                gamma, j = domain[j], j + 1
+                stats["nodes_explored"] += 1
+                place(depth, gamma)
             state.price(placed_at[depth])
             # Only a strictly worse partial is cut: an equal one may still
             # win the tie-break.
@@ -508,7 +552,7 @@ def _solve_cluster(
                     stats["nodes_explored"] += skipped
                     stats["prunes"]["bound"] += skipped
                     j = frac_end[depth]
-            elif preflight_latency(state, mark) is not None:
+            elif check_latency and preflight_latency(state, mark) is not None:
                 stats["prunes"]["latency"] += 1
             else:
                 descend(depth + 1)

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,11 +18,13 @@ from splitstream import (
     generate_profile,
     is_splittable,
     load_profile,
+    load_trace,
     load_workload,
     save_trace,
 )
 from splitstream.cli import main
 from splitstream.fileio import _TRACE_HEADER, _TRACE_SENSOR, dumps_profile, sha256_file
+from splitstream.simulator import TRACE_SAMPLE_CAP
 
 from conftest import build_workload
 
@@ -63,6 +66,24 @@ FIGURE = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1.8e308, 1.0]),
 )
 SIGNED = st.tuples(FIGURE, st.booleans()).map(lambda s: -s[0] if s[1] else s[0])
+
+
+def _timebase(samples):
+    # A duration from 1e-320 to 1e308 and a rate of 10 ** samples over it,
+    # which is 0 or inf where the quotient leaves the floats.
+    return st.tuples(st.floats(-320.0, 308.0), samples).map(
+        lambda e: (10.0 ** e[0], 10.0 ** e[1] / 10.0 ** e[0]))
+
+
+# (--duration, --rate) pairs whose trace, on write_inputs' two sensors, holds
+# at most 2e4 samples, or is over TRACE_SAMPLE_CAP (2 x 10 ** 8.2 > 2 ** 28),
+# or is no timebase at all: no example allocates a large trace.
+TIMEBASE = st.one_of(
+    _timebase(st.floats(-330.0, 4.0)),
+    _timebase(st.floats(8.2, 308.0)),
+    st.tuples(SIGNED, st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -5.0]))
+    .flatmap(lambda t: st.sampled_from([t, t[::-1]])),
+)
 
 
 class TestValidate:
@@ -234,6 +255,32 @@ class TestGenerators:
         assert result.exit_code == 1
         assert len(error_lines(result)) == 1
         assert not out.exists()
+
+    @pytest.fixture(scope="class")
+    def two_sensors(self, tmp_path_factory):
+        return Path(write_inputs(tmp_path_factory.mktemp("two"))[1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(timebase=TIMEBASE)
+    def test_gen_trace_refuses_or_writes_the_requested_samples(self, two_sensors, timebase):
+        # One error line and no file, or a trace of round(duration x rate)
+        # samples per sensor; refused whenever the two sensors' samples are
+        # over the cap.
+        duration, rate = timebase
+        out = two_sensors.with_suffix(".bin")
+        out.unlink(missing_ok=True)
+        result = CliRunner().invoke(main, ["gen-trace", str(two_sensors), "--duration",
+                                           repr(duration), "--rate", repr(rate), "--out", str(out)])
+        valid = min(duration, rate) > 0 and math.isfinite(duration * rate)
+        n = round(duration * rate) if valid else None
+        if result.exit_code != 0:
+            assert result.exit_code == 1, result.output
+            assert len(error_lines(result)) == 1, result.output
+            assert not out.exists()
+            assert not valid or 2 * n > TRACE_SAMPLE_CAP, result.output
+            return
+        assert valid and 2 * n <= 2e4
+        assert {s: len(x) for s, x in load_trace(str(out)).samples.items()} == {1: n, 2: n}
 
     @pytest.mark.parametrize("sensor", [2**32, -1])
     def test_gen_trace_rejects_sensor_outside_id_field(self, runner, tmp_path, sensor):
@@ -563,6 +610,20 @@ class TestSimulateAndCompare:
         record = json.loads(open(out).read())
         assert record["total_payload_bytes"] >= 0
         assert set(record["per_operator"]) == {"1", "2"}
+
+    @pytest.mark.parametrize("flags", [["--duration", "1e9"],
+                                       ["--duration", "1e6", "--rate", "1e3"]])
+    def test_simulate_refuses_a_trace_over_the_cap(self, runner, tmp_path, flags):
+        _, wpath, ppath = write_inputs(tmp_path)
+        gpath = self.solve_gamma_file(runner, tmp_path, wpath, ppath)
+        out = tmp_path / "sim.json"
+        result = runner.invoke(
+            main, ["simulate", wpath, ppath, "--assignment", gpath, *flags, "--out", str(out)]
+        )
+        assert result.exit_code == 1
+        assert len(error_lines(result)) == 1
+        assert "over the trace cap" in error_lines(result)[0]
+        assert not out.exists()
 
     def test_simulate_rejects_infeasible_assignment(self, runner, tmp_path):
         _, wpath, ppath = write_inputs(tmp_path)

@@ -595,3 +595,14 @@ class TestDeterminism:
         t1 = generate_trace(cfg, [1, 2])
         t2 = generate_trace(cfg, [2, 1])
         assert np.array_equal(t1.samples[1], t2.samples[1])
+
+    def test_trace_cap_counts_every_sensor(self, monkeypatch):
+        # 5 s at 10 Hz on two sensors is 100 samples: at the cap it is made,
+        # one under it it is refused before any array is built.
+        cfg = StreamConfig(duration_s=5, sample_rate_hz=10, seed=42)
+        monkeypatch.setattr(simulator, "TRACE_SAMPLE_CAP", 100)
+        assert [len(x) for x in generate_trace(cfg, [1, 2]).samples.values()] == [50, 50]
+        monkeypatch.setattr(simulator, "TRACE_SAMPLE_CAP", 99)
+        monkeypatch.setattr(simulator.np, "arange", None)
+        with pytest.raises(ValueError, match="2 sensors x 50 samples is over the trace cap of 99"):
+            generate_trace(cfg, [1, 2])

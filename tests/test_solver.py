@@ -6,7 +6,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from splitstream import solver
 from splitstream import (
     Assignment,
     EnumerationLimitError,
@@ -251,6 +254,27 @@ class TestContendedCounters:
         assert got == {op.id: want.get(op.id, 0.0) for op in w.operators}
 
 
+# The most resource checks (preflight_resource calls, the first_fit probes
+# among them) a paper-mode solve of the contended reference may make, per
+# (caps, delta): a search change that adds checks shows here.
+_RESOURCE_CHECKS = [(0.4, 0.25, 1490), (0.9, 0.05, 1369), (0.4, 0.05, 75_000)]
+
+
+@pytest.mark.parametrize("factor, delta, most", _RESOURCE_CHECKS)
+def test_contended_resource_checks(contended, monkeypatch, factor, delta, most):
+    calls = []
+    check = solver.preflight_resource
+
+    def counted(*args):
+        calls.append(None)
+        return check(*args)
+
+    monkeypatch.setattr(solver, "preflight_resource", counted)
+    w, p = contended[factor]
+    assert solve(w, p, SolverConfig(delta=delta)).feasible
+    assert len(calls) <= most
+
+
 # The contended reference at delta = 0.1 in paper mode, where resource and
 # bound prunes meet the fractional tail rule: per caps the nodes explored,
 # prunes by kind and objective.
@@ -492,6 +516,73 @@ class TestFractionalTail:
     def test_fractional_is_the_aggregate_class(self, delta):
         for g in gamma_grid(delta):
             assert _is_fractional(g) == (int_res_bytes(g, 1.0, 2.0) == 1.0), g
+
+
+class TestFirstFit:
+    """first_fit from any hint returns the first index where a monotone
+    `fits` holds, probing only inside [lo, hi)."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(lo=st.integers(0, 5), length=st.integers(0, 40), data=st.data())
+    def test_first_fitting_index(self, lo, length, data):
+        hi = lo + length
+        first = data.draw(st.integers(lo, hi), label="first")  # hi: none fits
+        hint = data.draw(st.none() | st.integers(lo - 45, hi + 45), label="hint")
+        probes = []
+
+        def fits(k):
+            probes.append(k)
+            return k >= first
+
+        got = first_fit(fits, lo, hi) if hint is None else first_fit(fits, lo, hi, hint)
+        assert got == first
+        assert all(lo <= k < hi for k in probes), probes
+        if got < hi:
+            assert got in probes
+        if (lo if hint is None else hint) == first:
+            assert len(probes) <= 2, probes
+
+
+class TestDeadlineSlack:
+    """An operator OpFacts marks as unable to miss its deadline meets it
+    with its wait-free latency at every ratio and any sensor ratios, so the
+    latency prune may skip it."""
+
+    @staticmethod
+    def admissible(w, p, rng):
+        # Every grid point and a few random ratios: a superset of every
+        # operator's domain, composites' derived ratios among it.
+        ratios = sorted({*gamma_grid(0.05), *(rng.random() for _ in range(5))})
+        checked = 0
+        for i, facts in Instance.build(w, p).ops.items():
+            if facts.may_miss:
+                continue
+            for g in ratios:
+                sensor_ratios = [dict.fromkeys(facts.spec.sensors, 1.0)] + [
+                    {s: rng.random() for s in facts.spec.sensors} for _ in range(3)
+                ]
+                for gs in sensor_ratios:
+                    te, tt, tc = facts.latency_terms(g, facts.volumes(g, gs).by_node, p)
+                    assert facts.t_req is None or te + tt + tc <= facts.t_req, f"op {i}"
+                    checked += 1
+        return checked
+
+    @pytest.mark.parametrize("factor", [1.0, 3.0])
+    def test_random_instances(self, factor):
+        rng = random.Random(19)
+        checked = 0
+        for seed in range(150):
+            w, p = random_instance(seed)
+            p = dataclasses.replace(p, t_req_s={i: t * factor for i, t in p.t_req_s.items()})
+            checked += self.admissible(w, p, rng)
+        assert checked > 10_000
+
+    def test_reference_profiles(self, contended):
+        for factor in (None, 0.9, 0.4):
+            w, p = contended[factor]
+            assert self.admissible(w, p, random.Random(23)) > 5_000
+            ops = Instance.build(w, p).ops
+            assert [i for i, facts in ops.items() if facts.may_miss] == [59]
 
 
 class TestLatencyBound:
