@@ -243,7 +243,8 @@ class OpFacts:
     """What pricing and the checks read of one operator, compiled once:
     its node_rows, per-operator sizes and cloud cycles per own sensor. Edge
     cycles and bytes fold at the edge share 1 - gamma (fold_at), the cloud
-    cycles at gamma."""
+    cycles at gamma. Bytes are priced on demand from the ratios: volumes
+    gives each node's share and the total, total the total alone."""
 
     spec: OperatorSpec
     rows: tuple[NodeRow, ...]
@@ -308,14 +309,17 @@ class OpFacts:
             total += vol
         return OpVolumes(total, tuple(by_node))
 
-    def raw_bytes(self, gamma_sensor: Mapping[SensorId, float]) -> float:
-        """volumes(1.0, gamma_sensor).total, bit for bit: at ratio 1 only the
-        raw sizes count, folded row by row in volumes' order."""
+    def total(self, gamma: float, gamma_sensor: Mapping[SensorId, float]) -> float:
+        """volumes(gamma, gamma_sensor).total, bit for bit, folded row by row
+        in volumes' order without building the node shares."""
+        extra = int_res_bytes(gamma, self.d_int, self.d_res)
         total = 0.0
-        for row in self.rows:
+        for _k, raws, _cpu, _mem, home in self.rows:
             vol = 0.0
-            for s, raw in row.raws:
+            for s, raw in raws:
                 vol += raw * gamma_sensor.get(s, 0.0)
+            if home:
+                vol += extra
             total += vol
         return total
 
@@ -405,8 +409,7 @@ class Instance:
             for f in facts
         ]
         if mode == "paper":
-            vols = (f.volumes(g[f.spec.id], gs) for f in facts)
-            return fold_sum(v.total * n for v, n in zip(vols, closes))
+            return fold_sum(f.total(g[f.spec.id], gs) * n for f, n in zip(facts, closes))
         raw_best: dict[tuple[SensorId, NodeId], float] = {}
         for f in facts:
             for k, raws, _cpu, _mem, _home in f.rows:

@@ -221,8 +221,9 @@ class ValidationReport:
 
 
 def validate_workload(w: Workload) -> ValidationReport:
-    """Structural checks: acyclic deps, resolvable references, wired sensors,
-    finite positive durations. An empty report means the workload is usable."""
+    """Structural checks: acyclic deps, resolvable references each listed
+    once, wired sensors, finite positive durations. An empty report means
+    the workload is usable."""
     out: list[WorkloadViolation] = []
     seen: set[OperatorId] = set()
     for op in w.operators:
@@ -232,6 +233,11 @@ def validate_workload(w: Workload) -> ValidationReport:
 
     ids = set(w.by_id)
     for op in w.operators:
+        # The cost model would charge a sensor or dep once per listing.
+        for kind, refs in (("sensor", op.sensors), ("dep", op.deps)):
+            for ref in sorted({r for r in refs if refs.count(r) > 1}):
+                detail = f"op {op.id} lists {kind} {ref} more than once"
+                out.append(WorkloadViolation(V_DANGLING, op.id, detail))
         for dep in op.deps:
             if dep not in ids:
                 out.append(

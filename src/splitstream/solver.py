@@ -13,21 +13,21 @@ could bind are merged before the search so pruning stays exact.
 Three pre-flight checks gate every branch, in order: resource (CPU/memory
 sums, from each operator's static load rows, against capacity), incumbent
 bound (against the best complete solution; in paper mode the decided
-operators' bytes plus a carried floor for each undecided one, see
+operators' bytes plus each undecided one's bytes at ratio 1, see
 SearchState.bound), latency (deadline check on a lower bound of the total of
-each operator the branch's decisions changed that can miss it at all,
-OpFacts.may_miss; the others passed at the parent or pass at every ratio,
-and a cluster without such an operator skips it). A branch is pruned on the
-bound check only when it is strictly worse than the incumbent, so
-equal-objective leaves survive to the deterministic
+each decided operator that can miss it at all, OpFacts.may_miss; the others
+pass at every ratio, and a cluster without such an operator skips it). A
+branch is pruned on the bound check only when it is strictly worse than the
+incumbent, so equal-objective leaves survive to the deterministic
 tie-break: smaller latency sum, then lexicographically smallest ratio vector
 in topological order.
 
 The resource check reads only ratios and loads, so a branch is placed (its
 atom's ratio, the composites it completes and their node loads), checked
-against the caps on the nodes it loaded, and priced (sensor ratios, volumes,
-floors, raw maxima) only once it fits; every other node kept the sum that
-passed at the parent. A leaf is reached only through points that fit.
+against the caps on the nodes it loaded, and priced (sensor ratios, raw
+maxima) only once it fits; every other node kept the sum that passed at the
+parent. Bytes and latencies are priced from the ratios where they are read.
+A leaf is reached only through points that fit.
 
 Fractional prefix rule: the points of an atom's fractional run (its ratios
 strictly between GAMMA_TOL and 1 - GAMMA_TOL, the class of
@@ -42,7 +42,7 @@ placement order, every node's CPU and memory sum is non-increasing along the
 run, in floats too; and under_cap is monotone: a non-negative sum below one
 that stays under a cap, outside lt_strict's relative tolerance, is outside
 it as well. So once a fractional point fails, first_fit finds the first
-point of the run that fits, probing first where this depth found it last
+point of the run that fits, walking from where this depth found it last
 in the cluster, and that point is priced without a second check. Ratio 1
 lies outside the run: there a composite takes the min of its deps and can
 load the edge again.
@@ -76,7 +76,6 @@ from .costs import (
     Assignment,
     CostReport,
     Instance,
-    OpVolumes,
     Profile,
     cost_report,
     dedup_bytes,
@@ -199,45 +198,29 @@ class SearchState:
     """Partially enumerated cluster: decided ratios plus running sums.
 
     It has an Assignment's two fields, gamma and gamma_sensor, over the
-    decided operators, so the cost functions price it directly. Besides the
-    node CPU and memory sums it carries each decided operator's
-    OpFacts.volumes in `volumes` and, for the dedup objective, the largest
-    raw size per (sensor, node) in `raw_best`; in paper mode, each undecided operator's
-    `floor` (see bound). `trail` logs every entry a decision overwrote, so
-    that undo restores earlier states by value.
-    `cluster` lists the operators it may decide, which must include every
-    reader of their sensors; `readers` lists, per sensor, the operators
-    whose volumes read its ratio. Everything static, each operator's node
-    rows among it, is read from `inst`; a decision adds one CPU and one
-    memory entry per loaded node, folded once per (operator, ratio) into
-    `loads`. A decision is placed (ratio and loads, all the resource check
-    reads), then priced (everything else); assign does both.
+    decided operators, so the cost functions price it directly. It carries
+    only what a decision writes: those ratios, the node CPU and memory sums
+    and, for the dedup objective, the largest raw size per (sensor, node) in
+    `raw_best`. Bytes are pure functions of the ratios, so objective and
+    bound fold OpFacts.total where they are read. `trail` logs every entry
+    a decision overwrote, so that undo restores earlier states by value.
+    Everything static, each operator's node rows among it, is read from
+    `inst`; a decision adds one CPU and one memory entry per loaded node,
+    folded once per (operator, ratio) into `loads`. A decision is placed
+    (ratio and loads, all the resource check reads), then priced (sensor
+    ratios and raw maxima); assign does both.
     """
 
     inst: Instance
     mode: str
-    cluster: tuple[OperatorId, ...]
     gamma: dict[OperatorId, float] = field(default_factory=dict)
     gamma_sensor: dict[SensorId, float] = field(default_factory=dict)
     cpu_used: dict[NodeId, float] = field(default_factory=dict)
     mem_used: dict[NodeId, float] = field(default_factory=dict)
-    volumes: dict[OperatorId, OpVolumes] = field(default_factory=dict)
     raw_best: dict[tuple[SensorId, NodeId], float] = field(default_factory=dict)
-    readers: dict[SensorId, list[OperatorId]] = field(init=False, repr=False)
-    floor: dict[OperatorId, float] = field(init=False, repr=False)
-    loads: dict[tuple[OperatorId, float], list[tuple]] = field(init=False, repr=False)
+    loads: dict[tuple[OperatorId, float], list[tuple]] = field(
+        default_factory=dict, init=False, repr=False)
     trail: list[tuple] = field(default_factory=list, init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.readers = {}
-        self.floor = {}
-        self.loads = {}
-        for i in self.cluster:
-            facts = self.inst.ops[i]
-            self.floor[i] = facts.raw_bytes(self.gamma_sensor)
-            for row in facts.rows:
-                for s, _raw in row.raws:
-                    self.readers.setdefault(s, []).append(i)
 
     def place(self, op_id: OperatorId, gamma: float) -> None:
         """Record one decided operator's ratio and node loads, all the
@@ -266,18 +249,11 @@ class SearchState:
             table[k] = (old or 0.0) + load
 
     def price(self, placed: Sequence[OperatorId]) -> None:
-        """Price the placed operators, logging on `trail` as place does.
-
-        Each raises its sensors' ratios to its own. Volumes are then
-        recomputed for the placed operators and for every decided operator
-        reading a raised sensor; in paper mode the floors of the undecided
-        readers are refreshed too, and in dedup mode the placed operators'
-        raw sizes enter `raw_best`. Each is a pure function of the final
-        ratios, so pricing several placements at once gives the values of
-        pricing after each.
-        """
+        """Price the placed operators, logging on `trail` as place does:
+        each raises its sensors' ratios to its own and, in dedup mode, its
+        raw sizes enter `raw_best`. Both only rise, so pricing several
+        placements at once gives the values of pricing after each."""
         trail, facts, ratio, sensor_ratio = self.trail, self.inst.ops, self.gamma, self.gamma_sensor
-        stale = set(placed)
         for i in placed:
             gamma = ratio[i]
             for s in facts[i].spec.sensors:
@@ -285,15 +261,6 @@ class SearchState:
                 if gamma > (old or 0.0):
                     trail.append((sensor_ratio, s, old))
                     sensor_ratio[s] = gamma
-                    stale.update(self.readers.get(s, ()))
-        volumes, floor, paper = self.volumes, self.floor, self.mode == "paper"
-        for j in stale:
-            if j in ratio:
-                trail.append((volumes, j, volumes.get(j)))
-                volumes[j] = facts[j].volumes(ratio[j], sensor_ratio)
-            elif paper:
-                trail.append((floor, j, floor[j]))
-                floor[j] = facts[j].raw_bytes(sensor_ratio)
         if self.mode == "dedup":
             for i in placed:
                 for k, raws, _cpu, _mem, _home in facts[i].rows:
@@ -322,37 +289,38 @@ class SearchState:
         del trail[mark:]
 
     def objective(self, ops: tuple[OperatorId, ...]) -> float:
-        """total_objective over the decided members of `ops`, in that order,
-        from the carried terms; the same value bit for bit."""
-        decided = [i for i in ops if i in self.gamma]
+        """total_objective over the decided members of `ops`, in that order;
+        the same value bit for bit."""
+        facts, ratio = self.inst.ops, self.gamma
+        decided = [i for i in ops if i in ratio]
         if self.mode == "dedup":
-            facts = self.inst.ops
-            terms = (int_res_bytes(self.gamma[i], facts[i].d_int, facts[i].d_res) for i in decided)
+            terms = (int_res_bytes(ratio[i], facts[i].d_int, facts[i].d_res) for i in decided)
             return dedup_bytes(self.raw_best, self.gamma_sensor, terms)
         total = 0.0
         for i in decided:
-            total += self.volumes[i].total
+            total += facts[i].total(ratio[i], self.gamma_sensor)
         return total
 
     def bound(self, ops: tuple[OperatorId, ...]) -> float:
         """A lower bound on objective(ops) at every leaf below this state.
 
         Dedup mode returns the decided operators' objective. Paper mode folds
-        `ops` in order, a decided operator adding its volumes' total and an
-        undecided one its floor: its volumes at ratio 1 under the current
-        sensor ratios, which at ratio 1 is its raw bytes alone. Each term is
-        at most the same term of objective(ops) at any leaf below, in floats
-        too: sensor ratios only rise as decisions are added; products with a
-        non-negative raw size and sums of non-negative terms are monotone
-        under rounding; int_res_bytes is d_int, d_res or 0 at every ratio,
-        never negative, as profiles hold non-negative finite sizes. Folded in
-        the same order, the bound is therefore at most the leaf's objective.
+        OpFacts.total over `ops` in order under the current sensor ratios, a
+        decided operator at its ratio and an undecided one at ratio 1, where
+        only its raw bytes count. Each term is at most the same term of
+        objective(ops) at any leaf below, in floats too: sensor ratios only
+        rise as decisions are added; products with a non-negative raw size
+        and sums of non-negative terms are monotone under rounding;
+        int_res_bytes is d_int, d_res or 0 at every ratio, never negative, as
+        profiles hold non-negative finite sizes. Folded in the same order,
+        the bound is therefore at most the leaf's objective.
         """
         if self.mode == "dedup":
             return self.objective(ops)
+        facts, ratio, sensor_ratio = self.inst.ops, self.gamma, self.gamma_sensor
         total = 0.0
         for i in ops:
-            total += self.volumes[i].total if i in self.gamma else self.floor[i]
+            total += facts[i].total(ratio.get(i, 1.0), sensor_ratio)
         return total
 
 
@@ -373,66 +341,46 @@ def preflight_resource(state: SearchState, mark: int = 0) -> NodeId | None:
     return None
 
 
-def preflight_latency(state: SearchState, mark: int) -> OperatorId | None:
-    """First operator changed since the trail held `mark` entries whose
-    latency lower bound misses its deadline; operators that cannot miss it
-    at any ratio (OpFacts.may_miss false) are passed over.
+def preflight_latency(state: SearchState) -> OperatorId | None:
+    """First decided operator whose latency lower bound misses its
+    deadline; operators that cannot miss it at any ratio (OpFacts.may_miss
+    false) are passed over.
 
-    The bound is the sum of its latency_terms under the carried volumes. It
-    leaves out the wait, which can shrink as later decisions raise the
-    fastest dep's total; transfer uses the decided sensor maxima, which
-    only grow. So a failure here is final for the whole subtree. A node's
-    decisions change only the operators they recompute volumes for (a
-    `volumes` entry on the trail): every other decided operator passed at the
-    parent node with the same ratio and volumes, so only the changed ones are
-    checked.
+    The bound is the sum of its latency_terms under its volumes, priced
+    fresh. It leaves out the wait, which can shrink as later decisions raise
+    the fastest dep's total; transfer uses the decided sensor maxima, which
+    only grow. So a failure here is final for the whole subtree, and an
+    operator a node's decisions did not change passed at the parent node:
+    the prune decisions are those of checking the changed operators alone.
     """
-    volumes = state.volumes
-    changed = dict.fromkeys(key for table, key, _ in state.trail[mark:] if table is volumes)
-    for i in changed:
-        facts = state.inst.ops[i]
-        if not facts.may_miss:
-            continue
-        te, tt, tc = facts.latency_terms(state.gamma[i], volumes[i].by_node, state.inst.p)
-        if not facts.meets_deadline(te + tt + tc):
-            return i
+    ops, p, sensor_ratio = state.inst.ops, state.inst.p, state.gamma_sensor
+    for i, gamma in state.gamma.items():
+        facts = ops[i]
+        if facts.may_miss:
+            te, tt, tc = facts.latency_terms(gamma, facts.volumes(gamma, sensor_ratio).by_node, p)
+            if not facts.meets_deadline(te + tt + tc):
+                return i
     return None
 
 
 def first_fit(fits: Callable[[int], bool], lo: int, hi: int, hint: int | None = None) -> int:
     """The first index in [lo, hi) where `fits` holds, or hi; `fits` must
-    hold at every index after one where it holds. The first probe goes at
-    `hint` (lo by default), moved into [lo, hi); the search then gallops
-    away from it in doubling steps and bisects the bracket it finds. Every
-    probe lies in [lo, hi), an index below hi is returned only once probed,
-    and a hint that is the answer costs at most two probes."""
+    hold at every index after one where it holds. The search starts at
+    `hint` (lo by default), moved into [lo, hi), and walks down while the
+    index below fits, or else up until an index fits. Every probe lies in
+    [lo, hi), an index below hi is returned only once probed, and a hint
+    that is the answer costs at most two probes."""
     if lo >= hi:
         return lo
-    probe = min(max(lo if hint is None else hint, lo), hi - 1)
-    step = 1
-    if fits(probe):
-        hi = probe
-        while lo < hi:
-            probe = max(lo, hi - step)
-            if not fits(probe):
-                lo = probe + 1
-                break
-            hi, step = probe, 2 * step
-    else:
-        lo = probe + 1
-        while lo < hi:
-            probe = min(hi - 1, lo + step - 1)
-            if fits(probe):
-                hi = probe
-                break
-            lo, step = probe + 1, 2 * step
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if fits(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    k = min(max(lo if hint is None else hint, lo), hi - 1)
+    if fits(k):
+        while k > lo and fits(k - 1):
+            k -= 1
+        return k
+    k += 1
+    while k < hi and not fits(k):
+        k += 1
+    return k
 
 
 class _BudgetExceeded(Exception):
@@ -473,12 +421,14 @@ def _solve_cluster(
             ready[i] = max(ready[d] for d in inst.ops[i].spec.deps)
             comp_at.setdefault(ready[i], []).append(i)
 
-    state = SearchState(inst=inst, mode=cfg.objective_mode, cluster=cluster)
+    state = SearchState(inst=inst, mode=cfg.objective_mode)
     best: list = [None]  # [ (objective, latency_sum, gamma_vector, gamma_dict) ]
 
     def leaf_eval() -> None:
         totals: dict[OperatorId, float] = {}
-        rows = latency_rows(inst, state, state.volumes, topo)
+        g, gs = state.gamma, state.gamma_sensor
+        volumes = {i: inst.ops[i].volumes(g[i], gs) for i in topo}
+        rows = latency_rows(inst, state, volumes, topo)
         for i, _te, _tt, _tw, _tc, t in rows:
             if not inst.ops[i].meets_deadline(t):
                 return
@@ -552,7 +502,7 @@ def _solve_cluster(
                     stats["nodes_explored"] += skipped
                     stats["prunes"]["bound"] += skipped
                     j = frac_end[depth]
-            elif check_latency and preflight_latency(state, mark) is not None:
+            elif check_latency and preflight_latency(state) is not None:
                 stats["prunes"]["latency"] += 1
             else:
                 descend(depth + 1)

@@ -107,6 +107,26 @@ class TestValidate:
         assert result.exit_code == 1
         assert error_lines(result) == ["error: unwired-sensor: sensor 7 of op 1 has no node"]
 
+    def test_repeated_sensor_and_dep_are_input_errors(self, runner, tmp_path):
+        # Op 1 lists sensor 1 twice and op 2 lists dep 1 twice; priced as
+        # listed, op 1 would cost twice the bytes the uplink carries.
+        text = ("[operators]\n1 | 1,1 | - | mean | 1 | 60 | 60 | 60 | -\n"
+                "2 | - | 1,1 | last | 0 | 60 | 60 | 60 | -\n[topology]\n1 -> 1\n")
+        path = str(tmp_path / "repeated.txt")
+        open(path, "w").write(text)
+        _, _, ppath = write_inputs(tmp_path)
+        out = str(tmp_path / "out.json")
+        for args in (["validate", path], ["gen-profile", path, "--out", out],
+                     ["solve", path, ppath, "--out", out],
+                     ["baseline", path, ppath, "--strategy", "co", "--out", out]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 1, args
+            assert error_lines(result) == [
+                "error: dangling-ref: op 1 lists sensor 1 more than once",
+                "error: dangling-ref: op 2 lists dep 1 more than once",
+            ], args
+            assert not Path(out).exists(), args
+
     @pytest.mark.parametrize(
         "text",
         [b"\xff\xfe[operators]\n",

@@ -34,8 +34,9 @@ from splitstream import (
 from splitstream import generate_profile, generate_reference_workload, topological_order
 from splitstream.costs import Instance, fold_at, int_res_bytes, under_cap
 from splitstream.model import fold_sum, transitive_sensors
+from splitstream.solver import gamma_grid
 
-from conftest import build_workload, random_instance
+from conftest import build_workload, capped_reference, random_instance
 
 F = FunctionKind
 
@@ -374,6 +375,27 @@ class TestInstance:
                             vol += math.floor(1.0 - g) * p.data_res.get(i, 0.0)
                         assert volumes.get(k, 0.0) == vol
                         assert data_volume(i, k, a, p, w) == vol
+
+    def test_total_is_the_volumes_total(self):
+        # OpFacts.total, which the search folds for its bounds and
+        # objectives, gives volumes' total bit for bit: at every grid point,
+        # 1 among them (the paper bound's term for an undecided operator),
+        # under sensor ratios 1, none and random ones.
+        rng = random.Random(29)
+        ref = generate_reference_workload()
+        instances = [random_instance(seed) for seed in range(60)]
+        instances += [(ref, generate_profile(ref)), capped_reference(0.9), capped_reference(0.4)]
+        checked = 0
+        for w, p in instances:
+            sensor_ratios = [dict.fromkeys(w.sensors, 1.0), {}] + [
+                {s: rng.random() for s in w.sensors} for _ in range(3)
+            ]
+            for facts in Instance.build(w, p).ops.values():
+                for g in gamma_grid(0.05):
+                    for gs in sensor_ratios:
+                        assert facts.total(g, gs) == facts.volumes(g, gs).total, facts.spec.id
+                        checked += 1
+        assert checked > 30_000
 
 
 class TestFloatFolds:

@@ -69,6 +69,18 @@ def test_duplicate_operator_id_flagged():
     assert any(v.category == V_DANGLING for v in report.violations)
 
 
+def test_repeated_sensor_and_dep_flagged():
+    # Listed twice, a sensor or dep would be priced twice by the cost model.
+    w = build_workload(
+        [(1, (1, 1), (), F.MEAN, True, 60, 60, 60), (2, (), (1, 1), F.LAST, False, 60, 60, 60)],
+        {1: 1},
+    )
+    assert [(v.category, v.subject, v.detail) for v in validate_workload(w).violations] == [
+        (V_DANGLING, 1, "op 1 lists sensor 1 more than once"),
+        (V_DANGLING, 2, "op 2 lists dep 1 more than once"),
+    ]
+
+
 def test_dangling_dependency_flagged():
     w = build_workload([(1, (1,), (9,), F.MEAN, True, 4, 4, 4)], {1: 1})
     cats = {v.category for v in validate_workload(w).violations}

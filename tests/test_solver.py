@@ -24,7 +24,7 @@ from splitstream import (
     generate_reference_workload,
     solve,
 )
-from splitstream.costs import Instance, int_res_bytes, total_objective
+from splitstream.costs import Instance, OpFacts, int_res_bytes, total_objective
 from splitstream.feasibility import _is_fractional, composite_gamma
 from splitstream.solver import SearchState, first_fit, operator_domain, preflight_resource
 
@@ -257,7 +257,7 @@ class TestContendedCounters:
 # The most resource checks (preflight_resource calls, the first_fit probes
 # among them) a paper-mode solve of the contended reference may make, per
 # (caps, delta): a search change that adds checks shows here.
-_RESOURCE_CHECKS = [(0.4, 0.25, 1490), (0.9, 0.05, 1369), (0.4, 0.05, 75_000)]
+_RESOURCE_CHECKS = [(0.4, 0.25, 1490), (0.9, 0.05, 1360), (0.4, 0.05, 72_027)]
 
 
 @pytest.mark.parametrize("factor, delta, most", _RESOURCE_CHECKS)
@@ -272,6 +272,29 @@ def test_contended_resource_checks(contended, monkeypatch, factor, delta, most):
     monkeypatch.setattr(solver, "preflight_resource", counted)
     w, p = contended[factor]
     assert solve(w, p, SolverConfig(delta=delta)).feasible
+    assert len(calls) <= most
+
+
+# The most OpFacts.volumes calls a delta = 0.25 solve of the 0.4-capped
+# reference may make, per mode. The search state carries no bytes: bounds and
+# objectives fold OpFacts.total, and node shares are built only at leaves and
+# for the operators that can miss a deadline. A pricing table carried through
+# the search would show here.
+_VOLUMES_CALLS = [("paper", 513), ("dedup", 619)]
+
+
+@pytest.mark.parametrize("mode, most", _VOLUMES_CALLS)
+def test_contended_volumes_calls(contended, monkeypatch, mode, most):
+    calls = []
+    volumes = OpFacts.volumes
+
+    def counted(*args):
+        calls.append(None)
+        return volumes(*args)
+
+    monkeypatch.setattr(OpFacts, "volumes", counted)
+    w, p = contended[0.4]
+    assert solve(w, p, SolverConfig(delta=0.25, objective_mode=mode)).feasible
     assert len(calls) <= most
 
 
@@ -323,16 +346,16 @@ def test_latency_prune_counters(seed, factor, mode, nodes, prunes, objective, ga
 class TestSearchState:
     """After any sequence of decisions and undos, every carried table equals
     that of a fresh state replaying the decisions still standing, bit for
-    bit, and the carried volumes and objective equal a fresh pricing of the
-    decided operators."""
+    bit, and the objective and the paper bound equal a fresh pricing of the
+    operators, the undecided ones at ratio 1 in the bound."""
 
-    CARRIED = ("gamma", "gamma_sensor", "cpu_used", "mem_used", "volumes", "raw_best", "floor")
+    CARRIED = ("gamma", "gamma_sensor", "cpu_used", "mem_used", "raw_best")
 
     @classmethod
     def walk(cls, w, p, mode, rng, steps):
         inst = Instance.build(w, p)
         facts = inst.ops
-        state = SearchState(inst, mode, cluster=tuple(facts))
+        state = SearchState(inst, mode)
         ops = tuple(sorted(op.id for op in w.operators))
         stack = []  # (operator, ratio, trail length before its decision)
         for _ in range(steps):
@@ -343,23 +366,18 @@ class TestSearchState:
                 state.assign(op, gamma)
             else:
                 state.undo(stack.pop()[2])
-            fresh = SearchState(inst, mode, cluster=tuple(facts))
+            fresh = SearchState(inst, mode)
             for op, gamma, _mark in stack:
                 fresh.assign(op, gamma)
             for table in cls.CARRIED:
                 assert getattr(state, table) == getattr(fresh, table), table
             decided = [i for i in ops if i in state.gamma]
-            assert state.volumes == {
-                i: facts[i].volumes(state.gamma[i], state.gamma_sensor)
-                for i in decided
-            }
             assert state.objective(ops) == total_objective(state, p, w, mode, ops=decided)
             if mode == "paper":
-                undecided = [j for j in ops if j not in state.gamma]
-                assert {j: state.floor[j] for j in undecided} == {
-                    j: facts[j].volumes(1.0, state.gamma_sensor).total
-                    for j in undecided
-                }
+                bound = 0.0
+                for i in ops:
+                    bound += facts[i].volumes(state.gamma.get(i, 1.0), state.gamma_sensor).total
+                assert state.bound(ops) == bound
 
     @pytest.mark.parametrize("mode", ["paper", "dedup"])
     def test_random_instances(self, mode):
@@ -385,7 +403,7 @@ class TestPaperBound:
         for seed in range(40):
             w, p = random_instance(seed)
             inst = Instance.build(w, p)
-            state = SearchState(inst, "paper", cluster=tuple(inst.ops))
+            state = SearchState(inst, "paper")
             ops = tuple(sorted(op.id for op in w.operators))
             for i in rng.sample(ops, rng.randint(0, len(ops))):
                 state.assign(i, rng.choice(grid))
@@ -421,7 +439,7 @@ class TestFractionalTail:
             if not splittable:
                 continue
             atom = rng.choice(splittable)
-            state = SearchState(inst, mode, cluster=ops)
+            state = SearchState(inst, mode)
             rest = [i for i in ops if i != atom]
             for i in rng.sample(rest, rng.randint(0, len(rest))):
                 state.assign(i, rng.choice((0.0, 0.3, 0.5, 1.0)))
@@ -469,7 +487,7 @@ class TestFractionalTail:
                        for i in rng.sample(rest, rng.randint(0, len(rest)))]
 
             def partial(inst):
-                state = SearchState(inst, mode, cluster=ops)
+                state = SearchState(inst, mode)
                 for i, g in decided:
                     state.assign(i, g)
                 return state, len(state.trail)
@@ -587,7 +605,7 @@ class TestDeadlineSlack:
 
 class TestLatencyBound:
     """The latency prune's bound for a decided operator, its latency_terms
-    under the partial state's volumes, never exceeds its t_total in any
+    under its volumes at the partial state's ratios, never exceeds its t_total in any
     completion, so a deadline it misses is missed in the whole subtree."""
 
     def test_bound_below_every_completion(self):
@@ -598,12 +616,13 @@ class TestLatencyBound:
             w, p = random_instance(seed)
             inst = Instance.build(w, p)
             ops = tuple(sorted(inst.ops))
-            state = SearchState(inst, "paper", cluster=ops)
+            state = SearchState(inst, "paper")
             for i in rng.sample(ops, rng.randint(1, len(ops))):
                 state.assign(i, rng.choice(grid))
             bounds = {}
             for i, g in state.gamma.items():
-                te, tt, tc = inst.ops[i].latency_terms(g, state.volumes[i].by_node, p)
+                by_node = inst.ops[i].volumes(g, state.gamma_sensor).by_node
+                te, tt, tc = inst.ops[i].latency_terms(g, by_node, p)
                 bounds[i] = te + tt + tc
             free = [i for i in ops if i not in state.gamma]
             for combo in itertools.product(grid, repeat=len(free)):
