@@ -25,7 +25,7 @@ import click
 
 from . import __version__
 from .baselines import cloud_only, edge_only
-from .costs import Assignment, validate_profile
+from .costs import OBJECTIVE_MODES, Assignment, validate_profile
 from .feasibility import check_assignment
 from .fileio import (
     COST_MODEL,
@@ -277,7 +277,7 @@ def validate(workload: str) -> None:
 @click.option("--time-budget", default=None, type=float,
               help="Optional solve budget in seconds.")
 @click.option("--objective-mode", default="paper", show_default=True,
-              type=click.Choice(["paper", "dedup"]), help="Byte objective form.")
+              type=click.Choice(OBJECTIVE_MODES), help="Byte objective form.")
 @click.option("--out", default=None, type=click.Path(dir_okay=False),
               help="Write a JSON report here.")
 def solve_cmd(workload: str, profile: str, delta: float, time_budget: float | None,
@@ -317,7 +317,7 @@ def solve_cmd(workload: str, profile: str, delta: float, time_budget: float | No
 @click.option("--strategy", required=True, type=click.Choice(["co", "eo"]),
               help="co = all cloud, eo = edge wherever allowed.")
 @click.option("--objective-mode", default="paper", show_default=True,
-              type=click.Choice(["paper", "dedup"]), help="Byte objective form.")
+              type=click.Choice(OBJECTIVE_MODES), help="Byte objective form.")
 @click.option("--out", default=None, type=click.Path(dir_okay=False),
               help="Write a JSON report here.")
 def baseline(workload: str, profile: str, strategy: str,
@@ -407,7 +407,10 @@ def simulate(workload: str, profile: str, assignment_path: str,
     else:
         trace = _generate_trace(w, duration, rate, seed)
     started = time.perf_counter()
-    report = run_sim(w, p, a, trace)
+    try:
+        report = run_sim(w, p, a, trace)
+    except ValueError as exc:
+        _fail(str(exc))
     click.echo(f"simulated in {time.perf_counter() - started:.2f}s", err=True)
 
     click.echo(

@@ -8,6 +8,9 @@ is the max over the operators consuming it.
 Edge-side compute and usage scale by (1 - gamma) and cloud-side compute by
 gamma, as the replay splits each window; the cloud merge cost is charged
 only when gamma > 0. (The source formulas swap the two scalings.)
+
+Bytes and latencies are priced from the ratios where they are read, by
+OpFacts.total, volumes and latency_terms; latency_rows chains the latter.
 """
 
 from __future__ import annotations
@@ -182,18 +185,11 @@ def int_res_bytes(gamma: float, d_int: float, d_res: float) -> float:
     return d_int if gamma < 1.0 - GAMMA_TOL else 0.0
 
 
-class OpVolumes(NamedTuple):
-    """An operator's bytes per window: the total and each node's share."""
-
-    total: float
-    by_node: tuple[tuple[NodeId, float], ...]
-
-
 def data_volume(
     i: OperatorId, k: NodeId, a: Assignment, p: Profile, w: Workload
 ) -> float:
     """Bytes uplinked from node k per window of operator i (see OpFacts.volumes)."""
-    return dict(OpFacts.build(w, p, i).volumes(a.gamma[i], a.gamma_sensor).by_node).get(k, 0.0)
+    return dict(OpFacts.build(w, p, i).volumes(a.gamma[i], a.gamma_sensor)).get(k, 0.0)
 
 
 def fold_at(values: Iterable[float], share: float) -> float:
@@ -243,8 +239,8 @@ class OpFacts:
     """What pricing and the checks read of one operator, compiled once:
     its node_rows, per-operator sizes and cloud cycles per own sensor. Edge
     cycles and bytes fold at the edge share 1 - gamma (fold_at), the cloud
-    cycles at gamma. Bytes are priced on demand from the ratios: volumes
-    gives each node's share and the total, total the total alone."""
+    cycles at gamma. Bytes are priced from the ratios where they are read:
+    volumes per node, for latency, and total, their sum, for byte counts."""
 
     spec: OperatorSpec
     rows: tuple[NodeRow, ...]
@@ -281,23 +277,24 @@ class OpFacts:
             return facts
         ones = dict.fromkeys(op.sensors, 1.0)
         # Ratio 0 uplinks d_res at home, a fractional ratio d_int.
-        by_node = facts.volumes(0.0 if facts.d_res >= facts.d_int else 0.5, ones).by_node
+        by_node = facts.volumes(0.0 if facts.d_res >= facts.d_int else 0.5, ones)
         t_edge, t_trans, _ = facts.latency_terms(0.0, by_node, p)
         worst = t_edge + t_trans + facts.latency_terms(1.0, (), p)[2]
         return facts if worst <= facts.t_req else replace(facts, may_miss=True)
 
-    def volumes(self, gamma: float, gamma_sensor: Mapping[SensorId, float]) -> OpVolumes:
-        """Bytes uplinked per window, per node and in total.
+    def volumes(
+        self, gamma: float, gamma_sensor: Mapping[SensorId, float]
+    ) -> tuple[tuple[NodeId, float], ...]:
+        """Bytes uplinked per window from each of the operator's nodes, as
+        ((node, bytes), ...) in row order.
 
         Raw samples leave at the sensor-level ratio; a fractional operator
         adds one partial aggregate per window; a fully edge-resident operator
         uploads only its result. The aggregate/result terms are charged at
         the home nodes (they vanish unless gamma is fractional or zero, and
-        such operators are single-homed in any feasible assignment). The
-        total folds the rows in order.
+        such operators are single-homed in any feasible assignment).
         """
         extra = int_res_bytes(gamma, self.d_int, self.d_res)
-        total = 0.0
         by_node = []
         for k, raws, _cpu, _mem, home in self.rows:
             vol = 0.0
@@ -306,12 +303,11 @@ class OpFacts:
             if home:
                 vol += extra
             by_node.append((k, vol))
-            total += vol
-        return OpVolumes(total, tuple(by_node))
+        return tuple(by_node)
 
     def total(self, gamma: float, gamma_sensor: Mapping[SensorId, float]) -> float:
-        """volumes(gamma, gamma_sensor).total, bit for bit, folded row by row
-        in volumes' order without building the node shares."""
+        """Bytes uplinked per window in all: volumes' node shares added left
+        to right, bit for bit, without building them."""
         extra = int_res_bytes(gamma, self.d_int, self.d_res)
         total = 0.0
         for _k, raws, _cpu, _mem, home in self.rows:
@@ -362,11 +358,6 @@ class Instance:
     def build(cls, w: Workload, p: Profile) -> "Instance":
         ops = {op.id: OpFacts.build(w, p, op.id) for op in w.operators}
         return cls(w, p, tuple(topological_order(w)), ops)
-
-    def volumes(self, a: Assignment) -> dict[OperatorId, OpVolumes]:
-        """Every operator's OpFacts.volumes under the assignment."""
-        g, gs = a.gamma, a.gamma_sensor
-        return {i: f.volumes(g[i], gs) for i, f in self.ops.items()}
 
     def usage(self, a: Assignment) -> dict[NodeId, NodeUsage]:
         """Per-node edge CPU and memory: each operator's node rows folded at
@@ -426,23 +417,21 @@ class Instance:
 
 
 def latency_rows(
-    inst: Instance,
-    a: Assignment,
-    volumes: Mapping[OperatorId, OpVolumes],
-    order: Iterable[OperatorId],
+    inst: Instance, a: Assignment, order: Iterable[OperatorId]
 ) -> Iterator[tuple[OperatorId, float, float, float, float, float]]:
     """Yield (op, t_edge, t_trans, t_wait, t_cloud, t_total) for each operator
     of `order`, the window latency and its terms in seconds.
 
     The edge, transfer and cloud terms are the operator's latency_terms,
-    its transfer read from its OpFacts.volumes under `a` in `volumes`. The
-    wait is the skew between the totals of the operator's deps, so `order`
-    must list every dep ahead of its consumers.
+    its transfer read from its OpFacts.volumes priced from the ratios of
+    `a`. The wait is the skew between the totals of the operator's deps, so
+    `order` must list every dep ahead of its consumers.
     """
+    g, gs = a.gamma, a.gamma_sensor
     totals: dict[OperatorId, float] = {}
     for i in order:
         f = inst.ops[i]
-        te, tt, tc = f.latency_terms(a.gamma[i], volumes[i].by_node, inst.p)
+        te, tt, tc = f.latency_terms(g[i], f.volumes(g[i], gs), inst.p)
         dep_totals = [totals[d] for d in f.spec.deps]
         tw = max(dep_totals) - min(dep_totals) if dep_totals else 0.0
         totals[i] = te + tt + tw + tc
@@ -541,13 +530,12 @@ def cost_report(
     """Per-operator latency/volume rows plus per-node usage for an assignment.
     `inst`, when given, is Instance.build(w, p), compiled by the caller."""
     inst = inst or Instance.build(w, p)
-    volumes = inst.volumes(a)
     rows: dict[OperatorId, OperatorCost] = {}
-    for i, te, tt, tw, tc, t in latency_rows(inst, a, volumes, inst.order):
+    for i, te, tt, tw, tc, t in latency_rows(inst, a, inst.order):
         rows[i] = OperatorCost(
             op=i,
             gamma=a.gamma[i],
-            data_bytes=volumes[i].total,
+            data_bytes=inst.ops[i].total(a.gamma[i], a.gamma_sensor),
             t_req=inst.ops[i].t_req,
             t_edge=te,
             t_trans=tt,

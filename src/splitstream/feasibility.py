@@ -149,7 +149,7 @@ def check_assignment(
     # C10 deadlines, evaluated in dependency order so waits resolve.
     ratios = [a.gamma.get(op.id) for op in w.operators]
     if all(g is not None and math.isfinite(g) for g in ratios):
-        rows = latency_rows(inst, a, inst.volumes(a), inst.order)
+        rows = latency_rows(inst, a, inst.order)
         for i, _te, _tt, _tw, _tc, t in rows:
             facts = inst.ops[i]
             if not facts.meets_deadline(t):

@@ -263,6 +263,6 @@ def generate_profile(
 
     # Deadlines: slack over the all-cloud latency estimate per operator.
     all_cloud = Assignment.from_op_gamma(w, {op.id: 1.0 for op in w.operators})
-    rows = latency_rows(inst, all_cloud, inst.volumes(all_cloud), inst.order)
+    rows = latency_rows(inst, all_cloud, inst.order)
     t_req = {i: (1.0 + treq_slack) * t for i, _te, _tt, _tw, _tc, t in rows}
     return check_profile(replace(profile, t_req_s=t_req))

@@ -78,7 +78,8 @@ from .model import (
 # ---------------------------------------------------------------------------
 # Synthetic traces.
 
-# The most samples a generated trace may hold over all sensors (2 GiB).
+# The most samples a generated trace may hold over all sensors (2 GiB), and
+# the most entries a replay array may hold.
 TRACE_SAMPLE_CAP = 2**28
 
 
@@ -398,6 +399,23 @@ class _Schedules:
         return self._spans[key]
 
 
+def _check_replay_size(w: Workload, duration: float, n_seconds: int) -> None:
+    """Raise ValueError when a replay's whole seconds, or an operator's window
+    closes or emissions, exceed TRACE_SAMPLE_CAP; a quotient past the floats is inf."""
+    counts = [(n_seconds, "whole seconds", None)]
+    for op in w.operators:
+        closes, emits = (duration - op.window_s) / op.step_s, duration / op.freq_s
+        if math.isfinite(closes):
+            closes = windows_in_horizon(op.window_s, op.step_s, duration)
+        if math.isfinite(emits):
+            emits = math.floor(emits)
+        counts += [(closes, "window closes", op.id), (emits, "emissions", op.id)]
+    for n, what, op_id in counts:
+        if n > TRACE_SAMPLE_CAP:
+            of = "" if op_id is None else f" of operator {op_id}"
+            raise ValueError(f"{n:.6g} {what}{of} are over the replay cap of {TRACE_SAMPLE_CAP}")
+
+
 def run_sim(
     workload: Workload,
     profile: Profile,
@@ -408,7 +426,8 @@ def run_sim(
 ) -> SimReport:
     """Replay the trace through the placed operator graph. Each operator's
     windows are timed together, as arrays; their values are evaluated only
-    for the frames, when collect_frames is set."""
+    for the frames, when collect_frames is set. A trace missing a workload
+    sensor, or a replay _check_replay_size refuses, raises ValueError."""
     missing = [j for j in workload.sensors if j not in trace.samples]
     if missing:
         raise ValueError(f"trace lacks sensors {sorted(missing)}")
@@ -416,6 +435,7 @@ def run_sim(
     rate = trace.sample_rate_hz
     duration = trace.duration_s
     n_seconds = int(math.ceil(duration - 1e-9))
+    _check_replay_size(workload, duration, n_seconds)
     warnings: list[str] = []
     frames: list[Frame] = [] if collect_frames else None
 

@@ -201,14 +201,14 @@ class SearchState:
     decided operators, so the cost functions price it directly. It carries
     only what a decision writes: those ratios, the node CPU and memory sums
     and, for the dedup objective, the largest raw size per (sensor, node) in
-    `raw_best`. Bytes are pure functions of the ratios, so objective and
-    bound fold OpFacts.total where they are read. `trail` logs every entry
-    a decision overwrote, so that undo restores earlier states by value.
-    Everything static, each operator's node rows among it, is read from
-    `inst`; a decision adds one CPU and one memory entry per loaded node,
-    folded once per (operator, ratio) into `loads`. A decision is placed
-    (ratio and loads, all the resource check reads), then priced (sensor
-    ratios and raw maxima); assign does both.
+    `raw_best`. Bytes are pure functions of the ratios, so bound prices
+    them where it is read; at a leaf it is the objective. `trail` logs every
+    entry a decision overwrote, so that undo restores earlier states by
+    value. Everything static, each operator's node rows among it, is read
+    from `inst`; a decision adds one CPU and one memory entry per loaded
+    node, folded once per (operator, ratio) into `loads`. A decision is
+    placed (ratio and loads, all the resource check reads), then priced
+    (sensor ratios and raw maxima); assign does both.
     """
 
     inst: Instance
@@ -288,36 +288,26 @@ class SearchState:
                 table[key] = old
         del trail[mark:]
 
-    def objective(self, ops: tuple[OperatorId, ...]) -> float:
-        """total_objective over the decided members of `ops`, in that order;
-        the same value bit for bit."""
-        facts, ratio = self.inst.ops, self.gamma
-        decided = [i for i in ops if i in ratio]
-        if self.mode == "dedup":
-            terms = (int_res_bytes(ratio[i], facts[i].d_int, facts[i].d_res) for i in decided)
-            return dedup_bytes(self.raw_best, self.gamma_sensor, terms)
-        total = 0.0
-        for i in decided:
-            total += facts[i].total(ratio[i], self.gamma_sensor)
-        return total
-
     def bound(self, ops: tuple[OperatorId, ...]) -> float:
-        """A lower bound on objective(ops) at every leaf below this state.
+        """A lower bound on the objective of `ops` at every leaf below; at a
+        leaf it is total_objective over `ops`, in that order, bit for bit.
 
-        Dedup mode returns the decided operators' objective. Paper mode folds
-        OpFacts.total over `ops` in order under the current sensor ratios, a
-        decided operator at its ratio and an undecided one at ratio 1, where
-        only its raw bytes count. Each term is at most the same term of
-        objective(ops) at any leaf below, in floats too: sensor ratios only
-        rise as decisions are added; products with a non-negative raw size
-        and sums of non-negative terms are monotone under rounding;
+        Dedup mode prices the decided operators' dedup_bytes. Paper mode
+        folds OpFacts.total over `ops` in order under the current sensor
+        ratios, a decided operator at its ratio and an undecided one at
+        ratio 1, where only its raw bytes count. Each term is at most the
+        same term at any leaf below, in floats too: sensor ratios only rise
+        as decisions are added; products with a non-negative raw size and
+        sums of non-negative terms are monotone under rounding;
         int_res_bytes is d_int, d_res or 0 at every ratio, never negative, as
         profiles hold non-negative finite sizes. Folded in the same order,
         the bound is therefore at most the leaf's objective.
         """
-        if self.mode == "dedup":
-            return self.objective(ops)
         facts, ratio, sensor_ratio = self.inst.ops, self.gamma, self.gamma_sensor
+        if self.mode == "dedup":
+            terms = (int_res_bytes(ratio[i], facts[i].d_int, facts[i].d_res)
+                     for i in ops if i in ratio)
+            return dedup_bytes(self.raw_best, sensor_ratio, terms)
         total = 0.0
         for i in ops:
             total += facts[i].total(ratio.get(i, 1.0), sensor_ratio)
@@ -357,7 +347,7 @@ def preflight_latency(state: SearchState) -> OperatorId | None:
     for i, gamma in state.gamma.items():
         facts = ops[i]
         if facts.may_miss:
-            te, tt, tc = facts.latency_terms(gamma, facts.volumes(gamma, sensor_ratio).by_node, p)
+            te, tt, tc = facts.latency_terms(gamma, facts.volumes(gamma, sensor_ratio), p)
             if not facts.meets_deadline(te + tt + tc):
                 return i
     return None
@@ -426,16 +416,13 @@ def _solve_cluster(
 
     def leaf_eval() -> None:
         totals: dict[OperatorId, float] = {}
-        g, gs = state.gamma, state.gamma_sensor
-        volumes = {i: inst.ops[i].volumes(g[i], gs) for i in topo}
-        rows = latency_rows(inst, state, volumes, topo)
-        for i, _te, _tt, _tw, _tc, t in rows:
+        for i, _te, _tt, _tw, _tc, t in latency_rows(inst, state, topo):
             if not inst.ops[i].meets_deadline(t):
                 return
             totals[i] = t
-        objective = state.objective(cluster)
+        # Every operator is decided, so the bound is the objective.
         gvec = tuple(state.gamma[i] for i in topo)
-        candidate = (objective, latency_sum(totals), gvec)
+        candidate = (state.bound(cluster), latency_sum(totals), gvec)
         if best[0] is None or candidate < best[0][:3]:
             best[0] = (*candidate, dict(state.gamma))
 

@@ -645,6 +645,38 @@ class TestSimulateAndCompare:
         assert "over the trace cap" in error_lines(result)[0]
         assert not out.exists()
 
+    # One 60 s mean on one sensor; a replay sized by its whole seconds, its
+    # window closes or its emissions, each far over TRACE_SAMPLE_CAP, is
+    # refused before numpy is asked for an array it cannot build.
+    @pytest.mark.parametrize(
+        "shape, flags",
+        [
+            ((60, 60, 60), ["--duration", "1e300", "--rate", "1e-300"]),
+            ((60, 60, 60), "trace"),
+            ((60, 60, 1e-300), []),
+            ((60, 1e-300, 60), []),
+        ],
+        ids=["long-duration", "long-trace-file", "tiny-freq", "tiny-step"],
+    )
+    def test_simulate_refuses_a_replay_over_the_cap(self, runner, tmp_path, shape, flags):
+        _, wpath, ppath = write_inputs(tmp_path, [(1, (1,), (), F.MEAN, True, *shape)], {1: 1})
+        gpath = tmp_path / "gamma.json"
+        gpath.write_text('{"gamma": {"1": 1.0}}')
+        if flags == "trace":
+            tpath = str(tmp_path / "trace.bin")
+            result = runner.invoke(main, ["gen-trace", wpath, "--duration", "1e300",
+                                          "--rate", "1e-300", "--out", tpath])
+            assert result.exit_code == 0, result.output
+            flags = ["--trace", tpath]
+        out = tmp_path / "sim.json"
+        result = runner.invoke(
+            main, ["simulate", wpath, ppath, "--assignment", str(gpath), *flags, "--out", str(out)]
+        )
+        assert result.exit_code == 1, result.output
+        assert len(error_lines(result)) == 1
+        assert f"over the replay cap of {TRACE_SAMPLE_CAP}" in error_lines(result)[0]
+        assert not out.exists()
+
     def test_simulate_rejects_infeasible_assignment(self, runner, tmp_path):
         _, wpath, ppath = write_inputs(tmp_path)
         bad = str(tmp_path / "bad.json")

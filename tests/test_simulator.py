@@ -606,3 +606,33 @@ class TestDeterminism:
         monkeypatch.setattr(simulator.np, "arange", None)
         with pytest.raises(ValueError, match="2 sensors x 50 samples is over the trace cap of 99"):
             generate_trace(cfg, [1, 2])
+
+    @pytest.mark.parametrize(
+        "duration, step, freq, over",
+        [
+            (10.0, 1.0, 1.0, None),
+            (10.5, 1.0, 1.0, "11 whole seconds"),
+            (10.0, 0.9, 1.0, "11 window closes of operator 1"),
+            (10.0, 1.0, 0.9, "11 emissions of operator 1"),
+        ],
+        ids=["at-the-cap", "seconds", "closes", "emissions"],
+    )
+    def test_replay_cap_counts_seconds_closes_and_emissions(self, monkeypatch, duration,
+                                                            step, freq, over):
+        # With the cap at 10, a 1 s mean over 10 s closes 10 windows and
+        # emits 10 times: it runs. A trace 0.5 s longer has 11 whole seconds,
+        # a 0.9 s step 11 closes and a 0.9 s freq 11 emissions; each of those
+        # alone is refused before any array is built.
+        w = build_workload([(1, (1,), (), F.MEAN, True, 1, step, freq)], {1: 1})
+        p = generate_profile(w)
+        a = Assignment.from_op_gamma(w, {1: 0.5})
+        trace = generate_trace(StreamConfig(duration_s=duration, sample_rate_hz=1), [1])
+        monkeypatch.setattr(simulator, "TRACE_SAMPLE_CAP", 10)
+        if over is None:
+            rep = run_sim(w, p, a, trace)
+            assert (rep.per_op[1].windows, rep.per_op[1].emissions) == (10, 10)
+            return
+        monkeypatch.setattr(simulator.np, "zeros", None)
+        monkeypatch.setattr(simulator.np, "arange", None)
+        with pytest.raises(ValueError, match=f"^{over} are over the replay cap of 10$"):
+            run_sim(w, p, a, trace)

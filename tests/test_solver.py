@@ -372,11 +372,11 @@ class TestSearchState:
             for table in cls.CARRIED:
                 assert getattr(state, table) == getattr(fresh, table), table
             decided = [i for i in ops if i in state.gamma]
-            assert state.objective(ops) == total_objective(state, p, w, mode, ops=decided)
+            assert state.bound(tuple(decided)) == total_objective(state, p, w, mode, ops=decided)
             if mode == "paper":
                 bound = 0.0
                 for i in ops:
-                    bound += facts[i].volumes(state.gamma.get(i, 1.0), state.gamma_sensor).total
+                    bound += facts[i].total(state.gamma.get(i, 1.0), state.gamma_sensor)
                 assert state.bound(ops) == bound
 
     @pytest.mark.parametrize("mode", ["paper", "dedup"])
@@ -467,7 +467,7 @@ class TestFractionalTail:
         # The premise of the fractional prefix rule: placed along the
         # fractions with their derived composites, no node's sum rises, so
         # under any caps the points that fail the resource check precede
-        # those that pass and bisection finds the first that passes.
+        # those that pass, and first_fit's walk finds the first that passes.
         rng = random.Random(17)
         fractions = [g for g in gamma_grid(0.1) if _is_fractional(g)]
         checked = 0
@@ -580,7 +580,7 @@ class TestDeadlineSlack:
                     {s: rng.random() for s in facts.spec.sensors} for _ in range(3)
                 ]
                 for gs in sensor_ratios:
-                    te, tt, tc = facts.latency_terms(g, facts.volumes(g, gs).by_node, p)
+                    te, tt, tc = facts.latency_terms(g, facts.volumes(g, gs), p)
                     assert facts.t_req is None or te + tt + tc <= facts.t_req, f"op {i}"
                     checked += 1
         return checked
@@ -621,7 +621,7 @@ class TestLatencyBound:
                 state.assign(i, rng.choice(grid))
             bounds = {}
             for i, g in state.gamma.items():
-                by_node = inst.ops[i].volumes(g, state.gamma_sensor).by_node
+                by_node = inst.ops[i].volumes(g, state.gamma_sensor)
                 te, tt, tc = inst.ops[i].latency_terms(g, by_node, p)
                 bounds[i] = te + tt + tc
             free = [i for i in ops if i not in state.gamma]
