@@ -386,13 +386,15 @@ class Instance:
         double-counting raw streams shared between operators. "dedup" counts
         each sensor's upload once per (sensor, node) and keeps per-operator
         aggregate/result terms (see dedup_bytes). Without a horizon the
-        figure is per window close; with one, per-operator terms scale by
-        their number of closes and dedup raw scales by stream rate. `ops`
+        figure is per window close; with one, positive and finite, per-operator
+        terms scale by their number of closes and dedup raw by stream rate. `ops`
         limits the sum to those operator ids, in that order; by default
         every operator counts, in workload order.
         """
         if mode not in OBJECTIVE_MODES:
             raise ValueError(f"unknown objective mode {mode!r}")
+        if horizon_s is not None:
+            check_positive("horizon", horizon_s)
         facts = [self.ops[i] for i in (self.ops if ops is None else ops)]
         g, gs = a.gamma, a.gamma_sensor
         closes = [
@@ -485,10 +487,14 @@ def node_mem(i: OperatorId, k: NodeId, a: Assignment, p: Profile, w: Workload) -
 
 
 def windows_in_horizon(window_s: float, step_s: float, horizon_s: float) -> int:
-    """Number of window closes within a horizon (closes at window + n*step)."""
+    """Number of window closes within a horizon (closes at window + n*step).
+    Raises ValueError when that number is not finite."""
     if horizon_s + 1e-9 < window_s:
         return 0
-    return int(math.floor((horizon_s - window_s) / step_s + 1e-9)) + 1
+    steps = (horizon_s - window_s) / step_s + 1e-9
+    if not math.isfinite(steps):
+        raise ValueError(f"{window_s} s windows every {step_s} s close {steps} times in {horizon_s} s")
+    return int(math.floor(steps)) + 1
 
 
 def total_objective(

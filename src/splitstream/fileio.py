@@ -560,8 +560,9 @@ def parse_gamma(record: dict) -> dict[OperatorId, float]:
         raise ValueError(f"gamma must map operator ids to ratios, got {gamma!r}")
     out: dict[OperatorId, float] = {}
     for key, value in gamma.items():
+        op_id = json_key(key, "gamma")
         ratio = json_number(value, "ratio", f"operator {key}")
         if not math.isfinite(ratio):
             raise ValueError(f"ratio of operator {key} is not a finite number: {value!r:.60}")
-        out[json_key(key, "gamma")] = ratio
+        out[op_id] = ratio
     return out

@@ -118,8 +118,10 @@ def generate_trace(config: StreamConfig, sensors) -> Trace:
     whose offset, amplitude, period, phase and noise level are drawn from
     the sensor's own seed, so traces are stable under any sensor ordering.
     Raises ValueError, before allocating, for a trace over TRACE_SAMPLE_CAP
-    samples, and for a sensor id that a trace file's unsigned 32-bit id
-    field cannot hold."""
+    samples, for a sensor id that a trace file's unsigned 32-bit id field
+    cannot hold, and for a negative seed."""
+    if config.seed < 0:
+        raise ValueError(f"seed must not be negative, got {config.seed}")
     n = sample_count(config.duration_s, config.sample_rate_hz)
     sensors = sorted(sensors)
     if n * len(sensors) > TRACE_SAMPLE_CAP:

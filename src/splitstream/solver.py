@@ -6,9 +6,9 @@ and operators whose sensor locality forces full offload are pinned to 1.
 Composite ratios derive from their dependencies, so the search never branches
 on them.
 
-Operators are searched in dependency-linked clusters. Clusters are
-independent except for node capacity; clusters sharing a node whose capacity
-could bind are merged before the search so pruning stays exact.
+Operators are searched in clusters from one union-find, linked by a shared
+sensor, a dependency or a node whose caps could bind under its worst case,
+the all-edge usage; clusters then share no decision, so pruning stays exact.
 
 Three pre-flight checks gate every branch, in order: resource (CPU/memory
 sums, from each operator's static load rows, against capacity), incumbent
@@ -507,35 +507,21 @@ def _solve_cluster(
     return None if best[0] is None else best[0][3]
 
 
-def _merge_capacity_coupled(
-    inst: Instance, clusters: list[tuple[OperatorId, ...]]
-) -> list[tuple[OperatorId, ...]]:
-    """Join clusters that share a node whose capacity could bind.
-
-    A node's worst case is its full edge load, the all-edge usage.
-    """
+def _clusters(inst: Instance) -> list[tuple[OperatorId, ...]]:
+    """Operators linked by a sensor or a dependency (sensor_clusters) or by a
+    node whose caps could bind under its worst case, the all-edge usage.
+    Members ascend; clusters are ordered by smallest member."""
     w, p = inst.w, inst.p
-    all_edge = Assignment.from_op_gamma(w, {op.id: 0.0 for op in w.operators})
+    all_edge = Assignment.from_op_gamma(w, dict.fromkeys(inst.ops, 0.0))
     contended = {
         k for k, worst in inst.usage(all_edge).items()
         if not under_cap(worst.cpu_cycles, p.cpu_cap.get(k))
         or not under_cap(worst.mem_bytes, p.mem_cap.get(k))
     }
-    if not contended:
-        return clusters
-
-    def links():
-        node_owner: dict[NodeId, int] = {}
-        for idx, cluster in enumerate(clusters):
-            nodes = set().union(*(inst.ops[i].nodes for i in cluster))
-            for k in nodes & contended:
-                if k in node_owner:
-                    yield idx, node_owner[k]
-                else:
-                    node_owner[k] = idx
-
-    groups = union_find_groups(list(range(len(clusters))), links())
-    return [tuple(sorted(i for idx in g for i in clusters[idx])) for g in groups]
+    owner: dict[NodeId, OperatorId] = {}
+    links = [pair for cluster in sensor_clusters(w) for pair in itertools.pairwise(cluster)]
+    links += ((i, owner.setdefault(k, i)) for i in inst.ops for k in inst.ops[i].nodes & contended)
+    return [tuple(g) for g in union_find_groups(sorted(inst.ops), links)]
 
 
 def solve(w: Workload, p: Profile, cfg: SolverConfig | None = None) -> Solution:
@@ -548,7 +534,7 @@ def solve(w: Workload, p: Profile, cfg: SolverConfig | None = None) -> Solution:
     cfg = cfg or SolverConfig()
     grid = gamma_grid(cfg.delta)
     inst = Instance.build(w, p)
-    clusters = _merge_capacity_coupled(inst, sensor_clusters(w))
+    clusters = _clusters(inst)
     deadline = (
         time.monotonic() + cfg.time_budget_s if cfg.time_budget_s is not None else None
     )

@@ -631,6 +631,31 @@ class TestSimulateAndCompare:
         assert record["total_payload_bytes"] >= 0
         assert set(record["per_operator"]) == {"1", "2"}
 
+    def test_a_profile_given_as_assignment_names_its_key(self, runner, tmp_path):
+        _, wpath, ppath = write_inputs(tmp_path)
+        out = tmp_path / "sim.json"
+        result = runner.invoke(main, ["simulate", wpath, ppath, "--assignment", ppath,
+                                      "--duration", "10", "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert len(error_lines(result)) == 1, result.output
+        assert "gamma key" in error_lines(result)[0]
+        assert "'bandwidth'" in error_lines(result)[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen-trace", "simulate"])
+    def test_a_negative_seed_is_named(self, runner, tmp_path, command):
+        _, wpath, ppath = write_inputs(tmp_path)
+        args = [wpath]
+        if command == "simulate":
+            args = [wpath, ppath, "--assignment",
+                    self.solve_gamma_file(runner, tmp_path, wpath, ppath)]
+        out = tmp_path / "out.bin"
+        result = runner.invoke(main, [command, *args, "--duration", "10", "--seed", "-1",
+                                      "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert error_lines(result) == ["error: seed must not be negative, got -1"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [["--duration", "1e9"],
                                        ["--duration", "1e6", "--rate", "1e3"]])
     def test_simulate_refuses_a_trace_over_the_cap(self, runner, tmp_path, flags):

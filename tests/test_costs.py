@@ -116,6 +116,15 @@ class TestObjective:
         assert paper == pytest.approx(2 * 48000.0, rel=1e-12)
         assert dedup == pytest.approx(48000.0, rel=1e-12)
 
+    @pytest.mark.parametrize("mode", ["paper", "dedup"])
+    @pytest.mark.parametrize("horizon", [-5.0, 0.0, math.inf, math.nan])
+    def test_a_horizon_not_positive_and_finite_is_refused(
+        self, tiny_workload, tiny_profile, mode, horizon
+    ):
+        a = Assignment.from_op_gamma(tiny_workload, {1: 0.0})
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            total_objective(a, tiny_profile, tiny_workload, mode, horizon_s=horizon)
+
     def test_unknown_mode_rejected(self, tiny_workload, tiny_profile):
         a = Assignment.from_op_gamma(tiny_workload, {1: 1.0})
         with pytest.raises(ValueError):
@@ -217,6 +226,17 @@ class TestWindowsInHorizon:
     )
     def test_close_counting(self, window, step, horizon, expect):
         assert windows_in_horizon(window, step, horizon) == expect
+
+    @pytest.mark.parametrize(
+        "window,step,horizon",
+        [(60, 1e-300, 1e300), (60, 60, math.inf), (60, 60, math.nan), (0.5, 5e-324, 1.0)],
+    )
+    def test_a_count_that_is_not_finite_is_refused(self, window, step, horizon):
+        # inf and NaN have no floor; the error names the figures instead.
+        with pytest.raises(ValueError) as info:
+            windows_in_horizon(window, step, horizon)
+        assert f"{window} s windows every {step} s" in str(info.value)
+        assert f"in {horizon} s" in str(info.value)
 
 
 class TestTolerances:

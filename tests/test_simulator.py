@@ -6,6 +6,7 @@ second); a 5 s tumbling mean closes 2 windows (one 8-byte result each when
 edge-resident, one 16-byte two-number partial aggregate each when split).
 """
 
+import ast
 import dataclasses
 import json
 import math
@@ -607,6 +608,11 @@ class TestDeterminism:
         with pytest.raises(ValueError, match="2 sensors x 50 samples is over the trace cap of 99"):
             generate_trace(cfg, [1, 2])
 
+    def test_a_negative_seed_is_refused_before_drawing(self, monkeypatch):
+        monkeypatch.setattr(simulator.np.random, "default_rng", None)
+        with pytest.raises(ValueError, match="^seed must not be negative, got -1$"):
+            generate_trace(StreamConfig(duration_s=5, sample_rate_hz=10, seed=-1), [1])
+
     @pytest.mark.parametrize(
         "duration, step, freq, over",
         [
@@ -636,3 +642,24 @@ class TestDeterminism:
         monkeypatch.setattr(simulator.np, "arange", None)
         with pytest.raises(ValueError, match=f"^{over} are over the replay cap of 10$"):
             run_sim(w, p, a, trace)
+
+
+class TestIndependence:
+    def test_shares_only_the_input_types_with_the_cost_model(self):
+        # The replay checks the cost model only while it prices nothing
+        # through it: from costs it takes the input types, the deadline and
+        # the close count, and it imports no search or check.
+        tree = ast.parse(Path(simulator.__file__).read_text(encoding="utf-8"))
+        imported: dict[str, set[str]] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                module = "." * node.level + (node.module or "")
+                imported.setdefault(module, set()).update(a.name for a in node.names)
+            elif isinstance(node, ast.Import):
+                for a in node.names:
+                    imported.setdefault(a.name, set())
+        costs = imported.get(".costs", set()) | imported.get("splitstream.costs", set())
+        assert costs <= {"Assignment", "Profile", "effective_t_req", "windows_in_horizon"}
+        for name in ("solver", "feasibility", "baselines"):
+            assert not {m for m in imported if m.rsplit(".", 1)[-1] == name}, name
+            assert all(name not in names for names in imported.values()), name

@@ -26,6 +26,7 @@ from splitstream import (
 )
 from splitstream.costs import Instance, OpFacts, int_res_bytes, total_objective
 from splitstream.feasibility import _is_fractional, composite_gamma
+from splitstream.model import sensor_clusters
 from splitstream.solver import SearchState, first_fit, operator_domain, preflight_resource
 
 from conftest import build_workload, capped_reference, random_instance
@@ -86,6 +87,32 @@ class TestAgainstBruteForce:
                 got_g = {op.id: got.assignment.op_gamma(w, op.id) for op in w.operators}
                 want_g = {op.id: want.assignment.op_gamma(w, op.id) for op in w.operators}
                 assert got_g == want_g, f"seed {seed}"
+
+    def test_capacity_coupled_instances(self):
+        # Caps under each node's all-edge usage make the search join sensor
+        # clusters that load one node; each instance here has such a join.
+        feasible = 0
+        for seed in (58, 83, 132, 182, 244, 325, 348):
+            w, p = random_instance(seed, max_ops=6)
+            all_edge = Assignment.from_op_gamma(w, {op.id: 0.0 for op in w.operators})
+            usage = Instance.build(w, p).usage(all_edge)
+            for f in (0.5, 0.8):
+                q = dataclasses.replace(
+                    p,
+                    cpu_cap={k: f * max(u.cpu_cycles, 1.0) for k, u in usage.items()},
+                    mem_cap={k: f * max(u.mem_bytes, 1.0) for k, u in usage.items()},
+                )
+                for mode in ("paper", "dedup"):
+                    cfg = SolverConfig(delta=0.25, objective_mode=mode)
+                    case = f"seed {seed}, f {f}, {mode}"
+                    got, want = solve(w, q, cfg), brute_force(w, q, cfg)
+                    assert got.stats["clusters"] < len(sensor_clusters(w)), case
+                    assert got.feasible == want.feasible, case
+                    if want.feasible:
+                        feasible += 1
+                        assert got.objective_bytes == want.objective_bytes, case
+                        assert got.assignment.gamma == want.assignment.gamma, case
+        assert feasible == 18
 
     def test_solution_passes_checker(self):
         for seed in range(30):
