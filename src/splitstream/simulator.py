@@ -25,8 +25,8 @@ cost model:
   frame (or the close, when the edge has no share), its inputs and its
   sensors' raw batches have landed.
 * A window's inputs have arrived at the site once the latest availability
-  there among the dependency emissions the window holds has passed (0 when
-  it holds none). That is an exact windowed max of the dependency's
+  there among the dependency emissions the window holds has passed (at the
+  close when it holds none). That is an exact windowed max of the dependency's
   availability series, which need not rise from one emission to the next.
 * The close, open and emission times, the second by which each close's raw
   batches must land, and the emissions of a dependency that each window of
@@ -50,6 +50,7 @@ cost model:
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -119,9 +120,16 @@ def generate_trace(config: StreamConfig, sensors) -> Trace:
     the sensor's own seed, so traces are stable under any sensor ordering.
     Raises ValueError, before allocating, for a trace over TRACE_SAMPLE_CAP
     samples, for a sensor id that a trace file's unsigned 32-bit id field
-    cannot hold, and for a negative seed."""
-    if config.seed < 0:
-        raise ValueError(f"seed must not be negative, got {config.seed}")
+    cannot hold, and for a seed that is a bool, not an integer (as
+    operator.index takes it) or negative."""
+    try:
+        if isinstance(config.seed, bool):
+            raise TypeError
+        seed = operator.index(config.seed)
+    except TypeError:
+        raise ValueError(f"seed must be an integer, got {config.seed!r}") from None
+    if seed < 0:
+        raise ValueError(f"seed must not be negative, got {seed}")
     n = sample_count(config.duration_s, config.sample_rate_hz)
     sensors = sorted(sensors)
     if n * len(sensors) > TRACE_SAMPLE_CAP:
@@ -131,7 +139,7 @@ def generate_trace(config: StreamConfig, sensors) -> Trace:
     samples: dict[SensorId, np.ndarray] = {}
     for sid in sensors:
         check_trace_sensor(sid)
-        rng = np.random.default_rng([config.seed, sid])
+        rng = np.random.default_rng([seed, sid])
         offset = rng.uniform(-5.0, 5.0)
         amplitude = rng.uniform(0.5, 3.0)
         period_s = rng.uniform(30.0, 900.0)
@@ -277,43 +285,54 @@ def _raw_schedule(
     return cum_samples, sends, ready, counts
 
 
-def _percentiles(latencies: np.ndarray) -> tuple[float, float, float, float]:
-    """Mean, p50, p95 and max. The percentiles follow np.percentile's
-    "linear" rule operation for operation: virtual index (n - 1) * q, both
-    neighbours at the top index from n - 1 on, the weight's upper branch
-    from 0.5, and a NaN result when a NaN sorts last. The neighbours come
-    from one partition with np.percentile's own indices, so even the signs
-    of tied zeros match."""
-    n = len(latencies)
-    if not n:
-        return 0.0, 0.0, 0.0, 0.0
-    v = [(n - 1) * q for q in (0.5, 0.95)]
-    lo = [-1 if vq >= n - 1 else math.floor(vq) for vq in v]
-    near = [i for j in lo for i in (j, -1 if j < 0 else j + 1)]
-    x = np.partition(latencies, sorted({0, -1, *near}))
-    ab = x[near].tolist()
-    p = []
-    for vq, j, a, b in zip(v, lo, ab[::2], ab[1::2]):
-        t = vq - j
-        diff = b - a
-        p.append(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
-    if math.isnan(x[-1]):
-        p = [float(x[-1])] * 2
-    return float(latencies.mean()), p[0], p[1], float(latencies.max())
+def _percentiles(latencies: np.ndarray) -> np.ndarray:
+    """Mean, p50, p95 and max of each row of latencies (rows x values), one
+    row of four per row; a 1-D array is the one-row case and gives four
+    values. The percentiles follow np.percentile's "linear" rule operation
+    for operation: virtual index (n - 1) * q, both neighbours at the top
+    index from n - 1 on, the weight's upper branch from 0.5, and a NaN
+    result when a NaN sorts last. The neighbours come from one partition
+    with np.percentile's own indices, so even the signs of tied zeros match."""
+    rows = np.atleast_2d(latencies)
+    n = rows.shape[1]
+    out = np.zeros((len(rows), 4))
+    if n:
+        v = [(n - 1) * q for q in (0.5, 0.95)]
+        lo = [-1 if vq >= n - 1 else math.floor(vq) for vq in v]
+        near = [i for j in lo for i in (j, -1 if j < 0 else j + 1)]
+        x = np.partition(rows, sorted({0, -1, *near}), axis=1)
+        ab = x[:, near].T
+        out[:, 0], out[:, 3] = rows.mean(axis=1), rows.max(axis=1)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for c, vq, j, a, b in zip((1, 2), v, lo, ab[::2], ab[1::2]):
+                t = vq - j
+                diff = b - a
+                out[:, c] = b - diff * (1 - t) if t >= 0.5 else a + diff * t
+        out[np.isnan(x[:, -1]), 1:3] = np.nan
+    return out.reshape(latencies.shape[:-1] + (4,))
 
 
 def _deadline_misses(latency: np.ndarray, bound: float) -> int:
     """Windows whose latency fails le_with_tol(latency, bound), counted
-    elementwise with math.isclose's symmetric test (not np.isclose). When
-    no latency exceeds the bound (a NaN max fails that test), none misses."""
-    if latency.max(initial=-math.inf) <= bound:
-        return 0
+    elementwise with math.isclose's symmetric test (not np.isclose)."""
     with np.errstate(invalid="ignore", over="ignore"):
         diff = np.abs(bound - latency)
     close = np.isfinite(latency) & math.isfinite(bound) & (
         (diff <= abs(REL_TOL * bound)) | (diff <= np.abs(REL_TOL * latency))
     )
     return int(np.count_nonzero(~(close | (latency <= bound))))
+
+
+def _latency_figures(rows: list[tuple[OpSimStats, np.ndarray]]) -> None:
+    """Set each operator's four latency figures, and its deadline misses,
+    from its window latencies; the rows are of one length and are stacked
+    for _percentiles. Only a row whose max fails its deadline is counted."""
+    figures = _percentiles(np.stack([latency for _, latency in rows]))
+    for (stats, latency), fig in zip(rows, figures.tolist()):
+        (stats.latency_mean_s, stats.latency_p50_s,
+         stats.latency_p95_s, stats.latency_max_s) = fig
+        if stats.t_req_s is not None and not fig[3] <= stats.t_req_s:
+            stats.t_req_violations = _deadline_misses(latency, stats.t_req_s)
 
 
 def _window_max(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -475,6 +494,7 @@ def run_sim(
     series: dict[OperatorId, _OpSeries] = {}
     home: dict[OperatorId, set[NodeId]] = {}
     times = _Schedules(duration, n_seconds)
+    latencies: dict[int, list[tuple[OpSimStats, np.ndarray]]] = {}
 
     for op_id in topological_order(workload):
         op = workload.operator(op_id)
@@ -515,20 +535,19 @@ def run_sim(
                 x = trace.samples[j]
                 start = np.minimum(lo, len(x))
                 channels.append(Channel(x, start, np.clip(hi, start, len(x)), rate=rate))
-        # A window's inputs are in once the latest of the dependency
-        # emissions it holds is available.
-        input_edge = np.zeros(n_windows)
-        input_cloud = np.zeros(n_windows)
+        # A window's inputs are in at its close, or once the latest of the
+        # dependency emissions it holds is available if that is later.
+        input_edge = input_cloud = t_close
         for d, s in zip(op.deps, dep_series):
             dep_lo, dep_hi = times.span(workload.operator(d), op)
             if frames is not None:
                 channels.extend(Channel(s.values[:, c], dep_lo, dep_hi, times=s.times)
                                 for c in range(s.arity))
             latest = _window_max(s.avail_edge, dep_lo, dep_hi)
-            np.maximum(input_edge, latest, out=input_edge)
+            input_edge = np.maximum(input_edge, latest)
             if s.avail_cloud is not s.avail_edge:
                 latest = _window_max(s.avail_cloud, dep_lo, dep_hi)
-            np.maximum(input_cloud, latest, out=input_cloud)
+            input_cloud = np.maximum(input_cloud, latest)
 
         values = states = None
         if frames is not None and (at_edge or at_cloud or not is_splittable(op.func)):
@@ -548,7 +567,7 @@ def run_sim(
             uplink_bw = (profile.bandwidth[min(home[op_id])] if home[op_id]
                          else max(profile.bandwidth.values(), default=1.0))
             payload_len = arity if at_edge else state_length(op.func, n_channels, rate)
-            avail_edge = np.maximum(t_close, input_edge) + edge_time
+            avail_edge = input_edge + edge_time
             arrival = avail_cloud = avail_edge + (FRAME_HEADER.size + 8 * payload_len) / uplink_bw
             counts = n_windows, 8 * payload_len * n_windows
             if at_edge:
@@ -572,18 +591,13 @@ def run_sim(
             start = np.maximum(np.maximum(arrival, input_cloud), raw_in)
             avail_cloud = avail_edge = start + cloud_cycles / profile.cpu_unit_cloud
 
-        latency = avail_cloud - t_close
-        if stats.t_req_s is not None:
-            stats.t_req_violations = _deadline_misses(latency, stats.t_req_s)
-
+        latencies.setdefault(n_windows, []).append((stats, avail_cloud - t_close))
         stats.windows = n_windows
         expected = windows_in_horizon(op.window_s, op.step_s, duration)
         if stats.windows != expected:
             warnings.append(
                 f"operator {op_id}: closed {stats.windows} windows, expected {expected}"
             )
-        (stats.latency_mean_s, stats.latency_p50_s,
-         stats.latency_p95_s, stats.latency_max_s) = _percentiles(latency)
 
         # Emission series: every freq_s, repeating the latest closed window.
         # Where one share finishes the window last, the edge and the cloud
@@ -600,6 +614,8 @@ def run_sim(
             arity=arity,
         )
 
+    for rows in latencies.values():
+        _latency_figures(rows)
     ops = per_op.values()
     return SimReport(
         duration_s=duration,

@@ -11,6 +11,7 @@ import dataclasses
 import json
 import math
 import random
+import re
 import struct
 from pathlib import Path
 
@@ -46,6 +47,7 @@ from splitstream.simulator import (
     KIND_RAW,
     KIND_RESULT,
     _deadline_misses,
+    _latency_figures,
     _percentiles,
     _window_max,
 )
@@ -210,6 +212,32 @@ class TestPercentiles:
             want = (x.mean(), *np.percentile(x, (50, 95)), x.max())
             got = _percentiles(x)
         assert packed(got) == packed(float(v) for v in want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_stacked_rows_match_numpy_and_count_misses(self, data):
+        # Rows of one length, as run_sim stacks the operators that close as
+        # many windows; a deadline drawn from a row's own values sits on it.
+        n = data.draw(st.integers(1, 500))
+        row = st.one_of(
+            arrays(np.float64, n, elements=st.sampled_from(SPECIAL_FLOATS)),
+            st.builds(spread, st.integers(0, 2**32), st.just(n), st.sampled_from((1e-4, 1.0, 1e300)),
+                      st.lists(st.sampled_from(SPECIAL_FLOATS), max_size=3)),
+        )
+        xs = data.draw(st.lists(row, min_size=1, max_size=6))
+        bounds = [data.draw(st.one_of(
+            st.none(), st.floats(allow_nan=False), st.sampled_from(x[~np.isnan(x)].tolist() or [1.0]),
+        )) for x in xs]
+        rows = [(simulator.OpSimStats(i, 0.0, t_req_s=b), x) for i, (x, b) in enumerate(zip(xs, bounds))]
+        with np.errstate(all="ignore"):
+            _latency_figures(rows)
+            for (stats, x), bound in zip(rows, bounds):
+                want = (x.mean(), *np.percentile(x, (50, 95)), x.max())
+                got = (stats.latency_mean_s, stats.latency_p50_s, stats.latency_p95_s,
+                       stats.latency_max_s)
+                assert packed(got) == packed(float(v) for v in want)
+                misses = 0 if bound is None else sum(not le_with_tol(v, bound) for v in x.tolist())
+                assert stats.t_req_violations == misses
 
 
 @st.composite
@@ -612,6 +640,24 @@ class TestDeterminism:
         monkeypatch.setattr(simulator.np.random, "default_rng", None)
         with pytest.raises(ValueError, match="^seed must not be negative, got -1$"):
             generate_trace(StreamConfig(duration_s=5, sample_rate_hz=10, seed=-1), [1])
+
+    @pytest.mark.parametrize("seed", [1.5, np.float64(2.0), None, "3", True, False],
+                             ids=["float", "numpy-float", "none", "str", "true", "false"])
+    def test_a_seed_that_is_not_an_integer_is_refused_before_drawing(self, monkeypatch, seed):
+        monkeypatch.setattr(simulator.np.random, "default_rng", None)
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
+            generate_trace(StreamConfig(duration_s=5, sample_rate_hz=10, seed=seed), [1])
+
+    @pytest.mark.parametrize("seed, same_as", [(np.int64(3), 3), (np.uint64(2**64 - 1), 2**64 - 1),
+                                               (2**64 + 5, None)],
+                             ids=["int64", "uint64", "over-2**64"])
+    def test_integer_seeds_of_any_type_and_size_are_taken(self, seed, same_as):
+        cfg = StreamConfig(duration_s=5, sample_rate_hz=10, seed=seed)
+        got = generate_trace(cfg, [1, 2]).samples
+        assert all(len(x) == 50 for x in got.values())
+        if same_as is not None:
+            want = generate_trace(dataclasses.replace(cfg, seed=same_as), [1, 2]).samples
+            assert all(np.array_equal(got[s], want[s]) for s in (1, 2))
 
     @pytest.mark.parametrize(
         "duration, step, freq, over",
