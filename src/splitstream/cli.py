@@ -86,13 +86,17 @@ def _fields(row, *skip: str) -> dict:
     return fields
 
 
-def _generate_trace(w, duration: float, rate: float, seed: int):
-    """A synthetic trace of `w`'s sensors; bad settings exit 1."""
-    from .simulator import StreamConfig, generate_trace
+def _generate_trace(w, duration: float, rate: float, seed: int, *, replay: bool = False):
+    """A synthetic trace of `w`'s sensors; bad settings exit 1, and so, for a
+    `replay`, does a replay run_sim would refuse, before the trace is built."""
+    from .simulator import StreamConfig, _check_replay_size, _trace_shape, generate_trace
 
+    config = StreamConfig(duration_s=duration, sample_rate_hz=rate, seed=seed)
     try:
-        return generate_trace(StreamConfig(duration_s=duration, sample_rate_hz=rate, seed=seed),
-                              w.sensors)
+        if replay:
+            _trace_shape(config, w.sensors)
+            _check_replay_size(w, duration)
+        return generate_trace(config, w.sensors)
     except ValueError as exc:
         _fail(str(exc))
 
@@ -405,7 +409,7 @@ def simulate(workload: str, profile: str, assignment_path: str,
         if missing:
             _fail(f"trace {trace_path}: no samples for workload sensors {missing}")
     else:
-        trace = _generate_trace(w, duration, rate, seed)
+        trace = _generate_trace(w, duration, rate, seed, replay=True)
     started = time.perf_counter()
     try:
         report = run_sim(w, p, a, trace)

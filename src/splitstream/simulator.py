@@ -114,14 +114,9 @@ def sample_count(duration_s: float, sample_rate_hz: float) -> int:
     return round(duration_s * sample_rate_hz)
 
 
-def generate_trace(config: StreamConfig, sensors) -> Trace:
-    """Deterministic per-sensor streams, each a sinusoid plus Gaussian noise
-    whose offset, amplitude, period, phase and noise level are drawn from
-    the sensor's own seed, so traces are stable under any sensor ordering.
-    Raises ValueError, before allocating, for a trace over TRACE_SAMPLE_CAP
-    samples, for a sensor id that a trace file's unsigned 32-bit id field
-    cannot hold, and for a seed that is a bool, not an integer (as
-    operator.index takes it) or negative."""
+def _trace_shape(config: StreamConfig, sensors) -> tuple[int, int, list[SensorId]]:
+    """The seed, the samples per sensor and the sorted sensors of the trace
+    generate_trace would build; raises its ValueErrors."""
     try:
         if isinstance(config.seed, bool):
             raise TypeError
@@ -132,21 +127,53 @@ def generate_trace(config: StreamConfig, sensors) -> Trace:
         raise ValueError(f"seed must not be negative, got {seed}")
     n = sample_count(config.duration_s, config.sample_rate_hz)
     sensors = sorted(sensors)
+    for sid in sensors:
+        check_trace_sensor(sid)
     if n * len(sensors) > TRACE_SAMPLE_CAP:
         raise ValueError(f"{len(sensors)} sensors x {n} samples is over the trace cap of "
                          f"{TRACE_SAMPLE_CAP} samples")
-    t = np.arange(n, dtype=np.float64) / config.sample_rate_hz
+    return seed, n, sensors
+
+
+def generate_trace(config: StreamConfig, sensors) -> Trace:
+    """Deterministic per-sensor streams, each a sinusoid plus Gaussian noise
+    whose offset, amplitude, period, phase and noise level are drawn from
+    the sensor's own seed, so traces are stable under any sensor ordering.
+    Sample m is written m = q * block + r with block > sqrt(n), and its sine
+    is taken by angle addition, sin(a_q + b_r) = sin(a_q) cos(b_r) +
+    cos(a_q) sin(b_r), so a sensor takes 4 * block sines and cosines. The
+    angle 2 pi m / (rate x period) is at most 2 pi duration / 30, so every
+    sample is finite at every timebase sample_count accepts.
+    Raises ValueError, before allocating or drawing, for a trace over
+    TRACE_SAMPLE_CAP samples, for a sensor id that a trace file's unsigned
+    32-bit id field cannot hold, and for a seed that is a bool, not an
+    integer (as operator.index takes it) or negative."""
+    seed, n, sensors = _trace_shape(config, sensors)
+    block = math.isqrt(n) + 1
+    tails = np.arange(block, dtype=np.float64)
+    heads = tails * block
+    cross = np.empty((block, block))
     samples: dict[SensorId, np.ndarray] = {}
     for sid in sensors:
-        check_trace_sensor(sid)
         rng = np.random.default_rng([seed, sid])
         offset = rng.uniform(-5.0, 5.0)
         amplitude = rng.uniform(0.5, 3.0)
         period_s = rng.uniform(30.0, 900.0)
         phase = rng.uniform(0.0, 2.0 * math.pi)
         noise_std = rng.uniform(0.01, 0.3)
-        wave = offset + amplitude * np.sin(2.0 * math.pi * t / period_s + phase)
-        samples[sid] = wave + rng.normal(0.0, noise_std, n)
+        # m / (samples per period) is finite for every m formed: the
+        # product is subnormal only when n is 0, where m is 0 alone.
+        per_period = config.sample_rate_hz * period_s
+        a = 2.0 * math.pi * (heads / per_period) + phase
+        b = 2.0 * math.pi * (tails / per_period)
+        wave = np.empty(block * block)
+        grid = wave.reshape(block, block)
+        np.multiply.outer(amplitude * np.sin(a), np.cos(b), out=grid)
+        np.multiply.outer(amplitude * np.cos(a), np.sin(b), out=cross)
+        grid += cross
+        wave = wave[:n]
+        wave += rng.normal(offset, noise_std, n)
+        samples[sid] = wave
     return Trace(config.duration_s, config.sample_rate_hz, samples)
 
 
@@ -420,9 +447,11 @@ class _Schedules:
         return self._spans[key]
 
 
-def _check_replay_size(w: Workload, duration: float, n_seconds: int) -> None:
-    """Raise ValueError when a replay's whole seconds, or an operator's window
-    closes or emissions, exceed TRACE_SAMPLE_CAP; a quotient past the floats is inf."""
+def _check_replay_size(w: Workload, duration: float) -> int:
+    """The whole seconds a replay of `duration` s takes. Raise ValueError when
+    they, or an operator's window closes or emissions, exceed TRACE_SAMPLE_CAP;
+    a quotient past the floats is inf."""
+    n_seconds = int(math.ceil(duration - 1e-9))
     counts = [(n_seconds, "whole seconds", None)]
     for op in w.operators:
         closes, emits = (duration - op.window_s) / op.step_s, duration / op.freq_s
@@ -435,6 +464,7 @@ def _check_replay_size(w: Workload, duration: float, n_seconds: int) -> None:
         if n > TRACE_SAMPLE_CAP:
             of = "" if op_id is None else f" of operator {op_id}"
             raise ValueError(f"{n:.6g} {what}{of} are over the replay cap of {TRACE_SAMPLE_CAP}")
+    return n_seconds
 
 
 def run_sim(
@@ -455,8 +485,7 @@ def run_sim(
 
     rate = trace.sample_rate_hz
     duration = trace.duration_s
-    n_seconds = int(math.ceil(duration - 1e-9))
-    _check_replay_size(workload, duration, n_seconds)
+    n_seconds = _check_replay_size(workload, duration)
     warnings: list[str] = []
     frames: list[Frame] = [] if collect_frames else None
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from splitstream import (
@@ -21,6 +21,7 @@ from splitstream import (
     load_trace,
     load_workload,
     save_trace,
+    simulator,
 )
 from splitstream.cli import main
 from splitstream.fileio import _TRACE_HEADER, _TRACE_SENSOR, dumps_profile, sha256_file
@@ -282,10 +283,13 @@ class TestGenerators:
 
     @settings(max_examples=150, deadline=None)
     @given(timebase=TIMEBASE)
+    @example(timebase=(1e308, 1e-307))
+    @example(timebase=(1.0, 1e-311))
     def test_gen_trace_refuses_or_writes_the_requested_samples(self, two_sensors, timebase):
         # One error line and no file, or a trace of round(duration x rate)
-        # samples per sensor; refused whenever the two sensors' samples are
-        # over the cap.
+        # finite samples per sensor; refused whenever the two sensors'
+        # samples are over the cap. 1e308 s at 1e-307 Hz is 10 samples whose
+        # times reach 9e307 s, and 1e-311 Hz is a subnormal rate.
         duration, rate = timebase
         out = two_sensors.with_suffix(".bin")
         out.unlink(missing_ok=True)
@@ -300,7 +304,9 @@ class TestGenerators:
             assert not valid or 2 * n > TRACE_SAMPLE_CAP, result.output
             return
         assert valid and 2 * n <= 2e4
-        assert {s: len(x) for s, x in load_trace(str(out)).samples.items()} == {1: n, 2: n}
+        samples = load_trace(str(out)).samples
+        assert {s: len(x) for s, x in samples.items()} == {1: n, 2: n}
+        assert all(np.isfinite(x).all() for x in samples.values())
 
     @pytest.mark.parametrize("sensor", [2**32, -1])
     def test_gen_trace_rejects_sensor_outside_id_field(self, runner, tmp_path, sensor):
@@ -700,6 +706,26 @@ class TestSimulateAndCompare:
         assert result.exit_code == 1, result.output
         assert len(error_lines(result)) == 1
         assert f"over the replay cap of {TRACE_SAMPLE_CAP}" in error_lines(result)[0]
+        assert not out.exists()
+
+    def test_simulate_refuses_a_replay_over_the_cap_before_generating(self, runner, tmp_path,
+                                                                       monkeypatch):
+        # 3e8 s at 0.005 Hz is a trace of 1.5e6 samples per sensor, under
+        # the trace cap, but 3e8 whole seconds are over the replay cap.
+        _, wpath, ppath = write_inputs(tmp_path)
+        gpath = self.solve_gamma_file(runner, tmp_path, wpath, ppath)
+
+        def spy(*args):
+            raise AssertionError("generated a trace the replay refuses")
+
+        monkeypatch.setattr(simulator, "generate_trace", spy)
+        out = tmp_path / "sim.json"
+        result = runner.invoke(main, ["simulate", wpath, ppath, "--assignment", gpath,
+                                      "--duration", "3e8", "--rate", "0.005", "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert error_lines(result) == [
+            f"error: 3e+08 whole seconds are over the replay cap of {TRACE_SAMPLE_CAP}"
+        ]
         assert not out.exists()
 
     def test_simulate_rejects_infeasible_assignment(self, runner, tmp_path):
@@ -1209,12 +1235,12 @@ _REFERENCE_DIGESTS = {
     "co.json": "f287c006fa8363d16ea06007662310da0b084b40340591a1ec63eb5c77a7de23",
     "eo.json": "3eff51b180a8db099ec3da4d2c1ddb92fce54c058acc993037390b9611f07423",
     "cmp.json": "641189499604474109c5691b537b8f006bb3e56af3a7048fdf5e53788ba4a989",
-    "t.bin": "95792c9c883ce1f5c7f928f9981410eced7b3564abf96c2ce0d6c8ed8e2328d3",
-    "sim.json": "02b8ab15aa250ba27088e848633f1593d1c368087ba951e509ab5ae9e6fc1362",
-    "sim_co.json": "b28b89665ff4baed8362985670ebdd241b3d70cb8b4d522275ef97a8000b1270",
+    "t.bin": "3fa61ba4d3b6272a441bf5922a0d4ae2f5b83b6b72b00f01f6a1586bcede06b9",
+    "sim.json": "2e9cea7f56baae499e26b6c175e4f2a0aa89d2a7fa34b7cf8c5cab1bee1f49f9",
+    "sim_co.json": "3683cd024ef93ba51b15cea501d7e2c8b66d9d548ae03f5a9b18a7f65b0f24e7",
     "p90.json": "b5a2012edb66cb7e38d1ecb778461ae0a75ddf6b6ae5f524e2014c6dcb4e61b8",
     "s90.json": "08032a1b46f18598c404920bb2cacf65b7dc9ea2430cacf609e4953b7beeac85",
-    "sim90.json": "de3bef76fed8a44a23e09e2e4294aa8fe6fdc7224d409eec3524a820d3ab1902",
+    "sim90.json": "1362e29ea053029dda79bd7f01d2ea33151ea42b99cec60cf8eb5b555acf3bbb",
 }
 
 

@@ -636,6 +636,15 @@ class TestDeterminism:
         with pytest.raises(ValueError, match="2 sensors x 50 samples is over the trace cap of 99"):
             generate_trace(cfg, [1, 2])
 
+    def test_a_bad_sensor_id_is_refused_before_drawing(self, monkeypatch):
+        # Every id is checked before the first sensor's stream is drawn.
+        def spy(*args):
+            raise AssertionError("drew a stream before the ids were checked")
+
+        monkeypatch.setattr(simulator.np.random, "default_rng", spy)
+        with pytest.raises(ValueError, match=f"^sensor {2**32} is outside a trace's id range"):
+            generate_trace(StreamConfig(duration_s=5, sample_rate_hz=10, seed=1), [1, 2, 3, 2**32])
+
     def test_a_negative_seed_is_refused_before_drawing(self, monkeypatch):
         monkeypatch.setattr(simulator.np.random, "default_rng", None)
         with pytest.raises(ValueError, match="^seed must not be negative, got -1$"):
@@ -688,6 +697,45 @@ class TestDeterminism:
         monkeypatch.setattr(simulator.np, "arange", None)
         with pytest.raises(ValueError, match=f"^{over} are over the replay cap of 10$"):
             run_sim(w, p, a, trace)
+
+
+def direct_trace(config, sid):
+    """Sensor `sid`'s stream of `config` by the direct formula, with its
+    parameters and noise drawn as generate_trace draws them."""
+    rng = np.random.default_rng([config.seed, sid])
+    offset, amplitude, period_s, phase, noise_std = (
+        rng.uniform(lo, hi)
+        for lo, hi in [(-5.0, 5.0), (0.5, 3.0), (30.0, 900.0), (0.0, 2.0 * math.pi), (0.01, 0.3)]
+    )
+    n = round(config.duration_s * config.sample_rate_hz)
+    t = np.arange(n) / config.sample_rate_hz
+    wave = offset + amplitude * np.sin(2.0 * math.pi * t / period_s + phase)
+    return wave + rng.normal(0.0, noise_std, n)
+
+
+class TestSinusoids:
+    """generate_trace takes each sine by angle addition over a block grid;
+    it must agree with the direct formula to rounding."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64), duration=st.floats(1e-3, 86400.0),
+           rate=st.floats(1e-3, 10.0),
+           sensors=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3, unique=True))
+    def test_matches_the_direct_formula(self, seed, duration, rate, sensors):
+        config = StreamConfig(duration_s=duration, sample_rate_hz=rate, seed=seed)
+        samples = generate_trace(config, sensors).samples
+        for sid in sensors:
+            want = direct_trace(config, sid)
+            assert samples[sid].shape == want.shape
+            assert np.abs(samples[sid] - want).max(initial=0.0) <= 1e-9
+
+    def test_matches_the_direct_formula_at_the_reference_scale(self):
+        # One hour at 10 Hz on 170 sensors, as the benchmark's trace.
+        config = StreamConfig(duration_s=3600.0, sample_rate_hz=10.0, seed=1)
+        samples = generate_trace(config, range(1, 171)).samples
+        assert len(samples) == 170
+        for sid, x in samples.items():
+            assert np.abs(x - direct_trace(config, sid)).max() <= 1e-9
 
 
 class TestIndependence:
