@@ -2,12 +2,15 @@
 
 Offload ratios live in [0, 1], one per operator: 0 keeps the work on the
 edge node, 1 ships the raw window to the cloud, fractional values ship a raw
-share plus one partial-aggregate upload per window. A sensor's upload ratio
-is the max over the operators consuming it.
+share plus one partial-aggregate upload per window, by model's one rule of
+where a window runs (runs_at_edge, runs_split, runs_in_cloud), which the
+checks, the search and the replay read too: a ratio within GAMMA_TOL of 0
+or 1, or past it, counts as 0 or 1, and NaN as split. A sensor's upload
+ratio is the max over the operators consuming it.
 
 Edge-side compute and usage scale by (1 - gamma) and cloud-side compute by
 gamma, as the replay splits each window; the cloud merge cost is charged
-only when gamma > 0. (The source formulas swap the two scalings.)
+unless the window runs at the edge. (The source swaps the two scalings.)
 
 Bytes and latencies are priced from the ratios where they are read, by
 OpFacts.total, volumes and latency_terms; latency_rows chains the latter.
@@ -20,7 +23,6 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .model import (
-    GAMMA_TOL,
     REL_TOL,
     NodeId,
     OperatorId,
@@ -30,6 +32,8 @@ from .model import (
     check_cost,
     check_positive,
     fold_sum,
+    runs_at_edge,
+    runs_in_cloud,
     topological_order,
     transitive_sensors,
 )
@@ -177,12 +181,9 @@ def forced_cloud(w: Workload, op_id: OperatorId) -> bool:
 
 
 def int_res_bytes(gamma: float, d_int: float, d_res: float) -> float:
-    """Partial-aggregate and result uploads as a function of the ratio: the
-    result at ratio 0, the aggregate at a fractional ratio, nothing at ratio
-    1, each within GAMMA_TOL as the replay classifies it."""
-    if gamma <= GAMMA_TOL:
-        return d_res
-    return d_int if gamma < 1.0 - GAMMA_TOL else 0.0
+    """Partial-aggregate and result uploads by where the window runs: the
+    result at the edge, nothing in the cloud, the aggregate when split."""
+    return d_res if runs_at_edge(gamma) else 0.0 if runs_in_cloud(gamma) else d_int
 
 
 def data_volume(
@@ -336,7 +337,7 @@ class OpFacts:
         for k, vol in by_node:
             if vol > 0.0:
                 t_trans = max(t_trans, vol / p.bandwidth[k])
-        res = self.cpu_res if gamma > GAMMA_TOL else 0.0
+        res = 0.0 if runs_at_edge(gamma) else self.cpu_res
         return t_edge, t_trans, (fold_at(self.cloud, gamma) + res) / p.cpu_unit_cloud
 
     def meets_deadline(self, t: float) -> bool:

@@ -33,7 +33,7 @@ from .costs import (
     latency_rows,
     under_cap,
 )
-from .model import GAMMA_TOL, OperatorId, Workload, topological_order
+from .model import GAMMA_TOL, OperatorId, Workload, runs_in_cloud, runs_split, topological_order
 
 
 @dataclass(frozen=True)
@@ -43,23 +43,11 @@ class Violation:
     detail: str
 
 
-def _is_zero(g: float) -> bool:
-    return abs(g) <= GAMMA_TOL
-
-
-def _is_one(g: float) -> bool:
-    return abs(g - 1.0) <= GAMMA_TOL
-
-
-def _is_fractional(g: float) -> bool:
-    return not _is_zero(g) and not _is_one(g)
-
-
 def composite_gamma(forced: bool, dep_gammas: list[float]) -> float:
     """A composite's ratio given its deps' ratios: 1 when locality forces it
-    to the cloud (`forced`, see forced_cloud) or any dep is fractional, else
-    the min over its deps."""
-    if forced or any(_is_fractional(g) for g in dep_gammas):
+    to the cloud (`forced`, see forced_cloud) or any dep's window is split
+    (model.runs_split), else the min over its deps."""
+    if forced or any(runs_split(g) for g in dep_gammas):
         return 1.0
     return min(dep_gammas)
 
@@ -106,16 +94,15 @@ def check_assignment(
                     Violation("C4", op.id, f"sensor {s} wired to unknown node {node}")
                 )
 
-    # C1/C2/C3 per operator.
+    # C1/C2/C3 per operator. A ratio out of range, NaN included, is flagged
+    # whatever class the model rule gives it.
     for op in w.operators:
         g = a.gamma.get(op.id)
         if g is None:
             out.append(Violation("C3", op.id, "no ratio recorded"))
-        elif op.iterative:
-            if not -GAMMA_TOL <= g <= 1.0 + GAMMA_TOL:
-                out.append(Violation("C1", op.id, f"ratio {g} outside [0, 1]"))
-        elif not (_is_zero(g) or _is_one(g)):
-            out.append(Violation("C2", op.id, f"ratio {g} not in {{0, 1}}"))
+        elif not -GAMMA_TOL <= g <= 1.0 + GAMMA_TOL or not op.iterative and runs_split(g):
+            cid, want = ("C1", "outside [0, 1]") if op.iterative else ("C2", "not in {0, 1}")
+            out.append(Violation(cid, op.id, f"ratio {g} {want}"))
 
     # C6/C7/C8/C9 placement rules.
     for op in w.operators:
@@ -123,7 +110,7 @@ def check_assignment(
         if g is None:
             continue
         facts = inst.ops[op.id]
-        if len(facts.nodes) > 1 and not _is_one(g):
+        if len(facts.nodes) > 1 and not runs_in_cloud(g):
             out.append(
                 Violation("C6", op.id, f"sensors span {sorted(facts.nodes)}, ratio {g}")
             )
@@ -141,7 +128,7 @@ def check_assignment(
                 out.append(
                     Violation("C7", op.id, f"transitive sensors span nodes, ratio {g}")
                 )
-            elif any(_is_fractional(v) for v in dep_gammas):
+            elif any(runs_split(v) for v in dep_gammas):
                 out.append(Violation("C8", op.id, f"fractional dependency, ratio {g}"))
             else:
                 out.append(Violation("C9", op.id, f"ratio {g} != min over deps {expected}"))

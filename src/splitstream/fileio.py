@@ -431,7 +431,7 @@ def load_trace(path: str) -> Trace:
     the last sensor are ignored."""
     import numpy as np
 
-    from .simulator import Trace, sample_count
+    from .simulator import Trace, check_sensor_samples, sample_count
 
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -453,10 +453,7 @@ def load_trace(path: str) -> Trace:
             # Checked against the file size before anything is mapped.
             if fh.tell() + 8 * n > size:
                 raise ValueError(f"truncated samples for sensor {sensor}")
-            if n != expected:
-                raise ValueError(
-                    f"sensor {sensor} has {n} samples; {duration} s at {rate} Hz is {expected}"
-                )
+            check_sensor_samples(sensor, n, expected, duration, rate)
             if sensor in offsets:
                 raise ValueError(f"sensor {sensor} appears twice")
             offsets[sensor] = fh.tell()

@@ -19,10 +19,30 @@ SensorId = int
 NodeId = int
 OperatorId = int
 
-# Absolute tolerance for offload-ratio domain and equality checks.
+# Absolute tolerance of the offload-ratio classes below and of ratio
+# domain and equality checks.
 GAMMA_TOL = 1e-9
 # Relative tolerance for latency and capacity comparisons.
 REL_TOL = 1e-9
+
+
+# Where an operator's window runs at ratio g, the one rule that pricing, the
+# checks, the search and the replay read: whole at the edge at or below
+# GAMMA_TOL, whole in the cloud at or above 1 - GAMMA_TOL, split otherwise
+# (the edge folds a partial state, the cloud merges it). A ratio outside
+# [0, 1] takes its nearer end's class; NaN fails both tests and is split.
+# The search asks runs_split of every grid point it steps, so it repeats the
+# two tests rather than calling the other two predicates.
+def runs_at_edge(g: float) -> bool:
+    return g <= GAMMA_TOL
+
+
+def runs_in_cloud(g: float) -> bool:
+    return g >= 1.0 - GAMMA_TOL
+
+
+def runs_split(g: float) -> bool:
+    return not (g <= GAMMA_TOL or g >= 1.0 - GAMMA_TOL)
 
 
 def check_positive(name: str, value: float) -> float:

@@ -60,7 +60,6 @@ from .costs import Assignment, Profile, effective_t_req, windows_in_horizon
 from .fileio import check_trace_sensor
 from .functions import Channel, eval_windows, split_windows
 from .model import (
-    GAMMA_TOL,
     REFERENCE_SAMPLE_RATE_HZ,
     REL_TOL,
     NodeId,
@@ -72,6 +71,8 @@ from .model import (
     fold_sum,
     is_splittable,
     output_arity,
+    runs_at_edge,
+    runs_in_cloud,
     state_length,
     topological_order,
 )
@@ -112,6 +113,17 @@ def sample_count(duration_s: float, sample_rate_hz: float) -> int:
     if not math.isfinite(duration_s * sample_rate_hz):
         raise ValueError(f"{duration_s} s at {sample_rate_hz} Hz is too many samples")
     return round(duration_s * sample_rate_hz)
+
+
+def check_sensor_samples(
+    sensor: SensorId, n: int, expected: int, duration_s: float, sample_rate_hz: float
+) -> None:
+    """Raise ValueError unless the sensor's n samples are the `expected`
+    sample_count(duration_s, sample_rate_hz)."""
+    if n != expected:
+        raise ValueError(
+            f"sensor {sensor} has {n} samples; {duration_s} s at {sample_rate_hz} Hz is {expected}"
+        )
 
 
 def _trace_shape(config: StreamConfig, sensors) -> tuple[int, int, list[SensorId]]:
@@ -478,13 +490,19 @@ def run_sim(
     """Replay the trace through the placed operator graph. Each operator's
     windows are timed together, as arrays; their values are evaluated only
     for the frames, when collect_frames is set. A trace missing a workload
-    sensor, or a replay _check_replay_size refuses, raises ValueError."""
+    sensor or breaking load_trace's rules (sample_count, then
+    check_sensor_samples for each workload sensor), or a replay
+    _check_replay_size refuses, raises ValueError before any array is
+    built."""
     missing = [j for j in workload.sensors if j not in trace.samples]
     if missing:
         raise ValueError(f"trace lacks sensors {sorted(missing)}")
 
     rate = trace.sample_rate_hz
     duration = trace.duration_s
+    n_samples = sample_count(duration, rate)
+    for j in sorted(workload.sensors):
+        check_sensor_samples(j, len(trace.samples[j]), n_samples, duration, rate)
     n_seconds = _check_replay_size(workload, duration)
     warnings: list[str] = []
     frames: list[Frame] = [] if collect_frames else None
@@ -503,7 +521,7 @@ def run_sim(
         share = assignment.gamma_sensor.get(sid, 0.0)
         x = trace.samples[sid]
         stats = raw_stats[sid] = RawUplinkStats(sid, node, share)
-        if share <= GAMMA_TOL or len(x) == 0 or n_seconds == 0:
+        if runs_at_edge(share) or len(x) == 0 or n_seconds == 0:
             raw_ready[sid] = idle
             continue
         key = (len(x), share, profile.bandwidth[node])
@@ -528,8 +546,8 @@ def run_sim(
     for op_id in topological_order(workload):
         op = workload.operator(op_id)
         gamma = assignment.gamma[op_id]
-        at_edge = gamma <= GAMMA_TOL
-        at_cloud = gamma >= 1.0 - GAMMA_TOL
+        at_edge = runs_at_edge(gamma)
+        at_cloud = runs_in_cloud(gamma)
         stats = per_op[op_id] = OpSimStats(op_id, gamma, t_req_s=effective_t_req(op, profile))
         # The nodes of the operator's sensors and its dependencies' sensors.
         home[op_id] = {sensor_node[j] for j in op.sensors}.union(*(home[d] for d in op.deps))
@@ -540,7 +558,7 @@ def run_sim(
                 f"({duration}s); no windows close"
             )
 
-        if at_edge and any(assignment.gamma[d] >= 1.0 - GAMMA_TOL for d in op.deps):
+        if at_edge and any(runs_in_cloud(assignment.gamma[d]) for d in op.deps):
             warnings.append(
                 f"operator {op_id} computes at the edge from cloud-resident "
                 "inputs; the downlink is not charged"

@@ -29,10 +29,10 @@ maxima) only once it fits; every other node kept the sum that passed at the
 parent. Bytes and latencies are priced from the ratios where they are read.
 A leaf is reached only through points that fit.
 
-Fractional prefix rule: the points of an atom's fractional run (its ratios
-strictly between GAMMA_TOL and 1 - GAMMA_TOL, the class of
-feasibility._is_fractional and int_res_bytes, contiguous as its domain
-ascends) that fail the resource check come first. Across the run each
+Fractional prefix rule: the points of an atom's fractional run (the ratios
+whose window runs split, model.runs_split: strictly between GAMMA_TOL and
+1 - GAMMA_TOL, the one class that pricing, the checks and the replay read,
+contiguous as its domain ascends) that fail the resource check come first. Across the run each
 composite derived with the atom takes the same ratio (1 when a dep is
 fractional, C8, else the min of deps that do not change), so its loads stay;
 the atom's own loads fold its non-negative cycles and bytes at the edge
@@ -86,7 +86,6 @@ from .costs import (
     under_cap,
 )
 from .feasibility import (
-    _is_fractional,
     check_assignment,
     composite_gamma,
     forced_cloud,
@@ -97,6 +96,7 @@ from .model import (
     OperatorId,
     SensorId,
     Workload,
+    runs_split,
     sensor_clusters,
     topological_order,
     union_find_groups,
@@ -392,7 +392,7 @@ def _solve_cluster(
     domains = [operator_domain(inst.w, i, grid) for i in atoms]
     # Index just past each domain's fractional points, which are contiguous
     # as a domain ascends; found once per distinct domain.
-    ends = {d: max((j + 1 for j, g in enumerate(d) if _is_fractional(g)), default=0)
+    ends = {d: max((j + 1 for j, g in enumerate(d) if runs_split(g)), default=0)
             for d in set(domains)}
     frac_end = [ends[d] for d in domains]
     # Per depth, the first fitting fractional point found last: sibling
@@ -460,7 +460,7 @@ def _solve_cluster(
             if preflight_resource(state, mark) is not None:
                 state.undo(mark)
                 stats["prunes"]["resource"] += 1
-                if not _is_fractional(gamma):
+                if not runs_split(gamma):
                     continue
                 # The fractional prefix rule (module docstring): the points
                 # before the first that fits fail too.
@@ -482,7 +482,7 @@ def _solve_cluster(
             # win the tie-break.
             if best[0] is not None and state.bound(cluster) > best[0][0]:
                 stats["prunes"]["bound"] += 1
-                if _is_fractional(gamma):
+                if runs_split(gamma):
                     # The fractional tail rule (module docstring): every
                     # larger fractional point is cut here too.
                     skipped = frac_end[depth] - j

@@ -33,7 +33,15 @@ from splitstream import (
 )
 from splitstream import generate_profile, generate_reference_workload, topological_order
 from splitstream.costs import Instance, fold_at, int_res_bytes, under_cap
-from splitstream.model import fold_sum, transitive_sensors
+from splitstream.feasibility import check_assignment, composite_gamma
+from splitstream.model import (
+    GAMMA_TOL,
+    fold_sum,
+    runs_at_edge,
+    runs_in_cloud,
+    runs_split,
+    transitive_sensors,
+)
 from splitstream.solver import gamma_grid
 
 from conftest import build_workload, capped_reference, random_instance
@@ -181,9 +189,36 @@ class TestObjective:
 
 class TestIntResTolerance:
     """Ratios within GAMMA_TOL of 0 or 1 pass check_assignment and are
-    replayed as 0 or 1, so they are priced as 0 or 1."""
+    replayed as 0 or 1, so they are priced as 0 or 1. Past the range a ratio
+    takes its nearer end's class and NaN is split, by the same model rule,
+    though C1 or C2 flags them."""
 
-    NEAR_GRID = [(-1e-12, 0.0), (1e-12, 0.0), (1.0 - 1e-12, 1.0), (1.0 + 1e-10, 1.0)]
+    NEAR_GRID = [
+        (-1e-12, 0.0), (1e-12, 0.0), (1.0 - 1e-12, 1.0), (1.0 + 1e-10, 1.0),
+        (-0.5, 0.0), (1.5, 1.0), (math.nan, 0.5),
+    ]
+
+    @pytest.mark.parametrize("gamma, like", NEAR_GRID)
+    def test_every_reader_takes_the_model_class(self, gamma, like):
+        # Pricing's upload term, a composite forced to 1 by a split dep, the
+        # replay's frame kind and the C1/C2 checks all follow model's rule.
+        kind = (runs_at_edge(gamma), runs_split(gamma), runs_in_cloud(gamma))
+        assert kind == (runs_at_edge(like), runs_split(like), runs_in_cloud(like))
+        assert sum(kind) == 1
+        edge, split, _cloud = kind
+        assert int_res_bytes(gamma, 100.0, 8.0) == (8.0 if edge else 100.0 if split else 0.0)
+        assert (composite_gamma(False, [gamma, 0.0]) == 1.0) == split
+        trace = generate_trace(StreamConfig(duration_s=10, sample_rate_hz=10, seed=1), [1])
+        in_range = -GAMMA_TOL <= gamma <= 1.0 + GAMMA_TOL
+        for iterative, cid in ((True, "C1"), (False, "C2")):
+            w = build_workload([(1, (1,), (), F.MEAN, iterative, 5, 5, 5)], {1: 1})
+            p = generate_profile(w)
+            a = Assignment.from_op_gamma(w, {1: gamma})
+            found = {v.constraint for v in check_assignment(w, p, a)}
+            assert (cid in found) == (not in_range), cid
+            # No raw share, so the operator's own frames tell its class.
+            stats = run_sim(w, p, Assignment({1: gamma}, {1: 0.0}), trace).per_op[1]
+            assert (stats.res_frames > 0, stats.int_frames > 0) == (edge, split)
 
     @pytest.mark.parametrize("gamma, like", NEAR_GRID)
     def test_near_grid_ratio_prices_as_the_grid(self, gamma, like):

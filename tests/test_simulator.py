@@ -150,6 +150,28 @@ class TestLatencyAndDeadlines:
         with pytest.raises(ValueError, match=r"^trace lacks sensors \[1\]$"):
             run_sim(w, p, a, other)
 
+    @pytest.mark.parametrize(
+        "duration, rate, n, message",
+        [
+            (math.inf, 10.0, 100, "duration must be positive and finite, got inf"),
+            (math.nan, 10.0, 100, "duration must be positive and finite, got nan"),
+            (-5.0, 10.0, 100, "duration must be positive and finite, got -5.0"),
+            (10.0, -10.0, 100, "sample rate must be positive and finite, got -10.0"),
+            (10.0, math.nan, 100, "sample rate must be positive and finite, got nan"),
+            (10.0, 10.0, 5, "sensor 1 has 5 samples; 10.0 s at 10.0 Hz is 100"),
+        ],
+    )
+    def test_a_trace_load_trace_refuses_is_refused(self, monkeypatch, duration, rate, n, message):
+        # load_trace's rules, checked before the replay sizes anything.
+        def refuse(*args):
+            raise AssertionError("the replay was sized")
+
+        monkeypatch.setattr(simulator, "_check_replay_size", refuse)
+        w, p, a, _ = tiny_setup(0.5)
+        trace = simulator.Trace(duration, rate, {1: np.zeros(n)})
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_sim(w, p, a, trace)
+
     def test_deadline_violations_counted_per_window(self):
         w, p, a, trace = tiny_setup(1.0)
         p = dataclasses.replace(p, t_req_s={1: 1e-12})
@@ -757,3 +779,23 @@ class TestIndependence:
         for name in ("solver", "feasibility", "baselines"):
             assert not {m for m in imported if m.rsplit(".", 1)[-1] == name}, name
             assert all(name not in names for names in imported.values()), name
+
+    def test_only_the_model_and_the_range_checks_name_the_ratio_tolerance(self):
+        # Where a window runs (edge, split or cloud) is one rule in model;
+        # feasibility keeps GAMMA_TOL only for its C1/C2 range test and its
+        # C9 equality test. Any other module naming it is a second home.
+        package = Path(simulator.__file__).parent
+        named = []
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            names = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.update((node.name, node.asname))
+            if "GAMMA_TOL" in names:
+                named.append(path.name)
+        assert named == ["feasibility.py", "model.py"]

@@ -25,8 +25,8 @@ from splitstream import (
     solve,
 )
 from splitstream.costs import Instance, OpFacts, int_res_bytes, total_objective
-from splitstream.feasibility import _is_fractional, composite_gamma
-from splitstream.model import sensor_clusters
+from splitstream.feasibility import composite_gamma
+from splitstream.model import runs_split, sensor_clusters
 from splitstream.solver import SearchState, first_fit, operator_domain, preflight_resource
 
 from conftest import build_workload, capped_reference, random_instance
@@ -471,7 +471,7 @@ class TestFractionalTail:
             for i in rng.sample(rest, rng.randint(0, len(rest))):
                 state.assign(i, rng.choice((0.0, 0.3, 0.5, 1.0)))
             seen = []
-            for g in (g for g in grid if _is_fractional(g)):
+            for g in (g for g in grid if runs_split(g)):
                 mark = len(state.trail)
                 state.assign(atom, g)
                 for i in inst.order:
@@ -496,7 +496,7 @@ class TestFractionalTail:
         # under any caps the points that fail the resource check precede
         # those that pass, and first_fit's walk finds the first that passes.
         rng = random.Random(17)
-        fractions = [g for g in gamma_grid(0.1) if _is_fractional(g)]
+        fractions = [g for g in gamma_grid(0.1) if runs_split(g)]
         checked = 0
         for seed in range(40):
             w, p = random_instance(seed)
@@ -560,7 +560,7 @@ class TestFractionalTail:
     @pytest.mark.parametrize("delta", [0.25, 0.1, 1 / 3, 0.01])
     def test_fractional_is_the_aggregate_class(self, delta):
         for g in gamma_grid(delta):
-            assert _is_fractional(g) == (int_res_bytes(g, 1.0, 2.0) == 1.0), g
+            assert runs_split(g) == (int_res_bytes(g, 1.0, 2.0) == 1.0), g
 
 
 class TestFirstFit:
