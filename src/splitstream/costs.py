@@ -65,19 +65,33 @@ class Profile:
     t_req_s: dict[OperatorId, float] = field(default_factory=dict)
 
 
+# The profile's tables by row kind, in the file's column order. A per_sensor
+# row is keyed (op, sensor, node), a per_operator row by op, a node table by
+# node; cpu_unit_cloud and t_req_s are read and checked on their own.
+PER_SENSOR = ("cpu_edge", "cpu_cloud", "mem_edge", "data_raw")
+PER_OPERATOR = ("cpu_res", "data_int", "data_res")
+PER_NODE = ("cpu_unit_edge", "bandwidth", "cpu_cap", "mem_cap")
+
+
+def table_key(name: str, key: tuple[OperatorId, SensorId, NodeId]) -> tuple:
+    """Per_sensor table `name`'s key for the row (op, sensor, node): the
+    cloud's cycles, cpu_cloud, do not depend on the node."""
+    return key[:2] if name == "cpu_cloud" else key
+
+
 def check_profile(p: Profile) -> Profile:
     """p, or ValueError naming the first figure that breaks a profile's value
     rules: costs finite and non-negative; clock rates and bandwidths, which
     divide, and caps and deadlines, which are strict bounds, positive and
     finite. The reader and generate_profile both apply it."""
     for key in p.cpu_edge:
-        for name in ("cpu_edge", "cpu_cloud", "mem_edge", "data_raw"):
-            check_cost(name, key, getattr(p, name)[key[:2] if name == "cpu_cloud" else key])
+        for name in PER_SENSOR:
+            check_cost(name, key, getattr(p, name)[table_key(name, key)])
     for op in p.cpu_res:
-        for name in ("cpu_res", "data_int", "data_res"):
+        for name in PER_OPERATOR:
             check_cost(name, f"op {op}", getattr(p, name)[op])
     check_positive("cpu_unit_cloud", p.cpu_unit_cloud)
-    for name in ("cpu_unit_edge", "bandwidth", "cpu_cap", "mem_cap", "t_req_s"):
+    for name in (*PER_NODE, "t_req_s"):
         where = "op" if name == "t_req_s" else "node"
         for k, value in getattr(p, name).items():
             check_positive(f"{name} of {where} {k}", value)
@@ -90,17 +104,14 @@ def validate_profile(w: Workload, p: Profile) -> None:
     bandwidth or edge clock rate."""
     for op in w.operators:
         for s in op.sensors:
-            k = w.topology.sensor_node.get(s)
-            key = (op.id, s, k)
-            if (op.id, s) not in p.cpu_cloud or any(
-                key not in t for t in (p.cpu_edge, p.mem_edge, p.data_raw)
-            ):
-                raise ValueError(f"no per_sensor row for op {op.id}, sensor {s}, node {k}")
-        if any(op.id not in t for t in (p.cpu_res, p.data_int, p.data_res)):
+            key = (op.id, s, w.topology.sensor_node.get(s))
+            if any(table_key(name, key) not in getattr(p, name) for name in PER_SENSOR):
+                raise ValueError(f"no per_sensor row for op {op.id}, sensor {s}, node {key[2]}")
+        if any(op.id not in getattr(p, name) for name in PER_OPERATOR):
             raise ValueError(f"no per_operator row for op {op.id}")
     for k in sorted(w.topology.nodes):
-        for name, table in (("bandwidth", p.bandwidth), ("cpu_unit_edge", p.cpu_unit_edge)):
-            if k not in table:
+        for name in ("bandwidth", "cpu_unit_edge"):
+            if k not in getattr(p, name):
                 raise ValueError(f"no {name} for node {k}")
 
 

@@ -33,7 +33,15 @@ from .costs import (
     latency_rows,
     under_cap,
 )
-from .model import GAMMA_TOL, OperatorId, Workload, runs_in_cloud, runs_split, topological_order
+from .model import (
+    GAMMA_TOL,
+    OperatorId,
+    Workload,
+    ratio_in_range,
+    runs_in_cloud,
+    runs_split,
+    topological_order,
+)
 
 
 @dataclass(frozen=True)
@@ -100,7 +108,7 @@ def check_assignment(
         g = a.gamma.get(op.id)
         if g is None:
             out.append(Violation("C3", op.id, "no ratio recorded"))
-        elif not -GAMMA_TOL <= g <= 1.0 + GAMMA_TOL or not op.iterative and runs_split(g):
+        elif not ratio_in_range(g) or not op.iterative and runs_split(g):
             cid, want = ("C1", "outside [0, 1]") if op.iterative else ("C2", "not in {0, 1}")
             out.append(Violation(cid, op.id, f"ratio {g} {want}"))
 

@@ -38,7 +38,15 @@ import os
 import struct
 from typing import TYPE_CHECKING, Iterable
 
-from .costs import Assignment, Profile, check_profile
+from .costs import (
+    PER_NODE,
+    PER_OPERATOR,
+    PER_SENSOR,
+    Assignment,
+    Profile,
+    check_profile,
+    table_key,
+)
 from .model import (
     FunctionKind,
     NodeId,
@@ -212,35 +220,22 @@ def _int_or_fail(x: float, what: str) -> int:
 
 def dumps_profile(p: Profile) -> str:
     per_sensor = []
-    for (op, sensor, node) in sorted(p.cpu_edge):
-        per_sensor.append(
-            {
-                "op": op,
-                "sensor": sensor,
-                "node": node,
-                "cpu_edge": _int_or_fail(p.cpu_edge[(op, sensor, node)], "cpu_edge"),
-                "cpu_cloud": _int_or_fail(p.cpu_cloud[(op, sensor)], "cpu_cloud"),
-                "mem_edge": _int_or_fail(p.mem_edge[(op, sensor, node)], "mem_edge"),
-                "data_raw": _int_or_fail(p.data_raw[(op, sensor, node)], "data_raw"),
-            }
-        )
+    for key in sorted(p.cpu_edge):
+        row = dict(zip(("op", "sensor", "node"), key))
+        for name in PER_SENSOR:
+            row[name] = _int_or_fail(getattr(p, name)[table_key(name, key)], name)
+        per_sensor.append(row)
     per_operator = []
     for op in sorted(p.cpu_res):
-        row = {
-            "op": op,
-            "cpu_res": _int_or_fail(p.cpu_res[op], "cpu_res"),
-            "data_int": _int_or_fail(p.data_int.get(op, 0.0), "data_int"),
-            "data_res": _int_or_fail(p.data_res.get(op, 0.0), "data_res"),
-        }
+        row = {"op": op}
+        for name in PER_OPERATOR:
+            row[name] = _int_or_fail(getattr(p, name).get(op, 0.0), name)
         if op in p.t_req_s:
             row["t_req_s"] = p.t_req_s[op]
         per_operator.append(row)
     record = {
-        "cpu_unit_edge": {str(k): p.cpu_unit_edge[k] for k in sorted(p.cpu_unit_edge)},
+        **{name: {str(k): v for k, v in sorted(getattr(p, name).items())} for name in PER_NODE},
         "cpu_unit_cloud": p.cpu_unit_cloud,
-        "bandwidth": {str(k): p.bandwidth[k] for k in sorted(p.bandwidth)},
-        "cpu_cap": {str(k): p.cpu_cap[k] for k in sorted(p.cpu_cap)},
-        "mem_cap": {str(k): p.mem_cap[k] for k in sorted(p.mem_cap)},
         "per_sensor": per_sensor,
         "per_operator": per_operator,
     }
@@ -323,7 +318,7 @@ def parse_json(text: str):
 
 def parse_profile(text: str) -> Profile:
     record = json_shaped(parse_json(text), dict, "a profile")
-    cpu_edge, cpu_cloud, mem_edge, data_raw = {}, {}, {}, {}
+    tables = {name: {} for name in (*PER_SENSOR, *PER_OPERATOR, "t_req_s")}
 
     def member(name: str):
         return json_member(record, name, "the profile")
@@ -333,47 +328,26 @@ def parse_profile(text: str) -> Profile:
         key = tuple(json_id(row, name, "per_sensor") for name in ("op", "sensor", "node"))
         # cpu_cloud is keyed (op, sensor): a second row for the pair, even at
         # another node, would replace the operator's cloud cycles.
-        if key[:2] in cpu_cloud:
+        if table_key("cpu_cloud", key) in tables["cpu_cloud"]:
             raise ValueError(f"per_sensor lists op {key[0]}, sensor {key[1]} twice")
-        cpu_edge[key] = json_figure(row, "cpu_edge", key)
-        cpu_cloud[key[:2]] = json_figure(row, "cpu_cloud", key)
-        mem_edge[key] = json_figure(row, "mem_edge", key)
-        data_raw[key] = json_figure(row, "data_raw", key)
-    cpu_res, data_int, data_res, t_req_s = {}, {}, {}, {}
+        for name in PER_SENSOR:
+            tables[name][table_key(name, key)] = json_figure(row, name, key)
     for row in json_shaped(member("per_operator"), list, "per_operator"):
         row = json_shaped(row, dict, "a per_operator row")
         op = json_id(row, "op", "per_operator")
-        if op in cpu_res:
+        if op in tables["cpu_res"]:
             raise ValueError(f"per_operator lists op {op} twice")
-        key = f"op {op}"
-        cpu_res[op] = json_figure(row, "cpu_res", key)
-        data_int[op] = json_figure(row, "data_int", key)
-        data_res[op] = json_figure(row, "data_res", key)
-        if "t_req_s" in row and row["t_req_s"] is not None:
-            t_req_s[op] = json_number(row["t_req_s"], "t_req_s", key)
-    cpu_unit_edge, bandwidth, cpu_cap, mem_cap = (
-        {
+        for name in PER_OPERATOR:
+            tables[name][op] = json_figure(row, name, f"op {op}")
+        if row.get("t_req_s") is not None:
+            tables["t_req_s"][op] = json_number(row["t_req_s"], "t_req_s", f"op {op}")
+    for name in PER_NODE:
+        tables[name] = {
             json_key(k, name): json_number(v, name, f"node {k}")
             for k, v in json_shaped(member(name), dict, name).items()
         }
-        for name in ("cpu_unit_edge", "bandwidth", "cpu_cap", "mem_cap")
-    )
     cpu_unit_cloud = json_number(member("cpu_unit_cloud"), "cpu_unit_cloud", "the cloud")
-    return check_profile(Profile(
-        cpu_edge=cpu_edge,
-        cpu_cloud=cpu_cloud,
-        cpu_res=cpu_res,
-        mem_edge=mem_edge,
-        data_raw=data_raw,
-        data_int=data_int,
-        data_res=data_res,
-        cpu_unit_edge=cpu_unit_edge,
-        cpu_unit_cloud=cpu_unit_cloud,
-        bandwidth=bandwidth,
-        cpu_cap=cpu_cap,
-        mem_cap=mem_cap,
-        t_req_s=t_req_s,
-    ))
+    return check_profile(Profile(**tables, cpu_unit_cloud=cpu_unit_cloud))
 
 
 def save_profile(path: str, p: Profile) -> None:

@@ -45,6 +45,12 @@ def runs_split(g: float) -> bool:
     return not (g <= GAMMA_TOL or g >= 1.0 - GAMMA_TOL)
 
 
+def ratio_in_range(g: float) -> bool:
+    """True when g lies in [-GAMMA_TOL, 1 + GAMMA_TOL], the ratios the checks
+    accept (C1, C2) and the replay runs; NaN does not."""
+    return -GAMMA_TOL <= g <= 1.0 + GAMMA_TOL
+
+
 def check_positive(name: str, value: float) -> float:
     """The value, or ValueError unless it is positive and finite. NaN fails
     every comparison, so the test is for the good case."""

@@ -71,6 +71,7 @@ from .model import (
     fold_sum,
     is_splittable,
     output_arity,
+    ratio_in_range,
     runs_at_edge,
     runs_in_cloud,
     state_length,
@@ -422,14 +423,14 @@ class _Schedules:
         self._spans: dict[tuple[float, ...], tuple[np.ndarray, ...]] = {}
 
     def windows(self, op: OperatorSpec) -> tuple[np.ndarray, ...]:
-        """Close times window_s + m * step_s of the windows inside the trace,
-        their open times, and for each close the whole second whose raw
-        batches must have landed."""
+        """Close times window_s + m * step_s of the windows inside the trace
+        (windows_in_horizon of them, as the cost model counts), their open
+        times, and for each close the whole second whose raw batches must
+        have landed."""
         key = op.window_s, op.step_s
         if key not in self._windows:
-            count = max(0, math.floor((self.duration - op.window_s) / op.step_s) + 3)
+            count = windows_in_horizon(op.window_s, op.step_s, self.duration)
             t_close = op.window_s + np.arange(count) * op.step_s
-            t_close = t_close[t_close <= self.duration + 1e-9]
             second = np.minimum(self.n_seconds, np.ceil(t_close - 1e-9).astype(np.int64))
             self._windows[key] = _frozen(t_close, t_close - op.window_s, second)
         return self._windows[key]
@@ -491,9 +492,9 @@ def run_sim(
     windows are timed together, as arrays; their values are evaluated only
     for the frames, when collect_frames is set. A trace missing a workload
     sensor or breaking load_trace's rules (sample_count, then
-    check_sensor_samples for each workload sensor), or a replay
-    _check_replay_size refuses, raises ValueError before any array is
-    built."""
+    check_sensor_samples for each workload sensor), an operator or sensor
+    ratio outside model.ratio_in_range, or a replay _check_replay_size
+    refuses, raises ValueError before any array is built."""
     missing = [j for j in workload.sensors if j not in trace.samples]
     if missing:
         raise ValueError(f"trace lacks sensors {sorted(missing)}")
@@ -503,6 +504,12 @@ def run_sim(
     n_samples = sample_count(duration, rate)
     for j in sorted(workload.sensors):
         check_sensor_samples(j, len(trace.samples[j]), n_samples, duration, rate)
+    ratios = {f"operator {op.id}": assignment.gamma[op.id] for op in workload.operators}
+    for j in sorted(workload.sensors):
+        ratios[f"sensor {j}"] = assignment.gamma_sensor.get(j, 0.0)
+    for who, g in ratios.items():
+        if not ratio_in_range(g):
+            raise ValueError(f"ratio {g} of {who} is outside [0, 1]; the replay cannot run it")
     n_seconds = _check_replay_size(workload, duration)
     warnings: list[str] = []
     frames: list[Frame] = [] if collect_frames else None
@@ -640,11 +647,6 @@ def run_sim(
 
         latencies.setdefault(n_windows, []).append((stats, avail_cloud - t_close))
         stats.windows = n_windows
-        expected = windows_in_horizon(op.window_s, op.step_s, duration)
-        if stats.windows != expected:
-            warnings.append(
-                f"operator {op_id}: closed {stats.windows} windows, expected {expected}"
-            )
 
         # Emission series: every freq_s, repeating the latest closed window.
         # Where one share finishes the window last, the edge and the cloud

@@ -742,6 +742,21 @@ class TestSimulateAndCompare:
         )
         assert forced.exit_code == 0
 
+    def test_simulate_refuses_a_ratio_out_of_range_even_under_force(self, runner, tmp_path):
+        # check_assignment flags 1.5 (C1); --force passes that by, but the
+        # replay cannot stream more of a sensor than the trace holds.
+        _, wpath, ppath = write_inputs(tmp_path, [(1, (1,), (), F.MEAN, True, 5, 5, 5)], {1: 1})
+        gpath = tmp_path / "gamma.json"
+        gpath.write_text('{"gamma": {"1": 1.5}}')
+        out = tmp_path / "sim.json"
+        result = runner.invoke(main, ["simulate", wpath, ppath, "--assignment", str(gpath),
+                                      "--duration", "10", "--force", "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert error_lines(result) == [
+            "error: ratio 1.5 of operator 1 is outside [0, 1]; the replay cannot run it"
+        ]
+        assert not out.exists()
+
     def test_simulate_rejects_infeasible_solve_report(self, runner, tmp_path):
         _, wpath, ppath = write_inputs(tmp_path)
         report = str(tmp_path / "infeasible.json")

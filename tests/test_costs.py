@@ -6,6 +6,7 @@ with a 600 s window at 10 Hz and 8-byte samples, each sensor's window is
 and emits a 2-number result (16 bytes).
 """
 
+import dataclasses
 import math
 import random
 
@@ -32,7 +33,17 @@ from splitstream import (
     windows_in_horizon,
 )
 from splitstream import generate_profile, generate_reference_workload, topological_order
-from splitstream.costs import Instance, fold_at, int_res_bytes, under_cap
+from splitstream.costs import (
+    PER_NODE,
+    PER_OPERATOR,
+    PER_SENSOR,
+    Instance,
+    Profile,
+    fold_at,
+    int_res_bytes,
+    table_key,
+    under_cap,
+)
 from splitstream.feasibility import check_assignment, composite_gamma
 from splitstream.model import (
     GAMMA_TOL,
@@ -51,6 +62,21 @@ F = FunctionKind
 
 def gam(w, g):
     return Assignment.from_op_gamma(w, {op.id: g for op in w.operators})
+
+
+class TestProfileTables:
+    def test_the_lists_name_every_profile_field_once(self):
+        # A field the lists miss is one the reader, the writer and the value
+        # rules would all skip.
+        names = [*PER_SENSOR, *PER_OPERATOR, *PER_NODE, "cpu_unit_cloud", "t_req_s"]
+        assert len(names) == len(set(names))
+        assert set(names) == {f.name for f in dataclasses.fields(Profile)}
+
+    def test_table_key_gives_each_per_sensor_table_its_keys(self, tiny_workload):
+        p = generate_profile(tiny_workload)
+        for name in PER_SENSOR:
+            assert set(getattr(p, name)) == {table_key(name, key) for key in p.cpu_edge}
+        assert all(len(key) == 2 for key in p.cpu_cloud)
 
 
 class TestAssignment:
@@ -191,7 +217,7 @@ class TestIntResTolerance:
     """Ratios within GAMMA_TOL of 0 or 1 pass check_assignment and are
     replayed as 0 or 1, so they are priced as 0 or 1. Past the range a ratio
     takes its nearer end's class and NaN is split, by the same model rule,
-    though C1 or C2 flags them."""
+    though C1 or C2 flags them and the replay refuses them."""
 
     NEAR_GRID = [
         (-1e-12, 0.0), (1e-12, 0.0), (1.0 - 1e-12, 1.0), (1.0 + 1e-10, 1.0),
@@ -217,6 +243,10 @@ class TestIntResTolerance:
             found = {v.constraint for v in check_assignment(w, p, a)}
             assert (cid in found) == (not in_range), cid
             # No raw share, so the operator's own frames tell its class.
+            if not in_range:
+                with pytest.raises(ValueError, match=f"ratio {gamma} of operator 1 is outside"):
+                    run_sim(w, p, Assignment({1: gamma}, {1: 0.0}), trace)
+                continue
             stats = run_sim(w, p, Assignment({1: gamma}, {1: 0.0}), trace).per_op[1]
             assert (stats.res_frames > 0, stats.int_frames > 0) == (edge, split)
 
@@ -238,6 +268,10 @@ class TestIntResTolerance:
         p = generate_profile(w)
         a = Assignment.from_op_gamma(w, {1: gamma, 2: 0.5})
         trace = generate_trace(StreamConfig(duration_s=10, sample_rate_hz=10, seed=1), [1, 2])
+        if not -GAMMA_TOL <= gamma <= 1.0 + GAMMA_TOL:
+            with pytest.raises(ValueError, match=f"ratio {gamma} of operator 1 is outside"):
+                run_sim(w, p, a, trace)
+            return
         rep = run_sim(w, p, a, trace)
         want = 0.0
         for op in w.operators:

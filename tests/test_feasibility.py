@@ -120,6 +120,31 @@ class TestEachConstraint:
         a = Assignment.from_op_gamma(w, {1: 0.0, 2: 0.0, 3: 0.0})
         assert ids(check_assignment(w, bare_profile(w), a)) == ["C7"]
 
+    @pytest.mark.parametrize(
+        "wiring, g3, want",
+        [
+            ({1: 1, 2: 1}, 0.0, [("C3", 1)]),
+            ({1: 1, 2: 1}, 1.0, [("C3", 1)]),
+            ({1: 1, 2: 2}, 0.0, [("C3", 1), ("C7", 3)]),
+            ({1: 1, 2: 2}, 1.0, [("C3", 1)]),
+        ],
+        ids=["one-node-at-0", "one-node-at-1", "two-nodes-at-0", "two-nodes-at-1"],
+    )
+    def test_a_composite_over_a_dependency_without_a_ratio(self, wiring, g3, want):
+        # An unforced composite has no min over its deps to compare with, so
+        # only C3 is reported; a forced one must be at 1 whatever its deps.
+        w = build_workload(
+            [
+                (1, (1,), (), F.MEAN, False, 4, 4, 4),
+                (2, (2,), (), F.MEAN, False, 4, 4, 4),
+                (3, (), (1, 2), F.LAST, False, 4, 4, 4),
+            ],
+            wiring,
+        )
+        a = Assignment(gamma={2: 0.0, 3: g3}, gamma_sensor={1: 0.0, 2: 0.0})
+        found = [(v.constraint, v.op) for v in check_assignment(w, bare_profile(w), a)]
+        assert found == want
+
     def test_c8_fractional_dependency_requires_cloud(self):
         w = build_workload(
             [

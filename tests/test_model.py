@@ -15,7 +15,14 @@ from splitstream import (
     transitive_sensors,
     validate_workload,
 )
-from splitstream.model import V_CYCLE, V_DANGLING, V_NONPOSITIVE, V_UNWIRED
+from splitstream.model import (
+    GAMMA_TOL,
+    V_CYCLE,
+    V_DANGLING,
+    V_NONPOSITIVE,
+    V_UNWIRED,
+    ratio_in_range,
+)
 
 from conftest import build_workload, random_workload
 
@@ -205,3 +212,15 @@ def test_sensor_clusters_cover_every_operator():
         w = random_workload(random.Random(seed))
         seen = [i for c in sensor_clusters(w) for i in c]
         assert sorted(seen) == sorted(op.id for op in w.operators)
+
+
+@pytest.mark.parametrize(
+    "g, ok",
+    [
+        (-GAMMA_TOL, True), (0.0, True), (0.5, True), (1.0 + GAMMA_TOL, True),
+        (math.nextafter(-GAMMA_TOL, -1.0), False), (math.nextafter(1.0 + GAMMA_TOL, 2.0), False),
+        (-0.5, False), (1.5, False), (math.nan, False), (math.inf, False), (-math.inf, False),
+    ],
+)
+def test_ratio_range_is_closed_within_the_tolerance(g, ok):
+    assert ratio_in_range(g) is ok

@@ -172,6 +172,27 @@ class TestLatencyAndDeadlines:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_sim(w, p, a, trace)
 
+    @pytest.mark.parametrize(
+        "gamma, gamma_sensor, message",
+        [
+            (1.5, 1.5, "ratio 1.5 of operator 1 is outside"),
+            (-0.5, 0.0, "ratio -0.5 of operator 1 is outside"),
+            (math.nan, 0.0, "ratio nan of operator 1 is outside"),
+            (0.5, 1.5, "ratio 1.5 of sensor 1 is outside"),
+            (0.5, math.nan, "ratio nan of sensor 1 is outside"),
+        ],
+    )
+    def test_a_ratio_out_of_range_is_refused(self, monkeypatch, gamma, gamma_sensor, message):
+        # At 1.5 the replay would report more samples sent than the sensor
+        # has, and at NaN NaN latencies; it refuses before sizing anything.
+        def refuse(*args):
+            raise AssertionError("the replay was sized")
+
+        monkeypatch.setattr(simulator, "_check_replay_size", refuse)
+        w, p, _, trace = tiny_setup(0.5)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)} "):
+            run_sim(w, p, Assignment({1: gamma}, {1: gamma_sensor}), trace, collect_frames=True)
+
     def test_deadline_violations_counted_per_window(self):
         w, p, a, trace = tiny_setup(1.0)
         p = dataclasses.replace(p, t_req_s={1: 1e-12})
