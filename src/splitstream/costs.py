@@ -80,22 +80,34 @@ def table_key(name: str, key: tuple[OperatorId, SensorId, NodeId]) -> tuple:
 
 
 def check_profile(p: Profile) -> Profile:
-    """p, or ValueError naming the first figure that breaks a profile's value
-    rules: costs finite and non-negative; clock rates and bandwidths, which
-    divide, and caps and deadlines, which are strict bounds, positive and
-    finite. The reader and generate_profile both apply it."""
+    """p, or ValueError naming the first row a table lacks or the first
+    figure that breaks a profile's value rules. Every (op, sensor, node) key
+    of cpu_edge has a row in each per_sensor table, and every op of cpu_res
+    one in each per_operator table. Costs are finite and non-negative; clock
+    rates and bandwidths, which divide, and caps and deadlines, which are
+    strict bounds, positive and finite. The reader, the writer and
+    generate_profile all apply it."""
     for key in p.cpu_edge:
         for name in PER_SENSOR:
-            check_cost(name, key, getattr(p, name)[table_key(name, key)])
+            check_cost(name, key, _row(p, name, table_key(name, key)))
     for op in p.cpu_res:
         for name in PER_OPERATOR:
-            check_cost(name, f"op {op}", getattr(p, name)[op])
+            check_cost(name, f"op {op}", _row(p, name, op))
     check_positive("cpu_unit_cloud", p.cpu_unit_cloud)
     for name in (*PER_NODE, "t_req_s"):
         where = "op" if name == "t_req_s" else "node"
         for k, value in getattr(p, name).items():
             check_positive(f"{name} of {where} {k}", value)
     return p
+
+
+def _row(p: Profile, name: str, key: object) -> float:
+    """Table `name`'s figure at `key`, or ValueError naming both."""
+    table = getattr(p, name)
+    if key not in table:
+        labels = zip(("op", "sensor", "node"), key if isinstance(key, tuple) else (key,))
+        raise ValueError(f"no {name} for {', '.join(f'{n} {v}' for n, v in labels)}")
+    return table[key]
 
 
 def validate_profile(w: Workload, p: Profile) -> None:

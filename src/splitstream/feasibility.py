@@ -16,8 +16,10 @@ The twelve constraint ids:
   C11 per-node CPU stays strictly under capacity
   C12 per-node memory stays strictly under capacity
 
-C6/C7/C8 take precedence over C9. C10 to C12 are checked only when every
-operator has a finite ratio.
+"Splittable" means OperatorSpec.may_split: the workload declares the
+operator iterative and its function has a partial form. C6/C7/C8 take
+precedence over C9. C10 to C12 are checked only when every operator has a
+finite ratio.
 """
 
 from __future__ import annotations
@@ -108,8 +110,8 @@ def check_assignment(
         g = a.gamma.get(op.id)
         if g is None:
             out.append(Violation("C3", op.id, "no ratio recorded"))
-        elif not ratio_in_range(g) or not op.iterative and runs_split(g):
-            cid, want = ("C1", "outside [0, 1]") if op.iterative else ("C2", "not in {0, 1}")
+        elif not ratio_in_range(g) or not op.may_split and runs_split(g):
+            cid, want = ("C1", "outside [0, 1]") if op.may_split else ("C2", "not in {0, 1}")
             out.append(Violation(cid, op.id, f"ratio {g} {want}"))
 
     # C6/C7/C8/C9 placement rules.

@@ -209,8 +209,6 @@ def load_workload(path: str) -> Workload:
 
 def _int_or_fail(x: float, what: str) -> int:
     v = int(round(x))
-    if v < 0:
-        raise ValueError(f"{what} must be non-negative, got {x}")
     if abs(v - x) > 1e-6:
         raise ValueError(f"{what} must be integral, got {x}")
     if v == 0 and x != 0:
@@ -219,6 +217,9 @@ def _int_or_fail(x: float, what: str) -> int:
 
 
 def dumps_profile(p: Profile) -> str:
+    """The profile as canonical JSON, once check_profile has passed it, so
+    every figure written is a finite non-negative cost from a row present."""
+    check_profile(p)
     per_sensor = []
     for key in sorted(p.cpu_edge):
         row = dict(zip(("op", "sensor", "node"), key))
@@ -229,7 +230,7 @@ def dumps_profile(p: Profile) -> str:
     for op in sorted(p.cpu_res):
         row = {"op": op}
         for name in PER_OPERATOR:
-            row[name] = _int_or_fail(getattr(p, name).get(op, 0.0), name)
+            row[name] = _int_or_fail(getattr(p, name)[op], name)
         if op in p.t_req_s:
             row["t_req_s"] = p.t_req_s[op]
         per_operator.append(row)

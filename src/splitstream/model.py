@@ -182,6 +182,13 @@ class OperatorSpec:
     def atomic(self) -> bool:
         return not self.deps
 
+    @property
+    def may_split(self) -> bool:
+        """Whether the planner may give this operator a fractional ratio:
+        the workload allows it (`iterative`) and its function has a partial
+        form (SPLITTABLE). The search's domains and C1/C2 read this alone."""
+        return self.iterative and self.func in SPLITTABLE
+
 
 @dataclass(frozen=True)
 class Topology:

@@ -23,6 +23,7 @@ from .costs import Assignment, Instance, Profile, check_profile, latency_rows
 from .model import (
     GF_SUBWINDOW_S,
     REFERENCE_SAMPLE_RATE_HZ,
+    SPLITTABLE,
     FunctionKind,
     NodeId,
     OperatorId,
@@ -47,36 +48,38 @@ WIND_TYPES = ("uan",)
 
 _LADDER = (60.0, 600.0, 3600.0, 86400.0)
 
-# (first id, members, func, iterative, sensor types, timing, dep rule)
-# Timing None means the 60/600/3600/86400 ladder with window=step=freq.
+# (first id, func, sensor types, dep rule): four operators on the
+# 60/600/3600/86400 s ladder with window = step = freq; the k-th one's deps
+# are dep_rule(k), or none when the rule is None.
 _QUAD_FAMILIES = (
-    (1, F.MEAN, True, STAT_TYPES, None),
-    (5, F.MSQRT, True, STAT_TYPES, None),
-    (9, F.MAX, False, STAT_TYPES, None),
-    (13, F.MIN, False, STAT_TYPES, None),
-    (17, F.FIRST, False, STAT_TYPES, None),
-    (21, F.LAST, False, STAT_TYPES, None),
-    (25, F.RANGE, False, STAT_TYPES, None),
-    (29, F.STD, True, STAT_TYPES, None),
-    (33, F.VAR, True, STAT_TYPES, None),
-    (37, F.COV, True, PAIR_TYPES, None),
-    (41, F.SPEED, True, MOTION_TYPES, lambda k: (49 + k,)),
-    (45, F.ACC, True, MOTION_TYPES, lambda k: (41 + k,)),
-    (49, F.DISP, True, MOTION_TYPES, None),
+    (1, F.MEAN, STAT_TYPES, None),
+    (5, F.MSQRT, STAT_TYPES, None),
+    (9, F.MAX, STAT_TYPES, None),
+    (13, F.MIN, STAT_TYPES, None),
+    (17, F.FIRST, STAT_TYPES, None),
+    (21, F.LAST, STAT_TYPES, None),
+    (25, F.RANGE, STAT_TYPES, None),
+    (29, F.STD, STAT_TYPES, None),
+    (33, F.VAR, STAT_TYPES, None),
+    (37, F.COV, PAIR_TYPES, None),
+    (41, F.SPEED, MOTION_TYPES, lambda k: (49 + k,)),
+    (45, F.ACC, MOTION_TYPES, lambda k: (41 + k,)),
+    (49, F.DISP, MOTION_TYPES, None),
 )
 
+# (id, func, sensor types, (window, step, freq), deps)
 _SINGLE_FAMILIES = (
-    (53, F.CC, False, PAIR_TYPES, (900.0, 300.0, 100.0), ()),
-    (54, F.FILTER, False, PAIR_TYPES, (10.0, 10.0, 10.0), ()),
-    (55, F.TREND, True, PAIR_TYPES, (600.0, 60.0, 60.0), (2,)),
-    (56, F.SURGE, True, PAIR_TYPES, (10.0, 1.0, 1.0), ()),
-    (57, F.AVGWS, True, WIND_TYPES, (600.0, 600.0, 600.0), (2,)),
-    (58, F.AVGWA, False, WIND_TYPES, (600.0, 600.0, 600.0), (2, 57)),
-    (59, F.GF, True, WIND_TYPES, (3.0, 1.0, 1.0), (2,)),
-    (60, F.FWS, False, WIND_TYPES, (1.0, 1.0, 1.0), (57, 58)),
-    (61, F.TI, False, WIND_TYPES, (600.0, 600.0, 600.0), (57, 60)),
-    (62, F.AOA, True, WIND_TYPES, (600.0, 600.0, 600.0), (2, 57)),
-    (63, F.AWD, True, WIND_TYPES, (600.0, 600.0, 600.0), (2,)),
+    (53, F.CC, PAIR_TYPES, (900.0, 300.0, 100.0), ()),
+    (54, F.FILTER, PAIR_TYPES, (10.0, 10.0, 10.0), ()),
+    (55, F.TREND, PAIR_TYPES, (600.0, 60.0, 60.0), (2,)),
+    (56, F.SURGE, PAIR_TYPES, (10.0, 1.0, 1.0), ()),
+    (57, F.AVGWS, WIND_TYPES, (600.0, 600.0, 600.0), (2,)),
+    (58, F.AVGWA, WIND_TYPES, (600.0, 600.0, 600.0), (2, 57)),
+    (59, F.GF, WIND_TYPES, (3.0, 1.0, 1.0), (2,)),
+    (60, F.FWS, WIND_TYPES, (1.0, 1.0, 1.0), (57, 58)),
+    (61, F.TI, WIND_TYPES, (600.0, 600.0, 600.0), (57, 60)),
+    (62, F.AOA, WIND_TYPES, (600.0, 600.0, 600.0), (2, 57)),
+    (63, F.AWD, WIND_TYPES, (600.0, 600.0, 600.0), (2,)),
 )
 
 # Rough per-sample cycle costs per function, used for both edge and cloud
@@ -110,36 +113,17 @@ def _catalog() -> tuple[list[OperatorSpec], dict[SensorId, str]]:
         next_sensor += len(types)
         return ids
 
-    for first, func, iterative, types, dep_rule in _QUAD_FAMILIES:
+    def add(op_id: OperatorId, func: FunctionKind, sensors: tuple[SensorId, ...],
+            deps: tuple[OperatorId, ...], timing: tuple[float, float, float]) -> None:
+        # Every function with a partial form is declared iterative.
+        ops.append(OperatorSpec(op_id, sensors, deps, func, func in SPLITTABLE, *timing))
+
+    for first, func, types, dep_rule in _QUAD_FAMILIES:
         sensors = allocate(types)
         for k, span in enumerate(_LADDER):
-            deps = dep_rule(k) if dep_rule else ()
-            ops.append(
-                OperatorSpec(
-                    id=first + k,
-                    sensors=sensors,
-                    deps=deps,
-                    func=func,
-                    iterative=iterative,
-                    window_s=span,
-                    step_s=span,
-                    freq_s=span,
-                )
-            )
-    for op_id, func, iterative, types, (win, step, freq), deps in _SINGLE_FAMILIES:
-        sensors = allocate(types)
-        ops.append(
-            OperatorSpec(
-                id=op_id,
-                sensors=sensors,
-                deps=tuple(deps),
-                func=func,
-                iterative=iterative,
-                window_s=win,
-                step_s=step,
-                freq_s=freq,
-            )
-        )
+            add(first + k, func, sensors, dep_rule(k) if dep_rule else (), (span,) * 3)
+    for op_id, func, types, timing, deps in _SINGLE_FAMILIES:
+        add(op_id, func, allocate(types), deps, timing)
     return ops, legend
 
 

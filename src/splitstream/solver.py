@@ -1,8 +1,10 @@
 """Progressive enumeration of offload ratios with pre-flight pruning.
 
-Free variables are the atomic operators: splittable ones range over the
-gamma grid {0, delta, 2*delta, ...} + {1}, non-splittable ones over {0, 1},
-and operators whose sensor locality forces full offload are pinned to 1.
+Free variables are the atomic operators: splittable ones, those for which
+OperatorSpec.may_split holds (declared iterative, with a function that has a
+partial form), range over the gamma grid {0, delta, 2*delta, ...} + {1}, the
+others over {0, 1}, and operators whose sensor locality forces full offload
+are pinned to 1.
 Composite ratios derive from their dependencies, so the search never branches
 on them.
 
@@ -147,7 +149,10 @@ class Solution:
 def _grid_steps(delta: float) -> int:
     """How many multiples of delta the grid keeps below 1: the first k whose
     k * delta, rounded to 12 places, reaches 1. The rounded multiples never
-    decrease with k, so the search starts next to 1 / delta. Raises
+    decrease with k, so the count walks up from k = floor(1 / delta) - 2
+    (or 0), whose multiple is at most about 1 - 2 * delta: below 1 by far
+    more than the rounding, as delta is at least 0.5 / ENUMERATION_CAP. So
+    the start is always below 1, and the walk never has to go down. Raises
     ValueError for a delta outside (0, 1] or a grid over ENUMERATION_CAP
     points."""
     if not 0.0 < delta <= 1.0:
@@ -167,8 +172,6 @@ def _grid_steps(delta: float) -> int:
     k = max(0, math.floor(1.0 / delta) - 2)
     while below_one(k):
         k += 1
-    while k > 0 and not below_one(k - 1):
-        k -= 1
     if k + 1 > ENUMERATION_CAP:
         raise ValueError(
             f"delta {delta} gives {k + 1} grid points, over the cap of {ENUMERATION_CAP}"
@@ -188,7 +191,7 @@ def operator_domain(
     """Candidate ratios for one atomic operator."""
     if forced_cloud(w, op_id):
         return (1.0,)
-    if not w.operator(op_id).iterative:
+    if not w.operator(op_id).may_split:
         return (0.0, 1.0)
     return grid
 

@@ -18,7 +18,7 @@ from splitstream import (
     operator_domain,
     propagate_composite_gamma,
 )
-from splitstream.model import OperatorSpec
+from splitstream.model import SPLITTABLE, OperatorSpec
 
 from conftest import build_workload, random_instance
 
@@ -65,6 +65,20 @@ class TestEachConstraint:
         a = Assignment.from_op_gamma(w, {1: 0.5})
         assert ids(check_assignment(w, bare_profile(w), a)) == ["C2"]
 
+    @pytest.mark.parametrize("iterative", [True, False])
+    @pytest.mark.parametrize("func", list(F))
+    def test_the_search_and_the_checks_read_one_split_rule(self, func, iterative):
+        # An operator may split when the workload declares it iterative and
+        # its function has a partial form: the grid is its domain and 0.5
+        # passes C2 then, and only then.
+        w = build_workload([(1, (1,), (), func, iterative, 4, 4, 4)], {1: 1})
+        op = w.operator(1)
+        assert op.may_split == (iterative and func in SPLITTABLE)
+        grid = gamma_grid(0.25)
+        assert operator_domain(w, 1, grid) == (grid if op.may_split else (0.0, 1.0))
+        a = Assignment.from_op_gamma(w, {1: 0.5})
+        assert ids(check_assignment(w, bare_profile(w), a)) == ([] if op.may_split else ["C2"])
+
     @pytest.mark.parametrize("g", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("iterative, want", [(True, "C1"), (False, "C2")])
     def test_non_finite_ratio_is_out_of_range(self, g, iterative, want):
@@ -82,7 +96,7 @@ class TestEachConstraint:
             base = propagate_composite_gamma(w, {op.id: 1.0 for op in w.operators if op.atomic})
             for op in w.operators:
                 a = Assignment.from_op_gamma(w, {**base, op.id: g})
-                want = ("C1" if op.iterative else "C2", op.id)
+                want = ("C1" if op.may_split else "C2", op.id)
                 assert want in {(v.constraint, v.op) for v in check_assignment(w, p, a)}
 
     def test_c3_every_operator_needs_a_ratio(self):

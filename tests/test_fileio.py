@@ -155,6 +155,23 @@ class TestProfileJson:
         with pytest.raises(ValueError, match="integral"):
             dumps_profile(bad)
 
+    @pytest.mark.parametrize("table, message", [
+        ("data_int", "no data_int for op 1"),
+        ("data_res", "no data_res for op 1"),
+        ("data_raw", "no data_raw for op 1, sensor 1, node 1"),
+        ("cpu_cloud", "no cpu_cloud for op 1, sensor 1"),
+    ])
+    def test_a_missing_row_is_named_and_nothing_is_written(self, tmp_path, table, message):
+        # Written as 0 B, such a row would price the operator's bytes free.
+        import dataclasses
+
+        w = build_workload([(1, (1,), (), F.MAX, False, 60, 60, 60)], {1: 1})
+        bad = dataclasses.replace(generate_profile(w), **{table: {}})
+        path = tmp_path / "p.json"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            save_profile(str(path), bad)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "field",
         ["bandwidth", "cpu_unit_edge", "cpu_unit_cloud", "cpu_cap", "mem_cap", "t_req_s"],

@@ -1,10 +1,13 @@
 """Workload structure: validation, ordering, clustering, sensor closures."""
 
+import ast
 import math
 import random
+from pathlib import Path
 
 import pytest
 
+from splitstream import model
 from splitstream import (
     FunctionKind,
     OperatorSpec,
@@ -224,3 +227,20 @@ def test_sensor_clusters_cover_every_operator():
 )
 def test_ratio_range_is_closed_within_the_tolerance(g, ok):
     assert ratio_in_range(g) is ok
+
+
+def test_only_may_split_and_the_workload_writer_read_the_iterative_flag():
+    # Whether the planner may split an operator is one rule,
+    # OperatorSpec.may_split; the writer keeps the flag as declared. A
+    # module reading `.iterative` anywhere else is a second rule.
+    reads = set()
+    for path in sorted(Path(model.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                owner[child] = node.name if isinstance(node, ast.FunctionDef) else owner.get(node)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "iterative":
+                reads.add((path.name, owner.get(node)))
+    assert reads == {("fileio.py", "dumps_workload"), ("model.py", "may_split")}

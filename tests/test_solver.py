@@ -64,6 +64,21 @@ class TestGrid:
             with pytest.raises(ValueError, match="grid points"):
                 gamma_grid(delta)
 
+    @staticmethod
+    def first_multiple_at_one(delta):
+        return next(k for k in itertools.count() if round(k * delta, 12) >= 1 - 1e-12)
+
+    @pytest.mark.parametrize("delta", [1.0, 0.5 + 1e-9, 1 / 3, 0.1, 0.05, 0.01, 1e-4])
+    def test_grid_keeps_every_multiple_below_one(self, delta):
+        # The count starts its walk next to 1 / delta; a walk over every
+        # multiple from 0 finds the same first k.
+        assert len(gamma_grid(delta)) - 1 == self.first_multiple_at_one(delta)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(min_value=1e-4, max_value=1.0))
+    def test_grid_count_on_drawn_deltas(self, delta):
+        assert len(gamma_grid(delta)) - 1 == self.first_multiple_at_one(delta)
+
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             SolverConfig(objective_mode="bytes")
@@ -130,6 +145,35 @@ class TestAgainstBruteForce:
             for baseline in (cloud_only(w, p),):
                 if baseline.feasible:
                     assert sol.objective_bytes <= baseline.objective_bytes + 1e-9
+
+
+class TestSplitRule:
+    """The search splits an operator only when OperatorSpec.may_split holds:
+    declared iterative and a function with a partial form."""
+
+    def test_an_iterative_max_is_not_split(self):
+        w = build_workload([(1, (1,), (), F.MAX, True, 60, 60, 60)], {1: 1})
+        p = generate_profile(w, headroom=0.5)
+        cfg = SolverConfig(delta=0.25)
+        got, want = solve(w, p, cfg), brute_force(w, p, cfg)
+        assert got.assignment.gamma == want.assignment.gamma
+        assert got.assignment.gamma[1] in (0.0, 1.0)
+        a = Assignment.from_op_gamma(w, {1: 0.75})
+        flagged = {v.constraint for v in check_assignment(w, p, a)}
+        assert "C2" in flagged and "C1" not in flagged
+
+    @pytest.mark.parametrize("mode", ["paper", "dedup"])
+    def test_no_optimum_splits_an_operator_that_may_not(self, mode):
+        # Contended synthesized profiles: generate_profile sizes a MAX or
+        # RANGE aggregate at 0 B, so splitting one would often be the
+        # cheapest plan if its domain held fractions.
+        cfg = SolverConfig(delta=0.25, objective_mode=mode)
+        for seed in range(60):
+            w, _ = random_instance(seed)
+            sol = solve(w, generate_profile(w, headroom=0.6), cfg)
+            if sol.feasible:
+                split = [op.id for op in w.operators if runs_split(sol.assignment.gamma[op.id])]
+                assert all(w.operator(i).may_split for i in split), f"seed {seed}"
 
 
 class TestEdgeCases:
@@ -347,11 +391,11 @@ def test_contended_counters_at_a_tenth(contended, factor, nodes, prunes, objecti
 # Random instances at delta = 0.25 with every profile deadline scaled by a
 # factor, where the latency prune cuts branches (no contended row does): per
 # (seed, factor, mode) the nodes explored, prunes by kind, objective and
-# optimal ratios.
+# optimal ratios, the last two also brute_force's.
 _LATENCY_PRUNED = [
-    (25, 0.9, "dedup", 70, (0, 43, 13), 57644.5, {1: 0.0, 2: 0.0, 3: 0.5, 4: 0.0}),
-    (54, 1.0, "dedup", 364, (0, 158, 69), 63668.0, {1: 1.0, 2: 1.0, 3: 1.0, 4: 1.0}),
-    (239, 1.0, "paper", 75, (0, 28, 29), 182968.5, {1: 0.75, 2: 1.0, 3: 0.0, 4: 0.75}),
+    (25, 0.9, "dedup", 66, (0, 26, 16), 95757.0, {1: 1.0, 2: 1.0, 3: 1.0, 4: 0.0}),
+    (54, 1.0, "dedup", 121, (0, 56, 21), 63668.0, {1: 1.0, 2: 1.0, 3: 1.0, 4: 1.0}),
+    (239, 1.0, "paper", 22, (0, 8, 9), 183252.5, {1: 0.0, 2: 0.0, 3: 0.0, 4: 0.75}),
     (273, 0.7, "paper", 30, (4, 17, 3), 46608.25, {1: 0.0, 2: 0.25, 3: 0.25}),
 ]
 
@@ -362,12 +406,13 @@ _LATENCY_PRUNED = [
 def test_latency_prune_counters(seed, factor, mode, nodes, prunes, objective, gamma):
     w, p = random_instance(seed)
     p = dataclasses.replace(p, t_req_s={i: t * factor for i, t in p.t_req_s.items()})
-    sol = solve(w, p, SolverConfig(delta=0.25, objective_mode=mode))
+    cfg = SolverConfig(delta=0.25, objective_mode=mode)
+    sol, want = solve(w, p, cfg), brute_force(w, p, cfg)
     assert sol.feasible
     assert sol.stats["nodes_explored"] == nodes
     assert sol.stats["prunes"] == dict(zip(("resource", "bound", "latency"), prunes))
-    assert sol.objective_bytes == objective
-    assert sol.assignment.gamma == gamma
+    assert sol.objective_bytes == want.objective_bytes == objective
+    assert sol.assignment.gamma == want.assignment.gamma == gamma
 
 
 class TestSearchState:
@@ -498,7 +543,7 @@ class TestFractionalTail:
         rng = random.Random(17)
         fractions = [g for g in gamma_grid(0.1) if runs_split(g)]
         checked = 0
-        for seed in range(40):
+        for seed in range(50):
             w, p = random_instance(seed)
             ops = tuple(sorted(op.id for op in w.operators))
             inst = Instance.build(w, p)
