@@ -89,13 +89,13 @@ def _fields(row, *skip: str) -> dict:
 def _generate_trace(w, duration: float, rate: float, seed: int, *, replay: bool = False):
     """A synthetic trace of `w`'s sensors; bad settings exit 1, and so, for a
     `replay`, does a replay run_sim would refuse, before the trace is built."""
-    from .simulator import StreamConfig, _check_replay_size, _trace_shape, generate_trace
+    from .simulator import StreamConfig, check_replay_size, generate_trace, trace_shape
 
     config = StreamConfig(duration_s=duration, sample_rate_hz=rate, seed=seed)
     try:
         if replay:
-            _trace_shape(config, w.sensors)
-            _check_replay_size(w, duration)
+            trace_shape(config, w.sensors)
+            check_replay_size(w, duration)
         return generate_trace(config, w.sensors)
     except ValueError as exc:
         _fail(str(exc))
@@ -472,28 +472,20 @@ def compare(reports: tuple[str, ...], out: str | None) -> None:
     """Compare report files; percentages are relative to the first one."""
     if len(reports) < 2:
         _fail("need at least two reports to compare")
-    records, kinds, totals, per_ops = [], set(), [], []
+    first, totals, per_ops = None, [], []  # first: (path, measure) of the first measured
     for path in reports:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                records.append(parse_json(fh.read()))
-            command, total, per_op = report_bytes(records[-1])
+                measure, total, per_op = report_bytes(parse_json(fh.read()))
         except (OSError, ValueError, KeyError) as exc:
             _fail(f"report {path}: {exc}")
-        kinds.add(command)
+        # Figures are set side by side only when they measure the same thing.
+        if measure is not None:
+            first = first or (path, measure)
+            if measure != first[1]:
+                _fail(f"cannot compare {first[0]} ({first[1]}) with {path} ({measure})")
         totals.append(total)
         per_ops.append(per_op)
-    # A solve or baseline objective is bytes per window set; a simulate
-    # total is bytes over the whole trace.
-    if kinds & {"solve", "baseline"} and "simulate" in kinds:
-        _fail("cannot compare solve or baseline reports (bytes per window set) "
-              "with simulate reports (bytes over the trace)")
-    durations = [r["duration_s"] for r in records if "duration_s" in r]
-    others = [d for d in durations if d != durations[0]]
-    if others:
-        _fail(f"cannot compare simulate reports over traces of {durations[0]} s "
-              f"and {others[0]} s")
-    labels = list(reports)
     if totals[0] in (None, 0.0):
         _fail(f"report {reports[0]} carries no byte total to compare against")
     reductions = [
@@ -502,7 +494,7 @@ def compare(reports: tuple[str, ...], out: str | None) -> None:
     if any(r is not None and not math.isfinite(r) for r in reductions):
         _fail(f"the byte totals are too far apart to compare with {reports[0]}")
     click.echo("report                                bytes      vs first")
-    for label, total, red in zip(labels, totals, reductions):
+    for label, total, red in zip(reports, totals, reductions):
         total_text = f"{total:.0f}" if total is not None else "-"
         red_text = f"{red:+.2f}%" if red is not None else "-"
         click.echo(f"{label:<36} {total_text:>12} {red_text:>12}")
@@ -515,7 +507,7 @@ def compare(reports: tuple[str, ...], out: str | None) -> None:
             "manifest": _manifest(
                 "compare", {f"report_{i}": p for i, p in enumerate(reports)}, {}
             ),
-            "labels": labels,
+            "labels": list(reports),
             "total_bytes": totals,
             "reduction_pct_vs_first": reductions,
             "per_operator": per_operator,

@@ -80,19 +80,31 @@ def table_key(name: str, key: tuple[OperatorId, SensorId, NodeId]) -> tuple:
 
 
 def check_profile(p: Profile) -> Profile:
-    """p, or ValueError naming the first row a table lacks or the first
-    figure that breaks a profile's value rules. Every (op, sensor, node) key
-    of cpu_edge has a row in each per_sensor table, and every op of cpu_res
-    one in each per_operator table. Costs are finite and non-negative; clock
-    rates and bandwidths, which divide, and caps and deadlines, which are
-    strict bounds, positive and finite. The reader, the writer and
-    generate_profile all apply it."""
+    """p, or ValueError naming the first row a table lacks or has to spare,
+    or the first figure that breaks a profile's value rules. Each per_sensor
+    table holds exactly cpu_edge's (op, sensor, node) rows, and cpu_cloud
+    their (op, sensor) pairs, one node per pair; each per_operator table
+    holds exactly cpu_res's ops, and t_req_s only ops of cpu_res. So the
+    file holds every figure, as one row per key. Costs are finite and
+    non-negative; clock rates and bandwidths, which divide, and caps and
+    deadlines, which are strict bounds, positive and finite. The reader,
+    the writer and generate_profile all apply it."""
+    pairs: dict[tuple[OperatorId, SensorId], tuple] = {}
+    for key in p.cpu_edge:
+        pair = table_key("cpu_cloud", key)
+        if pairs.setdefault(pair, key) != key:
+            raise ValueError(f"cpu_edge has two nodes for {_label(pair)}")
     for key in p.cpu_edge:
         for name in PER_SENSOR:
             check_cost(name, key, _row(p, name, table_key(name, key)))
     for op in p.cpu_res:
         for name in PER_OPERATOR:
             check_cost(name, f"op {op}", _row(p, name, op))
+    for name in (*PER_SENSOR, *PER_OPERATOR, "t_req_s"):
+        of = "cpu_edge" if name in PER_SENSOR else "cpu_res"
+        spare = getattr(p, name).keys() - (pairs if name == "cpu_cloud" else getattr(p, of)).keys()
+        if spare:
+            raise ValueError(f"{name} has a row for {_label(min(spare))}, which {of} lacks")
     check_positive("cpu_unit_cloud", p.cpu_unit_cloud)
     for name in (*PER_NODE, "t_req_s"):
         where = "op" if name == "t_req_s" else "node"
@@ -105,9 +117,14 @@ def _row(p: Profile, name: str, key: object) -> float:
     """Table `name`'s figure at `key`, or ValueError naming both."""
     table = getattr(p, name)
     if key not in table:
-        labels = zip(("op", "sensor", "node"), key if isinstance(key, tuple) else (key,))
-        raise ValueError(f"no {name} for {', '.join(f'{n} {v}' for n, v in labels)}")
+        raise ValueError(f"no {name} for {_label(key)}")
     return table[key]
+
+
+def _label(key: object) -> str:
+    """A table key as the row it names: "op 1, sensor 2, node 3" or "op 1"."""
+    labels = zip(("op", "sensor", "node"), key if isinstance(key, tuple) else (key,))
+    return ", ".join(f"{n} {v}" for n, v in labels)
 
 
 def validate_profile(w: Workload, p: Profile) -> None:
@@ -402,7 +419,6 @@ class Instance:
         a: Assignment,
         mode: str = "paper",
         horizon_s: float | None = None,
-        ops: Iterable[OperatorId] | None = None,
     ) -> float:
         """Total uplink bytes under the assignment.
 
@@ -411,15 +427,15 @@ class Instance:
         each sensor's upload once per (sensor, node) and keeps per-operator
         aggregate/result terms (see dedup_bytes). Without a horizon the
         figure is per window close; with one, positive and finite, per-operator
-        terms scale by their number of closes and dedup raw by stream rate. `ops`
-        limits the sum to those operator ids, in that order; by default
-        every operator counts, in workload order.
+        terms scale by their number of closes and dedup raw by stream rate.
+        Every operator of `ops` counts, in its order: workload order, as
+        build compiles it.
         """
         if mode not in OBJECTIVE_MODES:
             raise ValueError(f"unknown objective mode {mode!r}")
         if horizon_s is not None:
             check_positive("horizon", horizon_s)
-        facts = [self.ops[i] for i in (self.ops if ops is None else ops)]
+        facts = list(self.ops.values())
         g, gs = a.gamma, a.gamma_sensor
         closes = [
             1 if horizon_s is None else windows_in_horizon(f.spec.window_s, f.spec.step_s, horizon_s)
@@ -527,10 +543,9 @@ def total_objective(
     w: Workload,
     mode: str = "paper",
     horizon_s: float | None = None,
-    ops: Iterable[OperatorId] | None = None,
 ) -> float:
     """Total uplink bytes under the assignment (see Instance.objective)."""
-    return Instance.build(w, p).objective(a, mode, horizon_s, ops)
+    return Instance.build(w, p).objective(a, mode, horizon_s)
 
 
 def dedup_bytes(

@@ -71,7 +71,9 @@ def _ids_field(ids: Iterable[int]) -> str:
 
 
 def _num_field(x: float) -> str:
-    return f"{x:.12g}"
+    """The shortest text that reads back as x: 600.0 is written 600."""
+    text = repr(x)
+    return text[:-2] if text.endswith(".0") else text
 
 
 def dumps_workload(w: Workload) -> str:
@@ -446,15 +448,22 @@ def load_trace(path: str) -> Trace:
 
 
 def report_bytes(record) -> tuple[str | None, float | None, dict[str, float]]:
-    """A solve, baseline or simulate report's manifest command, its byte
-    total (None if absent or null) and its per-operator bytes. Raises
-    ValueError unless the report is an object, the command a string and
-    every byte figure a non-negative finite number."""
+    """What a report's byte figures measure (None without a manifest
+    command), its byte total (None if absent or null) and its per-operator
+    bytes. Raises ValueError unless it is a solve, baseline or simulate
+    report whose measure is given and byte figures non-negative and finite."""
     record = json_shaped(record, dict, "a report")
     manifest = record.get("manifest")
     command = manifest.get("command") if isinstance(manifest, dict) else None
-    if command is not None and not isinstance(command, str):
-        raise ValueError(f"manifest command must be a string, got {command!r:.60}")
+    measure = None
+    if command in ("solve", "baseline"):
+        cfg = json_shaped(json_member(manifest, "config", "the manifest"), dict, "config")
+        measure = f"bytes per window set, {json_member(cfg, 'objective_mode', 'config')} objective"
+    elif command == "simulate":
+        timebase = [json_figure(record, k, "the report") for k in ("duration_s", "sample_rate_hz")]
+        measure = "bytes over {} s at {} Hz".format(*timebase)
+    elif command is not None:
+        raise ValueError(f"a {command!r:.60} report has no byte figures to compare")
     total = None
     for key in ("objective_bytes", "total_payload_bytes"):
         if record.get(key) is not None:
@@ -471,7 +480,7 @@ def report_bytes(record) -> tuple[str | None, float | None, dict[str, float]]:
             per_op[op] = json_cost(row, "int_payload_bytes", f"op {op}") + json_cost(
                 row, "res_payload_bytes", f"op {op}"
             )
-    return command, total, per_op
+    return measure, total, per_op
 
 
 def canonical_json(record) -> str:

@@ -127,7 +127,7 @@ def check_sensor_samples(
         )
 
 
-def _trace_shape(config: StreamConfig, sensors) -> tuple[int, int, list[SensorId]]:
+def trace_shape(config: StreamConfig, sensors) -> tuple[int, int, list[SensorId]]:
     """The seed, the samples per sensor and the sorted sensors of the trace
     generate_trace would build; raises its ValueErrors."""
     try:
@@ -161,7 +161,7 @@ def generate_trace(config: StreamConfig, sensors) -> Trace:
     TRACE_SAMPLE_CAP samples, for a sensor id that a trace file's unsigned
     32-bit id field cannot hold, and for a seed that is a bool, not an
     integer (as operator.index takes it) or negative."""
-    seed, n, sensors = _trace_shape(config, sensors)
+    seed, n, sensors = trace_shape(config, sensors)
     block = math.isqrt(n) + 1
     tails = np.arange(block, dtype=np.float64)
     heads = tails * block
@@ -460,7 +460,7 @@ class _Schedules:
         return self._spans[key]
 
 
-def _check_replay_size(w: Workload, duration: float) -> int:
+def check_replay_size(w: Workload, duration: float) -> int:
     """The whole seconds a replay of `duration` s takes. Raise ValueError when
     they, or an operator's window closes or emissions, exceed TRACE_SAMPLE_CAP;
     a quotient past the floats is inf."""
@@ -493,7 +493,7 @@ def run_sim(
     for the frames, when collect_frames is set. A trace missing a workload
     sensor or breaking load_trace's rules (sample_count, then
     check_sensor_samples for each workload sensor), an operator or sensor
-    ratio outside model.ratio_in_range, or a replay _check_replay_size
+    ratio outside model.ratio_in_range, or a replay check_replay_size
     refuses, raises ValueError before any array is built."""
     missing = [j for j in workload.sensors if j not in trace.samples]
     if missing:
@@ -510,7 +510,7 @@ def run_sim(
     for who, g in ratios.items():
         if not ratio_in_range(g):
             raise ValueError(f"ratio {g} of {who} is outside [0, 1]; the replay cannot run it")
-    n_seconds = _check_replay_size(workload, duration)
+    n_seconds = check_replay_size(workload, duration)
     warnings: list[str] = []
     frames: list[Frame] = [] if collect_frames else None
 

@@ -930,6 +930,61 @@ class TestSimulateAndCompare:
         result = runner.invoke(main, ["compare", sims[0], sims[0]])
         assert result.exit_code == 0, result.output
 
+    def test_compare_refuses_objectives_in_different_modes(self, runner, tmp_path):
+        # A dedup solve beside a paper baseline would read as a reduction
+        # that is partly the change of objective.
+        _, wpath, ppath = write_inputs(tmp_path)
+
+        def report(name, mode, *args):
+            path = str(tmp_path / f"{name}.json")
+            result = runner.invoke(
+                main, [*args[:1], wpath, ppath, *args[1:], "--objective-mode", mode, "--out", path]
+            )
+            assert result.exit_code == 0, result.output
+            return path
+
+        co = report("co", "paper", "baseline", "--strategy", "co")
+        co_dedup = report("co-dedup", "dedup", "baseline", "--strategy", "co")
+        sd = report("sd", "dedup", "solve", "--delta", "0.5")
+        out = tmp_path / "cmp.json"
+        result = runner.invoke(main, ["compare", co, sd, "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert error_lines(result) == [
+            f"error: cannot compare {co} (bytes per window set, paper objective) "
+            f"with {sd} (bytes per window set, dedup objective)"
+        ]
+        assert not out.exists()
+        result = runner.invoke(main, ["compare", co_dedup, sd])
+        assert result.exit_code == 0, result.output
+
+    def test_compare_refuses_different_sample_rates(self, runner, tmp_path):
+        _, wpath, ppath = write_inputs(tmp_path)
+        co = str(tmp_path / "co.json")
+        result = runner.invoke(
+            main, ["baseline", wpath, ppath, "--strategy", "co", "--out", co]
+        )
+        assert result.exit_code == 0, result.output
+        sims = []
+        for rate in ("10", "1"):
+            sims.append(str(tmp_path / f"sim{rate}.json"))
+            result = runner.invoke(
+                main,
+                ["simulate", wpath, ppath, "--assignment", co, "--duration", "60",
+                 "--rate", rate, "--out", sims[-1]],
+            )
+            assert result.exit_code == 0, result.output
+        out = tmp_path / "cmp.json"
+        # A bare ratio map measures nothing, so it does not stand between them.
+        gamma = tmp_path / "gamma.json"
+        gamma.write_text(json.dumps({"gamma": {"1": 1.0, "2": 1.0}}))
+        result = runner.invoke(main, ["compare", sims[0], str(gamma), sims[1], "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert error_lines(result) == [
+            f"error: cannot compare {sims[0]} (bytes over 60.0 s at 10.0 Hz) "
+            f"with {sims[1]} (bytes over 60.0 s at 1.0 Hz)"
+        ]
+        assert not out.exists()
+
     def test_compare_refuses_a_report_that_is_not_an_object(self, runner, tmp_path):
         _, wpath, ppath = write_inputs(tmp_path)
         co = str(tmp_path / "co.json")

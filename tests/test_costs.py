@@ -179,13 +179,14 @@ class TestObjective:
                 op.id: 1 if horizon is None else windows_in_horizon(op.window_s, op.step_s, horizon)
                 for op in w.operators
             }
+            inst = Instance.build(w, p)
             for ops in (w.operators, w.operators[::-1]):
                 want = fold_sum(
                     fold_sum(data_volume(op.id, k, a, p, w) for k in nodes) * closes[op.id]
                     for op in ops
                 )
-                ids = [op.id for op in ops]
-                assert total_objective(a, p, w, "paper", horizon, ids) == want, f"seed {seed}"
+                oracle = Instance(w, p, inst.order, {op.id: inst.ops[op.id] for op in ops})
+                assert oracle.objective(a, "paper", horizon) == want, f"seed {seed}"
 
     @pytest.mark.parametrize("horizon", [None, 3600.0])
     def test_dedup_matches_a_longhand_oracle(self, horizon):

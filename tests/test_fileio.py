@@ -1,6 +1,7 @@
 """Serialization: text workloads, JSON profiles, binary traces, reports."""
 
 import copy
+import dataclasses
 import functools
 import hashlib
 import json
@@ -43,6 +44,7 @@ from splitstream import (
     validate_workload,
 )
 from splitstream.cli import main
+from splitstream.costs import PER_NODE, PER_OPERATOR, PER_SENSOR
 from splitstream.fileio import (
     _TRACE_HEADER,
     _TRACE_SENSOR,
@@ -54,6 +56,7 @@ from splitstream.fileio import (
 from conftest import build_workload
 
 F = FunctionKind
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
 def sample_workload():
@@ -118,6 +121,25 @@ class TestWorkloadText:
         w = parse_workload(dumps_workload(sample_workload()))
         assert validate_workload(w).ok
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        window=POSITIVE, step=POSITIVE, freq=POSITIVE, t_req=st.none() | POSITIVE,
+    )
+    @example(window=0.1 + 0.2, step=0.1, freq=600.0, t_req=1 / 3)
+    def test_every_number_reads_back(self, window, step, freq, t_req):
+        # Twelve significant digits would read 1/3 back as 0.333333333333.
+        w = build_workload([(1, (1,), (), F.MEAN, True, window, step, freq, t_req)], {1: 1})
+        assert parse_workload(dumps_workload(w)).operators == w.operators
+
+
+# Each profile table's key, over ids a little past sample_workload's.
+IDS = st.integers(1, 4)
+TABLE_KEYS = {
+    **{name: st.tuples(IDS, IDS, IDS) for name in PER_SENSOR},
+    "cpu_cloud": st.tuples(IDS, IDS),
+    **{name: IDS for name in (*PER_OPERATOR, *PER_NODE, "t_req_s")},
+}
+
 
 class TestProfileJson:
     def test_round_trip(self):
@@ -171,6 +193,51 @@ class TestProfileJson:
         with pytest.raises(ValueError, match=f"^{message}$"):
             save_profile(str(path), bad)
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: {"cpu_res": {}}, "data_int has a row for op 1, which cpu_res lacks"),
+        (lambda p: {"data_int": {**p.data_int, 7: 16.0}},
+         "data_int has a row for op 7, which cpu_res lacks"),
+        (lambda p: {"t_req_s": {**p.t_req_s, 7: 1.0}},
+         "t_req_s has a row for op 7, which cpu_res lacks"),
+        (lambda p: {"data_raw": {**p.data_raw, (1, 2, 1): 8.0}},
+         "data_raw has a row for op 1, sensor 2, node 1, which cpu_edge lacks"),
+        (lambda p: {"cpu_cloud": {**p.cpu_cloud, (1, 2): 8.0}},
+         "cpu_cloud has a row for op 1, sensor 2, which cpu_edge lacks"),
+        (lambda p: {name: {**getattr(p, name), (1, 1, 2): 8.0}
+                    for name in ("cpu_edge", "mem_edge", "data_raw")},
+         "cpu_edge has two nodes for op 1, sensor 1"),
+    ], ids=["no-cpu_res", "data_int-op-7", "t_req_s-op-7", "data_raw-sensor-2",
+            "cpu_cloud-sensor-2", "two-nodes"])
+    def test_a_row_to_spare_is_named_and_nothing_is_written(self, tmp_path, edit, message):
+        # The file holds one row per key of cpu_edge and of cpu_res: a figure
+        # keyed otherwise would be dropped, or written as a row read refuses.
+        w = build_workload([(1, (1,), (), F.MAX, False, 60, 60, 60)], {1: 1})
+        p = generate_profile(w)
+        path = tmp_path / "p.json"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            save_profile(str(path), dataclasses.replace(p, **edit(p)))
+        assert list(tmp_path.iterdir()) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_one_entry_added_or_deleted_is_refused_or_read_back(self, tmp_path_factory, data):
+        p = generate_profile(sample_workload())
+        name = data.draw(st.sampled_from(sorted(TABLE_KEYS)))
+        table = dict(getattr(p, name))
+        if table and data.draw(st.booleans()):
+            del table[data.draw(st.sampled_from(sorted(table)))]
+        else:
+            key = data.draw(TABLE_KEYS[name].filter(lambda k: k not in table))
+            table[key] = data.draw(st.integers(0, 10**9).map(float) | st.floats(0.0, 1e12))
+        edited = dataclasses.replace(p, **{name: table})
+        path = tmp_path_factory.mktemp("edit") / "p.json"
+        try:
+            save_profile(str(path), edited)
+        except ValueError:
+            assert list(path.parent.iterdir()) == []
+        else:
+            assert load_profile(str(path)) == edited
 
     @pytest.mark.parametrize(
         "field",
@@ -468,6 +535,39 @@ class TestReportFuzz:
         op = data.draw(st.sampled_from(sorted(record["per_operator"])))
         with pytest.raises(ValueError, match=f"^no res_payload_bytes for op {op}$"):
             report_bytes(deleted(record, ("per_operator", op, "res_payload_bytes")))
+
+
+class TestReportMeasure:
+    """What a report's byte figures measure, by report_bytes: the one thing
+    `compare` holds equal across the reports it sets side by side."""
+
+    def test_solve_and_simulate_reports(self, cli_reports):
+        assert report_bytes(cli_reports["solve"])[0] == "bytes per window set, paper objective"
+        sim = cli_reports["simulate"]
+        assert report_bytes(sim)[0] == (
+            f"bytes over {sim['duration_s']} s at {sim['sample_rate_hz']} Hz"
+        )
+
+    def test_a_record_without_a_command_measures_nothing(self, cli_reports):
+        assert report_bytes({"gamma": cli_reports["solve"]["gamma"]})[0] is None
+        assert report_bytes(deleted(cli_reports["solve"], ("manifest", "command")))[0] is None
+
+    @pytest.mark.parametrize("report, path, value, message", [
+        ("solve", ("manifest", "command"), "compare", "a 'compare' report has no byte figures"),
+        ("solve", ("manifest", "config"), [], "config must be an object"),
+        ("simulate", ("sample_rate_hz",), "10", "sample_rate_hz must be a number"),
+    ], ids=["compare-report", "config-list", "rate-string"])
+    def test_a_malformed_measure_is_refused(self, cli_reports, report, path, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            report_bytes(replaced(cli_reports[report], path, value))
+
+    @pytest.mark.parametrize("report, path", [
+        ("solve", ("manifest", "config", "objective_mode")),
+        ("simulate", ("duration_s",)),
+    ])
+    def test_a_missing_figure_of_the_measure_is_named(self, cli_reports, report, path):
+        with pytest.raises(ValueError, match=f"^no {path[-1]} for "):
+            report_bytes(deleted(cli_reports[report], path))
 
 
 class TestTraceBinary:

@@ -1,5 +1,6 @@
 """Package surface: the exported names, and what each command imports."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -74,6 +75,25 @@ def test_an_unknown_name_is_an_import_error():
         exec("from splitstream import no_such_name", {})
     with pytest.raises(AttributeError):
         splitstream.no_such_name
+
+
+def test_no_module_imports_another_modules_private_name():
+    # A name with a leading underscore is its module's own; a second module
+    # that needs it needs a public name. Dunders such as __version__ are not
+    # private.
+    borrowed = []
+    for path in sorted(Path(splitstream.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and (node.module or "").partition(".")[0] != "splitstream":
+                continue
+            borrowed += [
+                f"{path.name}: {alias.name} from {'.' * node.level}{node.module or ''}"
+                for alias in node.names
+                if alias.name.startswith("_") and not alias.name.endswith("__")
+            ]
+    assert borrowed == []
 
 
 # Runs one command in a fresh interpreter and reports on stderr, as it exits,

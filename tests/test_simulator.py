@@ -41,6 +41,7 @@ from splitstream import (
     solve,
 )
 from splitstream import simulator
+from splitstream.costs import Instance
 from splitstream.functions import Channel, eval_windows
 from splitstream.simulator import (
     KIND_INTERMEDIATE,
@@ -166,7 +167,7 @@ class TestLatencyAndDeadlines:
         def refuse(*args):
             raise AssertionError("the replay was sized")
 
-        monkeypatch.setattr(simulator, "_check_replay_size", refuse)
+        monkeypatch.setattr(simulator, "check_replay_size", refuse)
         w, p, a, _ = tiny_setup(0.5)
         trace = simulator.Trace(duration, rate, {1: np.zeros(n)})
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -188,7 +189,7 @@ class TestLatencyAndDeadlines:
         def refuse(*args):
             raise AssertionError("the replay was sized")
 
-        monkeypatch.setattr(simulator, "_check_replay_size", refuse)
+        monkeypatch.setattr(simulator, "check_replay_size", refuse)
         w, p, _, trace = tiny_setup(0.5)
         with pytest.raises(ValueError, match=f"^{re.escape(message)} "):
             run_sim(w, p, Assignment({1: gamma}, {1: gamma_sensor}), trace, collect_frames=True)
@@ -492,6 +493,32 @@ class TestFramesLeaveTheReport:
         bare = run_sim(w, p, a, trace)
         framed = run_sim(w, p, a, trace, collect_frames=True)
         assert report_fields(framed) == report_fields(bare)
+
+
+class TestAnalyticBytesOnRandomWorkloads:
+    """Criterion 6 beyond the reference: the replay's payload bytes equal the
+    dedup objective over the trace, on random workloads and placements. The
+    two count the same raw samples only where every sensor's ratio times its
+    samples per trace is a whole number: the replay floors each sensor's
+    streamed sample count, the model prices ratio x rate x horizon. Every
+    ratio here is a multiple of 0.05, over 1,200 or 600 samples a sensor."""
+
+    RATIOS = (0.0, 0.05, 0.25, 0.35, 0.5, 0.65, 0.9, 0.95, 1.0)
+
+    @pytest.mark.parametrize("duration, rate", [(120.0, 10.0), (600.0, 1.0)])
+    def test_replayed_bytes_equal_the_analytic_bytes(self, duration, rate):
+        config = StreamConfig(duration_s=duration, sample_rate_hz=rate, seed=0)
+        for seed in range(60):
+            rng = random.Random(seed)
+            w = random_workload(rng, max_ops=6)
+            p = generate_profile(w, sample_rate_hz=rate)
+            inst, trace = Instance.build(w, p), generate_trace(config, w.sensors)
+            for _ in range(3):
+                a = Assignment.from_op_gamma(
+                    w, {op.id: rng.choice(self.RATIOS) for op in w.operators}
+                )
+                simulated = run_sim(w, p, a, trace).total_payload_bytes
+                assert simulated == inst.objective(a, "dedup", duration), (seed, a.gamma)
 
 
 class TestDecreasingAvailability:

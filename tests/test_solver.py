@@ -24,7 +24,7 @@ from splitstream import (
     generate_reference_workload,
     solve,
 )
-from splitstream.costs import Instance, OpFacts, int_res_bytes, total_objective
+from splitstream.costs import Instance, OpFacts, int_res_bytes
 from splitstream.feasibility import composite_gamma
 from splitstream.model import runs_split, sensor_clusters
 from splitstream.solver import SearchState, first_fit, operator_domain, preflight_resource
@@ -444,7 +444,8 @@ class TestSearchState:
             for table in cls.CARRIED:
                 assert getattr(state, table) == getattr(fresh, table), table
             decided = [i for i in ops if i in state.gamma]
-            assert state.bound(tuple(decided)) == total_objective(state, p, w, mode, ops=decided)
+            oracle = Instance(w, p, inst.order, {i: inst.ops[i] for i in decided})
+            assert state.bound(tuple(decided)) == oracle.objective(state, mode)
             if mode == "paper":
                 bound = 0.0
                 for i in ops:
@@ -483,7 +484,8 @@ class TestPaperBound:
             free = [i for i in ops if i not in state.gamma]
             for combo in itertools.product(grid, repeat=len(free)):
                 a = Assignment.from_op_gamma(w, {**state.gamma, **dict(zip(free, combo))})
-                assert bound <= total_objective(a, p, w, "paper", ops=ops), f"seed {seed}"
+                oracle = Instance(w, p, inst.order, {i: inst.ops[i] for i in ops})
+                assert bound <= oracle.objective(a, "paper"), f"seed {seed}"
                 checked += 1
         assert checked > 1_000
 
