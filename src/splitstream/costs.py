@@ -527,14 +527,14 @@ def node_mem(i: OperatorId, k: NodeId, a: Assignment, p: Profile, w: Workload) -
 
 
 def windows_in_horizon(window_s: float, step_s: float, horizon_s: float) -> int:
-    """Number of window closes within a horizon (closes at window + n*step).
-    Raises ValueError when that number is not finite."""
+    """Number of window closes within a horizon (closes at window + n*step),
+    never negative. Raises ValueError when that number is not finite."""
     if horizon_s + 1e-9 < window_s:
         return 0
     steps = (horizon_s - window_s) / step_s + 1e-9
     if not math.isfinite(steps):
         raise ValueError(f"{window_s} s windows every {step_s} s close {steps} times in {horizon_s} s")
-    return int(math.floor(steps)) + 1
+    return max(0, int(math.floor(steps)) + 1)
 
 
 def total_objective(

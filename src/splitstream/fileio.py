@@ -17,8 +17,8 @@ rejected at parse time.
 
 Profile JSON is a single object: platform maps keyed by node id, a
 `per_sensor` array keyed (op, sensor, node) for edge-side quantities, and a
-`per_operator` array for the rest. Byte and cycle quantities are written as
-non-negative integers.
+`per_operator` array for the rest. Byte and cycle quantities are written
+exactly as held: whole ones as integers, others as floats.
 
 Trace files are little-endian binary: magic 'SSTR', u32 sensor count,
 f64 sample rate, f64 duration, then per sensor u32 id, u64 sample count,
@@ -209,30 +209,28 @@ def load_workload(path: str) -> Workload:
 # Profile JSON.
 
 
-def _int_or_fail(x: float, what: str) -> int:
-    v = int(round(x))
-    if abs(v - x) > 1e-6:
-        raise ValueError(f"{what} must be integral, got {x}")
-    if v == 0 and x != 0:
-        raise ValueError(f"{what} rounds to 0 from {x}; the file would price it free")
-    return v
+def _cost_field(x: float) -> float:
+    """x as JSON reads it back exactly: a whole number as an integer, any
+    other as the float itself (float(x), as int.is_integer needs 3.12)."""
+    return int(x) if float(x).is_integer() else x
 
 
 def dumps_profile(p: Profile) -> str:
     """The profile as canonical JSON, once check_profile has passed it, so
-    every figure written is a finite non-negative cost from a row present."""
+    every figure written is a finite non-negative cost from a row present.
+    Nothing is rounded: parse_profile reads back an equal profile."""
     check_profile(p)
     per_sensor = []
     for key in sorted(p.cpu_edge):
         row = dict(zip(("op", "sensor", "node"), key))
         for name in PER_SENSOR:
-            row[name] = _int_or_fail(getattr(p, name)[table_key(name, key)], name)
+            row[name] = _cost_field(getattr(p, name)[table_key(name, key)])
         per_sensor.append(row)
     per_operator = []
     for op in sorted(p.cpu_res):
         row = {"op": op}
         for name in PER_OPERATOR:
-            row[name] = _int_or_fail(getattr(p, name)[op], name)
+            row[name] = _cost_field(getattr(p, name)[op])
         if op in p.t_req_s:
             row["t_req_s"] = p.t_req_s[op]
         per_operator.append(row)
@@ -378,20 +376,24 @@ def check_trace_sensor(sensor: SensorId) -> None:
 
 
 def save_trace(path: str, trace: Trace) -> None:
-    """Write the trace; a sensor id outside the id field raises ValueError
-    before anything is written."""
+    """Write the trace; one that load_trace would refuse (sample_count, then
+    check_sensor_samples for each sensor) or a sensor id outside the id
+    field raises ValueError before anything is written."""
     import numpy as np
 
+    from .simulator import check_sensor_samples, sample_count
+
+    duration, rate = trace.duration_s, trace.sample_rate_hz
+    expected = sample_count(duration, rate)
     for sensor in sorted(trace.samples):
         check_trace_sensor(sensor)
+        check_sensor_samples(sensor, np.size(trace.samples[sensor]), expected, duration, rate)
 
     def chunks():
-        yield _TRACE_HEADER.pack(
-            TRACE_MAGIC, len(trace.samples), trace.sample_rate_hz, trace.duration_s
-        )
+        yield _TRACE_HEADER.pack(TRACE_MAGIC, len(trace.samples), rate, duration)
         for sensor in sorted(trace.samples):
             x = np.asarray(trace.samples[sensor], dtype="<f8")
-            yield _TRACE_SENSOR.pack(sensor, len(x))
+            yield _TRACE_SENSOR.pack(sensor, x.size)
             yield x.tobytes()
 
     _replace_with(path, chunks())

@@ -559,7 +559,9 @@ def run_sim(
         # The nodes of the operator's sensors and its dependencies' sensors.
         home[op_id] = {sensor_node[j] for j in op.sensors}.union(*(home[d] for d in op.deps))
 
-        if op.window_s > duration + 1e-9:
+        t_close, t_open, second = times.windows(op)
+        n_windows = len(t_close)
+        if n_windows == 0:
             warnings.append(
                 f"operator {op_id}: window {op.window_s}s exceeds the trace "
                 f"({duration}s); no windows close"
@@ -574,9 +576,6 @@ def run_sim(
         dep_series = [series[d] for d in op.deps]
         n_channels = len(op.sensors) + sum(s.arity for s in dep_series)
         arity = output_arity(op.func, n_channels)
-
-        t_close, t_open, second = times.windows(op)
-        n_windows = len(t_close)
 
         # Input channels, own sensors first, then dependency outputs; window
         # m of a channel is samples lo[m]:hi[m] of its source. Only frames

@@ -1,14 +1,17 @@
-"""Shared builders: tiny hand-sized workloads and randomized instances.
+"""Shared builders: tiny hand-sized workloads, randomized instances and
+hand-packed trace files.
 
 The random generator keeps every cost integral (cycles, bytes) so objective
-comparisons can assert exact equality and profiles survive serialization.
+comparisons can assert exact equality.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from splitstream import (
@@ -22,6 +25,7 @@ from splitstream import (
     generate_profile,
     generate_reference_workload,
 )
+from splitstream.fileio import _TRACE_HEADER, _TRACE_SENSOR, TRACE_MAGIC
 
 F = FunctionKind
 
@@ -133,6 +137,17 @@ def capped_reference(factor: float) -> tuple[Workload, Profile]:
     `factor` times each node's all-edge usage (`gen-profile --headroom`)."""
     w = generate_reference_workload()
     return w, generate_profile(w, headroom=factor)
+
+
+def pack_trace(path, duration: float, rate: float, blocks) -> None:
+    """Write a trace file by hand in save_trace's layout, without its checks,
+    so a test can build a file load_trace must refuse: a header of `duration`
+    and `rate`, then one block per (sensor, samples) pair, in the order given."""
+    data = _TRACE_HEADER.pack(TRACE_MAGIC, len(blocks), rate, duration)
+    for sensor, samples in blocks:
+        x = np.asarray(samples, dtype="<f8")
+        data += _TRACE_SENSOR.pack(sensor, len(x)) + x.tobytes()
+    Path(path).write_bytes(data)
 
 
 @pytest.fixture

@@ -11,6 +11,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from splitstream import (
     Assignment,
@@ -58,6 +60,7 @@ from splitstream.solver import gamma_grid
 from conftest import build_workload, capped_reference, random_instance
 
 F = FunctionKind
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
 def gam(w, g):
@@ -296,6 +299,19 @@ class TestWindowsInHorizon:
     )
     def test_close_counting(self, window, step, horizon, expect):
         assert windows_in_horizon(window, step, horizon) == expect
+
+    @settings(max_examples=300, deadline=None)
+    @given(window=POSITIVE, step=POSITIVE, horizon=POSITIVE)
+    @example(window=10.0, step=1e-12, horizon=10.0 - 5e-10)
+    def test_the_count_is_never_negative(self, window, step, horizon):
+        # A horizon just short of the window passes the early return's 1e-9
+        # slack; a 1e-12 s step then floors far below -1, and the count must
+        # still not go below 0.
+        try:
+            count = windows_in_horizon(window, step, horizon)
+        except ValueError:
+            return
+        assert count >= 0
 
     @pytest.mark.parametrize(
         "window,step,horizon",

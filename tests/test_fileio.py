@@ -44,7 +44,7 @@ from splitstream import (
     validate_workload,
 )
 from splitstream.cli import main
-from splitstream.costs import PER_NODE, PER_OPERATOR, PER_SENSOR
+from splitstream.costs import PER_NODE, PER_OPERATOR, PER_SENSOR, check_profile
 from splitstream.fileio import (
     _TRACE_HEADER,
     _TRACE_SENSOR,
@@ -53,10 +53,11 @@ from splitstream.fileio import (
     unique_keys,
 )
 
-from conftest import build_workload
+from conftest import build_workload, pack_trace
 
 F = FunctionKind
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+COST_TABLES = (*PER_SENSOR, *PER_OPERATOR)
 
 
 def sample_workload():
@@ -167,15 +168,41 @@ class TestProfileJson:
         save_profile(path, p)
         assert load_profile(path).cpu_edge == p.cpu_edge
 
-    def test_byte_quantities_must_be_integral(self):
-        import dataclasses
-
-        w = sample_workload()
-        p = generate_profile(w)
+    @pytest.mark.parametrize("figure", [10.5, 4800.0000004])
+    def test_byte_quantities_are_written_exactly(self, figure):
+        # A fractional figure reads back as itself, neither refused nor
+        # rounded to the nearest integer.
+        p = generate_profile(sample_workload())
         key = next(iter(p.data_raw))
-        bad = dataclasses.replace(p, data_raw={**p.data_raw, key: 10.5})
-        with pytest.raises(ValueError, match="integral"):
-            dumps_profile(bad)
+        q = dataclasses.replace(p, data_raw={**p.data_raw, key: figure})
+        assert parse_profile(dumps_profile(q)) == q
+
+    @settings(max_examples=200, deadline=None)
+    @given(figures=st.fixed_dictionaries({
+        name: st.floats(min_value=0.0, allow_infinity=False) | st.floats()
+        for name in COST_TABLES
+    }))
+    @example(figures=dict.fromkeys(COST_TABLES, 10.5))
+    @example(figures=dict.fromkeys(COST_TABLES, 4800.0000004))
+    @example(figures=dict.fromkeys(COST_TABLES, 1e-300))
+    @example(figures=dict.fromkeys(COST_TABLES, 5e-324))
+    @example(figures=dict.fromkeys(COST_TABLES, 1e300))
+    @example(figures=dict.fromkeys(COST_TABLES, 0.0))
+    def test_every_profile_check_profile_passes_round_trips(self, figures):
+        # Each cost table's rows all hold the drawn figure. The writer adds no
+        # rule of its own: it refuses what check_profile refuses, and what it
+        # writes reads back as the same profile.
+        p = generate_profile(sample_workload())
+        q = dataclasses.replace(p, **{
+            name: dict.fromkeys(getattr(p, name), figures[name]) for name in COST_TABLES
+        })
+        try:
+            check_profile(q)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                dumps_profile(q)
+            return
+        assert parse_profile(dumps_profile(q)) == q
 
     @pytest.mark.parametrize("table, message", [
         ("data_int", "no data_int for op 1"),
@@ -615,16 +642,36 @@ class TestTraceBinary:
     )
     def test_inconsistent_headers_rejected(self, tmp_path, duration, rate, n):
         path = str(tmp_path / "t.bin")
-        save_trace(path, Trace(duration, rate, {1: np.zeros(n), 2: np.zeros(30)}))
+        pack_trace(path, duration, rate, [(1, np.zeros(n)), (2, np.zeros(30))])
         with pytest.raises(ValueError):
             load_trace(path)
 
     def test_a_repeated_sensor_is_refused(self, tmp_path):
         path = tmp_path / "t.bin"
-        blocks = [_TRACE_SENSOR.pack(1, 2) + np.array([x, x], "<f8").tobytes() for x in (1.0, 2.0)]
-        path.write_bytes(_TRACE_HEADER.pack(TRACE_MAGIC, 2, 10.0, 0.2) + b"".join(blocks))
+        pack_trace(path, 0.2, 10.0, [(1, [1.0, 1.0]), (1, [2.0, 2.0])])
         with pytest.raises(ValueError, match="^sensor 1 appears twice$"):
             load_trace(str(path))
+
+    @pytest.mark.parametrize(
+        "duration, rate, n, message",
+        [
+            (10.0, 10.0, 5, "sensor 1 has 5 samples; 10.0 s at 10.0 Hz is 100"),
+            (math.nan, 10.0, 100, "duration must be positive and finite"),
+            (-3.0, 10.0, 30, "duration must be positive and finite"),
+            (3.0, 0.0, 30, "sample rate must be positive and finite"),
+            (1e300, 1e300, 0, "1e+300 s at 1e+300 Hz is too many samples"),
+            (10.0, 10.0, (100, 2), "sensor 1 has 200 samples; 10.0 s at 10.0 Hz is 100"),
+        ],
+        ids=["short-sensor", "nan-duration", "negative-duration", "zero-rate",
+             "overflowing-count", "two-columns"],
+    )
+    def test_a_trace_load_trace_refuses_is_not_written(self, tmp_path, duration, rate, n,
+                                                        message):
+        # The same rules as the reader's, before the first byte: no file.
+        path = tmp_path / "t.bin"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            save_trace(str(path), Trace(duration, rate, {1: np.zeros(n)}))
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("sensor", [2**32, -1])
     def test_a_sensor_outside_the_id_field_is_refused(self, tmp_path, sensor):

@@ -43,6 +43,7 @@ from splitstream import (
 from splitstream import simulator
 from splitstream.costs import Instance
 from splitstream.functions import Channel, eval_windows
+from splitstream.model import runs_at_edge
 from splitstream.simulator import (
     KIND_INTERMEDIATE,
     KIND_RAW,
@@ -501,12 +502,18 @@ class TestAnalyticBytesOnRandomWorkloads:
     two count the same raw samples only where every sensor's ratio times its
     samples per trace is a whole number: the replay floors each sensor's
     streamed sample count, the model prices ratio x rate x horizon. Every
-    ratio here is a multiple of 0.05, over 1,200 or 600 samples a sensor."""
+    ratio here is a multiple of 0.05, over 1,200 or 600 samples a sensor, so
+    at 120 s and 10 Hz and at 600 s and 1 Hz the two are equal. At the other
+    timebases they differ by at most 12 B per streaming sensor: 1.5 samples
+    of 8 B, half a sample from round(duration x rate) and one from the
+    replay's floor."""
 
     RATIOS = (0.0, 0.05, 0.25, 0.35, 0.5, 0.65, 0.9, 0.95, 1.0)
 
-    @pytest.mark.parametrize("duration, rate", [(120.0, 10.0), (600.0, 1.0)])
-    def test_replayed_bytes_equal_the_analytic_bytes(self, duration, rate):
+    @pytest.mark.parametrize("duration, rate, slack", [
+        (120.0, 10.0, 0), (600.0, 1.0, 0), (37.0, 10.0, 12), (41.3, 3.3, 12), (19.9, 7.7, 12),
+    ])
+    def test_replayed_bytes_equal_the_analytic_bytes(self, duration, rate, slack):
         config = StreamConfig(duration_s=duration, sample_rate_hz=rate, seed=0)
         for seed in range(60):
             rng = random.Random(seed)
@@ -518,7 +525,9 @@ class TestAnalyticBytesOnRandomWorkloads:
                     w, {op.id: rng.choice(self.RATIOS) for op in w.operators}
                 )
                 simulated = run_sim(w, p, a, trace).total_payload_bytes
-                assert simulated == inst.objective(a, "dedup", duration), (seed, a.gamma)
+                streaming = sum(not runs_at_edge(g) for g in a.gamma_sensor.values())
+                gap = abs(simulated - inst.objective(a, "dedup", duration))
+                assert gap <= slack * streaming, (seed, a.gamma)
 
 
 class TestDecreasingAvailability:
@@ -612,6 +621,22 @@ class TestEmissions:
         s = run_sim(w, p, a, trace).per_op[1]
         assert s.windows == 4  # closes at 4, 6, 8, 10
         assert s.emissions == 7  # every second from t=4 on
+
+    def test_a_window_just_past_the_trace_warns_and_closes_none(self):
+        # 10 s windows every 1e-12 s over a 10 s - 5e-10 s trace: the window
+        # is inside the 1e-9 slack yet longer than the trace, so no window
+        # closes; the warning reads that count and the model prices nothing.
+        w = build_workload([(1, (1,), (), F.MEAN, True, 10, 1e-12, 10)], {1: 1})
+        p = generate_profile(w)
+        a = Assignment.from_op_gamma(w, {1: 0.0})
+        duration = 10.0 - 5e-10
+        trace = generate_trace(StreamConfig(duration_s=duration, sample_rate_hz=10, seed=2), [1])
+        rep = run_sim(w, p, a, trace)
+        assert rep.warnings == [
+            f"operator 1: window 10.0s exceeds the trace ({duration}s); no windows close"
+        ]
+        assert (rep.per_op[1].windows, rep.total_payload_bytes) == (0, 0)
+        assert Instance.build(w, p).objective(a, "dedup", duration) == 0
 
 
 class TestComposite:
